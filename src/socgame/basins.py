@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .classify import classify_global
-from .dynamics import IntegratorConfig, find_attractor
+from .dynamics import IntegratorConfig, integrate, match_attractor
 from .model import DEFAULT_TOL, Params, SimplexState
 
 SAMPLING = "uniform-simplex"
@@ -62,6 +63,29 @@ def sample_simplex(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     e = rng.standard_exponential((n, 4))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def find_attractor(
+    x0: SimplexState,
+    p: Params,
+    cfg: IntegratorConfig | None = None,
+    match_tol: float = 1e-6,
+    tol: float = DEFAULT_TOL,
+    attractors: Sequence | None = None,
+):
+    """Integrate from ``x0`` and name the global attractor it reached.
+
+    Returns the matching StationaryState (max-norm distance below
+    ``match_tol``) or None when the run did not resolve to any classified
+    attractor.  Pass ``attractors`` to reuse a classification across many
+    starts.
+    """
+    if attractors is None:
+        attractors = classify_global(p, tol).global_attractors
+    traj = integrate(x0, p, cfg)
+    if traj.verdict == "step-failure":
+        return None
+    return match_attractor(traj.final_state, attractors, match_tol)
 
 
 def _resolve_chunk(args) -> list[str]:

@@ -1,23 +1,32 @@
 """Stationary states and dynamic regimes.
 
 Everything observable about the long-run behaviour of the four-strategy flow
-is decided by closed-form sign conditions on the parameters:
+is decided by closed-form sign conditions on the boundary stationary states.
+They come from one inventory, and every boundary face sees a restriction of
+it:
 
-* which pure states and mixed edge states exist and how the flow crosses
-  them (planar eigenvalue signs on the no-isolation face),
-* which of the known planar phase portraits each boundary face realises
-  (reported as a portrait number ``pp`` and a panel tag ``figure``),
-* which states attract from the full simplex: a state is globally attractive
-  exactly when it is attractive inside every boundary face containing it.
+* the inventory builds each vertex, and each edge-interior state of an edge
+  whose payoff gap changes sign, once, with the eigen sign of every direction
+  of the full simplex.  At a boundary rest point the eigenvalue toward an
+  absent strategy W is W's payoff advantage there, and the one along an edge
+  is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g;
+* a face's view keeps the states whose support avoids the face's absent
+  strategy and drops the direction toward that strategy;
+* each face's regime table reads its view and names which of the known
+  planar phase portraits the face realises (portrait number ``pp`` and panel
+  tag ``figure``);
+* a state attracts from the full simplex exactly when it is attractive
+  inside every boundary face containing it; the global attractors are taken
+  from the inventory itself.
 
-The analytic path is the product; a finite-difference Jacobian
-(``numeric_jacobian``) serves as the independent oracle in tests and decides
-the one question the sign tables leave open, the stability type of interior
-states.
+The sign tables leave one question open, the stability type of interior
+states: it is read off a finite-difference Jacobian (``numeric_jacobian``),
+which also serves as the independent oracle for the analytic signs in tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,16 +45,15 @@ from .model import (
     require_valid,
     validate,
 )
-from .dynamics import LVState, _rep_rhs_raw, lv_rhs_2d
+from .dynamics import LVState, lv_rhs_2d, orthant_field, replicator_field
+from .welfare import WelfareReport, welfare_report
 
 # numeric eigenvalues closer to zero than this get the "degenerate" sign
 SIGN_TOL = 1e-7
 
-_IDX = {s: i for i, s in enumerate(STRATEGIES)}
-
 # boundary faces named by the strategy that is absent
 FACES = ("S_N", "S_O", "S_H", "S_P")
-_FACE_ABSENT = {"S_N": 3, "S_O": 0, "S_H": 1, "S_P": 2}
+FACE_ABSENT = {"S_N": 3, "S_O": 0, "S_H": 1, "S_P": 2}
 
 
 class NonStationaryPointError(ValueError):
@@ -63,12 +71,12 @@ def _sign(v: float, tol: float) -> str:
 
 
 def _stability(signs: Sequence[tuple[str, str]]) -> str:
-    vals = [s for _, s in signs]
-    if any(s == "degenerate" for s in vals):
+    vals = {s for _, s in signs}
+    if "degenerate" in vals:
         return "degenerate"
-    if all(s == "-" for s in vals):
+    if vals <= {"-"}:
         return "attractive"
-    if all(s == "+" for s in vals):
+    if vals == {"+"}:
         return "repulsive"
     return "saddle"
 
@@ -151,7 +159,7 @@ class RegimeReport:
     edges: tuple[EdgeRegime | None, ...]  # S_N, S_O, S_H, S_P
     global_attractors: tuple[StationaryState, ...]
     global_case: str  # branch tag naming the composition case
-    welfare: "object | None"  # WelfareReport, None when degenerate
+    welfare: WelfareReport | None  # None when degenerate
     degenerate: bool
 
     def as_dict(self) -> dict:
@@ -169,93 +177,86 @@ class RegimeReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# helpers shared by the analytic tables
-
-
-def _vertex_location(idx: int) -> SimplexState:
-    xs = [0.0] * 4
-    xs[idx] = 1.0
-    return SimplexState(*xs)
-
-
-def _vertex_state_in_face(p: Params, face: str, v: str, tol: float) -> StationaryState:
-    """Vertex as seen inside one boundary face: two eigen directions, one
-    toward each co-resident vertex.  The eigenvalue toward W at pure state V
-    is W's payoff advantage there, A[W,V] - A[V,V]."""
-    A = payoff_matrix(p)
-    vi = _IDX[v]
-    others = [i for i in range(4) if i != vi and i != _FACE_ABSENT[face]]
-    signs = tuple(
-        (f"toward {STRATEGIES[o]}", _sign(A[o, vi] - A[vi, vi], tol)) for o in others
-    )
+def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ...],
+           payoff: float, signs: tuple[tuple[str, str], ...]) -> StationaryState:
     return StationaryState(
-        label=v,
-        kind="vertex",
-        location=_vertex_location(vi),
-        support=(v,),
-        payoff=float(A[vi, vi]),
-        eigen_signs=signs,
-        stability=_stability(signs),
-    )
-
-
-def _vertex_state_global(p: Params, v: str, tol: float) -> StationaryState:
-    """Vertex with all three eigen directions of the full simplex."""
-    A = payoff_matrix(p)
-    vi = _IDX[v]
-    signs = tuple(
-        (f"toward {STRATEGIES[o]}", _sign(A[o, vi] - A[vi, vi], tol))
-        for o in range(4) if o != vi
-    )
-    return StationaryState(
-        label=v,
-        kind="vertex",
-        location=_vertex_location(vi),
-        support=(v,),
-        payoff=float(A[vi, vi]),
-        eigen_signs=signs,
-        stability=_stability(signs),
-    )
-
-
-def hp_mix_share(p: Params) -> float:
-    """Uncivil share x2* at the H/P mixed state on the H-P edge."""
-    den = (p.epsilon - p.gamma) + (p.beta + p.delta)
-    return (p.epsilon - p.gamma) / den
-
-
-def _hp_coexistence_state(p: Params, tol: float, directions: str) -> StationaryState:
-    """The H/P mixed state with eigen signs for the requested context:
-    'S_N' (along edge + toward O), 'S_O' (along edge + toward N), or
-    'global' (all three)."""
-    mb = normalize_matrix(p)
-    den = (mb.e - mb.b) + (mb.c - mb.f)  # -(beta+delta) - (epsilon-gamma), nonzero when valid
-    along = (mb.e - mb.b) * (mb.f - mb.c) / den
-    pay = coexistence_payoff(p)
-    sign_along = ("along H-P", _sign(along, tol))
-    sign_o = ("toward O", _sign(-pay, tol))
-    sign_n = ("toward N", _sign(p.eta - pay, tol))
-    if directions == "S_N":
-        signs = (sign_along, sign_o)
-    elif directions == "S_O":
-        signs = (sign_along, sign_n)
-    else:
-        signs = (sign_along, sign_o, sign_n)
-    x2 = hp_mix_share(p)
-    return StationaryState(
-        label="H+P",
-        kind="edge-interior",
-        location=SimplexState(0.0, x2, 1.0 - x2, 0.0),
-        support=("H", "P"),
-        payoff=pay,
-        eigen_signs=signs,
-        stability=_stability(signs),
+        label=label, kind=kind, location=location, support=support,
+        payoff=payoff, eigen_signs=signs, stability=_stability(signs),
     )
 
 
 # ---------------------------------------------------------------------------
-# analytic eigen-sign tables for the no-isolation face
+# the boundary inventory and its face restrictions
+
+_VERTICES = tuple(SimplexState(*(1.0 if i == v else 0.0 for i in range(4))) for v in range(4))
+
+
+class _Inventory:
+    """Every vertex and edge-interior stationary state of the simplex, each
+    built once with the eigen signs of all three of its directions.
+
+    ``states`` maps label to state, vertices first, then edges in index
+    order.  ``undecided`` lists the edges (index pairs) whose payoff gap
+    vanishes within ``tol`` at one end, so whether they carry an interior
+    rest point is not decided.
+    """
+
+    def __init__(self, p: Params, tol: float) -> None:
+        A = payoff_matrix(p).tolist()
+        self.states: dict[str, StationaryState] = {}
+        self.undecided: list[tuple[int, int]] = []
+
+        for v, name in enumerate(STRATEGIES):
+            # toward W at pure state V: W's payoff advantage, A[W,V] - A[V,V]
+            signs = tuple((f"toward {STRATEGIES[w]}", _sign(A[w][v] - A[v][v], tol))
+                          for w in range(4) if w != v)
+            self.states[name] = _state(name, "vertex", _VERTICES[v], (name,), A[v][v], signs)
+
+        for a, b in itertools.combinations(range(4), 2):
+            # payoff gap of a over b is affine in the share s of a:
+            # g0 at s = 0, g1 at s = 1; an interior root needs a strict sign change
+            g0 = A[a][b] - A[b][b]
+            g1 = A[a][a] - A[b][a]
+            if abs(g0) <= tol or abs(g1) <= tol:
+                self.undecided.append((a, b))
+                continue
+            if g0 * g1 >= 0.0:
+                continue
+            s = g0 / (g0 - g1)
+            pay = (A[a][a] * A[b][b] - A[a][b] * A[b][a]) / (g1 - g0)
+            signs = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}",
+                      _sign(s * (1.0 - s) * (g1 - g0), tol)),)
+            signs += tuple(
+                (f"toward {STRATEGIES[c]}",
+                 _sign(A[c][b] + s * (A[c][a] - A[c][b]) - pay, tol))
+                for c in range(4) if c != a and c != b
+            )
+            xs = [0.0] * 4
+            xs[a] = s
+            xs[b] = 1.0 - s
+            support = (STRATEGIES[a], STRATEGIES[b])
+            self.states["+".join(support)] = _state(
+                "+".join(support), "edge-interior", SimplexState(*xs), support, pay, signs)
+
+    def in_face(self, face: str, label: str) -> StationaryState:
+        """One state as seen inside ``face``: the direction toward the
+        face's absent strategy is dropped."""
+        s = self.states[label]
+        away = f"toward {STRATEGIES[FACE_ABSENT[face]]}"
+        signs = tuple(d for d in s.eigen_signs if d[0] != away)
+        return _state(s.label, s.kind, s.location, s.support, s.payoff, signs)
+
+    def face(self, face: str) -> list[StationaryState]:
+        """Every vertex and edge-interior state on ``face``, seen inside it.
+        Raises if one of the face's edges is undecided."""
+        absent = FACE_ABSENT[face]
+        for a, b in self.undecided:
+            if absent not in (a, b):
+                raise DegenerateParameterError(
+                    f"edge {STRATEGIES[a]}-{STRATEGIES[b]} state existence boundary"
+                )
+        return [self.in_face(face, label) for label, s in self.states.items()
+                if STRATEGIES[absent] not in s.support]
 
 
 def vertex_eigensigns(p: Params, tol: float = DEFAULT_TOL) -> dict[str, tuple[tuple[str, str], ...]]:
@@ -265,61 +266,47 @@ def vertex_eigensigns(p: Params, tol: float = DEFAULT_TOL) -> dict[str, tuple[tu
     and -(beta+delta); P by -epsilon and gamma-epsilon.
     """
     require_valid(p, tol)
-    return {
-        "O": (("toward H", _sign(-p.alpha, tol)), ("toward P", _sign(-p.alpha, tol))),
-        "H": (("toward O", _sign(-p.beta, tol)), ("toward P", _sign(-p.beta - p.delta, tol))),
-        "P": (("toward O", _sign(-p.epsilon, tol)), ("toward H", _sign(p.gamma - p.epsilon, tol))),
-    }
+    inv = _Inventory(p, tol)
+    return {v: inv.in_face("S_N", v).eigen_signs for v in ("O", "H", "P")}
 
 
 def edge_interior_states(p: Params, tol: float = DEFAULT_TOL) -> list[StationaryState]:
     """Mixed stationary states on the three edges of the no-isolation face.
 
     The O-P and H-P edges always carry one; the O-H edge only when beta > 0.
-    Eigen signs follow the planar tables: along-edge and transversal (into
-    the face interior) directions.
+    Eigen signs: along the edge, then toward the face's third strategy.
     """
     require_valid(p, tol)
-    if abs(p.beta) <= tol:
-        raise DegenerateParameterError(f"O-H edge state existence boundary: |beta| <= {tol}")
-    out: list[StationaryState] = []
+    return [s for s in _Inventory(p, tol).face("S_N") if s.kind == "edge-interior"]
 
-    if p.beta > 0.0:
-        # O-H edge: payoffs equalize at x1 = beta/(alpha+beta)
-        x1 = p.beta / (p.alpha + p.beta)
-        signs = (
-            ("along O-H", _sign(p.alpha, tol)),
-            ("toward face interior", _sign(-(p.alpha / p.beta) * (p.beta + p.delta), tol)),
-        )
-        out.append(StationaryState(
-            label="O+H",
-            kind="edge-interior",
-            location=SimplexState(x1, 1.0 - x1, 0.0, 0.0),
-            support=("O", "H"),
-            payoff=p.alpha * p.beta / (p.alpha + p.beta),
-            eigen_signs=signs,
-            stability=_stability(signs),
-        ))
 
-    # O-P edge: always present
-    x1 = p.epsilon / (p.alpha + p.epsilon)
-    signs = (
-        ("along O-P", _sign(p.alpha, tol)),
-        ("toward face interior", _sign((p.alpha / p.epsilon) * (p.gamma - p.epsilon), tol)),
+def _face_interior_state(p: Params, face: str, tol: float) -> StationaryState | None:
+    """Rest point inside ``face``, if the equal-payoff solve lands there.
+    Stability is read off the finite-difference Jacobian of the face flow."""
+    active = tuple(i for i in range(4) if i != FACE_ABSENT[face])
+    A = payoff_matrix(p)
+    # equal payoffs among the three actives, shares sum to 1
+    m = np.zeros((3, 3))
+    for col, s in enumerate(active):
+        m[0, col] = A[active[0], s] - A[active[1], s]
+        m[1, col] = A[active[0], s] - A[active[2], s]
+        m[2, col] = 1.0
+    try:
+        sol = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not (min(sol) > tol and max(sol) < 1.0 - tol):
+        return None
+    xs = [0.0] * 4
+    for s_idx, share in zip(active, sol):
+        xs[s_idx] = float(share)
+    eigs = _sorted_eigs(fd_jacobian(face_reduced_rhs(p, active), (xs[active[0]], xs[active[1]])))
+    signs = tuple(
+        (f"face eig {i + 1}", _sign(float(ev.real), SIGN_TOL)) for i, ev in enumerate(eigs)
     )
-    out.append(StationaryState(
-        label="O+P",
-        kind="edge-interior",
-        location=SimplexState(x1, 0.0, 1.0 - x1, 0.0),
-        support=("O", "P"),
-        payoff=p.alpha * p.epsilon / (p.alpha + p.epsilon),
-        eigen_signs=signs,
-        stability=_stability(signs),
-    ))
-
-    # H-P edge: always present in both admissible branches
-    out.append(_hp_coexistence_state(p, tol, directions="S_N"))
-    return out
+    support = tuple(STRATEGIES[i] for i in active)
+    return _state("+".join(support), "face-interior", SimplexState(*xs), support,
+                  float(A[active[0]] @ np.array(xs)), signs)
 
 
 def face_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
@@ -341,32 +328,10 @@ def face_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
         raise DegenerateParameterError("face-interior existence expressions on boundary")
     if len(signs) != 1:
         return None
-
-    # P_O = P_H, P_O = P_P, shares sum to 1 (x4 = 0)
-    m = np.array([
-        [p.alpha, -p.beta, -p.gamma],
-        [p.alpha, p.delta, -p.epsilon],
-        [1.0, 1.0, 1.0],
-    ])
-    x1, x2, x3 = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
-    if min(x1, x2, x3) <= tol or max(x1, x2, x3) >= 1.0 - tol:
-        raise InfeasibleLocationError(
-            f"equal-payoff solve left the open face: ({x1}, {x2}, {x3})"
-        )
-    loc = SimplexState(x1, x2, x3, 0.0)
-    eigs = numeric_jacobian(loc, p, system="replicator-face")
-    esigns = tuple(
-        (f"face eig {i + 1}", _sign(float(ev.real), SIGN_TOL)) for i, ev in enumerate(eigs)
-    )
-    return StationaryState(
-        label="O+H+P",
-        kind="face-interior",
-        location=loc,
-        support=("O", "H", "P"),
-        payoff=p.alpha * float(x1),
-        eigen_signs=esigns,
-        stability=_stability(esigns),
-    )
+    state = _face_interior_state(p, "S_N", tol)
+    if state is None:
+        raise InfeasibleLocationError("equal-payoff solve left the open face")
+    return state
 
 
 def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
@@ -388,30 +353,22 @@ def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
         raise DegenerateParameterError("full-interior state on a boundary face")
     if any(v < 0.0 for v in coords):
         return None
-    loc = SimplexState(*coords)
     lv = LVState(x2 / x1, x3 / x1, x4 / x1)
     eigs = numeric_jacobian(lv, p, system="lv-3d")
     esigns = tuple(
         (f"orthant eig {i + 1}", _sign(float(ev.real), SIGN_TOL)) for i, ev in enumerate(eigs)
     )
-    state = StationaryState(
-        label="O+H+P+N",
-        kind="full-interior",
-        location=loc,
-        support=("O", "H", "P", "N"),
-        payoff=p.eta,
-        eigen_signs=esigns,
-        stability=_stability(esigns),
-    )
-    return state
+    return _state("O+H+P+N", "full-interior", SimplexState(*coords), ("O", "H", "P", "N"),
+                  p.eta, esigns)
 
 
 # ---------------------------------------------------------------------------
 # numeric Jacobian oracle
 
 
-def _fd_jacobian(f: Callable[[tuple[float, ...]], tuple[float, ...]],
-                 u: tuple[float, ...], step: float = 1e-6) -> np.ndarray:
+def fd_jacobian(f: Callable[[tuple[float, ...]], tuple[float, ...]],
+                u: tuple[float, ...], step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at ``u``."""
     n = len(u)
     jac = np.empty((n, n))
     for j in range(n):
@@ -427,7 +384,7 @@ def _fd_jacobian(f: Callable[[tuple[float, ...]], tuple[float, ...]],
     return jac
 
 
-def _face_reduced_rhs(p: Params, active: tuple[int, int, int]):
+def face_reduced_rhs(p: Params, active: tuple[int, int, int]):
     """Flow on a boundary face in the coordinates of its first two actives;
     the third share is 1 - u0 - u1 and the absent strategy is pinned at 0."""
     i, j, k = active
@@ -437,7 +394,7 @@ def _face_reduced_rhs(p: Params, active: tuple[int, int, int]):
         x[i] = u[0]
         x[j] = u[1]
         x[k] = 1.0 - u[0] - u[1]
-        d = _rep_rhs_raw(tuple(x), p)
+        d = replicator_field(tuple(x), p)
         return (d[i], d[j])
 
     return f
@@ -464,7 +421,7 @@ def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
             raise TypeError("replicator-face expects a SimplexState")
         if loc.x4 != 0.0:
             raise ValueError("replicator-face expects a state on the x4=0 face")
-        f = _face_reduced_rhs(p, (0, 1, 2))
+        f = face_reduced_rhs(p, (0, 1, 2))
         u: tuple[float, ...] = (loc.x1, loc.x2)
     elif system == "lv-2d":
         if not isinstance(loc, LVState):
@@ -474,12 +431,8 @@ def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
     elif system == "lv-3d":
         if not isinstance(loc, LVState):
             raise TypeError("lv-3d expects an LVState")
-
-        def f(u: tuple[float, ...]) -> tuple[float, float, float]:
-            dy, dz = lv_rhs_2d(u[0], u[1], p)
-            return (dy, dz, u[2] * (-p.alpha + p.eta * (1.0 + u[0] + u[1] + u[2])))
-
-        u = (loc.y, loc.z, loc.w)
+        f = lambda u: orthant_field(u, p)
+        u = loc.as_tuple()
     else:
         raise ValueError(f"unknown system {system!r}")
 
@@ -488,100 +441,38 @@ def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
         raise NonStationaryPointError(
             f"point is not stationary for {system}: RHS max-norm {resid:.3e}"
         )
-    return _sorted_eigs(_fd_jacobian(f, u, step))
+    return _sorted_eigs(fd_jacobian(f, u, step))
 
 
 # ---------------------------------------------------------------------------
-# generic per-face inventory (numeric stability), used by the portrait
+# per-face view with interior state, used by the portrait
 
 
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
-    """All stationary states on one boundary face, with stability judged by
-    the numeric Jacobian of the face flow.  Vertex eigen directions stay
-    analytic (payoff differences); everything else is solved for, then
-    differentiated.
+    """All stationary states on one boundary face: the inventory's vertex
+    and edge-interior states restricted to the face (analytic signs), then
+    the face-interior state if there is one (finite-difference signs).
     """
     require_valid(p, tol)
     if face not in FACES:
         raise ValueError(f"unknown face {face!r}")
-    absent = _FACE_ABSENT[face]
-    active = tuple(i for i in range(4) if i != absent)
-    A = payoff_matrix(p)
-    f_red = _face_reduced_rhs(p, active)  # coordinates: shares of active[0], active[1]
-    out: list[StationaryState] = []
-
-    for v in active:
-        out.append(_vertex_state_in_face(p, face, STRATEGIES[v], tol))
-
-    def numeric_state(label: str, kind: str, xs: list[float],
-                      support: tuple[str, ...], payoff: float) -> StationaryState:
-        u = (xs[active[0]], xs[active[1]])
-        eigs = _sorted_eigs(_fd_jacobian(f_red, u))
-        signs = tuple(
-            (f"face eig {i + 1}", _sign(float(ev.real), SIGN_TOL)) for i, ev in enumerate(eigs)
-        )
-        return StationaryState(
-            label=label, kind=kind, location=SimplexState(*xs), support=support,
-            payoff=payoff, eigen_signs=signs, stability=_stability(signs),
-        )
-
-    # edge-interior states: payoff gap g(s) is affine in the share s of the
-    # first edge strategy; an interior root needs a strict sign change
-    for ai in range(3):
-        for bi in range(ai + 1, 3):
-            a, b = active[ai], active[bi]
-            g0 = A[a, b] - A[b, b]
-            g1 = A[a, a] - A[b, a]
-            if abs(g0) <= tol or abs(g1) <= tol:
-                raise DegenerateParameterError(
-                    f"edge {STRATEGIES[a]}-{STRATEGIES[b]} state existence boundary"
-                )
-            if g0 * g1 >= 0.0:
-                continue
-            s = g0 / (g0 - g1)
-            xs = [0.0] * 4
-            xs[a] = s
-            xs[b] = 1.0 - s
-            label = f"{STRATEGIES[a]}+{STRATEGIES[b]}"
-            pay = float(A[a, a] * s + A[a, b] * (1.0 - s))
-            out.append(numeric_state(label, "edge-interior", xs,
-                                     (STRATEGIES[a], STRATEGIES[b]), pay))
-
-    # face-interior: equal payoffs among the three actives, shares sum to 1
-    m = np.zeros((3, 3))
-    rhs = np.array([0.0, 0.0, 1.0])
-    for col, s in enumerate(active):
-        m[0, col] = A[active[0], s] - A[active[1], s]
-        m[1, col] = A[active[0], s] - A[active[2], s]
-        m[2, col] = 1.0
-    try:
-        sol = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is not None and min(sol) > tol and max(sol) < 1.0 - tol:
-        xs = [0.0] * 4
-        for s_idx, share in zip(active, sol):
-            xs[s_idx] = float(share)
-        label = "+".join(STRATEGIES[i] for i in active)
-        pay = float(A[active[0]] @ np.array(xs))
-        out.append(numeric_state(label, "face-interior", xs,
-                                 tuple(STRATEGIES[i] for i in active), pay))
+    out = _Inventory(p, tol).face(face)
+    interior = _face_interior_state(p, face, tol)
+    if interior is not None:
+        out.append(interior)
     return out
 
 
 # ---------------------------------------------------------------------------
-# per-face regime tables
+# per-face regime tables; the public classify_edge_* validate first, while
+# classify_global validates once and shares one inventory among the faces
 
 
-def classify_edge_SN(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-isolation face (O, H, P)."""
-    require_valid(p, tol)
+def _regime_SN(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
     if abs(p.beta) <= tol:
         raise DegenerateParameterError(f"face S_N case boundary: |beta| <= {tol}")
     hp_det = p.beta * p.epsilon + p.gamma * p.delta  # det of the H/P payoff block
-    v_o = _vertex_state_in_face(p, "S_N", "O", tol)
-    v_h = _vertex_state_in_face(p, "S_N", "H", tol)
-    v_p = _vertex_state_in_face(p, "S_N", "P", tol)
+    v_o, v_h, v_p = (inv.in_face("S_N", v) for v in ("O", "H", "P"))
 
     if p.gamma < p.epsilon and p.beta > 0.0:
         pp, fig = (7, "2a") if hp_det > 0.0 else (35, "2b")
@@ -594,23 +485,19 @@ def classify_edge_SN(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
         # block determinant is negative
         if hp_det < 0.0:
             pp, fig = 11, "2e"
-            attractors = (v_o, _hp_coexistence_state(p, tol, directions="S_N"))
+            attractors = (v_o, inv.in_face("S_N", "H+P"))
         else:
             pp, fig = 36, "2f"
             attractors = (v_o,)
     return EdgeRegime("S_N", pp, fig, attractors)
 
 
-def classify_edge_SO(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-offline face (H, P, N)."""
-    require_valid(p, tol)
+def _regime_SO(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
     coex_pay = coexistence_payoff(p)
     if abs(p.eta - coex_pay) <= tol:
         raise DegenerateParameterError("fallback payoff on the coexistence-payoff boundary")
     coex_beats_fallback = p.eta < coex_pay
-    v_h = _vertex_state_in_face(p, "S_O", "H", tol)
-    v_p = _vertex_state_in_face(p, "S_O", "P", tol)
-    v_n = _vertex_state_in_face(p, "S_O", "N", tol)
+    v_h, v_p, v_n = (inv.in_face("S_O", v) for v in ("H", "P", "N"))
 
     if p.gamma < p.epsilon:
         if abs(p.beta - p.eta) <= tol:
@@ -624,37 +511,27 @@ def classify_edge_SO(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
     else:
         if coex_beats_fallback:
             pp, fig = 11, "3e"
-            attractors = (v_n, _hp_coexistence_state(p, tol, directions="S_O"))
+            attractors = (v_n, inv.in_face("S_O", "H+P"))
         else:
             pp, fig = 36, "3f"
             attractors = (v_n,)
     return EdgeRegime("S_O", pp, fig, attractors)
 
 
-def classify_edge_SH(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-uncivil face (O, P, N)."""
-    require_valid(p, tol)
+def _regime_SH(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
     # payoff at the O-P mixed state vs the fallback decides the panel
     op_pay = p.alpha * p.epsilon / (p.alpha + p.epsilon)
     if abs(p.eta - op_pay) <= tol:
         raise DegenerateParameterError("fallback payoff on the O-P edge-state boundary")
     pp, fig = (7, "4a") if p.eta < op_pay else (35, "4b")
-    attractors = (
-        _vertex_state_in_face(p, "S_H", "O", tol),
-        _vertex_state_in_face(p, "S_H", "P", tol),
-        _vertex_state_in_face(p, "S_H", "N", tol),
-    )
+    attractors = tuple(inv.in_face("S_H", v) for v in ("O", "P", "N"))
     return EdgeRegime("S_H", pp, fig, attractors)
 
 
-def classify_edge_SP(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-polite face (O, H, N)."""
-    require_valid(p, tol)
+def _regime_SP(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
     if abs(p.beta - p.eta) <= tol:
         raise DegenerateParameterError(f"face S_P case boundary: |beta-eta| <= {tol}")
-    v_o = _vertex_state_in_face(p, "S_P", "O", tol)
-    v_h = _vertex_state_in_face(p, "S_P", "H", tol)
-    v_n = _vertex_state_in_face(p, "S_P", "N", tol)
+    v_o, v_h, v_n = (inv.in_face("S_P", v) for v in ("O", "H", "N"))
     if p.beta > p.eta:
         oh_pay = p.alpha * p.beta / (p.alpha + p.beta)
         if abs(p.eta - oh_pay) <= tol:
@@ -665,6 +542,33 @@ def classify_edge_SP(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
         pp, fig = 37, "5c"
         attractors = (v_o, v_n)
     return EdgeRegime("S_P", pp, fig, attractors)
+
+
+_REGIMES = {"S_N": _regime_SN, "S_O": _regime_SO, "S_H": _regime_SH, "S_P": _regime_SP}
+
+
+def classify_edge_SN(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-isolation face (O, H, P)."""
+    require_valid(p, tol)
+    return _regime_SN(p, _Inventory(p, tol), tol)
+
+
+def classify_edge_SO(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-offline face (H, P, N)."""
+    require_valid(p, tol)
+    return _regime_SO(p, _Inventory(p, tol), tol)
+
+
+def classify_edge_SH(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-uncivil face (O, P, N)."""
+    require_valid(p, tol)
+    return _regime_SH(p, _Inventory(p, tol), tol)
+
+
+def classify_edge_SP(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-polite face (O, H, N)."""
+    require_valid(p, tol)
+    return _regime_SP(p, _Inventory(p, tol), tol)
 
 
 # faces containing each candidate global attractor
@@ -696,33 +600,30 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
         ):
             raise InvalidParameterError("; ".join(validation.messages) or "invalid parameters")
 
-    edge_fns = (classify_edge_SN, classify_edge_SO, classify_edge_SH, classify_edge_SP)
-    edges: list[EdgeRegime | None] = []
-    degenerate = bool(validation.degenerate_quantities)
-    for fn in edge_fns:
-        try:
-            edges.append(fn(p, tol))
-        except DegenerateParameterError:
-            if strict:
-                raise
-            edges.append(None)
-            degenerate = True
-
     global_attractors: tuple[StationaryState, ...] = ()
     welfare = None
+    # a degenerate classifying quantity leaves every face table undecided
+    degenerate = bool(validation.degenerate_quantities)
+    if degenerate:
+        edges: list[EdgeRegime | None] = [None] * len(FACES)
+    else:
+        inv = _Inventory(p, tol)
+        edges = []
+        for face in FACES:
+            try:
+                edges.append(_REGIMES[face](p, inv, tol))
+            except DegenerateParameterError:
+                if strict:
+                    raise
+                edges.append(None)
+                degenerate = True
+
     if not degenerate:
         by_face = {e.edge: {s.label for s in e.attractors} for e in edges}
-        winners: list[StationaryState] = []
-        for label, faces in _MEMBERSHIP.items():
-            if all(label in by_face[f] for f in faces):
-                if label == "H+P":
-                    winners.append(_hp_coexistence_state(p, tol, directions="global"))
-                else:
-                    winners.append(_vertex_state_global(p, label, tol))
-        global_attractors = tuple(winners)
-
-        from .welfare import welfare_report  # deferred: welfare consumes these types
-
+        global_attractors = tuple(
+            inv.states[label] for label, faces in _MEMBERSHIP.items()
+            if all(label in by_face[f] for f in faces)
+        )
         welfare = welfare_report(global_attractors, p, tol)
 
     return RegimeReport(

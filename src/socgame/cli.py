@@ -24,7 +24,7 @@ from .classify import classify_global
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
-    _decimal,
+    decimal,
     integrate,
     match_attractor,
 )
@@ -185,7 +185,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         traj.write_csv(fh)
 
     print(f"wrote {csv_path}")
-    print(f"verdict: {traj.verdict} at t={_decimal(traj.times[-1])} "
+    print(f"verdict: {traj.verdict} at t={decimal(traj.times[-1])} "
           f"(terminal velocity {traj.terminal_velocity:.3e})")
     if traj.verdict == "step-failure":
         print("unresolved")
@@ -215,7 +215,7 @@ def cmd_sweep(rc: RunConfig) -> int:
             figs = [e.figure if e is not None else "" for e in rep.edges]
             if not rep.degenerate:
                 n_att = str(len(rep.global_attractors))
-        row = ([_decimal(float(v)) for v in combo]
+        row = ([decimal(float(v)) for v in combo]
                + ["1" if valid else "0", "1" if degenerate else "0", vrep.branch or ""]
                + figs + [n_att])
         lines.append(",".join(row))
@@ -239,8 +239,8 @@ def cmd_basins(rc: RunConfig) -> int:
         (rc.out / "basins.json").write_text(_json(doc))
         rows = ["label,count,fraction,stderr"]
         for label, c in report.counts:
-            rows.append(f"{label},{c},{_decimal(report.fractions[label])},"
-                        f"{_decimal(report.stderr[label])}")
+            rows.append(f"{label},{c},{decimal(report.fractions[label])},"
+                        f"{decimal(report.stderr[label])}")
         (rc.out / "basins.csv").write_text("\n".join(rows) + "\n")
     return 0
 

