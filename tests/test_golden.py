@@ -1,17 +1,23 @@
-"""Whole-output goldens: CLI stdout compared byte for byte.
+"""Whole-output goldens: CLI output and integrator samples compared byte for byte.
 
-Each file under ``tests/golden/`` is the stdout of one CLI invocation on a
-canonical parameter set, together with the exit code it must end with.
-Re-record them (only on purpose, when an output format is meant to change)
-with ``PYTHONPATH=src python tests/test_golden.py``.
+Each file under ``tests/golden/`` is either the stdout of one CLI invocation
+on a canonical parameter set, or a file that invocation wrote under
+``--out``, together with the exit code it must end with.  One more golden,
+``states_at_B.json``, holds ``states_at`` and ``lv_states_at`` samples as
+``repr``'d floats.  Re-record them (only on purpose, when an output format or
+the integrator is meant to change) with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, SET_D
-from socgame import Params
+from socgame import Params, SimplexState, lv_states_at, states_at, to_lv
 from socgame.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -19,16 +25,28 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # passes validate, but the S_N face table splits at beta = 0
 FACE_BOUNDARY = Params(2, 0, 1, 1, 2, 0.4)
 
-# name -> (params, extra argv, expected exit code)
+# name -> (params, extra argv, expected exit code, file written under --out
+# that is compared, or None to compare stdout)
 CASES = {
-    "equilibria_A.json": (SET_A, ["equilibria"], 0),
-    "equilibria_B.json": (SET_B, ["equilibria"], 0),
-    "equilibria_C.json": (SET_C, ["equilibria"], 0),
-    "equilibria_D.json": (SET_D, ["equilibria"], 3),
-    "equilibria_face_boundary.json": (FACE_BOUNDARY, ["equilibria"], 3),
-    "sweep_A_beta.csv": (SET_A, ["sweep", "--sweep", "beta:-3:2:11"], 0),
-    "sweep_A_eta.csv": (SET_A, ["sweep", "--sweep", "eta:0.1:1.4:14"], 0),
+    "equilibria_A.json": (SET_A, ["equilibria"], 0, None),
+    "equilibria_B.json": (SET_B, ["equilibria"], 0, None),
+    "equilibria_C.json": (SET_C, ["equilibria"], 0, None),
+    "equilibria_D.json": (SET_D, ["equilibria"], 3, None),
+    "equilibria_face_boundary.json": (FACE_BOUNDARY, ["equilibria"], 3, None),
+    "sweep_A_beta.csv": (SET_A, ["sweep", "--sweep", "beta:-3:2:11"], 0, None),
+    "sweep_A_eta.csv": (SET_A, ["sweep", "--sweep", "eta:0.1:1.4:14"], 0, None),
+    "simulate_A.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74"], 0, "trajectory.csv"),
+    "simulate_B.csv": (SET_B, ["simulate", "--x0", "0.05,0.35,0.55,0.05"], 0,
+                       "trajectory.csv"),
+    # ends in a step shortened to land on max_time
+    "simulate_A_rk4.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74", "--method", "rk4",
+                                   "--max-time", "2.005"], 0, "trajectory.csv"),
+    "basins_B.json": (SET_B, ["basins", "--samples", "200", "--seed", "5", "--jobs", "1"],
+                      0, None),
 }
+
+SAMPLE_STARTS = ((0.25, 0.25, 0.25, 0.25), (0.05, 0.35, 0.55, 0.05))
+SAMPLE_TIMES = [0.0, 0.5, 1.0, 7.25, 20.0]
 
 
 def _params_file(directory: Path, p: Params) -> str:
@@ -37,27 +55,57 @@ def _params_file(directory: Path, p: Params) -> str:
     return str(f)
 
 
+def _run_case(name: str, directory: Path) -> tuple[int, bytes]:
+    """Run one CLI case in ``directory``; returns (exit code, compared bytes)."""
+    p, argv, _, written = CASES[name]
+    argv = argv + ["--params", _params_file(directory, p)]
+    if written is not None:
+        argv += ["--out", str(directory / "out")]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if written is not None:
+        return code, (directory / "out" / written).read_bytes()
+    return code, buf.getvalue().encode()
+
+
+def _integrator_samples() -> bytes:
+    """``states_at`` and ``lv_states_at`` on set B, every float ``repr``'d."""
+    doc = []
+    for x in SAMPLE_STARTS:
+        x0 = SimplexState(*x)
+        doc.append({
+            "x0": [repr(v) for v in x],
+            "states_at": [[repr(v) for v in s.as_tuple()]
+                          for s in states_at(x0, SET_B, SAMPLE_TIMES)],
+            "lv_states_at": [[repr(v) for v in u.as_tuple()]
+                             for u in lv_states_at(to_lv(x0), SET_B, SAMPLE_TIMES)],
+        })
+    return (json.dumps({"times": [repr(t) for t in SAMPLE_TIMES], "runs": doc},
+                       indent=1) + "\n").encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_stdout_matches_golden(name, tmp_path, capsys):
-    p, argv, want_code = CASES[name]
-    code = main(argv + ["--params", _params_file(tmp_path, p)])
-    out = capsys.readouterr().out
-    assert code == want_code
-    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+def test_cli_stdout_matches_golden(name, tmp_path):
+    code, got = _run_case(name, tmp_path)
+    assert code == CASES[name][2]
+    assert got == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_integrator_samples_match_golden():
+    assert _integrator_samples() == (GOLDEN_DIR / "states_at_B.json").read_bytes()
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, (p, argv, want_code) in sorted(CASES.items()):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(argv + ["--params", _params_file(Path(tmp), p)])
-            if code != want_code:
-                raise SystemExit(f"{name}: exit {code}, expected {want_code}")
-            (GOLDEN_DIR / name).write_bytes(buf.getvalue().encode())
-            print(f"recorded {name}")
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, got = _run_case(name, Path(tmp))
+        if code != CASES[name][2]:
+            raise SystemExit(f"{name}: exit {code}, expected {CASES[name][2]}")
+        (GOLDEN_DIR / name).write_bytes(got)
+        print(f"recorded {name}")
+    (GOLDEN_DIR / "states_at_B.json").write_bytes(_integrator_samples())
+    print("recorded states_at_B.json")
