@@ -21,13 +21,20 @@ Scaling also removes the finite-time escape to infinity the bare field has
 along rays where the quadratic terms reinforce (reached only as t -> inf on
 the share clock).
 
-Integration is a hand-rolled Dormand-Prince 5(4) adaptive stepper (plus a
-fixed-step RK4 for deterministic regression runs): after every accepted step
-the simplex state is renormalized, sub-floor entries are clamped to exactly
-zero, and the state is renormalized again if clamping fired.  An off-the-shelf
-driver cannot interpose that projection between accepted steps.  Coordinates
-that start at exactly zero stay exactly zero through both stepping and
-projection, so faces and edges are invariant in the strictest sense.
+All integration runs through one loop, ``_drive``.  It either runs to rest
+(``integrate``: sample every accepted step, stop when max|dx/dt| falls below
+_CONVERGED or at the caller's max_time) or lands on requested times
+(``states_at``, ``lv_states_at``).  Its step is a hand-rolled Dormand-Prince
+5(4) under error control (_ABS_TOL, _REL_TOL, steps at most _MAX_STEP), or,
+for deterministic regression runs, a classical RK4 step of fixed size _STEP
+that is always accepted.  After every accepted step the simplex state is
+renormalized, shares below _EXTINCTION_FLOOR are clamped to exactly zero, and
+the state is renormalized again if clamping fired.  An off-the-shelf driver
+cannot interpose that projection between accepted steps.  Coordinates that
+start at exactly zero stay exactly zero through both stepping and
+projection, so faces and edges are invariant in the strictest sense.  A
+caller chooses only the method and max_time (``IntegratorConfig``); the
+other settings are module constants.
 """
 
 from __future__ import annotations
@@ -70,38 +77,43 @@ class LVState:
         return (self.y, self.z, self.w)
 
 
+# Integrator settings that no caller chooses.
+_STEP = 0.01  # rk4 step size
+_FIRST_STEP = 1e-3  # rk45 trial size of the first step
+# rk45 error control: a step is accepted when every component's error
+# estimate is within _ABS_TOL + _REL_TOL * max(|y|, |y_new|)
+_ABS_TOL = 1e-9
+_REL_TOL = 1e-9
+# ceiling on the rk45 step size; keeps decaying modes inside the stepper's
+# stability region, so near-extinct shares keep shrinking down to the
+# extinction floor instead of hovering just below _ABS_TOL
+_MAX_STEP = 0.5
+_MIN_STEP_FACTOR = 1e-13  # step failure below this times max(1, |t|)
+_CONVERGED = 1e-10  # a run to rest stops once max|dx/dt| falls below this
+_EXTINCTION_FLOOR = 1e-14  # shares below this are clamped to exactly 0
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Knobs for the simplex integrator.
+    """What a caller chooses about a run to rest.
 
-    method        "rk45" (adaptive, default) or "rk4" (fixed step)
-    step          fixed step size, rk4 only
-    abs_tol/rel_tol   error control for rk45
-    max_step      ceiling on the adaptive step size; keeps decaying modes
-                  inside the stepper's stability region so near-extinct
-                  shares keep shrinking down to the extinction floor instead
-                  of hovering just below abs_tol
-    max_time      horizon after which integration reports max-time-reached
-    convergence_threshold   stop once max|dx/dt| falls below this
-    extinction_floor        shares below this are clamped to exactly 0
+    method    "rk45" (adaptive Dormand-Prince 5(4), default) or "rk4"
+              (fixed step 0.01, for deterministic regression runs)
+    max_time  horizon after which the run reports max-time-reached
+
+    Step sizes, tolerances, the convergence threshold and the extinction
+    floor are module constants.  Runs that sample at requested times
+    (``states_at``, ``lv_states_at``) always use rk45 and have no horizon.
     """
 
     method: str = "rk45"
-    step: float = 0.01
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_step: float = 0.5
     max_time: float = 1000.0
-    convergence_threshold: float = 1e-10
-    extinction_floor: float = 1e-14
 
     def __post_init__(self) -> None:
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        for name in ("step", "abs_tol", "rel_tol", "max_step", "max_time",
-                      "convergence_threshold", "extinction_floor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_time <= 0.0:
+            raise ValueError("max_time must be positive")
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,7 @@ def from_lv(lv: LVState) -> SimplexState:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) machinery (tuple states, autonomous systems)
+# the integration loop and its two steppers (tuple states, autonomous systems)
 
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -211,11 +223,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
 
-_MIN_STEP_FACTOR = 1e-13
-
 
 def _dp_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
-    """One trial step; returns (y_new, err_components)."""
+    """One Dormand-Prince trial step; returns (y_new, error norm).  The step
+    is acceptable when the norm is at most 1; it is inf when NaN arose."""
     y2 = tuple(yi + h * _A21 * a for yi, a in zip(y, k1))
     k2 = f(y2)
     y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
@@ -232,142 +243,105 @@ def _dp_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
     ynew = tuple(yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
                  for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6))
     k7 = f(ynew)
-    err = tuple(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
-                for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7))
-    return ynew, err
-
-
-def _err_norm(err, y, ynew, abs_tol, rel_tol) -> float:
     m = 0.0
-    for e, a, b in zip(err, y, ynew):
-        scale = abs_tol + rel_tol * max(abs(a), abs(b))
-        r = abs(e) / scale
+    for a, c, d, e, g, q, y0, y1 in zip(k1, k3, k4, k5, k6, k7, y, ynew):
+        err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
+        r = abs(err) / (_ABS_TOL + _REL_TOL * max(abs(y0), abs(y1)))
         if r > m or math.isnan(r):
             m = r if not math.isnan(r) else math.inf
-    return m
+    return ynew, m
 
 
-def _project_simplex(y: tuple[float, ...], floor: float) -> tuple[float, ...]:
+def _rk4_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
+    """One classical Runge-Kutta step; no error estimate, so the norm is 0."""
+    k2 = f(tuple(yi + 0.5 * h * a for yi, a in zip(y, k1)))
+    k3 = f(tuple(yi + 0.5 * h * a for yi, a in zip(y, k2)))
+    k4 = f(tuple(yi + h * a for yi, a in zip(y, k3)))
+    return tuple(yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)), 0.0
+
+
+def _project_simplex(y: tuple[float, ...]) -> tuple[float, ...]:
     # renormalize, clamp sub-floor entries to exact zero, renormalize again
     s = y[0] + y[1] + y[2] + y[3]
     y = tuple(v / s for v in y)
-    if any(v < floor and v != 0.0 for v in y):
-        y = tuple(0.0 if v < floor else v for v in y)
+    if any(v < _EXTINCTION_FLOOR and v != 0.0 for v in y):
+        y = tuple(0.0 if v < _EXTINCTION_FLOOR else v for v in y)
         s = y[0] + y[1] + y[2] + y[3]
         y = tuple(v / s for v in y)
     return y
 
 
-def _drive_adaptive(
+def _drive(
     f: _RHS,
     y0: tuple[float, ...],
-    cfg: IntegratorConfig,
+    method: str,
+    max_time: float,
     project: Callable[[tuple[float, ...]], tuple[float, ...]] | None,
-    record: Callable[[float, tuple[float, ...]], None] | None,
-    checkpoints: Sequence[float] | None = None,
-    collect: list | None = None,
-) -> tuple[float, tuple[float, ...], float, str]:
-    """Shared adaptive driver.
+    times: Sequence[float] | None = None,
+) -> tuple[list[float], list[tuple[float, ...]], float, str]:
+    """The one integration loop; returns (times, states, velocity, verdict).
 
-    Without checkpoints: run until the RHS max-norm drops below the
-    convergence threshold or max_time is reached, recording every accepted
-    step.  With checkpoints: land exactly on each requested time (no
-    convergence stop) and append the state there to ``collect``.
+    Without ``times`` the run goes to rest: it samples t=0 and every accepted
+    step, and stops once max|dy/dt| falls below _CONVERGED ("converged") or
+    at ``max_time`` ("max-time-reached").  With ``times`` it lands exactly on
+    each requested time, samples only there, and stops after the last one;
+    ``max_time`` is not used.  A step toward a sample time or ``max_time``
+    is shortened to end on it.  "rk45" steps with Dormand-Prince under error
+    control; "rk4" accepts every step of the fixed size _STEP and keeps its
+    times at n * _STEP.  Too small a step ends the run with "step-failure",
+    so fewer samples than ``times`` can come back.  ``velocity`` is
+    max|dy/dt| at the last state.  Each accepted state goes through
+    ``project`` before anything else sees it.
     """
-    t = 0.0
-    y = y0
-    k1 = f(y)
-    h = min(1e-3, cfg.max_step)
-    if checkpoints is None:
-        t_end = cfg.max_time
-    else:
-        cp_iter = iter(checkpoints)
-        cp = next(cp_iter, None)
-        t_end = checkpoints[-1]
-        while cp is not None and cp <= 0.0:  # checkpoint at the start
-            collect.append(y)
-            cp = next(cp_iter, None)
-        if cp is None:
-            return t, y, max(abs(v) for v in k1), "converged"
-
-    if record is not None:
-        record(t, y)
-
+    fixed = method == "rk4"
+    step = _rk4_step if fixed else _dp_step
+    h = _STEP if fixed else _FIRST_STEP
+    to_rest = times is None
+    targets = [max_time] if to_rest else list(times)
+    t, y, k1 = 0.0, y0, f(y0)
+    out_t, out_y = ([t], [y]) if to_rest else ([], [])
+    i = 0  # index of the next target
+    while not to_rest and i < len(targets) and targets[i] <= 0.0:
+        out_t.append(targets[i])
+        out_y.append(y)
+        i += 1
+    n = 0  # accepted steps
     while True:
         vel = max(abs(v) for v in k1)
-        if checkpoints is None:
-            if vel < cfg.convergence_threshold:
-                return t, y, vel, "converged"
-            if t >= t_end:
-                return t, y, vel, "max-time-reached"
-            target = t_end
-        else:
-            target = cp
-
+        if to_rest:
+            if vel < _CONVERGED:
+                return out_t, out_y, vel, "converged"
+            if t >= max_time:
+                return out_t, out_y, vel, "max-time-reached"
+        elif i == len(targets):
+            return out_t, out_y, vel, "converged"
+        target = targets[i]
         capped = target - t < h
         h_try = target - t if capped else h
-        ynew, err = _dp_step(f, y, h_try, k1)
-        en = _err_norm(err, y, ynew, cfg.abs_tol, cfg.rel_tol)
-        if en <= 1.0:
-            t = target if capped else t + h_try
-            if project is not None:
-                ynew = project(ynew)
-            y = ynew
+        ynew, err = step(f, y, h_try, k1)
+        if err <= 1.0:
+            n += 1
+            t = target if capped else (n * _STEP if fixed else t + h_try)
+            y = project(ynew) if project is not None else ynew
             k1 = f(y)
-            if record is not None:
-                record(t, y)
-            if checkpoints is not None and t >= cp - 1e-12:
-                t = cp
-                collect.append(y)
-                cp = next(cp_iter, None)
-                if cp is None:
-                    return t, y, max(abs(v) for v in k1), "converged"
-            if not capped:
+            if to_rest:
+                out_t.append(t)
+                out_y.append(y)
+            elif t >= target - 1e-12:  # landed on a sample time
+                t = target
+                i += 1
+                out_t.append(t)
+                out_y.append(y)
+            if not (capped or fixed):
                 # a target-capped step says nothing about the controller's
                 # preferred size, so leave h alone in that case
-                grow = 5.0 if en == 0.0 else min(5.0, max(0.2, 0.9 * en ** -0.2))
-                h = min(h_try * grow, cfg.max_step)
+                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h = min(h_try * grow, _MAX_STEP)
         else:
-            if math.isinf(en):
-                h = h_try * 0.1
-            else:
-                h = h_try * max(0.2, 0.9 * en ** -0.2)
+            h = h_try * (0.1 if math.isinf(err) else max(0.2, 0.9 * err ** -0.2))
             if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
-                return t, y, max(abs(v) for v in k1), "step-failure"
-
-
-def _drive_rk4(
-    f: _RHS,
-    y0: tuple[float, ...],
-    cfg: IntegratorConfig,
-    project: Callable[[tuple[float, ...]], tuple[float, ...]] | None,
-    record: Callable[[float, tuple[float, ...]], None] | None,
-) -> tuple[float, tuple[float, ...], float, str]:
-    t = 0.0
-    y = y0
-    h = cfg.step
-    if record is not None:
-        record(t, y)
-    n_steps = 0
-    while True:
-        k1 = f(y)
-        vel = max(abs(v) for v in k1)
-        if vel < cfg.convergence_threshold:
-            return t, y, vel, "converged"
-        if t >= cfg.max_time:
-            return t, y, vel, "max-time-reached"
-        hh = min(h, cfg.max_time - t)
-        k2 = f(tuple(yi + 0.5 * hh * a for yi, a in zip(y, k1)))
-        k3 = f(tuple(yi + 0.5 * hh * a for yi, a in zip(y, k2)))
-        k4 = f(tuple(yi + hh * a for yi, a in zip(y, k3)))
-        y = tuple(yi + (hh / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
-        if project is not None:
-            y = project(y)
-        n_steps += 1
-        t = n_steps * cfg.step if hh == h else t + hh
-        if record is not None:
-            record(t, y)
+                return out_t, out_y, vel, "step-failure"
 
 
 # ---------------------------------------------------------------------------
@@ -381,43 +355,29 @@ def integrate(x0: SimplexState, p: Params, cfg: IntegratorConfig | None = None) 
     genuine equilibrium (RHS max-norm below the convergence threshold) from
     running out the clock and from step-size underflow.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
-    f = lambda y: replicator_field(y, p)
-    project = lambda y: _project_simplex(y, cfg.extinction_floor)
-
-    times: list[float] = []
-    states: list[SimplexState] = []
-
-    def record(t: float, y: tuple[float, ...]) -> None:
-        times.append(t)
-        states.append(SimplexState(*y))
-
-    if cfg.method == "rk4":
-        _, _, vel, verdict = _drive_rk4(f, x0.as_tuple(), cfg, project, record)
-    else:
-        _, _, vel, verdict = _drive_adaptive(f, x0.as_tuple(), cfg, project, record)
-    return Trajectory(tuple(times), tuple(states), vel, verdict)
+    cfg = cfg if cfg is not None else IntegratorConfig()
+    times, ys, vel, verdict = _drive(lambda y: replicator_field(y, p), x0.as_tuple(),
+                                     cfg.method, cfg.max_time, _project_simplex)
+    return Trajectory(tuple(times), tuple(SimplexState(*y) for y in ys), vel, verdict)
 
 
-def states_at(x0: SimplexState, p: Params, times: Sequence[float],
-              cfg: IntegratorConfig | None = None) -> list[SimplexState]:
-    """Replicator states at the given increasing times (t=0 allowed first)."""
-    if cfg is None:
-        cfg = IntegratorConfig()
-    f = lambda y: replicator_field(y, p)
-    project = lambda y: _project_simplex(y, cfg.extinction_floor)
-    out: list[tuple[float, ...]] = []
-    _drive_adaptive(f, x0.as_tuple(), cfg, project, None,
-                    checkpoints=list(times), collect=out)
-    if len(out) != len(times):
+def _sample(f: _RHS, y0: tuple[float, ...], project, times: Sequence[float]) -> list:
+    """rk45 states at ``times``; IntegrationError if the run fell short."""
+    times = list(times)
+    _, ys, _, _ = _drive(f, y0, "rk45", math.inf, project, times)
+    if len(ys) != len(times):
         raise IntegrationError(
-            f"step underflow after {len(out)} of {len(times)} requested times")
-    return [SimplexState(*y) for y in out]
+            f"step underflow after {len(ys)} of {len(times)} requested times")
+    return ys
 
 
-def lv_states_at(lv0: LVState, p: Params, times: Sequence[float],
-                 cfg: IntegratorConfig | None = None) -> list[LVState]:
+def states_at(x0: SimplexState, p: Params, times: Sequence[float]) -> list[SimplexState]:
+    """Replicator states at the given increasing times (t=0 allowed first)."""
+    ys = _sample(lambda y: replicator_field(y, p), x0.as_tuple(), _project_simplex, times)
+    return [SimplexState(*y) for y in ys]
+
+
+def lv_states_at(lv0: LVState, p: Params, times: Sequence[float]) -> list[LVState]:
     """Orthant-coordinate states at the given times, on the share clock.
 
     The bare orthant field traverses the same orbits at velocity 1/x1, so it
@@ -425,21 +385,13 @@ def lv_states_at(lv0: LVState, p: Params, times: Sequence[float],
     comparable, time for time, with a replicator run from the corresponding
     start.  No simplex projection applies in this chart.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
 
     def f(u: tuple[float, ...]) -> tuple[float, float, float]:
         dy, dz, dw = orthant_field(u, p)
         s = 1.0 / (1.0 + u[0] + u[1] + u[2])
         return (dy * s, dz * s, dw * s)
 
-    out: list[tuple[float, ...]] = []
-    _drive_adaptive(f, lv0.as_tuple(), cfg, None, None,
-                    checkpoints=list(times), collect=out)
-    if len(out) != len(times):
-        raise IntegrationError(
-            f"step underflow after {len(out)} of {len(times)} requested times")
-    return [LVState(*y) for y in out]
+    return [LVState(*u) for u in _sample(f, lv0.as_tuple(), None, times)]
 
 
 def match_attractor(state: SimplexState, attractors: Sequence, match_tol: float = 1e-6):

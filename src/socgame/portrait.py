@@ -8,8 +8,9 @@ so per-face trajectories tell the whole boundary story.
 
 Stationary states are marked by stability: filled disc = attractive within
 the face, open disc = repulsive, half-filled = saddle.  Trajectory seeds are
-a small interior lattice per face plus short outsets along each saddle's
-unstable direction, which traces the separatrices that carve up the basins.
+a small interior lattice per face plus short outsets along the unstable
+direction of each saddle whose unstable direction points into the face,
+which trace the separatrices that carve up the basins.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .classify import (
     face_states,
     fd_jacobian,
 )
-from .dynamics import IntegratorConfig, decimal, states_at
+from .dynamics import decimal, states_at
 from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState
 
 _H = math.sqrt(3.0) / 2.0
@@ -74,13 +75,21 @@ def _lattice_starts(face: str) -> list[SimplexState]:
 
 
 def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
-    """Two starts per saddle, nudged both ways along its unstable direction."""
+    """Starts nudged both ways along each saddle's unstable direction, kept
+    where they land inside the face.
+
+    An edge saddle that is unstable along its edge is skipped: its unstable
+    manifold is the edge itself, and its separatrix is the stable manifold,
+    which forward runs cannot trace.
+    """
     absent = FACE_ABSENT[face]
     active = tuple(i for i in range(4) if i != absent)
     f_red = face_reduced_rhs(p, active)
     out: list[SimplexState] = []
     for s in states:
         if s.stability != "saddle" or s.kind == "vertex":
+            continue
+        if any(d.startswith("along ") and sign == "+" for d, sign in s.eigen_signs):
             continue
         xs = s.location.as_tuple()
         u = (xs[active[0]], xs[active[1]])
@@ -124,7 +133,6 @@ def render_portrait(
     p: Params,
     out_dir: str | Path,
     tol: float = DEFAULT_TOL,
-    cfg: IntegratorConfig | None = None,
 ) -> tuple[Path, Path]:
     """Write portrait.svg and portrait_trajectories.csv under ``out_dir``.
 
@@ -132,7 +140,6 @@ def render_portrait(
     degenerate, like every other classifying entry point.
     """
     classify_global(p, tol)  # admissibility gate; raises on failure
-    cfg = cfg if cfg is not None else IntegratorConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -142,7 +149,7 @@ def render_portrait(
     for face in FACES:
         starts = _lattice_starts(face) + _saddle_outsets(p, face, all_states[face])
         for k, x0 in enumerate(starts):
-            path = states_at(x0, p, _TIMES, cfg)
+            path = states_at(x0, p, _TIMES)
             trajectories.append((face, k, path))
 
     csv_path = out_dir / "portrait_trajectories.csv"
