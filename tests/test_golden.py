@@ -43,6 +43,8 @@ CASES = {
                                    "--max-time", "2.005"], 0, "trajectory.csv"),
     "basins_B.json": (SET_B, ["basins", "--samples", "200", "--seed", "5", "--jobs", "1"],
                       0, None),
+    "portrait_A.svg": (SET_A, ["portrait"], 0, "portrait.svg"),
+    "portrait_A_trajectories.csv": (SET_A, ["portrait"], 0, "portrait_trajectories.csv"),
 }
 
 SAMPLE_STARTS = ((0.25, 0.25, 0.25, 0.25), (0.05, 0.35, 0.55, 0.05))
