@@ -2,7 +2,8 @@
 
 Starts are drawn uniformly from the simplex (flat Dirichlet: four standard
 exponentials, normalized), integrated to rest, and matched against the
-classified global attractors.  Fractions come with binomial standard errors;
+classified global attractors.  All samples are integrated together as one
+numpy batch in this process.  Fractions come with binomial standard errors;
 runs that fail to resolve to any classified attractor are tallied separately
 rather than discarded, so the fractions always account for every sample.
 """
@@ -10,14 +11,13 @@ rather than discarded, so the fractions always account for every sample.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .classify import classify_global
-from .dynamics import IntegratorConfig, integrate, match_attractor
+from .dynamics import IntegratorConfig, _integrate_rows, integrate, match_attractor
 from .model import DEFAULT_TOL, Params, SimplexState
 
 SAMPLING = "uniform-simplex"
@@ -88,15 +88,6 @@ def find_attractor(
     return match_attractor(traj.final_state, attractors, match_tol)
 
 
-def _resolve_chunk(args) -> list[str]:
-    rows, p, cfg, match_tol, attractors = args
-    out = []
-    for row in rows:
-        hit = find_attractor(SimplexState(*row), p, cfg, match_tol, attractors=attractors)
-        out.append(hit.label if hit is not None else "unresolved")
-    return out
-
-
 def estimate_basins(
     p: Params,
     n: int,
@@ -108,36 +99,24 @@ def estimate_basins(
 ) -> BasinReport:
     """Estimate the attraction basin of each global attractor.
 
-    ``jobs > 1`` fans the integrations out over a process pool; the tally is
-    identical to a serial run because the samples are fixed up front by the
-    seed and results are recombined in order.
+    Every sample runs to rest in one batch, and each is labelled exactly as
+    ``find_attractor`` would label it: a step failure is unresolved, any
+    other end state is matched.  ``jobs`` is accepted and ignored: the batch
+    runs in this process.
     """
-    report = classify_global(p, tol)
-    attractors = report.global_attractors
-    samples = sample_simplex(n, seed)
+    attractors = classify_global(p, tol).global_attractors
     cfg = cfg if cfg is not None else IntegratorConfig()
+    finals, verdicts, _ = _integrate_rows(sample_simplex(n, seed), p, cfg)
 
-    labels: list[str] = []
-    if jobs <= 1:
-        labels = _resolve_chunk((samples.tolist(), p, cfg, match_tol, attractors))
-    else:
-        rows = samples.tolist()
-        chunk = max(1, math.ceil(len(rows) / (jobs * 4)))
-        tasks = [
-            (rows[i:i + chunk], p, cfg, match_tol, attractors)
-            for i in range(0, len(rows), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_resolve_chunk, tasks):
-                labels.extend(part)
-
-    order = [a.label for a in attractors] + ["unresolved"]
-    counts = {k: 0 for k in order}
-    for lab in labels:
-        counts[lab] += 1
+    counts = {a.label: 0 for a in attractors}
+    counts["unresolved"] = 0
+    for row, verdict in zip(finals.tolist(), verdicts):
+        hit = (None if verdict == "step-failure"
+               else match_attractor(SimplexState(*row), attractors, match_tol))
+        counts[hit.label if hit is not None else "unresolved"] += 1
     return BasinReport(
         sample_count=n,
         seed=seed,
         sampling=SAMPLING,
-        counts=tuple((k, counts[k]) for k in order),
+        counts=tuple(counts.items()),
     )

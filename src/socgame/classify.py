@@ -599,7 +599,14 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
             validation.positivity_ok and validation.nondominance_ok
         ):
             raise InvalidParameterError("; ".join(validation.messages) or "invalid parameters")
+    return _classify_validated(p, validation, tol, strict)
 
+
+def _classify_validated(
+    p: Params, validation: ValidationReport, tol: float, strict: bool,
+) -> RegimeReport:
+    """``classify_global`` after its admissibility gate, given ``validate(p,
+    tol)``'s report, for callers that have validated ``p`` already."""
     global_attractors: tuple[StationaryState, ...] = ()
     welfare = None
     # a degenerate classifying quantity leaves every face table undecided

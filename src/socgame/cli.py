@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .basins import estimate_basins
-from .classify import classify_global
+from .classify import _classify_validated, classify_global
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
@@ -67,7 +66,6 @@ class RunConfig:
     tol: float
     seed: int
     out: Path | None
-    jobs: int
     sweep_axes: tuple[SweepAxis, ...] = ()
     x0: SimplexState | None = None
     samples: int = 1000
@@ -163,7 +161,7 @@ def cmd_equilibria(rc: RunConfig) -> int:
     if vrep.degenerate_quantities or not (vrep.positivity_ok and vrep.nondominance_ok):
         sys.stdout.write(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
         return 3 if vrep.degenerate_quantities else 2
-    report = classify_global(p, rc.tol, strict=False)
+    report = _classify_validated(p, vrep, rc.tol, strict=False)
     text = _json(report.as_dict())
     sys.stdout.write(text)
     if rc.out is not None:
@@ -210,7 +208,7 @@ def cmd_sweep(rc: RunConfig) -> int:
         figs = ["", "", "", ""]
         n_att = ""
         if valid and not degenerate:
-            rep = classify_global(p, rc.tol, strict=False)
+            rep = _classify_validated(p, vrep, rc.tol, strict=False)
             degenerate = rep.degenerate
             figs = [e.figure if e is not None else "" for e in rep.edges]
             if not rep.degenerate:
@@ -229,7 +227,7 @@ def cmd_sweep(rc: RunConfig) -> int:
 
 def cmd_basins(rc: RunConfig) -> int:
     report = estimate_basins(
-        rc.params, rc.samples, seed=rc.seed, tol=rc.tol, jobs=rc.jobs,
+        rc.params, rc.samples, seed=rc.seed, tol=rc.tol,
         cfg=IntegratorConfig(max_time=rc.max_time),
     )
     doc = report.as_dict()
@@ -278,7 +276,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=42, help="RNG seed")
     common.add_argument("--out", default=None, metavar="DIR", help="output directory")
     common.add_argument("--jobs", type=int, default=0,
-                        help="worker processes (0 = machine parallelism)")
+                        help="accepted and ignored (basins integrates all samples "
+                             "as one batch in this process)")
 
     parser = _Parser(prog="socgame",
                      description="Equilibria, regimes and basins of the four-strategy "
@@ -323,14 +322,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("--sweep given more than twice; at most 2 axes")
         axes = tuple(_parse_axis(s) for s in args.sweep)
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     return RunConfig(
         command=args.command,
         params=params,
         tol=args.tol,
         seed=args.seed,
         out=Path(args.out) if args.out is not None else None,
-        jobs=jobs,
         sweep_axes=axes,
         x0=_parse_x0(args.x0) if getattr(args, "x0", None) else None,
         samples=getattr(args, "samples", 1000),

@@ -21,13 +21,24 @@ Scaling also removes the finite-time escape to infinity the bare field has
 along rays where the quadratic terms reinforce (reached only as t -> inf on
 the share clock).
 
-All integration runs through one loop, ``_drive``.  It either runs to rest
+Integration runs through one of two loops, chosen by what the caller asks
+for.  ``_drive`` follows one path with its samples: it either runs to rest
 (``integrate``: sample every accepted step, stop when max|dx/dt| falls below
 _CONVERGED or at the caller's max_time) or lands on requested times
-(``states_at``, ``lv_states_at``).  Its step is a hand-rolled Dormand-Prince
-5(4) under error control (_ABS_TOL, _REL_TOL, steps at most _MAX_STEP), or,
-for deterministic regression runs, a classical RK4 step of fixed size _STEP
-that is always accepted.  After every accepted step the simplex state is
+(``states_at``, ``lv_states_at``).  ``_integrate_rows`` runs many starts to
+rest together and keeps only where each ended (``estimate_basins``): its
+state is a tuple of numpy columns with one row per start, and every row
+keeps its own time, step size and step count and leaves the batch when it
+stops.  Both loops use the same steppers and stop on the same tests in the
+same order, so a row of the batch ends bit for bit where ``integrate`` from
+that start ends.  Single runs stay on tuples of Python floats: through numpy
+a batch of one costs more than ten times as much per step.
+
+The step is a hand-rolled Dormand-Prince 5(4) under error control (_ABS_TOL,
+_REL_TOL, steps at most _MAX_STEP), or, for deterministic regression runs, a
+classical RK4 step of fixed size _STEP that is always accepted.  Their stage
+lines work one component at a time, so the same lines step a float tuple or
+a tuple of columns.  After every accepted step the simplex state is
 renormalized, shares below _EXTINCTION_FLOOR are clamped to exactly zero, and
 the state is renormalized again if clamping fired.  An off-the-shelf driver
 cannot interpose that projection between accepted steps.  Coordinates that
@@ -210,7 +221,7 @@ def from_lv(lv: LVState) -> SimplexState:
 
 
 # ---------------------------------------------------------------------------
-# the integration loop and its two steppers (tuple states, autonomous systems)
+# the integration loops and their two steppers (autonomous systems)
 
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -224,9 +235,29 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-def _dp_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
+def _err_norm(err: Sequence[float], y: tuple[float, ...], ynew: tuple[float, ...]) -> float:
+    """Largest component error relative to its tolerance; inf when NaN arose."""
+    m = 0.0
+    for e, a, b in zip(err, y, ynew):
+        r = abs(e) / (_ABS_TOL + _REL_TOL * max(abs(a), abs(b)))
+        if r > m or math.isnan(r):
+            m = r if not math.isnan(r) else math.inf
+    return m
+
+
+def _err_norm_rows(err: Sequence, y: tuple, ynew: tuple) -> np.ndarray:
+    """``_err_norm`` of every row at once, for states held as numpy columns."""
+    r = np.maximum.reduce([np.abs(e) / (_ABS_TOL + _REL_TOL * np.maximum(np.abs(a), np.abs(b)))
+                           for e, a, b in zip(err, y, ynew)])
+    return np.where(np.isnan(r), np.inf, r)
+
+
+def _dp_step(f: _RHS, y: tuple, h, k1: tuple, norm=_err_norm):
     """One Dormand-Prince trial step; returns (y_new, error norm).  The step
-    is acceptable when the norm is at most 1; it is inf when NaN arose."""
+    is acceptable when the norm is at most 1; it is inf when NaN arose.  The
+    stage lines work one component at a time, so ``y``, ``h`` and ``k1`` may
+    be floats or numpy columns (one entry per row) alike; ``norm`` reduces
+    the component errors."""
     y2 = tuple(yi + h * _A21 * a for yi, a in zip(y, k1))
     k2 = f(y2)
     y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
@@ -243,16 +274,12 @@ def _dp_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
     ynew = tuple(yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
                  for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6))
     k7 = f(ynew)
-    m = 0.0
-    for a, c, d, e, g, q, y0, y1 in zip(k1, k3, k4, k5, k6, k7, y, ynew):
-        err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
-        r = abs(err) / (_ABS_TOL + _REL_TOL * max(abs(y0), abs(y1)))
-        if r > m or math.isnan(r):
-            m = r if not math.isnan(r) else math.inf
-    return ynew, m
+    err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q)
+           for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)]
+    return ynew, norm(err, y, ynew)
 
 
-def _rk4_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
+def _rk4_step(f: _RHS, y: tuple, h, k1: tuple):
     """One classical Runge-Kutta step; no error estimate, so the norm is 0."""
     k2 = f(tuple(yi + 0.5 * h * a for yi, a in zip(y, k1)))
     k3 = f(tuple(yi + 0.5 * h * a for yi, a in zip(y, k2)))
@@ -261,14 +288,37 @@ def _rk4_step(f: _RHS, y: tuple[float, ...], h: float, k1: tuple[float, ...]):
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)), 0.0
 
 
+def _grow(err: float) -> float:
+    # step-size factor after an accepted rk45 step
+    return 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+
+
+def _shrink(err: float) -> float:
+    # step-size factor after a rejected rk45 step
+    return 0.1 if math.isinf(err) else max(0.2, 0.9 * err ** -0.2)
+
+
+def _renormalize(y: tuple) -> tuple:
+    s = y[0] + y[1] + y[2] + y[3]
+    return tuple(v / s for v in y)
+
+
 def _project_simplex(y: tuple[float, ...]) -> tuple[float, ...]:
     # renormalize, clamp sub-floor entries to exact zero, renormalize again
-    s = y[0] + y[1] + y[2] + y[3]
-    y = tuple(v / s for v in y)
+    y = _renormalize(y)
     if any(v < _EXTINCTION_FLOOR and v != 0.0 for v in y):
-        y = tuple(0.0 if v < _EXTINCTION_FLOOR else v for v in y)
-        s = y[0] + y[1] + y[2] + y[3]
-        y = tuple(v / s for v in y)
+        y = _renormalize(tuple(0.0 if v < _EXTINCTION_FLOOR else v for v in y))
+    return y
+
+
+def _project_rows(y: tuple) -> tuple:
+    """``_project_simplex`` of every row at once; only rows whose clamp fires
+    are clamped and renormalized again."""
+    y = _renormalize(y)
+    fired = np.logical_or.reduce([(v < _EXTINCTION_FLOOR) & (v != 0.0) for v in y])
+    if fired.any():
+        z = _renormalize(tuple(np.where(v < _EXTINCTION_FLOOR, 0.0, v) for v in y))
+        y = tuple(np.where(fired, a, b) for a, b in zip(z, y))
     return y
 
 
@@ -336,12 +386,85 @@ def _drive(
             if not (capped or fixed):
                 # a target-capped step says nothing about the controller's
                 # preferred size, so leave h alone in that case
-                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h = min(h_try * grow, _MAX_STEP)
+                h = min(h_try * _grow(err), _MAX_STEP)
         else:
-            h = h_try * (0.1 if math.isinf(err) else max(0.2, 0.9 * err ** -0.2))
+            h = h_try * _shrink(err)
             if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
                 return out_t, out_y, vel, "step-failure"
+
+
+_VERDICTS = ("converged", "max-time-reached", "step-failure")
+
+
+def _integrate_rows(
+    x0: np.ndarray, p: Params, cfg: IntegratorConfig,
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """``integrate`` from every row of ``x0`` (shape (n, 4)) at once, keeping
+    only the end: returns (final states (n, 4), verdicts, accepted steps).
+
+    Each row takes exactly the steps ``_drive`` takes to rest from the same
+    start and ends with the same state and verdict, bit for bit: the state is
+    a tuple of four numpy columns over the running rows, fed through the same
+    field and stage arithmetic, and each row keeps its own t, h and step
+    count.  Step-size factors come from Python's ``**`` one row at a time,
+    because numpy's vectorised power can differ from it in the last bit.
+    Rows leave the running set when they converge, reach max_time or fail a
+    step.  No samples are recorded.
+    """
+
+    def f(y: tuple) -> tuple:
+        return replicator_field(y, p)
+
+    fixed = cfg.method == "rk4"
+    max_time = cfg.max_time
+    final = np.array(x0, dtype=float)
+    verdict = np.zeros(len(final), dtype=np.int8)  # index into _VERDICTS
+    steps = np.zeros(len(final), dtype=np.int64)
+    rows = np.arange(len(final))  # the running rows, by position in x0
+    y = final.T.copy()  # y[i] holds component i of every running row
+    k1 = np.array(f(tuple(y)))
+    t = np.zeros(len(rows))
+    h = np.full(len(rows), _STEP if fixed else _FIRST_STEP)
+    n = np.zeros(len(rows), dtype=np.int64)
+    failed = np.zeros(len(rows), dtype=bool)  # set by the previous iteration
+    while rows.size:
+        converged = np.abs(k1).max(axis=0) < _CONVERGED
+        stop = failed | converged | (t >= max_time)
+        if stop.any():
+            done = rows[stop]
+            final[done] = y[:, stop].T
+            verdict[done] = np.where(failed[stop], 2, np.where(converged[stop], 0, 1))
+            steps[done] = n[stop]
+            go = ~stop
+            rows, y, k1, t, h, n = rows[go], y[:, go], k1[:, go], t[go], h[go], n[go]
+            if not rows.size:
+                break
+        capped = max_time - t < h
+        h_try = np.where(capped, max_time - t, h)
+        if fixed:
+            ynew, _ = _rk4_step(f, tuple(y), h_try, tuple(k1))
+            ok = np.ones(len(rows), dtype=bool)
+        else:
+            ynew, err = _dp_step(f, tuple(y), h_try, tuple(k1), _err_norm_rows)
+            ok = err <= 1.0
+        acc = np.flatnonzero(ok)
+        if acc.size:
+            n[acc] += 1
+            later = n[acc] * _STEP if fixed else t[acc] + h_try[acc]
+            t[acc] = np.where(capped[acc], max_time, later)
+            ya = _project_rows(tuple(c[acc] for c in ynew))
+            y[:, acc] = ya
+            k1[:, acc] = f(ya)
+            if not fixed:
+                free = acc[~capped[acc]]
+                grow = [_grow(e) for e in err[free].tolist()]
+                h[free] = np.minimum(h_try[free] * grow, _MAX_STEP)
+        rej = np.flatnonzero(~ok)
+        failed = np.zeros(len(rows), dtype=bool)
+        if rej.size:
+            h[rej] = h_try[rej] * [_shrink(e) for e in err[rej].tolist()]
+            failed[rej] = h[rej] < _MIN_STEP_FACTOR * np.maximum(1.0, np.abs(t[rej]))
+    return final, [_VERDICTS[v] for v in verdict], steps
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ _CORNERS: dict[str, dict[str, tuple[float, float]]] = {
 
 _LATTICE_M = 6  # interior lattice density: shares (i,j,k)/m, i+j+k=m, all >= 1
 _OUTSET = 5e-3  # nudge along a saddle's unstable eigendirection
-_TIMES = tuple(np.linspace(0.0, 60.0, 241))
+_TIMES = tuple(np.linspace(0.0, 60.0, 241).tolist())
 
 
 def _face_xy(face: str, state: SimplexState) -> tuple[float, float]:

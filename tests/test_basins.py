@@ -56,6 +56,12 @@ class TestEstimateBasins:
         parallel = estimate_basins(SET_B, 200, seed=5, jobs=2)
         assert serial.counts == parallel.counts
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_benchmark_seed_counts(self, jobs):
+        # the exact counts perfbench/reference.json records for set B at seed 1
+        rep = estimate_basins(SET_B, 1000, seed=1, jobs=jobs)
+        assert rep.counts == (("O", 718), ("N", 97), ("H+P", 185), ("unresolved", 0))
+
     def test_stderr_shrinks_with_sample_size(self):
         small = estimate_basins(SET_A, 300, seed=9)
         large = estimate_basins(SET_A, 1200, seed=9)

@@ -26,6 +26,7 @@ from socgame import (
     states_at,
     to_lv,
 )
+from socgame.dynamics import _integrate_rows
 
 
 class TestReplicatorRhs:
@@ -263,6 +264,32 @@ class TestDriverProperties:
         xs = np.array([s.as_tuple() for s in out])
         assert np.all(xs[:, zeros] == 0.0)
         assert np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-9
+
+
+class TestBatchedRuns:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
+           zeros=st.lists(st.sets(st.integers(0, 3), max_size=3), min_size=1, max_size=24),
+           run=st.sampled_from((("rk45", 1000.0), ("rk45", 3.3), ("rk4", 2.505))))
+    def test_batch_equals_per_start(self, seed, branch, zeros, run):
+        # the short horizons end most runs in max-time-reached, rk4 to 2.505
+        # after a last step shortened to land on max_time
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng, branch)
+        x0 = np.array([draw_simplex(rng) for _ in zeros])
+        for row, z in zip(x0, zeros):
+            row[sorted(z)] = 0.0
+        x0 /= x0.sum(axis=1, keepdims=True)
+        cfg = IntegratorConfig(method=run[0], max_time=run[1])
+
+        finals, verdicts, steps = _integrate_rows(x0, p, cfg)
+        assert len(verdicts) == len(x0)
+        for row, final, verdict, k in zip(x0.tolist(), finals.tolist(), verdicts,
+                                          steps.tolist()):
+            tr = integrate(SimplexState(*row), p, cfg)
+            assert tuple(final) == tr.final_state.as_tuple()
+            assert verdict == tr.verdict
+            assert k == len(tr.times) - 1
 
 
 class TestAttractorMatching:
