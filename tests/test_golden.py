@@ -35,6 +35,14 @@ CASES = {
     "equilibria_face_boundary.json": (FACE_BOUNDARY, ["equilibria"], 3, None),
     "sweep_A_beta.csv": (SET_A, ["sweep", "--sweep", "beta:-3:2:11"], 0, None),
     "sweep_A_eta.csv": (SET_A, ["sweep", "--sweep", "eta:0.1:1.4:14"], 0, None),
+    "sweep_A_alpha_eta.csv": (SET_A, ["sweep", "--sweep", "alpha:0.1:3:12",
+                                      "--sweep", "eta:0:2:9"], 0, None),
+    "sweep_A_delta_epsilon.csv": (SET_A, ["sweep", "--sweep", "delta:-1:3:9",
+                                          "--sweep", "epsilon:-1:3:9"], 0, None),
+    # crosses every S_N and S_O panel, the region where H+P attracts
+    # globally, invalid rows and rows exactly on a degenerate boundary
+    "sweep_A_beta_gamma.csv": (SET_A, ["sweep", "--sweep", "beta:-3:2.5:23",
+                                       "--sweep", "gamma:-1:3.5:19"], 0, None),
     "simulate_A.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74"], 0, "trajectory.csv"),
     "simulate_B.csv": (SET_B, ["simulate", "--x0", "0.05,0.35,0.55,0.05"], 0,
                        "trajectory.csv"),
