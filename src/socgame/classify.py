@@ -12,12 +12,15 @@ it:
   is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
-* each face's regime table reads its view and names which of the known
-  planar phase portraits the face realises (portrait number ``pp`` and panel
-  tag ``figure``);
+* one regime table holds, for each face, the closed-form sign conditions
+  that name which of the known planar phase portraits the face realises
+  (portrait number ``pp`` and panel tag ``figure``) and which states attract
+  within it, and the conditions that leave the face undecided.  They are
+  array expressions over parameter columns: ``classify_global`` and
+  ``classify_edge_*`` read them at one point and take the states from the
+  inventory, ``classify_grid`` reads them over a whole sweep grid at once;
 * a state attracts from the full simplex exactly when it is attractive
-  inside every boundary face containing it; the global attractors are taken
-  from the inventory itself.
+  inside every boundary face containing it.
 
 The sign tables leave one question open, the stability type of interior
 states: it is read off a finite-difference Jacobian (``numeric_jacobian``),
@@ -26,27 +29,33 @@ which also serves as the independent oracle for the analytic signs in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (
     DEFAULT_TOL,
     STRATEGIES,
+    Admissibility,
+    Columns,
     DegenerateParameterError,
     InvalidParameterError,
     Params,
     SimplexState,
     ValidationReport,
+    admissibility,
     coexistence_payoff,
     payoff_matrix,
+    payoff_rows,
     require_valid,
     validate,
 )
 from .dynamics import LVState, lv_rhs_2d, orthant_field, replicator_field
-from .welfare import WelfareReport, welfare_report
+from .welfare import WelfareReport, check_orderings, supported_payoffs, welfare_report
 
 # numeric eigenvalues closer to zero than this get the "degenerate" sign
 SIGN_TOL = 1e-7
@@ -191,6 +200,17 @@ def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ..
 _VERTICES = tuple(SimplexState(*(1.0 if i == v else 0.0 for i in range(4))) for v in range(4))
 
 
+def _edge_gaps(A: list[list], a: int, b: int) -> tuple:
+    """The payoff gap of a over b is affine in the share s of a along the
+    a-b edge: returns it at s = 0 and at s = 1."""
+    return A[a][b] - A[b][b], A[a][a] - A[b][a]
+
+
+def _edge_share(g0, g1):
+    """Share of a where that gap vanishes."""
+    return g0 / (g0 - g1)
+
+
 class _Inventory:
     """Every vertex and edge-interior stationary state of the simplex, each
     built once with the eigen signs of all three of its directions.
@@ -202,7 +222,7 @@ class _Inventory:
     """
 
     def __init__(self, p: Params, tol: float) -> None:
-        A = payoff_matrix(p).tolist()
+        A = payoff_rows(p)
         self.states: dict[str, StationaryState] = {}
         self.undecided: list[tuple[int, int]] = []
 
@@ -213,16 +233,14 @@ class _Inventory:
             self.states[name] = _state(name, "vertex", _VERTICES[v], (name,), A[v][v], signs)
 
         for a, b in itertools.combinations(range(4), 2):
-            # payoff gap of a over b is affine in the share s of a:
-            # g0 at s = 0, g1 at s = 1; an interior root needs a strict sign change
-            g0 = A[a][b] - A[b][b]
-            g1 = A[a][a] - A[b][a]
+            # an interior root needs a strict sign change of the payoff gap
+            g0, g1 = _edge_gaps(A, a, b)
             if abs(g0) <= tol or abs(g1) <= tol:
                 self.undecided.append((a, b))
                 continue
             if g0 * g1 >= 0.0:
                 continue
-            s = g0 / (g0 - g1)
+            s = _edge_share(g0, g1)
             pay = (A[a][a] * A[b][b] - A[a][b] * A[b][a]) / (g1 - g0)
             signs = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}",
                       _sign(s * (1.0 - s) * (g1 - g0), tol)),)
@@ -464,111 +482,95 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
 
 
 # ---------------------------------------------------------------------------
-# per-face regime tables; the public classify_edge_* validate first, while
-# classify_global validates once and shares one inventory among the faces
+# the regime table: each face's panel and degenerate conditions as array
+# expressions, read at one point by classify_global and classify_edge_*, and
+# over a whole grid by classify_grid
 
 
-def _regime_SN(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
-    if abs(p.beta) <= tol:
-        raise DegenerateParameterError(f"face S_N case boundary: |beta| <= {tol}")
-    hp_det = p.beta * p.epsilon + p.gamma * p.delta  # det of the H/P payoff block
-    v_o, v_h, v_p = (inv.in_face("S_N", v) for v in ("O", "H", "P"))
+class FaceTable(NamedTuple):
+    """One boundary face's regime over the points of a ``Columns``.
 
-    if p.gamma < p.epsilon and p.beta > 0.0:
-        pp, fig = (7, "2a") if hp_det > 0.0 else (35, "2b")
-        attractors: tuple[StationaryState, ...] = (v_o, v_h, v_p)
-    elif p.gamma < p.epsilon:
-        pp, fig = (9, "2c") if hp_det > 0.0 else (37, "2d")
-        attractors = (v_o, v_p)
-    else:
-        # branch B-minus: coexistence on the H-P edge attracts when the H/P
-        # block determinant is negative
-        if hp_det < 0.0:
-            pp, fig = 11, "2e"
-            attractors = (v_o, inv.in_face("S_N", "H+P"))
-        else:
-            pp, fig = 36, "2f"
-            attractors = (v_o,)
-    return EdgeRegime("S_N", pp, fig, attractors)
+    ``panels`` lists (figure, pp, attractors within the face) and ``panel``
+    holds each point's index into it.  ``degenerate`` lists (mask, message)
+    in the order they are checked: the first that holds at a point leaves
+    the face undecided there, with that message.
+    """
 
+    face: str
+    panels: tuple[tuple[str, int, tuple[str, ...]], ...]
+    panel: np.ndarray
+    degenerate: tuple[tuple[np.ndarray, str], ...]
 
-def _regime_SO(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
-    coex_pay = coexistence_payoff(p)
-    if abs(p.eta - coex_pay) <= tol:
-        raise DegenerateParameterError("fallback payoff on the coexistence-payoff boundary")
-    coex_beats_fallback = p.eta < coex_pay
-    v_h, v_p, v_n = (inv.in_face("S_O", v) for v in ("H", "P", "N"))
+    @property
+    def undecided(self) -> np.ndarray:
+        return functools.reduce(operator.or_, (mask for mask, _ in self.degenerate))
 
-    if p.gamma < p.epsilon:
-        if abs(p.beta - p.eta) <= tol:
-            raise DegenerateParameterError(f"face S_O case boundary: |beta-eta| <= {tol}")
-        if p.beta > p.eta:
-            pp, fig = (7, "3a") if coex_beats_fallback else (35, "3b")
-            attractors: tuple[StationaryState, ...] = (v_h, v_p, v_n)
-        else:
-            pp, fig = (9, "3c") if coex_beats_fallback else (37, "3d")
-            attractors = (v_p, v_n)
-    else:
-        if coex_beats_fallback:
-            pp, fig = 11, "3e"
-            attractors = (v_n, inv.in_face("S_O", "H+P"))
-        else:
-            pp, fig = 36, "3f"
-            attractors = (v_n,)
-    return EdgeRegime("S_O", pp, fig, attractors)
+    def attracts(self, label: str) -> np.ndarray:
+        """Where ``label`` attracts within the face."""
+        return np.array([label in labels for _, _, labels in self.panels])[self.panel]
 
 
-def _regime_SH(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
-    # payoff at the O-P mixed state vs the fallback decides the panel
-    op_pay = p.alpha * p.epsilon / (p.alpha + p.epsilon)
-    if abs(p.eta - op_pay) <= tol:
-        raise DegenerateParameterError("fallback payoff on the O-P edge-state boundary")
-    pp, fig = (7, "4a") if p.eta < op_pay else (35, "4b")
-    attractors = tuple(inv.in_face("S_H", v) for v in ("O", "P", "N"))
-    return EdgeRegime("S_H", pp, fig, attractors)
+def _face(face: str, panels: list[tuple], degenerate: list[tuple[np.ndarray, str]]) -> FaceTable:
+    """``panels`` lists (figure, pp, attractors, condition); a point takes
+    the first panel whose condition holds there."""
+    panel = -1
+    for k in reversed(range(len(panels))):
+        panel = np.where(panels[k][3], k, panel)
+    return FaceTable(face, tuple(row[:3] for row in panels), panel, tuple(degenerate))
 
 
-def _regime_SP(p: Params, inv: _Inventory, tol: float) -> EdgeRegime:
-    if abs(p.beta - p.eta) <= tol:
-        raise DegenerateParameterError(f"face S_P case boundary: |beta-eta| <= {tol}")
-    v_o, v_h, v_n = (inv.in_face("S_P", v) for v in ("O", "H", "N"))
-    if p.beta > p.eta:
-        oh_pay = p.alpha * p.beta / (p.alpha + p.beta)
-        if abs(p.eta - oh_pay) <= tol:
-            raise DegenerateParameterError("fallback payoff on the O-H edge-state boundary")
-        pp, fig = (7, "5a") if p.eta < oh_pay else (35, "5b")
-        attractors: tuple[StationaryState, ...] = (v_o, v_h, v_n)
-    else:
-        pp, fig = 37, "5c"
-        attractors = (v_o, v_n)
-    return EdgeRegime("S_P", pp, fig, attractors)
+def regime_table(c: Columns, adm: Admissibility, tol: float) -> dict[str, FaceTable]:
+    """Each face's regime at every point of ``c``, in face order.
 
-
-_REGIMES = {"S_N": _regime_SN, "S_O": _regime_SO, "S_H": _regime_SH, "S_P": _regime_SP}
-
-
-def classify_edge_SN(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-isolation face (O, H, P)."""
-    require_valid(p, tol)
-    return _regime_SN(p, _Inventory(p, tol), tol)
-
-
-def classify_edge_SO(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-offline face (H, P, N)."""
-    require_valid(p, tol)
-    return _regime_SO(p, _Inventory(p, tol), tol)
-
-
-def classify_edge_SH(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-uncivil face (O, P, N)."""
-    require_valid(p, tol)
-    return _regime_SH(p, _Inventory(p, tol), tol)
-
-
-def classify_edge_SP(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-polite face (O, H, N)."""
-    require_valid(p, tol)
-    return _regime_SP(p, _Inventory(p, tol), tol)
+    Read only where ``adm`` admits the point and finds no degenerate
+    quantity: there one sign branch holds, so B-minus is where B-plus is
+    not, and every denominator below is away from zero.
+    """
+    b_plus = adm.b_plus
+    above = adm.beta_above_eta
+    with np.errstate(all="ignore"):
+        hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
+        hp_pos = hp_det > 0.0
+        h_in_sn = b_plus & (c.beta > 0.0)
+        coex_pay = coexistence_payoff(c)
+        coex_beats_fallback = c.eta < coex_pay
+        beta_at_eta = abs(c.beta - c.eta) <= tol
+        # payoffs at the O-P and O-H mixed states against the fallback
+        op_pay = c.alpha * c.epsilon / (c.alpha + c.epsilon)
+        oh_pay = c.alpha * c.beta / (c.alpha + c.beta)
+        return {
+            "S_N": _face("S_N", [
+                ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
+                ("2b", 35, ("O", "H", "P"), h_in_sn),
+                ("2c", 9, ("O", "P"), b_plus & hp_pos),
+                ("2d", 37, ("O", "P"), b_plus),
+                # branch B-minus: coexistence on the H-P edge attracts when
+                # the H/P block determinant is negative
+                ("2e", 11, ("O", "H+P"), hp_det < 0.0),
+                ("2f", 36, ("O",), True),
+            ], [(abs(c.beta) <= tol, f"face S_N case boundary: |beta| <= {tol}")]),
+            "S_O": _face("S_O", [
+                ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
+                ("3b", 35, ("H", "P", "N"), b_plus & above),
+                ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
+                ("3d", 37, ("P", "N"), b_plus),
+                ("3e", 11, ("N", "H+P"), coex_beats_fallback),
+                ("3f", 36, ("N",), True),
+            ], [(abs(c.eta - coex_pay) <= tol,
+                 "fallback payoff on the coexistence-payoff boundary"),
+                (b_plus & beta_at_eta, f"face S_O case boundary: |beta-eta| <= {tol}")]),
+            "S_H": _face("S_H", [
+                ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
+                ("4b", 35, ("O", "P", "N"), True),
+            ], [(abs(c.eta - op_pay) <= tol, "fallback payoff on the O-P edge-state boundary")]),
+            "S_P": _face("S_P", [
+                ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
+                ("5b", 35, ("O", "H", "N"), above),
+                ("5c", 37, ("O", "N"), True),
+            ], [(beta_at_eta, f"face S_P case boundary: |beta-eta| <= {tol}"),
+                (above & (abs(c.eta - oh_pay) <= tol),
+                 "fallback payoff on the O-H edge-state boundary")]),
+        }
 
 
 # faces containing each candidate global attractor
@@ -579,6 +581,54 @@ _MEMBERSHIP = {
     "N": ("S_O", "S_H", "S_P"),
     "H+P": ("S_N", "S_O"),
 }
+
+
+def _global(faces: dict[str, FaceTable]) -> dict[str, np.ndarray]:
+    """Where each candidate attracts from the full simplex: where it
+    attracts within every boundary face containing it."""
+    return {label: functools.reduce(operator.and_, (faces[f].attracts(label) for f in member))
+            for label, member in _MEMBERSHIP.items()}
+
+
+def _point_regimes(p: Params, tol: float) -> dict[str, FaceTable]:
+    c = Columns.of(p)
+    return regime_table(c, admissibility(c, tol), tol)
+
+
+def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime:
+    """A face's regime at one point; raises the first degenerate condition
+    that holds."""
+    for on, message in table.degenerate:
+        if on:
+            raise DegenerateParameterError(message)
+    figure, pp, labels = table.panels[int(table.panel)]
+    return EdgeRegime(table.face, pp, figure,
+                      tuple(inv.in_face(table.face, label) for label in labels))
+
+
+def _classify_edge(p: Params, tol: float, face: str) -> EdgeRegime:
+    require_valid(p, tol)
+    return _edge_regime(_point_regimes(p, tol)[face], _Inventory(p, tol))
+
+
+def classify_edge_SN(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-isolation face (O, H, P)."""
+    return _classify_edge(p, tol, "S_N")
+
+
+def classify_edge_SO(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-offline face (H, P, N)."""
+    return _classify_edge(p, tol, "S_O")
+
+
+def classify_edge_SH(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-uncivil face (O, P, N)."""
+    return _classify_edge(p, tol, "S_H")
+
+
+def classify_edge_SP(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of the no-polite face (O, H, N)."""
+    return _classify_edge(p, tol, "S_P")
 
 
 def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) -> RegimeReport:
@@ -615,10 +665,11 @@ def _classify_validated(
         edges: list[EdgeRegime | None] = [None] * len(FACES)
     else:
         inv = _Inventory(p, tol)
+        faces = _point_regimes(p, tol)
         edges = []
-        for face in FACES:
+        for table in faces.values():
             try:
-                edges.append(_REGIMES[face](p, inv, tol))
+                edges.append(_edge_regime(table, inv))
             except DegenerateParameterError:
                 if strict:
                     raise
@@ -626,11 +677,8 @@ def _classify_validated(
                 degenerate = True
 
     if not degenerate:
-        by_face = {e.edge: {s.label for s in e.attractors} for e in edges}
         global_attractors = tuple(
-            inv.states[label] for label, faces in _MEMBERSHIP.items()
-            if all(label in by_face[f] for f in faces)
-        )
+            inv.states[label] for label, on in _global(faces).items() if on)
         welfare = welfare_report(global_attractors, p, tol)
 
     return RegimeReport(
@@ -642,3 +690,46 @@ def _classify_validated(
         welfare=welfare,
         degenerate=degenerate,
     )
+
+
+class GridRegimes(NamedTuple):
+    """``validate`` and ``classify_global(strict=False)`` over the points of
+    a ``Columns``, as arrays: what a sweep row reports."""
+
+    valid: np.ndarray  # positivity and nondominance
+    degenerate: np.ndarray  # a degenerate quantity, or an undecided face
+    branch: np.ndarray  # index into model.BRANCHES
+    figures: tuple[tuple[tuple[str, ...], np.ndarray], ...]  # per face: tags, index or -1
+    n_attractors: np.ndarray  # -1 where the global set is not decided
+
+
+def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
+    """Classify every point of ``c`` at once, building no state or report.
+
+    The welfare checks of ``welfare_report`` run at every point whose global
+    set is decided; the first point that fails one raises its error.
+    """
+    with np.errstate(all="ignore"):
+        adm = admissibility(c, tol)
+        faces = regime_table(c, adm, tol)
+        classified = adm.valid & ~adm.on_boundary
+        decided = {face: classified & ~t.undecided for face, t in faces.items()}
+        settled = functools.reduce(operator.and_, decided.values())
+        attracts = {label: settled & on for label, on in _global(faces).items()}
+
+        # locations of the candidates: vertices, and the H+P edge state
+        s = _edge_share(*_edge_gaps(payoff_rows(c), 1, 2))
+        locations = {label: _VERTICES[v].as_tuple() for v, label in enumerate(STRATEGIES)}
+        locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
+        check_orderings(
+            {label: (on, supported_payoffs(locations[label], label.split("+"), c))
+             for label, on in attracts.items()}, c, tol)
+
+        return GridRegimes(
+            valid=adm.valid,
+            degenerate=adm.on_boundary | (classified & ~settled),
+            branch=adm.branch,
+            figures=tuple((tuple(row[0] for row in t.panels), np.where(decided[face], t.panel, -1))
+                          for face, t in faces.items()),
+            n_attractors=np.where(settled, sum(attracts.values()), -1),
+        )

@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .basins import estimate_basins
-from .classify import _classify_validated, classify_global
+from .classify import _classify_validated, classify_global, classify_grid
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
@@ -28,7 +29,9 @@ from .dynamics import (
     match_attractor,
 )
 from .model import (
+    BRANCHES,
     DEFAULT_TOL,
+    Columns,
     DegenerateParameterError,
     InvalidParameterError,
     Params,
@@ -121,7 +124,11 @@ def _parse_axis(text: str) -> SweepAxis:
     n = int(steps)
     if n < 2:
         raise ValueError("--sweep: STEPS must be at least 2")
-    return SweepAxis(name=name, lo=float(lo), hi=float(hi), steps=n)
+    lo_v, hi_v = float(lo), float(hi)
+    if not (math.isfinite(lo_v) and math.isfinite(hi_v) and math.isfinite(hi_v - lo_v)):
+        raise ValueError(f"--sweep {name}: MIN and MAX must be finite, "
+                         f"and so must MAX - MIN, got {text!r}")
+    return SweepAxis(name=name, lo=lo_v, hi=hi_v, steps=n)
 
 
 def _json(doc: dict) -> str:
@@ -196,27 +203,35 @@ def cmd_simulate(rc: RunConfig) -> int:
 def cmd_sweep(rc: RunConfig) -> int:
     axes = rc.sweep_axes
     grids = [np.linspace(a.lo, a.hi, a.steps) for a in axes]
-    names = [a.name for a in axes]
-    header = names + ["valid", "degenerate", "branch",
-                      "fig_S_N", "fig_S_O", "fig_S_H", "fig_S_P", "n_attractors"]
+    n = math.prod(a.steps for a in axes)
+    # rows run over the grid like itertools.product; a repeated axis name
+    # takes the later axis's value
+    values = rc.params.as_dict()
+    for a, mesh in zip(axes, np.meshgrid(*grids, indexing="ij")):
+        values[a.name] = mesh.ravel()
+    grid = classify_grid(Columns(**{k: np.broadcast_to(v, (n,)) for k, v in values.items()}),
+                         rc.tol)
+
+    fields = np.stack([grid.valid, grid.degenerate, grid.branch,
+                       *(panel for _, panel in grid.figures), grid.n_attractors])
+    # rows share few distinct tails (valid .. n_attractors), so each is
+    # formatted once; every code + 1 lies in 0..7
+    _, first, which = np.unique(np.ravel_multi_index(fields + 1, (8,) * len(fields)),
+                                return_index=True, return_inverse=True)
+    tails = []
+    for i in first:
+        valid, degenerate, branch, *panels, n_att = fields[:, i].tolist()
+        tails.append(",".join([
+            str(valid), str(degenerate), BRANCHES[branch] or "",
+            *(tags[k] if k >= 0 else "" for (tags, _), k in zip(grid.figures, panels)),
+            str(n_att) if n_att >= 0 else ""]))
+
+    header = [a.name for a in axes] + ["valid", "degenerate", "branch",
+                                       "fig_S_N", "fig_S_O", "fig_S_H", "fig_S_P", "n_attractors"]
+    axis_text = [[decimal(float(v)) for v in g] for g in grids]
     lines = [",".join(header)]
-    for combo in itertools.product(*grids):
-        p = replace(rc.params, **{n: float(v) for n, v in zip(names, combo)})
-        vrep = validate(p, rc.tol)
-        degenerate = bool(vrep.degenerate_quantities)
-        valid = vrep.positivity_ok and vrep.nondominance_ok
-        figs = ["", "", "", ""]
-        n_att = ""
-        if valid and not degenerate:
-            rep = _classify_validated(p, vrep, rc.tol, strict=False)
-            degenerate = rep.degenerate
-            figs = [e.figure if e is not None else "" for e in rep.edges]
-            if not rep.degenerate:
-                n_att = str(len(rep.global_attractors))
-        row = ([decimal(float(v)) for v in combo]
-               + ["1" if valid else "0", "1" if degenerate else "0", vrep.branch or ""]
-               + figs + [n_att])
-        lines.append(",".join(row))
+    lines.extend(",".join(head) + "," + tails[k]
+                 for head, k in zip(itertools.product(*axis_text), which.tolist()))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if rc.out is not None:

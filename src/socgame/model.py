@@ -24,8 +24,11 @@ reports exactly that.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,6 +159,17 @@ class ValidationReport:
         }
 
 
+def payoff_rows(p: Params | "Columns") -> list[list]:
+    """Rows of the payoff matrix (see ``payoff_matrix``) as lists, whose
+    entries are columns when ``p`` is a ``Columns``."""
+    return [
+        [p.alpha, 0.0, 0.0, 0.0],
+        [0.0, p.beta, p.gamma, 0.0],
+        [0.0, -p.delta, p.epsilon, 0.0],
+        [p.eta, p.eta, p.eta, p.eta],
+    ]
+
+
 def payoff_matrix(p: Params) -> np.ndarray:
     """4x4 payoff matrix A with rows/columns ordered O, H, P, N.
 
@@ -163,19 +177,14 @@ def payoff_matrix(p: Params) -> np.ndarray:
     vector at state x is ``A @ x``.  N earns the fallback ``eta`` against
     everyone; nobody earns anything from meeting N.
     """
-    return np.array(
-        [
-            [p.alpha, 0.0, 0.0, 0.0],
-            [0.0, p.beta, p.gamma, 0.0],
-            [0.0, -p.delta, p.epsilon, 0.0],
-            [p.eta, p.eta, p.eta, p.eta],
-        ]
-    )
+    return np.array(payoff_rows(p))
 
 
-def payoff_vector(state: SimplexState, p: Params) -> tuple[float, float, float, float]:
-    """Per-strategy expected payoffs (P_O, P_H, P_P, P_N) at ``state``."""
-    x1, x2, x3, _ = state.as_tuple()
+def payoff_vector(state: SimplexState | Sequence, p: Params | "Columns") -> tuple:
+    """Per-strategy expected payoffs (P_O, P_H, P_P, P_N) at ``state``, a
+    ``SimplexState`` or four shares (numbers, or columns over points with
+    ``p`` a ``Columns``)."""
+    x1, x2, x3, _ = state.as_tuple() if isinstance(state, SimplexState) else state
     return (
         p.alpha * x1,
         p.beta * x2 + p.gamma * x3,
@@ -191,7 +200,57 @@ def average_payoff(state: SimplexState, p: Params) -> float:
     return x[0] * pi[0] + x[1] * pi[1] + x[2] * pi[2] + x[3] * pi[3]
 
 
-def _classifying_quantities(p: Params) -> dict[str, float]:
+class Columns(NamedTuple):
+    """The six parameters over many points at once, one numpy column each;
+    the condition tables below are array expressions over them."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    epsilon: np.ndarray
+    eta: np.ndarray
+
+    @classmethod
+    def of(cls, p: Params) -> "Columns":
+        """One point, as numpy scalars: a ratio the tables form but do not
+        consult there divides by zero to inf or nan instead of raising."""
+        return cls(*(np.float64(v) for v in (p.alpha, p.beta, p.gamma, p.delta,
+                                             p.epsilon, p.eta)))
+
+
+# ``Admissibility.branch`` indexes this
+BRANCHES = (None, "B-plus", "B-minus")
+
+
+class Admissibility(NamedTuple):
+    """The admissibility table: every condition ``validate`` checks, as one
+    boolean mask over the points of a ``Columns`` (a numpy bool for one)."""
+
+    positive: dict[str, np.ndarray]  # alpha, delta, epsilon, eta strictly positive
+    vertices: np.ndarray  # alpha, epsilon and max(beta, gamma) all beat eta
+    b_plus: np.ndarray  # beta > -delta and gamma < epsilon
+    b_minus: np.ndarray  # beta < -delta and gamma > epsilon
+    beta_above_eta: np.ndarray  # the all-uncivil payoff beats the fallback
+    degenerate: dict[str, np.ndarray]  # classifying quantity within tol of zero
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Positivity and nondominance (degeneracy aside)."""
+        positive = functools.reduce(operator.and_, self.positive.values())
+        return positive & self.vertices & (self.b_plus | self.b_minus)
+
+    @property
+    def on_boundary(self) -> np.ndarray:
+        """Some classifying quantity is degenerate."""
+        return functools.reduce(operator.or_, self.degenerate.values())
+
+    @property
+    def branch(self) -> np.ndarray:
+        return np.where(self.b_plus, 1, np.where(self.b_minus, 2, 0))
+
+
+def _classifying_quantities(c: Columns) -> dict[str, np.ndarray]:
     """Quantities whose signs drive admissibility and regime selection.
 
     Any of these within tolerance of zero puts the parameter point on a
@@ -200,68 +259,69 @@ def _classifying_quantities(p: Params) -> dict[str, float]:
     classifier; alpha+beta only counts when beta > eta, because that ratio
     (the O-H edge-state payoff) is only ever consulted there.
     """
-    q = {
-        "beta+delta": p.beta + p.delta,
-        "epsilon-gamma": p.epsilon - p.gamma,
-        "beta*epsilon+gamma*delta": p.beta * p.epsilon + p.gamma * p.delta,
-        "alpha-eta": p.alpha - p.eta,
-        "epsilon-eta": p.epsilon - p.eta,
-        "max(beta,gamma)-eta": max(p.beta, p.gamma) - p.eta,
-        "epsilon-gamma+beta+delta": (p.epsilon - p.gamma) + (p.beta + p.delta),
-        "alpha+epsilon": p.alpha + p.epsilon,
+    return {
+        "beta+delta": c.beta + c.delta,
+        "epsilon-gamma": c.epsilon - c.gamma,
+        "beta*epsilon+gamma*delta": c.beta * c.epsilon + c.gamma * c.delta,
+        "alpha-eta": c.alpha - c.eta,
+        "epsilon-eta": c.epsilon - c.eta,
+        "max(beta,gamma)-eta": np.maximum(c.beta, c.gamma) - c.eta,
+        "epsilon-gamma+beta+delta": (c.epsilon - c.gamma) + (c.beta + c.delta),
+        "alpha+epsilon": c.alpha + c.epsilon,
+        "alpha+beta": c.alpha + c.beta,
     }
-    if p.beta > p.eta:
-        q["alpha+beta"] = p.alpha + p.beta
-    return q
 
 
-def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check admissibility of ``p``.
+def admissibility(c: Columns, tol: float = DEFAULT_TOL) -> Admissibility:
+    """Evaluate the admissibility table at every point of ``c``.
 
     Three layers: sign constraints on the four one-signed constants;
     nondominance (every strategy survives weak-dominance elimination, which
     pins one of two sign branches for (beta+delta, epsilon-gamma)); and
-    distance-from-boundary for every classifying quantity.  The report
-    carries all three; ``report.ok`` is their conjunction.
+    distance-from-boundary for every classifying quantity.
     """
-    messages: list[str] = []
+    with np.errstate(all="ignore"):
+        beta_above_eta = c.beta > c.eta
+        degenerate = {name: abs(v) <= tol for name, v in _classifying_quantities(c).items()}
+        degenerate["alpha+beta"] = degenerate["alpha+beta"] & beta_above_eta
+        return Admissibility(
+            positive={name: getattr(c, name) > 0.0
+                      for name in ("alpha", "delta", "epsilon", "eta")},
+            # no vertex payoff may fall to the isolation fallback...
+            vertices=((c.alpha > c.eta) & (c.epsilon > c.eta)
+                      & (np.maximum(c.beta, c.gamma) > c.eta)),
+            # ...and the H/P cross terms must sit in one of two strict sign branches
+            b_plus=(c.beta > -c.delta) & (c.gamma < c.epsilon),
+            b_minus=(c.beta < -c.delta) & (c.gamma > c.epsilon),
+            beta_above_eta=beta_above_eta,
+            degenerate=degenerate,
+        )
 
-    positivity_ok = True
-    for name in ("alpha", "delta", "epsilon", "eta"):
-        if getattr(p, name) <= 0.0:
-            positivity_ok = False
-            messages.append(f"{name} must be strictly positive, got {getattr(p, name)}")
 
-    # Nondominance: no vertex payoff may fall to the isolation fallback...
-    cond_vertices = p.alpha > p.eta and p.epsilon > p.eta and max(p.beta, p.gamma) > p.eta
-    if not cond_vertices:
+def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """Check admissibility of ``p``: the admissibility table at one point,
+    with a message for every condition that fails.  ``report.ok`` is the
+    conjunction of its three layers.
+    """
+    table = admissibility(Columns.of(p), tol)
+    messages = [f"{name} must be strictly positive, got {getattr(p, name)}"
+                for name, ok in table.positive.items() if not ok]
+    if not table.vertices:
         messages.append(
             "dominated strategy: need alpha > eta, epsilon > eta and max(beta, gamma) > eta"
         )
-    # ...and the H/P cross terms must sit in one of the two strict sign branches.
-    b_plus = p.beta > -p.delta and p.gamma < p.epsilon
-    b_minus = p.beta < -p.delta and p.gamma > p.epsilon
-    if b_plus:
-        branch: str | None = "B-plus"
-    elif b_minus:
-        branch = "B-minus"
-    else:
-        branch = None
+    branch = BRANCHES[int(table.branch)]
+    if branch is None:
         messages.append(
             "H/P cross terms outside both sign branches: "
             "need beta+delta and epsilon-gamma nonzero with matching orientation"
         )
-    nondominance_ok = cond_vertices and branch is not None
-
-    degenerate = tuple(
-        name for name, v in _classifying_quantities(p).items() if abs(v) <= tol
-    )
-    for name in degenerate:
-        messages.append(f"degenerate boundary: |{name}| <= {tol}")
+    degenerate = tuple(name for name, on in table.degenerate.items() if on)
+    messages.extend(f"degenerate boundary: |{name}| <= {tol}" for name in degenerate)
 
     return ValidationReport(
-        positivity_ok=positivity_ok,
-        nondominance_ok=nondominance_ok,
+        positivity_ok=all(table.positive.values()),
+        nondominance_ok=bool(table.vertices) and branch is not None,
         branch=branch,
         degenerate_quantities=degenerate,
         messages=tuple(messages),

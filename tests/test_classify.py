@@ -1,5 +1,12 @@
 """Analytic stationary states, per-face regime tables and global composition."""
 
+import contextlib
+import io
+import itertools
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +31,10 @@ from socgame import (
     normalize_matrix,
     numeric_jacobian,
     to_lv,
+    validate,
     vertex_eigensigns,
 )
+from socgame.cli import main
 from socgame.classify import FACE_ABSENT, face_reduced_rhs, fd_jacobian
 from socgame.model import Params
 
@@ -357,3 +366,175 @@ class TestFaceStates:
         share = (p.epsilon - p.gamma) / ((p.epsilon - p.gamma) + (p.beta + p.delta))
         assert hp.location.x2 == share
         assert hp.payoff == coexistence_payoff(p)
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid classification against the per-point one
+
+PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
+PARAM_RANGES = {"alpha": (-0.5, 3.0), "beta": (-3.0, 2.5), "gamma": (-1.0, 3.5),
+                "delta": (-0.5, 2.0), "epsilon": (-0.5, 3.0), "eta": (-0.2, 1.5)}
+
+# each classifying quantity and face boundary, and how to put a point on it:
+# (parameter to move, its new value as a function of the point)
+SNAPS = {
+    "beta+delta": ("beta", lambda p: -p.delta),
+    "epsilon-gamma": ("gamma", lambda p: p.epsilon),
+    "beta*epsilon+gamma*delta": ("gamma", lambda p: -p.beta * p.epsilon / p.delta),
+    "alpha-eta": ("alpha", lambda p: p.eta),
+    "epsilon-eta": ("epsilon", lambda p: p.eta),
+    "max(beta,gamma)-eta": ("beta", lambda p: p.eta),
+    "epsilon-gamma+beta+delta": ("gamma", lambda p: p.epsilon + p.beta + p.delta),
+    "alpha+epsilon": ("alpha", lambda p: -p.epsilon),
+    "alpha+beta": ("beta", lambda p: -p.alpha),
+    "|beta|": ("beta", lambda p: 0.0),
+    "beta-eta": ("eta", lambda p: p.beta),
+    "eta-coex": ("eta", coexistence_payoff),
+    "eta-op_pay": ("eta", lambda p: p.alpha * p.epsilon / (p.alpha + p.epsilon)),
+    "eta-oh_pay": ("eta", lambda p: p.alpha * p.beta / (p.alpha + p.beta)),
+}
+
+
+# the planar portrait number of each panel
+FIGURE_PP = {"2a": 7, "2b": 35, "2c": 9, "2d": 37, "2e": 11, "2f": 36,
+             "3a": 7, "3b": 35, "3c": 9, "3d": 37, "3e": 11, "3f": 36,
+             "4a": 7, "4b": 35, "5a": 7, "5b": 35, "5c": 37}
+
+
+def face_oracle(p, tol, face):
+    """Each face's regime as plain per-face branches state it: the message
+    of the first degenerate condition that holds, else (figure, attractors)."""
+    hp_det = p.beta * p.epsilon + p.gamma * p.delta
+    if face == "S_N":
+        if abs(p.beta) <= tol:
+            return f"face S_N case boundary: |beta| <= {tol}"
+        if p.gamma < p.epsilon:
+            fig = ("2a" if hp_det > 0 else "2b") if p.beta > 0 else ("2c" if hp_det > 0 else "2d")
+            return fig, ["O", "H", "P"] if p.beta > 0 else ["O", "P"]
+        return ("2e", ["O", "H+P"]) if hp_det < 0 else ("2f", ["O"])
+    if face == "S_O":
+        coex = coexistence_payoff(p)
+        if abs(p.eta - coex) <= tol:
+            return "fallback payoff on the coexistence-payoff boundary"
+        if p.gamma < p.epsilon:
+            if abs(p.beta - p.eta) <= tol:
+                return f"face S_O case boundary: |beta-eta| <= {tol}"
+            if p.beta > p.eta:
+                return ("3a" if p.eta < coex else "3b"), ["H", "P", "N"]
+            return ("3c" if p.eta < coex else "3d"), ["P", "N"]
+        return ("3e", ["N", "H+P"]) if p.eta < coex else ("3f", ["N"])
+    if face == "S_H":
+        op_pay = p.alpha * p.epsilon / (p.alpha + p.epsilon)
+        if abs(p.eta - op_pay) <= tol:
+            return "fallback payoff on the O-P edge-state boundary"
+        return ("4a" if p.eta < op_pay else "4b"), ["O", "P", "N"]
+    if abs(p.beta - p.eta) <= tol:
+        return f"face S_P case boundary: |beta-eta| <= {tol}"
+    if p.beta <= p.eta:
+        return "5c", ["O", "N"]
+    oh_pay = p.alpha * p.beta / (p.alpha + p.beta)
+    if abs(p.eta - oh_pay) <= tol:
+        return "fallback payoff on the O-H edge-state boundary"
+    return ("5a" if p.eta < oh_pay else "5b"), ["O", "H", "N"]
+
+
+def point_row(p, tol):
+    """A sweep row's fields from per-point validate and classify_global."""
+    v = validate(p, tol)
+    valid = v.positivity_ok and v.nondominance_ok
+    degenerate = bool(v.degenerate_quantities)
+    figures, n_att = ["", "", "", ""], ""
+    if valid and not degenerate:
+        rep = classify_global(p, tol, strict=False)
+        degenerate = rep.degenerate
+        figures = [e.figure if e is not None else "" for e in rep.edges]
+        if not degenerate:
+            n_att = str(len(rep.global_attractors))
+    return ["1" if valid else "0", "1" if degenerate else "0", v.branch or ""] + figures + [n_att]
+
+
+def snapped(base: dict, snap) -> Params:
+    """``base`` moved onto the boundary named ``snap`` (if any, and if the
+    move is defined there)."""
+    if snap is not None:
+        name, value = SNAPS[snap]
+        try:
+            base = {**base, name: float(value(Params(**base)))}
+        except ZeroDivisionError:
+            pass
+    return Params(**base)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A base point, admissible or anywhere in PARAM_RANGES, perhaps snapped
+    onto one boundary, and one or two axes that start at it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = draw_params(rng, draw(st.sampled_from(("B-plus", "B-minus")))).as_dict()
+    else:
+        base = {k: float(rng.uniform(*PARAM_RANGES[k])) for k in PARAM_NAMES}
+    p = snapped(base, draw(st.sampled_from((None,) + tuple(SNAPS))))
+    axes = []
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(PARAM_NAMES))
+        # the grid starts at the base point, so its first row is the snapped one
+        axes.append((name, getattr(p, name), float(rng.uniform(*PARAM_RANGES[name])),
+                     draw(st.integers(2, 4))))
+    return p, axes, draw(st.sampled_from((1e-9, 1e-3)))
+
+
+class TestGridClassification:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=sweep_cases())
+    def test_rows_equal_per_point_classification(self, case):
+        p, axes, tol = case
+        grids = [np.linspace(lo, hi, steps) for _, lo, hi, steps in axes]
+        expected, error = [], None
+        for combo in itertools.product(*grids):
+            point = replace(p, **{name: float(v) for (name, *_), v in zip(axes, combo)})
+            try:
+                expected.append(point_row(point, tol))
+            except ValueError as e:  # a welfare check failed: the sweep stops there
+                error = str(e)
+                break
+
+        with tempfile.TemporaryDirectory() as tmp:
+            params = Path(tmp) / "p.params"
+            params.write_text("".join(f"{k} = {v!r}\n" for k, v in p.as_dict().items()))
+            argv = ["sweep", "--params", str(params), "--tol", repr(tol)]
+            for name, lo, hi, steps in axes:
+                argv += ["--sweep", f"{name}:{lo!r}:{hi!r}:{steps}"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+
+        if error is not None:
+            assert (code, out.getvalue()) == (1, "")
+            assert err.getvalue() == f"input error: {error}\n"
+            return
+        assert code == 0 and err.getvalue() == ""
+        rows = [line.split(",")[len(axes):] for line in out.getvalue().splitlines()[1:]]
+        assert rows == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), snap=st.sampled_from((None,) + tuple(SNAPS)),
+           tol=st.sampled_from((1e-9, 1e-3)))
+    def test_strict_face_messages(self, seed, snap, tol):
+        rng = np.random.default_rng(seed)
+        for i in range(20):
+            p = snapped(draw_params(rng, ("B-plus", "B-minus")[i % 2]).as_dict(), snap)
+            v = validate(p, tol)
+            if v.degenerate_quantities or not (v.positivity_ok and v.nondominance_ok):
+                continue
+            for face, fn in EDGE_FNS.items():
+                want = face_oracle(p, tol, face)
+                if isinstance(want, str):
+                    with pytest.raises(DegenerateParameterError) as info:
+                        fn(p, tol)
+                    assert str(info.value) == want
+                else:
+                    er = fn(p, tol)
+                    figure, labels = want
+                    assert (er.figure, er.pp, [s.label for s in er.attractors]) == (
+                        figure, FIGURE_PP[figure], labels)

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from socgame.cli import main
+from socgame import Params, estimate_basins
+from socgame.cli import _json, _read_params_file, main
 from socgame.dynamics import IntegrationError
 
 
@@ -250,6 +251,20 @@ class TestSweep:
                            "--sweep", "alpha:1:2:2")
         assert code == 1
 
+    def test_non_finite_bound_rejected(self, capsys, params_a):
+        for axis in ("beta:0:inf:3", "beta:nan:1:3", "beta:-1e308:1e308:3"):
+            code, out, err = run(capsys, "sweep", "--params", params_a, "--sweep", axis)
+            assert (code, out) == (1, "")
+            assert err.startswith("input error: --sweep beta: ")
+            assert err.count("\n") == 1
+
+    def test_zero_denominators_write_nothing_to_stderr(self, capsys, params_a):
+        # this grid puts ratio denominators of inadmissible points exactly at 0
+        code, out, err = run(capsys, "sweep", "--params", params_a,
+                             "--sweep", "beta:-3:2.5:100", "--sweep", "gamma:-1:3.5:100")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 10001
+
     def test_malformed_axis(self, capsys, params_a):
         code, _, err = run(capsys, "sweep", "--params", params_a,
                            "--sweep", "eta:0:1")
@@ -276,12 +291,14 @@ class TestBasins:
         assert len(csv_rows) == 5
 
     def test_deterministic(self, capsys, params_b):
+        # jobs=2 / --jobs 2 is accepted and changes nothing
         code1, out1, _ = run(capsys, "basins", "--params", params_b,
-                             "--samples", "60", "--seed", "5", "--jobs", "1")
+                             "--samples", "60", "--seed", "5")
         code2, out2, _ = run(capsys, "basins", "--params", params_b,
                              "--samples", "60", "--seed", "5", "--jobs", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
+        in_process = estimate_basins(Params.from_mapping(_read_params_file(params_b)), 60,
+                                     seed=5, jobs=2).as_dict()
+        assert (code1, out1) == (code2, out2) == (0, _json(in_process))
 
     def test_rejects_zero_samples(self, capsys, params_b):
         code, _, err = run(capsys, "basins", "--params", params_b,
