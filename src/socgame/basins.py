@@ -1,26 +1,41 @@
 """Monte Carlo estimation of basins of attraction.
 
 Starts are drawn uniformly from the simplex (flat Dirichlet: four standard
-exponentials, normalized), integrated to rest, and matched against the
-classified global attractors.  All samples are integrated together as one
-numpy batch in this process.  Fractions come with binomial standard errors;
-runs that fail to resolve to any classified attractor are tallied separately
-rather than discarded, so the fractions always account for every sample.
+exponentials, normalized) and integrated together as one numpy batch in this
+process.  Each global attractor that admits one gets a ratio box
+(``ratio_box``), a region proved to flow to it; a sample stops as soon as it
+enters a box and is labelled by that proof.  The other samples run to rest
+and are matched against the classified global attractors.  Fractions come
+with binomial standard errors; runs that fail to resolve to any classified
+attractor are tallied separately rather than discarded, so the fractions
+always account for every sample.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .classify import classify_global
-from .dynamics import IntegratorConfig, _integrate_rows, integrate, match_attractor
-from .model import DEFAULT_TOL, Params, SimplexState
+from .classify import StationaryState, classify_global
+from .dynamics import (
+    IntegratorConfig,
+    RatioBox,
+    _integrate_rows,
+    box_index,
+    integrate,
+    match_attractor,
+)
+from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState, payoff_rows
 
 SAMPLING = "uniform-simplex"
+_TAUS = tuple(2.0 ** -i for i in range(31))  # box widths tried, widest first
+# a corner's ratio rate must clear this share of the sum of its terms' sizes,
+# far above the rounding of the rate and of the row test
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,57 @@ def sample_simplex(n: int, seed: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def ratio_box(state: StationaryState, A: list[list]) -> RatioBox | None:
+    """The widest box, for tau = 1, 1/2, ..., 2**-30, that proves every start
+    in it flows to ``state``, a vertex or edge-interior state; None if no
+    tau works.  ``A`` is the payoff matrix as ``model.payoff_rows`` gives it.
+
+    The reference R is the support strategy with the larger share, and
+    u_k = x_k / x_R.  Then d/dt log u_k = pi_k - pi_R = x_R L_k(u), where
+    L_k(u) = sum_j (A_kj - A_Rj) u_j with u_R = 1 is affine
+    (Hofbauer & Sigmund 1998, ch. 7).  The box holds u_k in [0, tau] for
+    each strategy off the support and, for an edge state, the other support
+    strategy's ratio within [u*(1 - tau), u*(1 + tau)] of its value u* at
+    the state.  It certifies when, at every corner, each off-support L_k is
+    negative, and the in-support L is negative on the upper face and
+    positive on the lower face, each by a relative margin.  An affine
+    function keeps its corner signs over a whole face, so the box is
+    forward-invariant, the off-support ratios decay exponentially, and the
+    omega-limit is the one rest point of the edge inside the box.  The lower
+    face must lie above 0, because the face x_S = 0 is invariant and flows
+    elsewhere.
+    """
+    support = [STRATEGIES.index(s) for s in state.support]
+    x = state.location.as_tuple()
+    ref = max(support, key=lambda k: x[k])
+    for tau in _TAUS:
+        lo, hi = [0.0] * 4, [tau] * 4
+        lo[ref] = hi[ref] = 1.0
+        for k in support:
+            if k != ref:
+                lo[k], hi[k] = x[k] / x[ref] * (1.0 - tau), x[k] / x[ref] * (1.0 + tau)
+        if all(lo[k] > 0.0 for k in support) and _certifies(A, ref, support, lo, hi):
+            return RatioBox(ref, tuple(lo), tuple(hi))
+    return None
+
+
+def _certifies(A: list[list], ref: int, support: list[int], lo: list, hi: list) -> bool:
+    """The sign conditions of ``ratio_box`` at every corner of the box."""
+    others = [k for k in range(4) if k != ref]
+    for corner in itertools.product(*((lo[k], hi[k]) for k in others)):
+        u = [1.0] * 4
+        for k, v in zip(others, corner):
+            u[k] = v
+        for k in others:
+            terms = [(A[k][j] - A[ref][j]) * u[j] for j in range(4)]
+            # the ratio must rise on the lower face of an in-support share
+            # and fall everywhere else
+            sign = 1.0 if k in support and u[k] == lo[k] else -1.0
+            if sign * sum(terms) <= _MARGIN * sum(abs(v) for v in terms):
+                return False
+    return True
+
+
 def find_attractor(
     x0: SimplexState,
     p: Params,
@@ -99,20 +165,32 @@ def estimate_basins(
 ) -> BasinReport:
     """Estimate the attraction basin of each global attractor.
 
-    Every sample runs to rest in one batch, and each is labelled exactly as
-    ``find_attractor`` would label it: a step failure is unresolved, any
-    other end state is matched.  ``jobs`` is accepted and ignored: the batch
-    runs in this process.
+    All samples run in one batch.  A sample that enters the ratio box of an
+    attractor (``ratio_box``) stops there and is labelled by that proof, even
+    where a short ``cfg.max_time`` would have stopped it farther than
+    ``match_tol`` from the attractor, so a short horizon leaves fewer samples
+    unresolved than a run to rest would.  Every other sample runs to rest and
+    is labelled exactly as ``find_attractor`` would label it: a step failure
+    is unresolved, any other end state is matched.  ``jobs`` is accepted and
+    ignored: the batch runs in this process.
     """
     attractors = classify_global(p, tol).global_attractors
     cfg = cfg if cfg is not None else IntegratorConfig()
-    finals, verdicts, _ = _integrate_rows(sample_simplex(n, seed), p, cfg)
+    A = payoff_rows(p)
+    boxed = [(a, box) for a in attractors if (box := ratio_box(a, A)) is not None]
+    boxes = [b for _, b in boxed]
+    finals, verdicts, _ = _integrate_rows(sample_simplex(n, seed), p, cfg, boxes)
 
     counts = {a.label: 0 for a in attractors}
     counts["unresolved"] = 0
-    for row, verdict in zip(finals.tolist(), verdicts):
-        hit = (None if verdict == "step-failure"
-               else match_attractor(SimplexState(*row), attractors, match_tol))
+    owner = box_index(tuple(finals.T), boxes).tolist()
+    for row, verdict, i in zip(finals.tolist(), verdicts, owner):
+        if verdict == "certified":
+            hit = boxed[i][0]
+        elif verdict == "step-failure":
+            hit = None
+        else:
+            hit = match_attractor(SimplexState(*row), attractors, match_tol)
         counts[hit.label if hit is not None else "unresolved"] += 1
     return BasinReport(
         sample_count=n,

@@ -319,7 +319,11 @@ def _build_parser() -> _Parser:
     ba = sub.add_parser("basins", parents=[common],
                         help="Monte Carlo basin-of-attraction fractions")
     ba.add_argument("--samples", type=int, default=1000)
-    ba.add_argument("--max-time", type=float, default=1000.0)
+    ba.add_argument("--max-time", type=float, default=1000.0,
+                    help="horizon of each sample's run; a sample that enters a "
+                         "region proved to flow to one attractor is labelled "
+                         "by that proof, even if the horizon would stop it "
+                         "before it settles")
 
     sub.add_parser("portrait", parents=[common],
                    help="planar-net SVG phase portrait of the boundary faces")

@@ -25,14 +25,16 @@ Integration runs through one of two loops, chosen by what the caller asks
 for.  ``_drive`` follows one path with its samples: it either runs to rest
 (``integrate``: sample every accepted step, stop when max|dx/dt| falls below
 _CONVERGED or at the caller's max_time) or lands on requested times
-(``states_at``, ``lv_states_at``).  ``_integrate_rows`` runs many starts to
-rest together and keeps only where each ended (``estimate_basins``): its
-state is a tuple of numpy columns with one row per start, and every row
-keeps its own time, step size and step count and leaves the batch when it
-stops.  Both loops use the same steppers and stop on the same tests in the
-same order, so a row of the batch ends bit for bit where ``integrate`` from
-that start ends.  Single runs stay on tuples of Python floats: through numpy
-a batch of one costs more than ten times as much per step.
+(``states_at``, ``lv_states_at``).  ``_integrate_rows`` runs many starts
+together and keeps only where each ended (``estimate_basins``): its state is
+a tuple of numpy columns with one row per start, and every row keeps its own
+time, step size and step count and leaves the batch when it stops.  A row
+also stops, short of rest, once it lies in one of the caller's ratio boxes
+(``RatioBox``), regions proved to flow to one attractor.  Both loops use the
+same steppers and stop on the same tests in the same order, so a row that no
+box captures ends bit for bit where ``integrate`` from that start ends.
+Single runs stay on tuples of Python floats: through numpy a batch of one
+costs more than ten times as much per step.
 
 The step is a hand-rolled Dormand-Prince 5(4) under error control (_ABS_TOL,
 _REL_TOL, steps at most _MAX_STEP), or, for deterministic regression runs, a
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -393,23 +395,52 @@ def _drive(
                 return out_t, out_y, vel, "step-failure"
 
 
-_VERDICTS = ("converged", "max-time-reached", "step-failure")
+class RatioBox(NamedTuple):
+    """The shares ``x`` with ``x[ref] > 0`` and ``lo[k] * x[ref] <= x[k] <=
+    hi[k] * x[ref]`` for every ``k != ref``: a box in the ratios
+    u_k = x_k / x_ref.  ``basins.ratio_box`` builds one only where it proves
+    that every start inside flows to one attractor."""
+
+    ref: int
+    lo: tuple[float, float, float, float]
+    hi: tuple[float, float, float, float]
+
+
+def box_index(y: Sequence, boxes: Sequence[RatioBox]) -> np.ndarray:
+    """Index of the first of ``boxes`` that holds each row of ``y``, four
+    share columns (a tuple, or an array of shape (4, n)); -1 for a row in
+    none of them."""
+    found = np.full(len(y[0]), -1)
+    for i, b in enumerate(boxes):
+        xr = y[b.ref]
+        inside = xr > 0.0
+        for k in range(4):
+            if k != b.ref:
+                inside &= (b.lo[k] * xr <= y[k]) & (y[k] <= b.hi[k] * xr)
+        found[(found < 0) & inside] = i
+    return found
+
+
+_VERDICTS = ("converged", "max-time-reached", "step-failure", "certified")
 
 
 def _integrate_rows(
-    x0: np.ndarray, p: Params, cfg: IntegratorConfig,
+    x0: np.ndarray, p: Params, cfg: IntegratorConfig, boxes: Sequence[RatioBox] = (),
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
     """``integrate`` from every row of ``x0`` (shape (n, 4)) at once, keeping
     only the end: returns (final states (n, 4), verdicts, accepted steps).
 
-    Each row takes exactly the steps ``_drive`` takes to rest from the same
-    start and ends with the same state and verdict, bit for bit: the state is
-    a tuple of four numpy columns over the running rows, fed through the same
+    A row that lies in one of ``boxes``, at its start or after any accepted
+    step, stops there with the verdict "certified": the box proves where it
+    goes, and ``box_index`` of its final state names the box.  Every other
+    row takes exactly the steps ``_drive`` takes to rest from the same start
+    and ends with the same state and verdict, bit for bit: the state is a
+    tuple of four numpy columns over the running rows, fed through the same
     field and stage arithmetic, and each row keeps its own t, h and step
     count.  Step-size factors come from Python's ``**`` one row at a time,
     because numpy's vectorised power can differ from it in the last bit.
-    Rows leave the running set when they converge, reach max_time or fail a
-    step.  No samples are recorded.
+    Rows leave the running set when they are certified, converge, reach
+    max_time or fail a step.  No samples are recorded.
     """
 
     def f(y: tuple) -> tuple:
@@ -429,11 +460,13 @@ def _integrate_rows(
     failed = np.zeros(len(rows), dtype=bool)  # set by the previous iteration
     while rows.size:
         converged = np.abs(k1).max(axis=0) < _CONVERGED
-        stop = failed | converged | (t >= max_time)
+        certified = box_index(y, boxes) >= 0
+        stop = failed | certified | converged | (t >= max_time)
         if stop.any():
             done = rows[stop]
             final[done] = y[:, stop].T
-            verdict[done] = np.where(failed[stop], 2, np.where(converged[stop], 0, 1))
+            verdict[done] = np.select([failed[stop], certified[stop], converged[stop]],
+                                      [2, 3, 0], 1)
             steps[done] = n[stop]
             go = ~stop
             rows, y, k1, t, h, n = rows[go], y[:, go], k1[:, go], t[go], h[go], n[go]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from socgame import Params, validate
+from socgame import Params, coexistence_payoff, validate
 
 # canonical instances used throughout the suite
 SET_A = Params(alpha=2, beta=1, gamma=1, delta=1, epsilon=2, eta=0.5)
@@ -79,3 +79,35 @@ def draw():
 @pytest.fixture
 def simplex_point():
     return draw_simplex
+
+
+# each classifying quantity and face boundary, and how to put a point on it:
+# (parameter to move, its new value as a function of the point)
+SNAPS = {
+    "beta+delta": ("beta", lambda p: -p.delta),
+    "epsilon-gamma": ("gamma", lambda p: p.epsilon),
+    "beta*epsilon+gamma*delta": ("gamma", lambda p: -p.beta * p.epsilon / p.delta),
+    "alpha-eta": ("alpha", lambda p: p.eta),
+    "epsilon-eta": ("epsilon", lambda p: p.eta),
+    "max(beta,gamma)-eta": ("beta", lambda p: p.eta),
+    "epsilon-gamma+beta+delta": ("gamma", lambda p: p.epsilon + p.beta + p.delta),
+    "alpha+epsilon": ("alpha", lambda p: -p.epsilon),
+    "alpha+beta": ("beta", lambda p: -p.alpha),
+    "|beta|": ("beta", lambda p: 0.0),
+    "beta-eta": ("eta", lambda p: p.beta),
+    "eta-coex": ("eta", coexistence_payoff),
+    "eta-op_pay": ("eta", lambda p: p.alpha * p.epsilon / (p.alpha + p.epsilon)),
+    "eta-oh_pay": ("eta", lambda p: p.alpha * p.beta / (p.alpha + p.beta)),
+}
+
+
+def snapped(base: dict, snap) -> Params:
+    """``base`` moved onto the boundary named ``snap`` (if any, and if the
+    move is defined there)."""
+    if snap is not None:
+        name, value = SNAPS[snap]
+        try:
+            base = {**base, name: float(value(Params(**base)))}
+        except ZeroDivisionError:
+            pass
+    return Params(**base)

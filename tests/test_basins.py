@@ -1,10 +1,28 @@
-"""Monte Carlo basin-of-attraction estimates."""
+"""Monte Carlo basin-of-attraction estimates and the ratio boxes that
+certify a sample's attractor."""
+
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B
-from socgame import estimate_basins, sample_simplex
+from conftest import SET_A, SET_B, SET_C, SNAPS, admissible, draw_params, snapped
+from socgame import (
+    IntegratorConfig,
+    SimplexState,
+    StationaryState,
+    classify_global,
+    estimate_basins,
+    find_attractor,
+    integrate,
+    match_attractor,
+    sample_simplex,
+)
+from socgame.basins import ratio_box
+from socgame.model import payoff_rows
 
 
 class TestSampleSimplex:
@@ -69,3 +87,92 @@ class TestEstimateBasins:
         for entry in d["basins"].values():
             assert set(entry) == {"count", "fraction", "stderr"}
             assert entry["fraction"] == pytest.approx(entry["count"] / 100)
+
+    @pytest.mark.parametrize("p", [SET_A, SET_B, SET_C], ids=["A", "B", "C"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_counts_equal_per_start_tally(self, p, seed):
+        # a certified sample must get the label its run to rest would get
+        assert dict(estimate_basins(p, 200, seed=seed).counts) == per_start_tally(p, 200, seed)
+
+    def test_short_horizon_leaves_fewer_unresolved(self):
+        # a certified sample is labelled even where max_time stops its run
+        # before it settles within the match tolerance
+        cfg = IntegratorConfig(max_time=10.0)
+        short = dict(estimate_basins(SET_B, 300, seed=4, cfg=cfg).counts)
+        full = dict(estimate_basins(SET_B, 300, seed=4).counts)
+        tally = per_start_tally(SET_B, 300, 4, cfg)
+        for label in ("O", "N", "H+P"):
+            assert tally[label] <= short[label] <= full[label]
+        assert short["unresolved"] < tally["unresolved"]
+
+
+def per_start_tally(p, n, seed, cfg=None):
+    """``find_attractor`` counts over ``estimate_basins``'s starts."""
+    attractors = classify_global(p).global_attractors
+    tally = {a.label: 0 for a in attractors}
+    tally["unresolved"] = 0
+    for row in sample_simplex(n, seed).tolist():
+        hit = find_attractor(SimplexState(*row), p, cfg, attractors=attractors)
+        tally[hit.label if hit is not None else "unresolved"] += 1
+    return tally
+
+
+def box_points(box, rng):
+    """Shares at every corner of ``box``, at one point on each of its faces
+    and at two inside it; off-support ratios are exactly 0 on their lower
+    faces."""
+    others = [k for k in range(4) if k != box.ref]
+    us = [dict(zip(others, c)) for c in itertools.product(*((box.lo[k], box.hi[k]) for k in others))]
+    inside = [{k: rng.uniform(box.lo[k], box.hi[k]) for k in others} for _ in range(2 + 2 * len(others))]
+    for i, k in enumerate(others):  # pin one coordinate of each face draw to that face
+        inside[i][k] = box.lo[k]
+        inside[i + len(others)][k] = box.hi[k]
+    out = []
+    for u in us + inside:
+        u = [1.0 if k == box.ref else u[k] for k in range(4)]
+        out.append(SimplexState(*(v / sum(u) for v in u)))
+    return out
+
+
+SLOW_MARGIN = 0.05
+
+
+class TestRatioBoxes:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
+           snap=st.sampled_from((None,) + tuple(SNAPS)),
+           offset=st.sampled_from((0.05, -0.05, 0.02, -0.02)))
+    def test_starts_in_a_box_reach_its_attractor(self, seed, branch, snap, offset):
+        # Near-boundary points (one classifying quantity moved onto its zero,
+        # then off it by ``offset``) give slow attractors and narrow boxes.
+        # Every other quantity stays SLOW_MARGIN from zero: nearer, the
+        # slowest rates fall so low that the oracle run to rest does not
+        # resolve within its max_time.
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng, branch, SLOW_MARGIN)
+        if snap is not None:
+            name = SNAPS[snap][0]
+            q = snapped(p.as_dict(), snap)
+            q = replace(q, **{name: getattr(q, name) + offset})
+            p = q if admissible(q, abs(offset) / 2) else p
+        attractors = classify_global(p).global_attractors
+        A = payoff_rows(p)
+        for a in attractors:
+            box = ratio_box(a, A)
+            assert box is not None, (p, a.label)
+            for x0 in box_points(box, rng):
+                hit = match_attractor(integrate(x0, p).final_state, attractors)
+                assert hit is not None and hit.label == a.label, (p, a.label, x0)
+
+    def test_box_needs_the_support_ratio_to_rise_on_its_lower_face(self):
+        # In this game the H-P rates ignore the O and N shares, so the lower
+        # face of an H+P box always passes; this matrix (not a game payoff)
+        # makes O pull the H/P ratio down, so every lower face fails while
+        # the other corner conditions hold from tau = 1/2 down.
+        A = [[-5.0, 0.0, -5.0, 0.0],
+             [-2.0, -1.5, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, -1.0, -1.0]]
+        hp = StationaryState("H+P", "edge-interior", SimplexState(0.0, 0.4, 0.6, 0.0),
+                             ("H", "P"), 0.0, (), "attractive")
+        assert ratio_box(hp, A) is None

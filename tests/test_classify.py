@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, SET_C, SET_D, draw_params
+from conftest import SET_A, SET_B, SET_C, SET_D, SNAPS, draw_params, snapped
 from socgame import (
     DegenerateParameterError,
     NonStationaryPointError,
@@ -375,26 +375,6 @@ PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
 PARAM_RANGES = {"alpha": (-0.5, 3.0), "beta": (-3.0, 2.5), "gamma": (-1.0, 3.5),
                 "delta": (-0.5, 2.0), "epsilon": (-0.5, 3.0), "eta": (-0.2, 1.5)}
 
-# each classifying quantity and face boundary, and how to put a point on it:
-# (parameter to move, its new value as a function of the point)
-SNAPS = {
-    "beta+delta": ("beta", lambda p: -p.delta),
-    "epsilon-gamma": ("gamma", lambda p: p.epsilon),
-    "beta*epsilon+gamma*delta": ("gamma", lambda p: -p.beta * p.epsilon / p.delta),
-    "alpha-eta": ("alpha", lambda p: p.eta),
-    "epsilon-eta": ("epsilon", lambda p: p.eta),
-    "max(beta,gamma)-eta": ("beta", lambda p: p.eta),
-    "epsilon-gamma+beta+delta": ("gamma", lambda p: p.epsilon + p.beta + p.delta),
-    "alpha+epsilon": ("alpha", lambda p: -p.epsilon),
-    "alpha+beta": ("beta", lambda p: -p.alpha),
-    "|beta|": ("beta", lambda p: 0.0),
-    "beta-eta": ("eta", lambda p: p.beta),
-    "eta-coex": ("eta", coexistence_payoff),
-    "eta-op_pay": ("eta", lambda p: p.alpha * p.epsilon / (p.alpha + p.epsilon)),
-    "eta-oh_pay": ("eta", lambda p: p.alpha * p.beta / (p.alpha + p.beta)),
-}
-
-
 # the planar portrait number of each panel
 FIGURE_PP = {"2a": 7, "2b": 35, "2c": 9, "2d": 37, "2e": 11, "2f": 36,
              "3a": 7, "3b": 35, "3c": 9, "3d": 37, "3e": 11, "3f": 36,
@@ -451,18 +431,6 @@ def point_row(p, tol):
         if not degenerate:
             n_att = str(len(rep.global_attractors))
     return ["1" if valid else "0", "1" if degenerate else "0", v.branch or ""] + figures + [n_att]
-
-
-def snapped(base: dict, snap) -> Params:
-    """``base`` moved onto the boundary named ``snap`` (if any, and if the
-    move is defined there)."""
-    if snap is not None:
-        name, value = SNAPS[snap]
-        try:
-            base = {**base, name: float(value(Params(**base)))}
-        except ZeroDivisionError:
-            pass
-    return Params(**base)
 
 
 @st.composite
