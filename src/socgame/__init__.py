@@ -4,10 +4,10 @@ Four strategies (offline-only, online-uncivil, online-polite, isolation)
 compete under replicator dynamics on the 3-simplex.  The package provides:
 
 * closed-form admissibility checks, Nash vertices and dominance relations,
-* the replicator flow and its Lotka-Volterra conjugate, with a
-  simplex-preserving adaptive integrator,
+* the replicator flow and its Jacobian, with a simplex-preserving adaptive
+  integrator,
 * analytic classification of every boundary face's dynamic regime and of the
-  global attractor set, cross-checkable against a numeric Jacobian oracle,
+  global attractor set,
 * welfare ranking of the attractors (isolation is always strictly worst),
 * Monte Carlo basin-of-attraction estimates,
 * a CLI (``socgame``) with JSON/CSV/SVG reporting.
@@ -17,8 +17,6 @@ from .basins import BasinReport, estimate_basins, find_attractor, sample_simplex
 from .classify import (
     EdgeRegime,
     InfeasibleLocationError,
-    NonStationaryPointError,
-    NormalizedMatrix,
     RegimeReport,
     StationaryState,
     classify_edge_SH,
@@ -30,26 +28,15 @@ from .classify import (
     face_interior_state,
     face_states,
     full_interior_state,
-    normalize_matrix,
-    numeric_jacobian,
     vertex_eigensigns,
 )
 from .dynamics import (
-    ChartDomainError,
     IntegrationError,
     IntegratorConfig,
-    LVState,
     Trajectory,
-    face_rhs,
-    from_lv,
     integrate,
-    lv_rhs_2d,
-    lv_rhs_3d,
-    lv_states_at,
     match_attractor,
-    replicator_rhs,
     states_at,
-    to_lv,
 )
 from .model import (
     DEFAULT_TOL,
@@ -59,7 +46,6 @@ from .model import (
     Params,
     SimplexState,
     ValidationReport,
-    average_payoff,
     coexistence_payoff,
     dominance_relations,
     nash_vertices,
@@ -73,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasinReport",
-    "ChartDomainError",
     "IntegrationError",
     "DEFAULT_TOL",
     "DegenerateParameterError",
@@ -81,9 +66,6 @@ __all__ = [
     "InfeasibleLocationError",
     "IntegratorConfig",
     "InvalidParameterError",
-    "LVState",
-    "NonStationaryPointError",
-    "NormalizedMatrix",
     "OrderingViolationError",
     "Params",
     "RegimeReport",
@@ -93,7 +75,6 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "WelfareReport",
-    "average_payoff",
     "classify_edge_SH",
     "classify_edge_SN",
     "classify_edge_SO",
@@ -104,26 +85,17 @@ __all__ = [
     "edge_interior_states",
     "estimate_basins",
     "face_interior_state",
-    "face_rhs",
     "face_states",
     "find_attractor",
-    "from_lv",
     "full_interior_state",
     "integrate",
-    "lv_rhs_2d",
-    "lv_rhs_3d",
-    "lv_states_at",
     "match_attractor",
     "nash_vertices",
-    "normalize_matrix",
-    "numeric_jacobian",
     "payoff_matrix",
     "payoff_vector",
-    "replicator_rhs",
     "sample_simplex",
     "stationary_payoff",
     "states_at",
-    "to_lv",
     "validate",
     "vertex_eigensigns",
     "welfare_report",

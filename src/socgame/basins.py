@@ -4,11 +4,13 @@ Starts are drawn uniformly from the simplex (flat Dirichlet: four standard
 exponentials, normalized) and integrated together as one numpy batch in this
 process.  Each global attractor that admits one gets a ratio box
 (``ratio_box``), a region proved to flow to it; a sample stops as soon as it
-enters a box and is labelled by that proof.  The other samples run to rest
-and are matched against the classified global attractors.  Fractions come
-with binomial standard errors; runs that fail to resolve to any classified
-attractor are tallied separately rather than discarded, so the fractions
-always account for every sample.
+enters a box.  The other samples run to rest.  Every finished run, here or
+in ``find_attractor`` and the CLI's ``simulate``, is labelled by one rule
+(``label_runs``): by the box that holds its end state, else as unresolved
+after a step failure, else by matching the classified global attractors.
+Fractions come with binomial standard errors; runs that fail to resolve to
+any classified attractor are tallied separately rather than discarded, so
+the fractions always account for every sample.
 """
 
 from __future__ import annotations
@@ -131,6 +133,42 @@ def _certifies(A: list[list], ref: int, support: list[int], lo: list, hi: list) 
     return True
 
 
+def attractor_boxes(attractors: Sequence[StationaryState],
+                    p: Params) -> list[tuple[StationaryState, RatioBox]]:
+    """Each of ``attractors`` that admits a ratio box, paired with its box."""
+    A = payoff_rows(p)
+    return [(a, box) for a in attractors if (box := ratio_box(a, A)) is not None]
+
+
+def label_runs(
+    finals,
+    verdicts: Sequence[str],
+    attractors: Sequence[StationaryState],
+    boxed: Sequence[tuple[StationaryState, RatioBox]],
+    match_tol: float = 1e-6,
+) -> list[StationaryState | None]:
+    """Name the global attractor each finished run reached, or None.
+
+    ``finals`` holds the runs' end states, shape (n, 4), and ``verdicts``
+    their verdicts.  A run is labelled, in this order: by the attractor of
+    the first of ``boxed`` (as ``attractor_boxes`` gives them) whose box
+    holds its end state, whatever its verdict, since the box proves where
+    the flow goes from there; as unresolved (None) after a step failure;
+    else by ``match_attractor`` within ``match_tol``.
+    """
+    finals = np.asarray(finals, dtype=float)
+    owner = box_index(tuple(finals.T), [box for _, box in boxed]).tolist()
+    out: list[StationaryState | None] = []
+    for row, verdict, i in zip(finals.tolist(), verdicts, owner):
+        if i >= 0:
+            out.append(boxed[i][0])
+        elif verdict == "step-failure":
+            out.append(None)
+        else:
+            out.append(match_attractor(SimplexState(*row), attractors, match_tol))
+    return out
+
+
 def find_attractor(
     x0: SimplexState,
     p: Params,
@@ -141,17 +179,15 @@ def find_attractor(
 ):
     """Integrate from ``x0`` and name the global attractor it reached.
 
-    Returns the matching StationaryState (max-norm distance below
-    ``match_tol``) or None when the run did not resolve to any classified
-    attractor.  Pass ``attractors`` to reuse a classification across many
-    starts.
+    Returns the StationaryState ``label_runs`` names for the run's end, or
+    None when the run did not resolve to any classified attractor.  Pass
+    ``attractors`` to reuse a classification across many starts.
     """
     if attractors is None:
         attractors = classify_global(p, tol).global_attractors
     traj = integrate(x0, p, cfg)
-    if traj.verdict == "step-failure":
-        return None
-    return match_attractor(traj.final_state, attractors, match_tol)
+    return label_runs([traj.final_state.as_tuple()], [traj.verdict], attractors,
+                      attractor_boxes(attractors, p), match_tol)[0]
 
 
 def estimate_basins(
@@ -166,31 +202,22 @@ def estimate_basins(
     """Estimate the attraction basin of each global attractor.
 
     All samples run in one batch.  A sample that enters the ratio box of an
-    attractor (``ratio_box``) stops there and is labelled by that proof, even
-    where a short ``cfg.max_time`` would have stopped it farther than
-    ``match_tol`` from the attractor, so a short horizon leaves fewer samples
-    unresolved than a run to rest would.  Every other sample runs to rest and
-    is labelled exactly as ``find_attractor`` would label it: a step failure
-    is unresolved, any other end state is matched.  ``jobs`` is accepted and
-    ignored: the batch runs in this process.
+    attractor (``ratio_box``) stops there; every other sample runs to rest.
+    Each is labelled by ``label_runs``, as ``find_attractor`` labels a run
+    from the same start with the same ``cfg``.  A short ``cfg.max_time``
+    therefore leaves unresolved only the samples that end outside every box
+    and farther than ``match_tol`` from every attractor.  ``jobs`` is
+    accepted and ignored: the batch runs in this process.
     """
     attractors = classify_global(p, tol).global_attractors
     cfg = cfg if cfg is not None else IntegratorConfig()
-    A = payoff_rows(p)
-    boxed = [(a, box) for a in attractors if (box := ratio_box(a, A)) is not None]
-    boxes = [b for _, b in boxed]
-    finals, verdicts, _ = _integrate_rows(sample_simplex(n, seed), p, cfg, boxes)
+    boxed = attractor_boxes(attractors, p)
+    finals, verdicts, _ = _integrate_rows(sample_simplex(n, seed), p, cfg,
+                                          [box for _, box in boxed])
 
     counts = {a.label: 0 for a in attractors}
     counts["unresolved"] = 0
-    owner = box_index(tuple(finals.T), boxes).tolist()
-    for row, verdict, i in zip(finals.tolist(), verdicts, owner):
-        if verdict == "certified":
-            hit = boxed[i][0]
-        elif verdict == "step-failure":
-            hit = None
-        else:
-            hit = match_attractor(SimplexState(*row), attractors, match_tol)
+    for hit in label_runs(finals, verdicts, attractors, boxed, match_tol):
         counts[hit.label if hit is not None else "unresolved"] += 1
     return BasinReport(
         sample_count=n,

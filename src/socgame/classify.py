@@ -23,8 +23,9 @@ it:
   inside every boundary face containing it.
 
 The sign tables leave one question open, the stability type of interior
-states: it is read off a finite-difference Jacobian (``numeric_jacobian``),
-which also serves as the independent oracle for the analytic signs in tests.
+states: it is read off the eigenvalues of the replicator flow's analytic
+Jacobian (``dynamics.replicator_jacobian``) in the chart of the face, or of
+the whole simplex, that holds the state.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,19 +55,15 @@ from .model import (
     require_valid,
     validate,
 )
-from .dynamics import LVState, lv_rhs_2d, orthant_field, replicator_field
+from .dynamics import replicator_jacobian
 from .welfare import WelfareReport, check_orderings, supported_payoffs, welfare_report
 
-# numeric eigenvalues closer to zero than this get the "degenerate" sign
+# interior-state eigenvalues closer to zero than this get the "degenerate" sign
 SIGN_TOL = 1e-7
 
 # boundary faces named by the strategy that is absent
 FACES = ("S_N", "S_O", "S_H", "S_P")
 FACE_ABSENT = {"S_N": 3, "S_O": 0, "S_H": 1, "S_P": 2}
-
-
-class NonStationaryPointError(ValueError):
-    """numeric_jacobian was handed a point the flow does not fix."""
 
 
 class InfeasibleLocationError(ValueError):
@@ -88,36 +85,6 @@ def _stability(signs: Sequence[tuple[str, str]]) -> str:
     if vals == {"+"}:
         return "repulsive"
     return "saddle"
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """Payoff matrix of the no-isolation face with each column shifted so the
-    offline row is zero; planar sign conditions read directly off a..f::
-
-        O   0  0  0
-        H   a  b  c
-        P   d  e  f
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([
-            [0.0, 0.0, 0.0],
-            [self.a, self.b, self.c],
-            [self.d, self.e, self.f],
-        ])
-
-
-def normalize_matrix(p: Params) -> NormalizedMatrix:
-    return NormalizedMatrix(a=-p.alpha, b=p.beta, c=p.gamma,
-                            d=-p.alpha, e=-p.delta, f=p.epsilon)
 
 
 @dataclass(frozen=True)
@@ -298,9 +265,19 @@ def edge_interior_states(p: Params, tol: float = DEFAULT_TOL) -> list[Stationary
     return [s for s in _Inventory(p, tol).face("S_N") if s.kind == "edge-interior"]
 
 
+def _interior_signs(name: str, x: Sequence[float], p: Params,
+                    active: tuple[int, ...]) -> tuple[tuple[str, str], ...]:
+    """Eigen signs of the flow at the rest point ``x`` in the chart of
+    ``active``, sorted by real part and labelled ``<name> eig <k>``."""
+    eigs = np.linalg.eigvals(replicator_jacobian(x, p, active))
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    return tuple((f"{name} eig {i + 1}", _sign(float(ev.real), SIGN_TOL))
+                 for i, ev in enumerate(eigs))
+
+
 def _face_interior_state(p: Params, face: str, tol: float) -> StationaryState | None:
     """Rest point inside ``face``, if the equal-payoff solve lands there.
-    Stability is read off the finite-difference Jacobian of the face flow."""
+    Stability is read off the Jacobian of the face flow."""
     active = tuple(i for i in range(4) if i != FACE_ABSENT[face])
     A = payoff_matrix(p)
     # equal payoffs among the three actives, shares sum to 1
@@ -318,10 +295,7 @@ def _face_interior_state(p: Params, face: str, tol: float) -> StationaryState | 
     xs = [0.0] * 4
     for s_idx, share in zip(active, sol):
         xs[s_idx] = float(share)
-    eigs = _sorted_eigs(fd_jacobian(face_reduced_rhs(p, active), (xs[active[0]], xs[active[1]])))
-    signs = tuple(
-        (f"face eig {i + 1}", _sign(float(ev.real), SIGN_TOL)) for i, ev in enumerate(eigs)
-    )
+    signs = _interior_signs("face", xs, p, active)
     support = tuple(STRATEGIES[i] for i in active)
     return _state("+".join(support), "face-interior", SimplexState(*xs), support,
                   float(A[active[0]] @ np.array(xs)), signs)
@@ -332,8 +306,8 @@ def face_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
 
     Exists exactly when beta*epsilon+gamma*delta, alpha*(beta+delta) and
     alpha*(epsilon-gamma) share one strict sign.  Location solves the equal-
-    payoff system; stability is read off the numeric Jacobian of the face
-    flow (the sign tables do not cover this point).
+    payoff system; stability is read off the Jacobian of the face flow (the
+    sign tables do not cover this point).
     """
     require_valid(p, tol)
     exprs = (
@@ -355,10 +329,13 @@ def face_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
 def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
     """Stationary state interior to the whole simplex, if any.
 
-    All four payoffs equal the fallback eta there.  In orthant coordinates it
-    always carries the strictly positive eigenvalue eta*w, so it is never
-    attractive; the full sign pattern is read off the numeric Jacobian of the
-    orthant system.
+    All four payoffs equal the fallback eta there.  It always carries a
+    strictly positive eigenvalue (eta*w in the ratio chart w = x4/x1), so it
+    is never attractive; the full sign pattern is read off the Jacobian of
+    the flow on the whole simplex.  The ``orthant eig`` labels name the same
+    signs the ratio chart gives: the two Jacobians differ by a change of
+    coordinates and a positive time scale, which keep every sign and the
+    order by real part.
     """
     require_valid(p, tol)
     x1 = p.eta / p.alpha
@@ -371,95 +348,8 @@ def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
         raise DegenerateParameterError("full-interior state on a boundary face")
     if any(v < 0.0 for v in coords):
         return None
-    lv = LVState(x2 / x1, x3 / x1, x4 / x1)
-    eigs = numeric_jacobian(lv, p, system="lv-3d")
-    esigns = tuple(
-        (f"orthant eig {i + 1}", _sign(float(ev.real), SIGN_TOL)) for i, ev in enumerate(eigs)
-    )
     return _state("O+H+P+N", "full-interior", SimplexState(*coords), ("O", "H", "P", "N"),
-                  p.eta, esigns)
-
-
-# ---------------------------------------------------------------------------
-# numeric Jacobian oracle
-
-
-def fd_jacobian(f: Callable[[tuple[float, ...]], tuple[float, ...]],
-                u: tuple[float, ...], step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``u``."""
-    n = len(u)
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = step * max(1.0, abs(u[j]))
-        up = list(u)
-        um = list(u)
-        up[j] += h
-        um[j] -= h
-        fp = f(tuple(up))
-        fm = f(tuple(um))
-        for i in range(n):
-            jac[i, j] = (fp[i] - fm[i]) / (2.0 * h)
-    return jac
-
-
-def face_reduced_rhs(p: Params, active: tuple[int, int, int]):
-    """Flow on a boundary face in the coordinates of its first two actives;
-    the third share is 1 - u0 - u1 and the absent strategy is pinned at 0."""
-    i, j, k = active
-
-    def f(u: tuple[float, ...]) -> tuple[float, float]:
-        x = [0.0, 0.0, 0.0, 0.0]
-        x[i] = u[0]
-        x[j] = u[1]
-        x[k] = 1.0 - u[0] - u[1]
-        d = replicator_field(tuple(x), p)
-        return (d[i], d[j])
-
-    return f
-
-
-def _sorted_eigs(jac: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvals(jac)
-    order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order]
-
-
-def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
-                     step: float = 1e-6,
-                     stationarity_tol: float = 1e-10) -> np.ndarray:
-    """Finite-difference Jacobian eigenvalues at a stationary point.
-
-    system: "replicator-face" (SimplexState on the x4=0 face, reduced to two
-    coordinates), "lv-2d" (LVState, planar orthant system), or "lv-3d"
-    (LVState, full orthant system).  Eigenvalues come back sorted by real
-    part.  Raises if the point is not stationary within ``stationarity_tol``.
-    """
-    if system == "replicator-face":
-        if not isinstance(loc, SimplexState):
-            raise TypeError("replicator-face expects a SimplexState")
-        if loc.x4 != 0.0:
-            raise ValueError("replicator-face expects a state on the x4=0 face")
-        f = face_reduced_rhs(p, (0, 1, 2))
-        u: tuple[float, ...] = (loc.x1, loc.x2)
-    elif system == "lv-2d":
-        if not isinstance(loc, LVState):
-            raise TypeError("lv-2d expects an LVState")
-        f = lambda u: lv_rhs_2d(u[0], u[1], p)
-        u = (loc.y, loc.z)
-    elif system == "lv-3d":
-        if not isinstance(loc, LVState):
-            raise TypeError("lv-3d expects an LVState")
-        f = lambda u: orthant_field(u, p)
-        u = loc.as_tuple()
-    else:
-        raise ValueError(f"unknown system {system!r}")
-
-    resid = max(abs(v) for v in f(u))
-    if resid > stationarity_tol:
-        raise NonStationaryPointError(
-            f"point is not stationary for {system}: RHS max-norm {resid:.3e}"
-        )
-    return _sorted_eigs(fd_jacobian(f, u, step))
+                  p.eta, _interior_signs("orthant", coords, p, (0, 1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +358,8 @@ def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
 
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
     """All stationary states on one boundary face: the inventory's vertex
-    and edge-interior states restricted to the face (analytic signs), then
-    the face-interior state if there is one (finite-difference signs).
+    and edge-interior states restricted to the face (closed-form signs),
+    then the face-interior state if there is one (Jacobian signs).
     """
     require_valid(p, tol)
     if face not in FACES:

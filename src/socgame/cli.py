@@ -19,15 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .basins import estimate_basins
+from .basins import attractor_boxes, estimate_basins, label_runs
 from .classify import _classify_validated, classify_global, classify_grid
-from .dynamics import (
-    IntegrationError,
-    IntegratorConfig,
-    decimal,
-    integrate,
-    match_attractor,
-)
+from .dynamics import IntegrationError, IntegratorConfig, decimal, integrate
 from .model import (
     BRANCHES,
     DEFAULT_TOL,
@@ -192,12 +186,11 @@ def cmd_simulate(rc: RunConfig) -> int:
     print(f"wrote {csv_path}")
     print(f"verdict: {traj.verdict} at t={decimal(traj.times[-1])} "
           f"(terminal velocity {traj.terminal_velocity:.3e})")
-    if traj.verdict == "step-failure":
-        print("unresolved")
-        return 4
-    hit = match_attractor(traj.final_state, report.global_attractors)
+    attractors = report.global_attractors
+    hit, = label_runs([traj.final_state.as_tuple()], [traj.verdict], attractors,
+                      attractor_boxes(attractors, p))
     print(hit.label if hit is not None else "unresolved")
-    return 0
+    return 4 if traj.verdict == "step-failure" else 0
 
 
 def cmd_sweep(rc: RunConfig) -> int:

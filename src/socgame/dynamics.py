@@ -1,40 +1,27 @@
-"""Population dynamics: replicator flow on the simplex, its Lotka-Volterra
-conjugate on the positive orthant, and the integrators used to drive both.
+"""Population dynamics: the replicator flow on the simplex, its Jacobian, and
+the integrators that drive it.
 
-The replicator flow on shares ``x`` is ``dx_i/dt = x_i (P_i - Pbar)``.  On
-the chart ``x1 > 0`` the coordinate change ``(y, z, w) = (x2, x3, x4) / x1``
-turns it into a polynomial Lotka-Volterra system (up to a time change that
-does not affect orbits or stationarity)::
-
-    dy/dt = y (-alpha + beta * y + gamma * z)
-    dz/dt = z (-alpha - delta * y + epsilon * z)
-    dw/dt = w (-alpha + eta * (1 + y + z + w))
-
-The (y, z) pair closes on itself, which is what makes the planar phase
-portrait analysis of the no-isolation face tractable; the two systems are
-integrated independently here so the conjugacy can be *checked*, not assumed.
-The bare orthant field above runs on its own clock: it generates the same
-orbits as the share dynamics at velocity 1/x1.  For trajectory comparison at
-equal times, ``lv_states_at`` integrates the field scaled by
-x1 = 1/(1 + y + z + w), which is the ratio dynamics on the share clock.
-Scaling also removes the finite-time escape to infinity the bare field has
-along rays where the quadratic terms reinforce (reached only as t -> inf on
-the share clock).
+The replicator flow on shares ``x`` is ``dx_i/dt = x_i (P_i - Pbar)``, with
+payoffs ``P = A x`` and mean ``Pbar = x . A x``.  Its Jacobian has the closed
+form ``J_ij = delta_ij (P_i - Pbar) + x_i (A_ij - P_j - (A^T x)_j)``
+(Hofbauer & Sigmund 1998, ch. 7); ``replicator_jacobian`` gives it in the
+chart of a face or of the whole simplex, where the stability of interior
+rest points and the portrait's saddle directions are read off.
 
 Integration runs through one of two loops, chosen by what the caller asks
 for.  ``_drive`` follows one path with its samples: it either runs to rest
 (``integrate``: sample every accepted step, stop when max|dx/dt| falls below
 _CONVERGED or at the caller's max_time) or lands on requested times
-(``states_at``, ``lv_states_at``).  ``_integrate_rows`` runs many starts
-together and keeps only where each ended (``estimate_basins``): its state is
-a tuple of numpy columns with one row per start, and every row keeps its own
-time, step size and step count and leaves the batch when it stops.  A row
-also stops, short of rest, once it lies in one of the caller's ratio boxes
-(``RatioBox``), regions proved to flow to one attractor.  Both loops use the
-same steppers and stop on the same tests in the same order, so a row that no
-box captures ends bit for bit where ``integrate`` from that start ends.
-Single runs stay on tuples of Python floats: through numpy a batch of one
-costs more than ten times as much per step.
+(``states_at``).  ``_integrate_rows`` runs many starts together and keeps
+only where each ended (``estimate_basins``): its state is a tuple of numpy
+columns with one row per start, and every row keeps its own time, step size
+and step count and leaves the batch when it stops.  A row also stops, short
+of rest, once it lies in one of the caller's ratio boxes (``RatioBox``),
+regions proved to flow to one attractor.  Both loops use the same steppers
+and stop on the same tests in the same order, so a row that no box captures
+ends bit for bit where ``integrate`` from that start ends.  Single runs stay
+on tuples of Python floats: through numpy a batch of one costs more than ten
+times as much per step.
 
 The step is a hand-rolled Dormand-Prince 5(4) under error control (_ABS_TOL,
 _REL_TOL, steps at most _MAX_STEP), or, for deterministic regression runs, a
@@ -58,36 +45,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Params, SimplexState
+from .model import Params, SimplexState, payoff_rows
 
 _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
 
 
-class ChartDomainError(ValueError):
-    """State outside the x1 > 0 chart where the orthant coordinates live."""
-
-
 class IntegrationError(RuntimeError):
     """Adaptive step size underflowed before reaching a requested time."""
-
-
-@dataclass(frozen=True)
-class LVState:
-    """Point (y, z, w) in the closed positive orthant."""
-
-    y: float
-    z: float
-    w: float
-
-    def __post_init__(self) -> None:
-        for name in ("y", "z", "w"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"orthant coordinate {name}={v!r} must be finite and >= 0")
-            object.__setattr__(self, name, v)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.y, self.z, self.w)
 
 
 # Integrator settings that no caller chooses.
@@ -116,7 +80,7 @@ class IntegratorConfig:
 
     Step sizes, tolerances, the convergence threshold and the extinction
     floor are module constants.  Runs that sample at requested times
-    (``states_at``, ``lv_states_at``) always use rk45 and have no horizon.
+    (``states_at``) always use rk45 and have no horizon.
     """
 
     method: str = "rk45"
@@ -164,7 +128,9 @@ def decimal(v: float) -> str:
 
 
 def replicator_field(x: tuple[float, ...], p: Params) -> tuple[float, float, float, float]:
-    # no simplex checks here: finite-difference probes step slightly outside
+    """Time derivative of the shares ``x``: growth proportional to payoff
+    advantage over the population mean.  No simplex checks, so the stage
+    states of a step may stray slightly off it."""
     x1, x2, x3, x4 = x
     po = p.alpha * x1
     ph = p.beta * x2 + p.gamma * x3
@@ -174,52 +140,22 @@ def replicator_field(x: tuple[float, ...], p: Params) -> tuple[float, float, flo
     return (x1 * (po - avg), x2 * (ph - avg), x3 * (pp - avg), x4 * (pn - avg))
 
 
-def replicator_rhs(state: SimplexState, p: Params) -> tuple[float, float, float, float]:
-    """Time derivative of the shares at ``state``: growth proportional to
-    payoff advantage over the population mean."""
-    return replicator_field(state.as_tuple(), p)
+def replicator_jacobian(x: Sequence[float], p: Params,
+                        active: Sequence[int] = (0, 1, 2, 3)) -> np.ndarray:
+    """Jacobian of ``replicator_field`` at ``x`` in the chart of ``active``.
 
-
-def face_rhs(state: SimplexState, p: Params) -> tuple[float, float, float]:
-    """Replicator derivative restricted to the no-isolation face (x4 = 0)."""
-    if state.x4 != 0.0:
-        raise ValueError(f"state has x4={state.x4!r}, not on the x4=0 face")
-    d = replicator_field(state.as_tuple(), p)
-    return (d[0], d[1], d[2])
-
-
-def lv_rhs_2d(y: float, z: float, p: Params) -> tuple[float, float]:
-    """Planar orthant system for (y, z) = (x2, x3) / x1; closed in itself."""
-    return (
-        y * (-p.alpha + p.beta * y + p.gamma * z),
-        z * (-p.alpha - p.delta * y + p.epsilon * z),
-    )
-
-
-def orthant_field(u: tuple[float, ...], p: Params) -> tuple[float, float, float]:
-    """Full orthant system on a bare (y, z, w) tuple; no orthant checks here,
-    so finite-difference probes may step slightly outside."""
-    y, z, w = u
-    dy, dz = lv_rhs_2d(y, z, p)
-    return (dy, dz, w * (-p.alpha + p.eta * (1.0 + y + z + w)))
-
-
-def lv_rhs_3d(state: LVState, p: Params) -> tuple[float, float, float]:
-    """Full orthant system; first two components are exactly lv_rhs_2d."""
-    return orthant_field(state.as_tuple(), p)
-
-
-def to_lv(state: SimplexState) -> LVState:
-    """Chart map x -> (x2, x3, x4)/x1.  Undefined where x1 = 0."""
-    if state.x1 <= 0.0:
-        raise ChartDomainError("orthant chart undefined at x1 = 0")
-    return LVState(state.x2 / state.x1, state.x3 / state.x1, state.x4 / state.x1)
-
-
-def from_lv(lv: LVState) -> SimplexState:
-    """Inverse chart map (y, z, w) -> (1, y, z, w) / (1 + y + z + w)."""
-    s = 1.0 + lv.y + lv.z + lv.w
-    return SimplexState(1.0 / s, lv.y / s, lv.z / s, lv.w / s)
+    The chart's coordinates are the shares of ``active[:-1]``; the last
+    active share is 1 minus their sum and every other share stays 0, so
+    ``active`` names a face (three strategies) or the whole simplex (four).
+    With J the full 4x4 Jacobian, J_ij = delta_ij (P_i - Pbar) + x_i (A_ij -
+    P_j - (A^T x)_j), the chart's is J[a, b] - J[a, last].
+    """
+    A = np.array(payoff_rows(p))
+    x = np.asarray(x, dtype=float)
+    pi = A @ x
+    jac = np.diag(pi - x @ pi) + x[:, None] * (A - pi - A.T @ x)
+    coords, last = list(active[:-1]), active[-1]
+    return jac[np.ix_(coords, coords)] - jac[coords, last][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +261,14 @@ def _project_rows(y: tuple) -> tuple:
 
 
 def _drive(
-    f: _RHS,
+    p: Params,
     y0: tuple[float, ...],
     method: str,
     max_time: float,
-    project: Callable[[tuple[float, ...]], tuple[float, ...]] | None,
     times: Sequence[float] | None = None,
 ) -> tuple[list[float], list[tuple[float, ...]], float, str]:
-    """The one integration loop; returns (times, states, velocity, verdict).
+    """The one integration loop of the replicator flow from the shares
+    ``y0``; returns (times, states, velocity, verdict).
 
     Without ``times`` the run goes to rest: it samples t=0 and every accepted
     step, and stops once max|dy/dt| falls below _CONVERGED ("converged") or
@@ -343,9 +279,13 @@ def _drive(
     control; "rk4" accepts every step of the fixed size _STEP and keeps its
     times at n * _STEP.  Too small a step ends the run with "step-failure",
     so fewer samples than ``times`` can come back.  ``velocity`` is
-    max|dy/dt| at the last state.  Each accepted state goes through
-    ``project`` before anything else sees it.
+    max|dy/dt| at the last state.  Each accepted state is projected back
+    onto the simplex (``_project_simplex``) before anything else sees it.
     """
+
+    def f(y: tuple) -> tuple:
+        return replicator_field(y, p)
+
     fixed = method == "rk4"
     step = _rk4_step if fixed else _dp_step
     h = _STEP if fixed else _FIRST_STEP
@@ -375,7 +315,7 @@ def _drive(
         if err <= 1.0:
             n += 1
             t = target if capped else (n * _STEP if fixed else t + h_try)
-            y = project(ynew) if project is not None else ynew
+            y = _project_simplex(ynew)
             k1 = f(y)
             if to_rest:
                 out_t.append(t)
@@ -512,42 +452,19 @@ def integrate(x0: SimplexState, p: Params, cfg: IntegratorConfig | None = None) 
     running out the clock and from step-size underflow.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
-    times, ys, vel, verdict = _drive(lambda y: replicator_field(y, p), x0.as_tuple(),
-                                     cfg.method, cfg.max_time, _project_simplex)
+    times, ys, vel, verdict = _drive(p, x0.as_tuple(), cfg.method, cfg.max_time)
     return Trajectory(tuple(times), tuple(SimplexState(*y) for y in ys), vel, verdict)
 
 
-def _sample(f: _RHS, y0: tuple[float, ...], project, times: Sequence[float]) -> list:
-    """rk45 states at ``times``; IntegrationError if the run fell short."""
+def states_at(x0: SimplexState, p: Params, times: Sequence[float]) -> list[SimplexState]:
+    """Replicator states at the given increasing times (t=0 allowed first),
+    from rk45 runs; IntegrationError if the step size underflows first."""
     times = list(times)
-    _, ys, _, _ = _drive(f, y0, "rk45", math.inf, project, times)
+    _, ys, _, _ = _drive(p, x0.as_tuple(), "rk45", math.inf, times)
     if len(ys) != len(times):
         raise IntegrationError(
             f"step underflow after {len(ys)} of {len(times)} requested times")
-    return ys
-
-
-def states_at(x0: SimplexState, p: Params, times: Sequence[float]) -> list[SimplexState]:
-    """Replicator states at the given increasing times (t=0 allowed first)."""
-    ys = _sample(lambda y: replicator_field(y, p), x0.as_tuple(), _project_simplex, times)
     return [SimplexState(*y) for y in ys]
-
-
-def lv_states_at(lv0: LVState, p: Params, times: Sequence[float]) -> list[LVState]:
-    """Orthant-coordinate states at the given times, on the share clock.
-
-    The bare orthant field traverses the same orbits at velocity 1/x1, so it
-    is scaled here by x1 = 1/(1 + y + z + w).  That makes the result directly
-    comparable, time for time, with a replicator run from the corresponding
-    start.  No simplex projection applies in this chart.
-    """
-
-    def f(u: tuple[float, ...]) -> tuple[float, float, float]:
-        dy, dz, dw = orthant_field(u, p)
-        s = 1.0 / (1.0 + u[0] + u[1] + u[2])
-        return (dy * s, dz * s, dw * s)
-
-    return [LVState(*u) for u in _sample(f, lv0.as_tuple(), None, times)]
 
 
 def match_attractor(state: SimplexState, attractors: Sequence, match_tol: float = 1e-6):

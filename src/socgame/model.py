@@ -193,13 +193,6 @@ def payoff_vector(state: SimplexState | Sequence, p: Params | "Columns") -> tupl
     )
 
 
-def average_payoff(state: SimplexState, p: Params) -> float:
-    """Population-mean payoff at ``state``."""
-    pi = payoff_vector(state, p)
-    x = state.as_tuple()
-    return x[0] * pi[0] + x[1] * pi[1] + x[2] * pi[2] + x[3] * pi[3]
-
-
 class Columns(NamedTuple):
     """The six parameters over many points at once, one numpy column each;
     the condition tables below are array expressions over them."""

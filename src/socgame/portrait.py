@@ -20,15 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (
-    FACE_ABSENT,
-    FACES,
-    classify_global,
-    face_reduced_rhs,
-    face_states,
-    fd_jacobian,
-)
-from .dynamics import decimal, states_at
+from .classify import FACE_ABSENT, FACES, classify_global, face_states
+from .dynamics import decimal, replicator_jacobian, states_at
 from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState
 
 _H = math.sqrt(3.0) / 2.0
@@ -84,7 +77,6 @@ def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
     """
     absent = FACE_ABSENT[face]
     active = tuple(i for i in range(4) if i != absent)
-    f_red = face_reduced_rhs(p, active)
     out: list[SimplexState] = []
     for s in states:
         if s.stability != "saddle" or s.kind == "vertex":
@@ -93,8 +85,7 @@ def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
             continue
         xs = s.location.as_tuple()
         u = (xs[active[0]], xs[active[1]])
-        jac = fd_jacobian(f_red, u)
-        vals, vecs = np.linalg.eig(jac)
+        vals, vecs = np.linalg.eig(replicator_jacobian(xs, p, active))
         for idx in np.argsort(-vals.real):
             if vals[idx].real <= 0.0:
                 break

@@ -111,3 +111,10 @@ def snapped(base: dict, snap) -> Params:
         except ZeroDivisionError:
             pass
     return Params(**base)
+
+
+# A B-minus point and a start whose run to rest ends max-time-reached at
+# t = 1000 with x4 = 1.7e-4, farther than the 1e-6 match tolerance from H+P,
+# though start and end both lie in the H+P ratio box.
+BOX_ONLY_P = draw_params(np.random.default_rng(1107407), "B-minus")
+BOX_ONLY_X0 = tuple(v / 0.999 for v in (0.0, 0.422, 0.573, 0.004))

@@ -1,0 +1,194 @@
+"""Independent oracles for the analytic results of ``socgame``.
+
+Nothing here is used by the package.  Tests check against it:
+
+* ``fd_jacobian``: a central-difference Jacobian of any field, and
+  ``reduced_field``, the replicator flow in the chart of a face or of the
+  whole simplex, for the analytic ``replicator_jacobian`` and eigen signs;
+* the Lotka-Volterra chart: on x1 > 0 the coordinates
+  ``(y, z, w) = (x2, x3, x4) / x1`` turn the replicator flow into a
+  polynomial system (up to a time change that keeps orbits and rest
+  points)::
+
+      dy/dt = y (-alpha + beta * y + gamma * z)
+      dz/dt = z (-alpha - delta * y + epsilon * z)
+      dw/dt = w (-alpha + eta * (1 + y + z + w))
+
+  The (y, z) pair closes on itself, the planar system of the no-isolation
+  face.  ``lv_states_at`` integrates the chart with scipy's ``solve_ivp``,
+  so the conjugacy test compares two integrators that share no code;
+* ``numeric_jacobian``: finite-difference eigenvalues at a rest point of
+  the face flow or of either chart system.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from socgame import Params, SimplexState
+from socgame.dynamics import replicator_field
+
+
+class ChartDomainError(ValueError):
+    """State outside the x1 > 0 chart where the orthant coordinates live."""
+
+
+class NonStationaryPointError(ValueError):
+    """numeric_jacobian was handed a point the flow does not fix."""
+
+
+@dataclass(frozen=True)
+class LVState:
+    """Point (y, z, w) in the closed positive orthant."""
+
+    y: float
+    z: float
+    w: float
+
+    def __post_init__(self) -> None:
+        for name in ("y", "z", "w"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v) or v < 0.0:
+                raise ValueError(f"orthant coordinate {name}={v!r} must be finite and >= 0")
+            object.__setattr__(self, name, v)
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.y, self.z, self.w)
+
+
+def to_lv(state: SimplexState) -> LVState:
+    """Chart map x -> (x2, x3, x4)/x1.  Undefined where x1 = 0."""
+    if state.x1 <= 0.0:
+        raise ChartDomainError("orthant chart undefined at x1 = 0")
+    return LVState(state.x2 / state.x1, state.x3 / state.x1, state.x4 / state.x1)
+
+
+def from_lv(lv: LVState) -> SimplexState:
+    """Inverse chart map (y, z, w) -> (1, y, z, w) / (1 + y + z + w)."""
+    s = 1.0 + lv.y + lv.z + lv.w
+    return SimplexState(1.0 / s, lv.y / s, lv.z / s, lv.w / s)
+
+
+def lv_rhs_2d(y: float, z: float, p: Params) -> tuple[float, float]:
+    """Planar orthant system for (y, z) = (x2, x3) / x1; closed in itself."""
+    return (
+        y * (-p.alpha + p.beta * y + p.gamma * z),
+        z * (-p.alpha - p.delta * y + p.epsilon * z),
+    )
+
+
+def orthant_field(u: Sequence[float], p: Params) -> tuple[float, float, float]:
+    """Full orthant system on a bare (y, z, w) triple; no orthant checks, so
+    finite-difference probes may step slightly outside."""
+    y, z, w = u
+    dy, dz = lv_rhs_2d(y, z, p)
+    return (dy, dz, w * (-p.alpha + p.eta * (1.0 + y + z + w)))
+
+
+def lv_rhs_3d(state: LVState, p: Params) -> tuple[float, float, float]:
+    """Full orthant system; first two components are exactly lv_rhs_2d."""
+    return orthant_field(state.as_tuple(), p)
+
+
+def lv_states_at(lv0: LVState, p: Params, times: Sequence[float]) -> list[LVState]:
+    """Orthant-coordinate states at the given increasing times, on the share
+    clock, from ``solve_ivp`` (DOP853, rtol 1e-12, atol 1e-13).
+
+    The bare orthant field traverses the replicator orbits at velocity 1/x1,
+    so it is scaled here by x1 = 1/(1 + y + z + w).  That makes the result
+    comparable, time for time, with a replicator run from the matching start.
+    """
+    times = [float(t) for t in times]
+    if not times:
+        return []
+
+    def f(_t: float, u: np.ndarray) -> list[float]:
+        s = 1.0 / (1.0 + u[0] + u[1] + u[2])
+        return [v * s for v in orthant_field(u, p)]
+
+    sol = solve_ivp(f, (0.0, times[-1]), lv0.as_tuple(), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-13)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    # the ratios decay toward 0 but never cross it; clip the solver's
+    # overshoot of a few 1e-15 below 0
+    return [LVState(*np.maximum(u, 0.0)) for u in sol.y.T]
+
+
+def fd_jacobian(f: Callable[[tuple[float, ...]], Sequence[float]],
+                u: Sequence[float], step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at ``u``."""
+    n = len(u)
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = step * max(1.0, abs(u[j]))
+        up = list(u)
+        um = list(u)
+        up[j] += h
+        um[j] -= h
+        fp = f(tuple(up))
+        fm = f(tuple(um))
+        for i in range(n):
+            jac[i, j] = (fp[i] - fm[i]) / (2.0 * h)
+    return jac
+
+
+def reduced_field(p: Params, active: Sequence[int]):
+    """Replicator flow in the chart of ``active``: the coordinates are the
+    shares of ``active[:-1]``, the last active share is 1 minus their sum,
+    and every other share is pinned at 0."""
+    coords, last = list(active[:-1]), active[-1]
+
+    def f(u: tuple[float, ...]) -> tuple[float, ...]:
+        x = [0.0] * 4
+        for k, v in zip(coords, u):
+            x[k] = v
+        x[last] = 1.0 - sum(u)
+        d = replicator_field(tuple(x), p)
+        return tuple(d[k] for k in coords)
+
+    return f
+
+
+def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
+                     step: float = 1e-6,
+                     stationarity_tol: float = 1e-10) -> np.ndarray:
+    """Finite-difference Jacobian eigenvalues at a stationary point.
+
+    system: "replicator-face" (SimplexState on the x4=0 face, reduced to two
+    coordinates), "lv-2d" (LVState, planar orthant system), or "lv-3d"
+    (LVState, full orthant system).  Eigenvalues come back sorted by real
+    part.  Raises if the point is not stationary within ``stationarity_tol``.
+    """
+    if system == "replicator-face":
+        if not isinstance(loc, SimplexState):
+            raise TypeError("replicator-face expects a SimplexState")
+        if loc.x4 != 0.0:
+            raise ValueError("replicator-face expects a state on the x4=0 face")
+        f = reduced_field(p, (0, 1, 2))
+        u: tuple[float, ...] = (loc.x1, loc.x2)
+    elif system == "lv-2d":
+        if not isinstance(loc, LVState):
+            raise TypeError("lv-2d expects an LVState")
+        f = lambda u: lv_rhs_2d(u[0], u[1], p)
+        u = (loc.y, loc.z)
+    elif system == "lv-3d":
+        if not isinstance(loc, LVState):
+            raise TypeError("lv-3d expects an LVState")
+        f = lambda u: orthant_field(u, p)
+        u = loc.as_tuple()
+    else:
+        raise ValueError(f"unknown system {system!r}")
+
+    resid = max(abs(v) for v in f(u))
+    if resid > stationarity_tol:
+        raise NonStationaryPointError(
+            f"point is not stationary for {system}: RHS max-norm {resid:.3e}"
+        )
+    eigs = np.linalg.eigvals(fd_jacobian(f, u, step))
+    return eigs[np.lexsort((eigs.imag, eigs.real))]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, draw_params
+from oracles import from_lv, lv_states_at, numeric_jacobian, to_lv
 from socgame import (
     IntegratorConfig,
     SimplexState,
@@ -22,17 +23,13 @@ from socgame import (
     coexistence_payoff,
     edge_interior_states,
     face_states,
-    from_lv,
     full_interior_state,
     integrate,
-    lv_states_at,
     match_attractor,
-    numeric_jacobian,
     payoff_vector,
     sample_simplex,
     states_at,
     stationary_payoff,
-    to_lv,
     vertex_eigensigns,
 )
 from socgame.cli import main as cli_main

@@ -89,10 +89,14 @@ class TestEstimateBasins:
             assert entry["fraction"] == pytest.approx(entry["count"] / 100)
 
     @pytest.mark.parametrize("p", [SET_A, SET_B, SET_C], ids=["A", "B", "C"])
-    @pytest.mark.parametrize("seed", [3, 8])
-    def test_counts_equal_per_start_tally(self, p, seed):
-        # a certified sample must get the label its run to rest would get
-        assert dict(estimate_basins(p, 200, seed=seed).counts) == per_start_tally(p, 200, seed)
+    @pytest.mark.parametrize("seed, max_time", [(3, None), (8, None), (3, 20.0)],
+                             ids=["3", "8", "3-t20"])
+    def test_counts_equal_per_start_tally(self, p, seed, max_time):
+        # a sample certified in the batch gets the label its own run gets,
+        # whether that run goes to rest or stops at a short max_time
+        cfg = IntegratorConfig(max_time=max_time) if max_time is not None else None
+        assert (dict(estimate_basins(p, 200, seed=seed, cfg=cfg).counts)
+                == per_start_tally(p, 200, seed, cfg))
 
     def test_short_horizon_leaves_fewer_unresolved(self):
         # a certified sample is labelled even where max_time stops its run
@@ -100,7 +104,7 @@ class TestEstimateBasins:
         cfg = IntegratorConfig(max_time=10.0)
         short = dict(estimate_basins(SET_B, 300, seed=4, cfg=cfg).counts)
         full = dict(estimate_basins(SET_B, 300, seed=4).counts)
-        tally = per_start_tally(SET_B, 300, 4, cfg)
+        tally = match_tally(SET_B, 300, 4, cfg)
         for label in ("O", "N", "H+P"):
             assert tally[label] <= short[label] <= full[label]
         assert short["unresolved"] < tally["unresolved"]
@@ -113,6 +117,19 @@ def per_start_tally(p, n, seed, cfg=None):
     tally["unresolved"] = 0
     for row in sample_simplex(n, seed).tolist():
         hit = find_attractor(SimplexState(*row), p, cfg, attractors=attractors)
+        tally[hit.label if hit is not None else "unresolved"] += 1
+    return tally
+
+
+def match_tally(p, n, seed, cfg):
+    """Counts over ``estimate_basins``'s starts when each run is labelled
+    only by matching its end state, with no ratio box."""
+    attractors = classify_global(p).global_attractors
+    tally = {a.label: 0 for a in attractors}
+    tally["unresolved"] = 0
+    for row in sample_simplex(n, seed).tolist():
+        tr = integrate(SimplexState(*row), p, cfg)
+        hit = None if tr.verdict == "step-failure" else match_attractor(tr.final_state, attractors)
         tally[hit.label if hit is not None else "unresolved"] += 1
     return tally
 

@@ -12,10 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, SET_C, SET_D, SNAPS, draw_params, snapped
+from conftest import SET_A, SET_B, SET_C, SET_D, SNAPS, draw_params, draw_simplex, snapped
+from oracles import (
+    NonStationaryPointError,
+    fd_jacobian,
+    numeric_jacobian,
+    reduced_field,
+    to_lv,
+)
 from socgame import (
     DegenerateParameterError,
-    NonStationaryPointError,
     SimplexState,
     classify_edge_SH,
     classify_edge_SN,
@@ -28,14 +34,12 @@ from socgame import (
     face_states,
     full_interior_state,
     nash_vertices,
-    normalize_matrix,
-    numeric_jacobian,
-    to_lv,
     validate,
     vertex_eigensigns,
 )
 from socgame.cli import main
-from socgame.classify import FACE_ABSENT, face_reduced_rhs, fd_jacobian
+from socgame.classify import FACE_ABSENT
+from socgame.dynamics import replicator_jacobian
 from socgame.model import Params
 
 EDGE_FNS = {
@@ -55,14 +59,6 @@ FACE_STRATEGIES = {
 
 def close(state, expected, tol=1e-12):
     return max(abs(a - b) for a, b in zip(state.as_tuple(), expected)) < tol
-
-
-class TestNormalizedMatrix:
-    def test_frozen_values(self):
-        m = normalize_matrix(SET_A)
-        assert (m.a, m.b, m.c, m.d, m.e, m.f) == (-2.0, 1.0, 1.0, -2.0, -1.0, 2.0)
-        m = normalize_matrix(SET_B)
-        assert (m.a, m.b, m.c, m.d, m.e, m.f) == (-2.0, -2.0, 1.5, -2.0, -1.0, 1.0)
 
 
 class TestVertexEigensigns:
@@ -350,7 +346,7 @@ class TestFaceStates:
         p = draw_params(np.random.default_rng(seed), branch)
         for face, absent in FACE_ABSENT.items():
             active = tuple(i for i in range(4) if i != absent)
-            f_red = face_reduced_rhs(p, active)
+            f_red = reduced_field(p, active)
             for s in face_states(p, face):
                 if s.kind not in ("vertex", "edge-interior"):
                     continue
@@ -366,6 +362,45 @@ class TestFaceStates:
         share = (p.epsilon - p.gamma) / ((p.epsilon - p.gamma) + (p.beta + p.delta))
         assert hp.location.x2 == share
         assert hp.payoff == coexistence_payoff(p)
+
+
+class TestAnalyticJacobian:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
+           zeros=st.sets(st.integers(0, 3), max_size=3))
+    def test_reduced_jacobian_matches_finite_difference_oracle(self, seed, branch, zeros):
+        # at any simplex point, faces and edges included, in the chart of
+        # the whole simplex and of every face that holds the point
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng, branch)
+        x = np.array(draw_simplex(rng))
+        x[sorted(zeros)] = 0.0
+        x /= x.sum()
+        charts = [(0, 1, 2, 3), (3, 2, 1, 0)]
+        charts += [tuple(i for i in range(4) if i != absent) for absent in range(4)
+                   if x[absent] == 0.0]
+        for active in charts:
+            jac = replicator_jacobian(x, p, active)
+            fd = fd_jacobian(reduced_field(p, active), [x[k] for k in active[:-1]])
+            scale = max(1.0, float(np.abs(jac).max()))
+            assert np.abs(jac - fd).max() <= 1e-6 * scale, (active, x)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_interior_signs_match_orthant_oracle(self, seed, branch):
+        # the face-interior signs against the planar orthant system, the
+        # full-interior signs against the 3-d one, each in order; a state
+        # with an eigenvalue near zero decides nothing
+        p = draw_params(np.random.default_rng(seed), branch)
+        for state, system in ((face_interior_state(p), "lv-2d"),
+                              (full_interior_state(p), "lv-3d")):
+            if state is None:
+                continue
+            eigs = numeric_jacobian(to_lv(state.location), p, system=system)
+            if np.min(np.abs(eigs.real)) < 1e-6:
+                continue
+            want = tuple("-" if e.real < 0 else "+" for e in eigs)
+            assert tuple(sign for _, sign in state.eigen_signs) == want, (system, p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import BOX_ONLY_P, BOX_ONLY_X0
 from socgame import Params, estimate_basins
 from socgame.cli import _json, _read_params_file, main
 from socgame.dynamics import IntegrationError
@@ -140,6 +141,18 @@ class TestSimulate:
                            "--x0", "0.05,0.35,0.55,0.05", "--out", str(tmp_path / "s3"))
         assert code == 0
         assert out.strip().splitlines()[-1] == "H+P"
+
+    def test_labels_by_ratio_box(self, capsys, tmp_path):
+        # the run stops at max_time off the H-P edge, inside the H+P box
+        f = tmp_path / "box.params"
+        f.write_text("".join(f"{k} = {v!r}\n" for k, v in BOX_ONLY_P.as_dict().items()))
+        code, out, _ = run(capsys, "simulate", "--params", str(f),
+                           "--x0", ",".join(repr(v) for v in BOX_ONLY_X0),
+                           "--out", str(tmp_path / "s9"))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-2].startswith("verdict: max-time-reached")
+        assert lines[-1] == "H+P"
 
     def test_csv_output(self, capsys, params_a, tmp_path):
         out_dir = tmp_path / "s4"

@@ -8,39 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, SET_C, draw_params, draw_simplex
-from socgame import (
+from conftest import BOX_ONLY_P, BOX_ONLY_X0, SET_A, SET_B, SET_C, draw_params, draw_simplex
+from oracles import (
     ChartDomainError,
-    IntegratorConfig,
     LVState,
-    SimplexState,
-    face_rhs,
-    find_attractor,
     from_lv,
-    integrate,
     lv_rhs_2d,
     lv_rhs_3d,
     lv_states_at,
-    match_attractor,
-    replicator_rhs,
-    states_at,
     to_lv,
 )
-from socgame.dynamics import _integrate_rows
+from socgame import (
+    IntegratorConfig,
+    SimplexState,
+    find_attractor,
+    integrate,
+    match_attractor,
+    states_at,
+)
+from socgame.dynamics import _integrate_rows, replicator_field
 
 
 class TestReplicatorRhs:
     def test_vertices_stationary(self):
-        for v in (SimplexState(1, 0, 0, 0), SimplexState(0, 1, 0, 0),
-                  SimplexState(0, 0, 1, 0), SimplexState(0, 0, 0, 1)):
-            assert replicator_rhs(v, SET_A) == (0.0, 0.0, 0.0, 0.0)
+        for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+            assert replicator_field(v, SET_A) == (0.0, 0.0, 0.0, 0.0)
 
     def test_equal_payoff_interior_point_stationary(self):
-        d = replicator_rhs(SimplexState(1 / 4, 1 / 6, 1 / 3, 1 / 4), SET_A)
+        d = replicator_field((1 / 4, 1 / 6, 1 / 3, 1 / 4), SET_A)
         assert max(abs(v) for v in d) < 1e-12
 
     def test_np_edge_value(self):
-        d = replicator_rhs(SimplexState(0, 0, 0.1, 0.9), SET_A)
+        d = replicator_field((0, 0, 0.1, 0.9), SET_A)
         assert abs(d[2] + 0.027) < 1e-12
         assert abs(d[3] - 0.027) < 1e-12
         assert d[0] == 0.0 and d[1] == 0.0
@@ -49,26 +48,24 @@ class TestReplicatorRhs:
         rng = np.random.default_rng(12)
         for _ in range(200):
             p = draw_params(rng, "B-plus" if rng.random() < 0.5 else "B-minus")
-            d = replicator_rhs(SimplexState(*draw_simplex(rng)), p)
+            d = replicator_field(draw_simplex(rng), p)
             assert abs(sum(d)) < 1e-12
 
 
 class TestFaceRhs:
     def test_matches_full_field_on_face(self):
-        s = SimplexState(0.2, 0.3, 0.5, 0)
-        assert face_rhs(s, SET_A) == replicator_rhs(s, SET_A)[:3]
+        # on the x4 = 0 face the field has no component off the face
+        d = replicator_field((0.2, 0.3, 0.5, 0), SET_A)
+        assert d[3] == 0.0
+        assert abs(sum(d[:3])) < 1e-15
 
     def test_face_interior_point_stationary(self):
-        d = face_rhs(SimplexState(1 / 3, 2 / 9, 4 / 9, 0), SET_A)
+        d = replicator_field((1 / 3, 2 / 9, 4 / 9, 0), SET_A)
         assert max(abs(v) for v in d) < 1e-12
 
     def test_coexistence_point_stationary(self):
-        d = face_rhs(SimplexState(0, 1 / 3, 2 / 3, 0), SET_A)
+        d = replicator_field((0, 1 / 3, 2 / 3, 0), SET_A)
         assert max(abs(v) for v in d) < 1e-12
-
-    def test_rejects_off_face_state(self):
-        with pytest.raises(ValueError, match="x4"):
-            face_rhs(SimplexState(0.25, 0.25, 0.25, 0.25), SET_A)
 
 
 class TestOrthantFields:
@@ -325,3 +322,11 @@ class TestAttractorMatching:
     def test_vertex_start_matches_itself(self):
         hit = find_attractor(SimplexState(0, 0, 0, 1), SET_A)
         assert hit is not None and hit.label == "N"
+
+    def test_find_attractor_labels_by_ratio_box(self):
+        # the run to rest stops at max_time 1.7e-4 off the H-P edge, beyond
+        # the match tolerance, but inside the H+P ratio box
+        x0 = SimplexState(*BOX_ONLY_X0)
+        assert integrate(x0, BOX_ONLY_P).verdict == "max-time-reached"
+        hit = find_attractor(x0, BOX_ONLY_P)
+        assert hit is not None and hit.label == "H+P"

@@ -3,8 +3,7 @@
 Each file under ``tests/golden/`` is either the stdout of one CLI invocation
 on a canonical parameter set, or a file that invocation wrote under
 ``--out``, together with the exit code it must end with.  One more golden,
-``states_at_B.json``, holds ``states_at`` and ``lv_states_at`` samples as
-``repr``'d floats.  Re-record them (only on purpose, when an output format or
+``states_at_B.json``, holds ``states_at`` samples as ``repr``'d floats.  Re-record them (only on purpose, when an output format or
 the integrator is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -17,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, SET_D
-from socgame import Params, SimplexState, lv_states_at, states_at, to_lv
+from socgame import Params, SimplexState, states_at
 from socgame.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,7 +79,7 @@ def _run_case(name: str, directory: Path) -> tuple[int, bytes]:
 
 
 def _integrator_samples() -> bytes:
-    """``states_at`` and ``lv_states_at`` on set B, every float ``repr``'d."""
+    """``states_at`` on set B, every float ``repr``'d."""
     doc = []
     for x in SAMPLE_STARTS:
         x0 = SimplexState(*x)
@@ -88,8 +87,6 @@ def _integrator_samples() -> bytes:
             "x0": [repr(v) for v in x],
             "states_at": [[repr(v) for v in s.as_tuple()]
                           for s in states_at(x0, SET_B, SAMPLE_TIMES)],
-            "lv_states_at": [[repr(v) for v in u.as_tuple()]
-                             for u in lv_states_at(to_lv(x0), SET_B, SAMPLE_TIMES)],
         })
     return (json.dumps({"times": [repr(t) for t in SAMPLE_TIMES], "runs": doc},
                        indent=1) + "\n").encode()

@@ -11,7 +11,6 @@ from socgame import (
     InvalidParameterError,
     Params,
     SimplexState,
-    average_payoff,
     coexistence_payoff,
     dominance_relations,
     nash_vertices,
@@ -19,6 +18,7 @@ from socgame import (
     payoff_vector,
     validate,
 )
+from socgame.dynamics import replicator_field
 from socgame.model import require_valid
 
 
@@ -57,17 +57,21 @@ class TestPayoffs:
             assert abs(v - 2 / 3) < 1e-12
 
     def test_average_payoff_uniform(self):
-        assert abs(average_payoff(SimplexState(0.25, 0.25, 0.25, 0.25), SET_A)
-                   - 0.4375) < 1e-12
+        x = (0.25, 0.25, 0.25, 0.25)
+        avg = sum(xi * v for xi, v in zip(x, payoff_vector(x, SET_A)))
+        assert abs(avg - 0.4375) < 1e-12
 
     def test_average_is_share_weighted_payoff(self):
+        # the replicator field grows each share by its payoff advantage over
+        # the share-weighted mean payoff
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = draw_params(rng, "B-plus" if rng.random() < 0.5 else "B-minus")
-            s = SimplexState(*draw_simplex(rng))
-            pv = payoff_vector(s, p)
-            expected = sum(x * v for x, v in zip(s.as_tuple(), pv))
-            assert abs(average_payoff(s, p) - expected) < 1e-12
+            x = draw_simplex(rng)
+            pv = payoff_vector(x, p)
+            avg = sum(xi * v for xi, v in zip(x, pv))
+            d = replicator_field(x, p)
+            assert max(abs(di - xi * (v - avg)) for di, xi, v in zip(d, x, pv)) < 1e-12
 
     def test_payoff_vector_is_matrix_product(self):
         rng = np.random.default_rng(6)
