@@ -16,19 +16,12 @@ compete under replicator dynamics on the 3-simplex.  The package provides:
 from .basins import BasinReport, estimate_basins, find_attractor, sample_simplex
 from .classify import (
     EdgeRegime,
-    InfeasibleLocationError,
     RegimeReport,
     StationaryState,
-    classify_edge_SH,
-    classify_edge_SN,
-    classify_edge_SO,
-    classify_edge_SP,
+    classify_edge,
     classify_global,
-    edge_interior_states,
-    face_interior_state,
     face_states,
     full_interior_state,
-    vertex_eigensigns,
 )
 from .dynamics import (
     IntegrationError,
@@ -53,7 +46,7 @@ from .model import (
     payoff_vector,
     validate,
 )
-from .welfare import OrderingViolationError, WelfareReport, stationary_payoff, welfare_report
+from .welfare import OrderingViolationError, WelfareReport, welfare_report
 
 __version__ = "0.1.0"
 
@@ -63,7 +56,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DegenerateParameterError",
     "EdgeRegime",
-    "InfeasibleLocationError",
     "IntegratorConfig",
     "InvalidParameterError",
     "OrderingViolationError",
@@ -75,16 +67,11 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "WelfareReport",
-    "classify_edge_SH",
-    "classify_edge_SN",
-    "classify_edge_SO",
-    "classify_edge_SP",
+    "classify_edge",
     "classify_global",
     "coexistence_payoff",
     "dominance_relations",
-    "edge_interior_states",
     "estimate_basins",
-    "face_interior_state",
     "face_states",
     "find_attractor",
     "full_interior_state",
@@ -94,9 +81,7 @@ __all__ = [
     "payoff_matrix",
     "payoff_vector",
     "sample_simplex",
-    "stationary_payoff",
     "states_at",
     "validate",
-    "vertex_eigensigns",
     "welfare_report",
 ]

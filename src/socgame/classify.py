@@ -17,7 +17,7 @@ it:
   (portrait number ``pp`` and panel tag ``figure``) and which states attract
   within it, and the conditions that leave the face undecided.  They are
   array expressions over parameter columns: ``classify_global`` and
-  ``classify_edge_*`` read them at one point and take the states from the
+  ``classify_edge`` read them at one point and take the states from the
   inventory, ``classify_grid`` reads them over a whole sweep grid at once;
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face containing it.
@@ -64,10 +64,6 @@ SIGN_TOL = 1e-7
 # boundary faces named by the strategy that is absent
 FACES = ("S_N", "S_O", "S_H", "S_P")
 FACE_ABSENT = {"S_N": 3, "S_O": 0, "S_H": 1, "S_P": 2}
-
-
-class InfeasibleLocationError(ValueError):
-    """A stationary-state solve landed outside its face."""
 
 
 def _sign(v: float, tol: float) -> str:
@@ -244,27 +240,6 @@ class _Inventory:
                 if STRATEGIES[absent] not in s.support]
 
 
-def vertex_eigensigns(p: Params, tol: float = DEFAULT_TOL) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Eigenvalue signs at the O, H, P corners of the no-isolation face.
-
-    O repels nothing (both directions carry -alpha); H is guarded by -beta
-    and -(beta+delta); P by -epsilon and gamma-epsilon.
-    """
-    require_valid(p, tol)
-    inv = _Inventory(p, tol)
-    return {v: inv.in_face("S_N", v).eigen_signs for v in ("O", "H", "P")}
-
-
-def edge_interior_states(p: Params, tol: float = DEFAULT_TOL) -> list[StationaryState]:
-    """Mixed stationary states on the three edges of the no-isolation face.
-
-    The O-P and H-P edges always carry one; the O-H edge only when beta > 0.
-    Eigen signs: along the edge, then toward the face's third strategy.
-    """
-    require_valid(p, tol)
-    return [s for s in _Inventory(p, tol).face("S_N") if s.kind == "edge-interior"]
-
-
 def _interior_signs(name: str, x: Sequence[float], p: Params,
                     active: tuple[int, ...]) -> tuple[tuple[str, str], ...]:
     """Eigen signs of the flow at the rest point ``x`` in the chart of
@@ -277,7 +252,9 @@ def _interior_signs(name: str, x: Sequence[float], p: Params,
 
 def _face_interior_state(p: Params, face: str, tol: float) -> StationaryState | None:
     """Rest point inside ``face``, if the equal-payoff solve lands there.
-    Stability is read off the Jacobian of the face flow."""
+    Stability is read off the Jacobian of the face flow.  On S_N it exists
+    exactly when beta*epsilon+gamma*delta, alpha*(beta+delta) and
+    alpha*(epsilon-gamma) share one strict sign."""
     active = tuple(i for i in range(4) if i != FACE_ABSENT[face])
     A = payoff_matrix(p)
     # equal payoffs among the three actives, shares sum to 1
@@ -299,31 +276,6 @@ def _face_interior_state(p: Params, face: str, tol: float) -> StationaryState | 
     support = tuple(STRATEGIES[i] for i in active)
     return _state("+".join(support), "face-interior", SimplexState(*xs), support,
                   float(A[active[0]] @ np.array(xs)), signs)
-
-
-def face_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
-    """Stationary state interior to the no-isolation face, if any.
-
-    Exists exactly when beta*epsilon+gamma*delta, alpha*(beta+delta) and
-    alpha*(epsilon-gamma) share one strict sign.  Location solves the equal-
-    payoff system; stability is read off the Jacobian of the face flow (the
-    sign tables do not cover this point).
-    """
-    require_valid(p, tol)
-    exprs = (
-        p.beta * p.epsilon + p.gamma * p.delta,
-        p.alpha * (p.beta + p.delta),
-        p.alpha * (p.epsilon - p.gamma),
-    )
-    signs = {_sign(v, tol) for v in exprs}
-    if "degenerate" in signs:
-        raise DegenerateParameterError("face-interior existence expressions on boundary")
-    if len(signs) != 1:
-        return None
-    state = _face_interior_state(p, "S_N", tol)
-    if state is None:
-        raise InfeasibleLocationError("equal-payoff solve left the open face")
-    return state
 
 
 def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
@@ -356,14 +308,19 @@ def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
 # per-face view with interior state, used by the portrait
 
 
+def _require_face(p: Params, face: str, tol: float) -> None:
+    """``require_valid``, then reject a face name not in ``FACES``."""
+    require_valid(p, tol)
+    if face not in FACES:
+        raise ValueError(f"unknown face {face!r}")
+
+
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
     """All stationary states on one boundary face: the inventory's vertex
     and edge-interior states restricted to the face (closed-form signs),
     then the face-interior state if there is one (Jacobian signs).
     """
-    require_valid(p, tol)
-    if face not in FACES:
-        raise ValueError(f"unknown face {face!r}")
+    _require_face(p, face, tol)
     out = _Inventory(p, tol).face(face)
     interior = _face_interior_state(p, face, tol)
     if interior is not None:
@@ -373,7 +330,7 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
 
 # ---------------------------------------------------------------------------
 # the regime table: each face's panel and degenerate conditions as array
-# expressions, read at one point by classify_global and classify_edge_*, and
+# expressions, read at one point by classify_global and classify_edge, and
 # over a whole grid by classify_grid
 
 
@@ -496,29 +453,16 @@ def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime:
                       tuple(inv.in_face(table.face, label) for label in labels))
 
 
-def _classify_edge(p: Params, tol: float, face: str) -> EdgeRegime:
-    require_valid(p, tol)
+def classify_edge(p: Params, face: str, tol: float = DEFAULT_TOL) -> EdgeRegime:
+    """Regime of one boundary face: ``S_N`` the no-isolation face (O, H, P),
+    ``S_O`` the no-offline face (H, P, N), ``S_H`` the no-uncivil face
+    (O, P, N) or ``S_P`` the no-polite face (O, H, N).
+
+    Raises DegenerateParameterError, with the face's own message, where the
+    face's regime is undecided.
+    """
+    _require_face(p, face, tol)
     return _edge_regime(_point_regimes(p, tol)[face], _Inventory(p, tol))
-
-
-def classify_edge_SN(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-isolation face (O, H, P)."""
-    return _classify_edge(p, tol, "S_N")
-
-
-def classify_edge_SO(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-offline face (H, P, N)."""
-    return _classify_edge(p, tol, "S_O")
-
-
-def classify_edge_SH(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-uncivil face (O, P, N)."""
-    return _classify_edge(p, tol, "S_H")
-
-
-def classify_edge_SP(p: Params, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of the no-polite face (O, H, N)."""
-    return _classify_edge(p, tol, "S_P")
 
 
 def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) -> RegimeReport:

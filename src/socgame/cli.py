@@ -66,8 +66,7 @@ class RunConfig:
     sweep_axes: tuple[SweepAxis, ...] = ()
     x0: SimplexState | None = None
     samples: int = 1000
-    method: str = "rk45"
-    max_time: float = 1000.0
+    integrator: IntegratorConfig = IntegratorConfig()
 
 
 def _read_params_file(path: str) -> dict[str, float]:
@@ -174,8 +173,7 @@ def cmd_equilibria(rc: RunConfig) -> int:
 def cmd_simulate(rc: RunConfig) -> int:
     p = rc.params
     report = classify_global(p, rc.tol)  # raises on inadmissible/degenerate input
-    cfg = IntegratorConfig(method=rc.method, max_time=rc.max_time)
-    traj = integrate(rc.x0, p, cfg)
+    traj = integrate(rc.x0, p, rc.integrator)
 
     out_dir = rc.out if rc.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,8 +233,7 @@ def cmd_sweep(rc: RunConfig) -> int:
 
 def cmd_basins(rc: RunConfig) -> int:
     report = estimate_basins(
-        rc.params, rc.samples, seed=rc.seed, tol=rc.tol,
-        cfg=IntegratorConfig(max_time=rc.max_time),
+        rc.params, rc.samples, seed=rc.seed, tol=rc.tol, cfg=rc.integrator,
     )
     doc = report.as_dict()
     sys.stdout.write(_json(doc))
@@ -327,6 +324,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     mapping = _read_params_file(args.params)
     mapping.update(_parse_set(args.set))
     params = Params.from_mapping(mapping)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
 
     axes: tuple[SweepAxis, ...] = ()
     if getattr(args, "sweep", None):
@@ -343,8 +342,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         sweep_axes=axes,
         x0=_parse_x0(args.x0) if getattr(args, "x0", None) else None,
         samples=getattr(args, "samples", 1000),
-        method=getattr(args, "method", "rk45"),
-        max_time=getattr(args, "max_time", 1000.0),
+        integrator=IntegratorConfig(method=getattr(args, "method", "rk45"),
+                                    max_time=getattr(args, "max_time", 1000.0)),
     )
 
 

@@ -76,7 +76,8 @@ class IntegratorConfig:
 
     method    "rk45" (adaptive Dormand-Prince 5(4), default) or "rk4"
               (fixed step 0.01, for deterministic regression runs)
-    max_time  horizon after which the run reports max-time-reached
+    max_time  horizon after which the run reports max-time-reached;
+              positive and finite
 
     Step sizes, tolerances, the convergence threshold and the extinction
     floor are module constants.  Runs that sample at requested times
@@ -89,8 +90,8 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.max_time <= 0.0:
-            raise ValueError("max_time must be positive")
+        if not 0.0 < self.max_time < math.inf:
+            raise ValueError(f"max_time must be positive and finite, got {self.max_time!r}")
 
 
 @dataclass(frozen=True)

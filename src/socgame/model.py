@@ -118,18 +118,8 @@ class SimplexState:
         if abs(s - 1.0) > _SUM_TOL:
             raise ValueError(f"shares sum to {s!r}, expected 1 within {_SUM_TOL}")
 
-    @classmethod
-    def from_iterable(cls, xs) -> "SimplexState":
-        vals = [float(v) for v in xs]
-        if len(vals) != 4:
-            raise ValueError(f"expected 4 shares, got {len(vals)}")
-        return cls(*vals)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
 
     def support(self, zero_tol: float = 0.0) -> tuple[str, ...]:
         """Strategies with share strictly above ``zero_tol``."""

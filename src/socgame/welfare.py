@@ -121,18 +121,6 @@ def check_orderings(attractors: dict[str, tuple], p, tol: float = DEFAULT_TOL) -
     return pay
 
 
-def stationary_payoff(state: "StationaryState", p: Params) -> float:
-    """Common payoff of the supported strategies at a stationary state.
-
-    Stationarity means every supported strategy earns exactly the population
-    mean; a spread across the support beyond rounding is a non-stationary
-    input and is rejected.
-    """
-    vals = supported_payoffs(state.location, state.support, p)
-    _raise_first([_unequal(state.label, True, vals)])
-    return vals[0]
-
-
 def welfare_report(attractors: Sequence["StationaryState"], p: Params,
                    tol: float = DEFAULT_TOL) -> WelfareReport:
     """Rank the attractors by payoff and check the proven inequalities

@@ -17,11 +17,9 @@ from oracles import from_lv, lv_states_at, numeric_jacobian, to_lv
 from socgame import (
     IntegratorConfig,
     SimplexState,
-    classify_edge_SN,
-    classify_edge_SO,
+    classify_edge,
     classify_global,
     coexistence_payoff,
-    edge_interior_states,
     face_states,
     full_interior_state,
     integrate,
@@ -29,8 +27,6 @@ from socgame import (
     payoff_vector,
     sample_simplex,
     states_at,
-    stationary_payoff,
-    vertex_eigensigns,
 )
 from socgame.cli import main as cli_main
 
@@ -92,14 +88,9 @@ def test_03_eigen_sign_oracle():
     for branch in ("B-plus", "B-minus"):
         for _ in range(50):
             p = draw_params(rng, branch)
-            vs = vertex_eigensigns(p)
-            for label, loc in (("O", (1, 0, 0, 0)), ("H", (0, 1, 0, 0)),
-                               ("P", (0, 0, 1, 0))):
-                eigs = numeric_jacobian(SimplexState(*loc), p,
-                                        system="replicator-face")
-                assert signs(eigs) == sorted(s for _, s in vs[label])
-                checked += 1
-            for st in edge_interior_states(p):
+            for st in face_states(p, "S_N"):
+                if st.kind not in ("vertex", "edge-interior"):
+                    continue
                 eigs = numeric_jacobian(st.location, p, system="replicator-face")
                 assert signs(eigs) == sorted(s for _, s in st.eigen_signs)
                 checked += 1
@@ -172,9 +163,9 @@ def test_06_welfare_inequalities():
         assert total < 100000
         p = draw_params(rng, "B-minus")
         v = coexistence_payoff(p)
-        fig_so = classify_edge_SO(p).figure
+        fig_so = classify_edge(p, "S_O").figure
         assert (fig_so == "3e") == (v > p.eta)
-        hp_attracts = classify_edge_SN(p).figure == "2e" and fig_so == "3e"
+        hp_attracts = classify_edge(p, "S_N").figure == "2e" and fig_so == "3e"
         if not hp_attracts:
             continue
         qualifying += 1
@@ -189,11 +180,11 @@ def test_07_trap_dominance():
     for i in range(200):
         p = draw_params(rng, "B-plus" if i % 2 else "B-minus")
         report = classify_global(p)
-        labels = {a.label for a in report.global_attractors}
-        assert "N" in labels
-        for a in report.global_attractors:
-            if a.label != "N":
-                assert stationary_payoff(a, p) > p.eta
+        pay = dict(report.welfare.payoffs)
+        assert "N" in pay
+        for label, v in pay.items():
+            if label != "N":
+                assert v > p.eta
     print("criterion 7: isolation attracts and pays strictly least on "
           "200/200 validated draws")
 

@@ -23,31 +23,18 @@ from oracles import (
 from socgame import (
     DegenerateParameterError,
     SimplexState,
-    classify_edge_SH,
-    classify_edge_SN,
-    classify_edge_SO,
-    classify_edge_SP,
+    classify_edge,
     classify_global,
     coexistence_payoff,
-    edge_interior_states,
-    face_interior_state,
     face_states,
     full_interior_state,
     nash_vertices,
     validate,
-    vertex_eigensigns,
 )
 from socgame.cli import main
-from socgame.classify import FACE_ABSENT
+from socgame.classify import FACE_ABSENT, FACES
 from socgame.dynamics import replicator_jacobian
 from socgame.model import Params
-
-EDGE_FNS = {
-    "S_N": classify_edge_SN,
-    "S_O": classify_edge_SO,
-    "S_H": classify_edge_SH,
-    "S_P": classify_edge_SP,
-}
 
 FACE_STRATEGIES = {
     "S_N": {"O", "H", "P"},
@@ -61,16 +48,31 @@ def close(state, expected, tol=1e-12):
     return max(abs(a - b) for a, b in zip(state.as_tuple(), expected)) < tol
 
 
+def sn_states(p, kind):
+    """The states of one kind on the no-isolation face S_N."""
+    return [s for s in face_states(p, "S_N") if s.kind == kind]
+
+
+def sn_vertex_signs(p):
+    return {s.label: s.eigen_signs for s in sn_states(p, "vertex")}
+
+
+def sn_interior(p):
+    """The face-interior state of S_N, or None."""
+    interior = sn_states(p, "face-interior")
+    return interior[0] if interior else None
+
+
 class TestVertexEigensigns:
     def test_set_a_all_attractive(self):
-        assert vertex_eigensigns(SET_A) == {
+        assert sn_vertex_signs(SET_A) == {
             "O": (("toward H", "-"), ("toward P", "-")),
             "H": (("toward O", "-"), ("toward P", "-")),
             "P": (("toward O", "-"), ("toward H", "-")),
         }
 
     def test_set_b_mixed(self):
-        signs = vertex_eigensigns(SET_B)
+        signs = sn_vertex_signs(SET_B)
         assert signs["O"] == (("toward H", "-"), ("toward P", "-"))
         assert signs["H"] == (("toward O", "+"), ("toward P", "+"))
         assert signs["P"] == (("toward O", "-"), ("toward H", "+"))
@@ -78,7 +80,7 @@ class TestVertexEigensigns:
 
 class TestEdgeInteriorStates:
     def test_set_a(self):
-        oh, op, hp = edge_interior_states(SET_A)
+        oh, op, hp = sn_states(SET_A, "edge-interior")
         assert oh.label == "O+H" and close(oh.location, (1 / 3, 2 / 3, 0, 0))
         assert abs(oh.payoff - 2 / 3) < 1e-12 and oh.stability == "saddle"
         assert op.label == "O+P" and close(op.location, (0.5, 0, 0.5, 0))
@@ -88,7 +90,7 @@ class TestEdgeInteriorStates:
 
     def test_set_b_drops_oh_state(self):
         # beta < 0 leaves no rest point inside the O-H edge
-        op, hp = edge_interior_states(SET_B)
+        op, hp = sn_states(SET_B, "edge-interior")
         assert op.label == "O+P" and op.stability == "repulsive"
         assert close(op.location, (1 / 3, 0, 2 / 3, 0))
         assert abs(op.payoff - 2 / 3) < 1e-12
@@ -100,21 +102,21 @@ class TestEdgeInteriorStates:
 
 class TestFaceInteriorState:
     def test_set_a(self):
-        s = face_interior_state(SET_A)
+        s = sn_interior(SET_A)
         assert s.label == "O+H+P" and s.kind == "face-interior"
         assert close(s.location, (1 / 3, 2 / 9, 4 / 9, 0))
         assert abs(s.payoff - 2 / 3) < 1e-12
         assert s.stability == "repulsive"
 
     def test_set_b_saddle(self):
-        s = face_interior_state(SET_B)
+        s = sn_interior(SET_B)
         assert close(s.location, (1 / 7, 2 / 7, 4 / 7, 0))
         assert abs(s.payoff - 2 / 7) < 1e-12
         assert s.stability == "saddle"
         assert tuple(sign for _, sign in s.eigen_signs) == ("-", "+")
 
     def test_set_c(self):
-        s = face_interior_state(SET_C)
+        s = sn_interior(SET_C)
         assert close(s.location, (1 / 14, 8 / 14, 5 / 14, 0), tol=1e-9)
         assert abs(s.payoff - 1 / 7) < 1e-9
         assert s.stability == "repulsive"
@@ -145,7 +147,7 @@ class TestNumericJacobian:
                              system="replicator-face")
 
     def test_face_interior_eigenvalues(self):
-        eigs = numeric_jacobian(face_interior_state(SET_A).location, SET_A,
+        eigs = numeric_jacobian(sn_interior(SET_A).location, SET_A,
                                 system="replicator-face")
         assert np.allclose(eigs, [4 / 9, 2 / 3], atol=1e-5)
 
@@ -167,7 +169,7 @@ class TestNumericJacobian:
         for branch in ("B-plus", "B-minus"):
             for _ in range(5):
                 p = draw_params(rng, branch)
-                s = face_interior_state(p)
+                s = sn_interior(p)
                 if s is None:
                     continue
                 eigs = numeric_jacobian(to_lv(s.location), p, system="lv-2d")
@@ -196,7 +198,7 @@ class TestEdgeClassifiers:
                              ids=[f"{'ABC'[EDGE_TABLE.index(r) // 4]}-{r[1]}"
                                   for r in EDGE_TABLE])
     def test_frozen_regimes(self, p, face, pp, figure, labels):
-        er = EDGE_FNS[face](p)
+        er = classify_edge(p, face)
         assert er.edge == face
         assert er.pp == pp
         assert er.figure == figure
@@ -206,7 +208,13 @@ class TestEdgeClassifiers:
         # beta = 0 passes global validation but splits the S_N table
         p = Params(2, 0, 1, 1, 2, 0.5)
         with pytest.raises(DegenerateParameterError, match="S_N"):
-            classify_edge_SN(p)
+            classify_edge(p, "S_N")
+
+    def test_rejects_unknown_face(self):
+        with pytest.raises(ValueError, match="unknown face 'S_X'"):
+            classify_edge(SET_A, "S_X")
+        with pytest.raises(ValueError, match="unknown face 'S_X'"):
+            face_states(SET_A, "S_X")
 
     def test_figure_pp_pairing(self):
         pairing = {
@@ -218,8 +226,8 @@ class TestEdgeClassifiers:
         rng = np.random.default_rng(22)
         for i in range(40):
             p = draw_params(rng, "B-plus" if i % 2 else "B-minus")
-            for face, fn in EDGE_FNS.items():
-                er = fn(p)
+            for face in FACES:
+                er = classify_edge(p, face)
                 family, letter = er.figure[0], er.figure[1:]
                 assert er.pp == pairing[family][letter]
                 got = {s.label for s in er.attractors}
@@ -332,11 +340,24 @@ class TestFaceStates:
                 assert s.location.as_tuple()[idx] == 0.0
 
     def test_consistent_with_analytic_parts(self):
-        by_label = {s.label: s for s in face_states(SET_B, "S_N")}
-        for s in edge_interior_states(SET_B):
-            assert close(by_label[s.label].location, s.location.as_tuple())
-        fi = face_interior_state(SET_B)
-        assert close(by_label["O+H+P"].location, fi.location.as_tuple())
+        # a face's regime names the face's own states, signs included
+        for p in (SET_A, SET_B, SET_C):
+            for face in FACES:
+                by_label = {s.label: s for s in face_states(p, face)}
+                for s in classify_edge(p, face).attractors:
+                    assert by_label[s.label] == s
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_face_interior_exists_iff_closed_form_signs_agree(self, seed, branch):
+        # the equal-payoff solve lands inside S_N exactly when
+        # beta*epsilon+gamma*delta, alpha*(beta+delta) and alpha*(epsilon-gamma)
+        # share one strict sign
+        p = draw_params(np.random.default_rng(seed), branch)
+        exprs = (p.beta * p.epsilon + p.gamma * p.delta,
+                 p.alpha * (p.beta + p.delta),
+                 p.alpha * (p.epsilon - p.gamma))
+        assert (sn_interior(p) is not None) == (len({v > 0.0 for v in exprs}) == 1)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
@@ -392,7 +413,7 @@ class TestAnalyticJacobian:
         # full-interior signs against the 3-d one, each in order; a state
         # with an eigenvalue near zero decides nothing
         p = draw_params(np.random.default_rng(seed), branch)
-        for state, system in ((face_interior_state(p), "lv-2d"),
+        for state, system in ((sn_interior(p), "lv-2d"),
                               (full_interior_state(p), "lv-3d")):
             if state is None:
                 continue
@@ -530,14 +551,33 @@ class TestGridClassification:
             v = validate(p, tol)
             if v.degenerate_quantities or not (v.positivity_ok and v.nondominance_ok):
                 continue
-            for face, fn in EDGE_FNS.items():
+            for face in FACES:
                 want = face_oracle(p, tol, face)
                 if isinstance(want, str):
                     with pytest.raises(DegenerateParameterError) as info:
-                        fn(p, tol)
+                        classify_edge(p, face, tol)
                     assert str(info.value) == want
                 else:
-                    er = fn(p, tol)
+                    er = classify_edge(p, face, tol)
                     figure, labels = want
                     assert (er.figure, er.pp, [s.label for s in er.attractors]) == (
                         figure, FIGURE_PP[figure], labels)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), snap=st.sampled_from((None,) + tuple(SNAPS)),
+           tol=st.sampled_from((1e-9, 1e-3)))
+    def test_classify_edge_is_the_global_report_entry(self, seed, snap, tol):
+        # one face's regime is that face's entry of the lax global report,
+        # and it raises exactly where that entry is None
+        rng = np.random.default_rng(seed)
+        for i in range(20):
+            p = snapped(draw_params(rng, ("B-plus", "B-minus")[i % 2]).as_dict(), snap)
+            if not validate(p, tol).ok:
+                continue
+            edges = classify_global(p, tol, strict=False).edges
+            for face, entry in zip(FACES, edges):
+                if entry is None:
+                    with pytest.raises(DegenerateParameterError):
+                        classify_edge(p, face, tol)
+                else:
+                    assert classify_edge(p, face, tol) == entry

@@ -48,6 +48,12 @@ class TestCheck:
         assert code == 3
         doc = json.loads(out)
         assert "epsilon-gamma" in doc["validation"]["degenerate_quantities"]
+        # a tolerance that is not a finite number >= 0 is an input error
+        for tol in ("nan", "inf", "-1e-9"):
+            code, out, err = run(capsys, "check", "--params", params_a, "--set", "gamma=2",
+                                 f"--tol={tol}")
+            assert (code, out) == (1, "")
+            assert err == f"input error: --tol must be finite and >= 0, got {float(tol)!r}\n"
 
     def test_dominated_strategy(self, capsys, params_a):
         code, out, _ = run(capsys, "check", "--params", params_a, "--set", "eta=3")
@@ -180,6 +186,13 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--params", params_a,
                            "--x0", "-0.1,0.2,0.3,0.6", "--out", str(tmp_path / "s6"))
         assert code == 1
+        for max_time in ("nan", "inf", "0", "-1"):
+            code, out, err = run(capsys, "simulate", "--params", params_a,
+                                 "--x0", "0,0,0.26,0.74", f"--max-time={max_time}",
+                                 "--out", str(tmp_path / "s6"))
+            assert (code, out) == (1, "")
+            assert err.startswith("input error: max_time must be positive and finite")
+        assert not (tmp_path / "s6").exists()
 
     def test_degenerate_params(self, capsys, params_a, tmp_path):
         code, _, err = run(capsys, "simulate", "--params", params_a,
@@ -317,6 +330,11 @@ class TestBasins:
         code, _, err = run(capsys, "basins", "--params", params_b,
                            "--samples", "0")
         assert code == 1
+        for max_time in ("nan", "inf", "0", "-1"):
+            code, out, err = run(capsys, "basins", "--params", params_b,
+                                 "--samples", "10", f"--max-time={max_time}")
+            assert (code, out) == (1, "")
+            assert err.startswith("input error: max_time must be positive and finite")
 
 
 class TestPortrait:

@@ -130,8 +130,9 @@ class TestIntegratorConfig:
             IntegratorConfig(method="euler")
 
     def test_rejects_nonpositive_tolerances(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_time=-1.0)
+        for max_time in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_time"):
+                IntegratorConfig(max_time=max_time)
 
 
 class TestIntegrate:

@@ -8,11 +8,9 @@ from socgame import (
     OrderingViolationError,
     SimplexState,
     StationaryState,
-    classify_edge_SN,
-    classify_edge_SO,
+    classify_edge,
     classify_global,
     coexistence_payoff,
-    stationary_payoff,
     welfare_report,
 )
 from socgame.model import Params
@@ -22,9 +20,13 @@ def attractors_of(p):
     return classify_global(p).global_attractors
 
 
+def payoffs_of(attractors, p):
+    return dict(welfare_report(attractors, p).payoffs)
+
+
 class TestStationaryPayoff:
     def test_vertex_payoffs(self):
-        pay = {a.label: stationary_payoff(a, SET_A) for a in attractors_of(SET_A)}
+        pay = payoffs_of(attractors_of(SET_A), SET_A)
         assert pay == {"O": 2.0, "H": 1.0, "P": 2.0, "N": 0.5}
 
     def test_rejects_nonstationary_support(self):
@@ -33,7 +35,7 @@ class TestStationaryPayoff:
             location=SimplexState(0, 0.5, 0.5, 0), support=("H", "P"),
             payoff=0.0, eigen_signs=(), stability="attractive")
         with pytest.raises(ValueError, match="not a stationary state"):
-            stationary_payoff(fake, SET_A)
+            welfare_report([fake], SET_A)
 
     def test_matches_coexistence_formula(self):
         rng = np.random.default_rng(31)
@@ -42,7 +44,7 @@ class TestStationaryPayoff:
             hp = [a for a in attractors_of(p) if a.label == "H+P"]
             if not hp:
                 continue
-            assert abs(stationary_payoff(hp[0], p) - coexistence_payoff(p)) < 1e-12
+            assert abs(payoffs_of(hp, p)["H+P"] - coexistence_payoff(p)) < 1e-12
 
 
 class TestWelfareReport:
@@ -110,9 +112,9 @@ class TestCoexistenceSandwich:
         rng = np.random.default_rng(34)
         for _ in range(200):
             p = draw_params(rng, "B-minus")
-            fig = classify_edge_SO(p).figure
+            fig = classify_edge(p, "S_O").figure
             assert fig in ("3e", "3f")
             assert (fig == "3e") == (p.eta < coexistence_payoff(p))
             labels = {a.label for a in classify_global(p).global_attractors}
-            hp_attracts = (classify_edge_SN(p).figure == "2e") and (fig == "3e")
+            hp_attracts = (classify_edge(p, "S_N").figure == "2e") and (fig == "3e")
             assert ("H+P" in labels) == hp_attracts
