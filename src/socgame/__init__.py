@@ -3,7 +3,9 @@
 Four strategies (offline-only, online-uncivil, online-polite, isolation)
 compete under replicator dynamics on the 3-simplex.  The package provides:
 
-* closed-form admissibility checks, Nash vertices and dominance relations,
+* one admissibility table (positivity, the five weak-dominance relations,
+  distance from every degenerate boundary), read by validation, Nash
+  vertices and dominance relations,
 * the replicator flow and its Jacobian, with a simplex-preserving adaptive
   integrator,
 * analytic classification of every boundary face's dynamic regime and of the
@@ -39,7 +41,6 @@ from .model import (
     Params,
     SimplexState,
     ValidationReport,
-    coexistence_payoff,
     dominance_relations,
     nash_vertices,
     payoff_matrix,
@@ -69,7 +70,6 @@ __all__ = [
     "WelfareReport",
     "classify_edge",
     "classify_global",
-    "coexistence_payoff",
     "dominance_relations",
     "estimate_basins",
     "face_states",

@@ -145,7 +145,6 @@ def label_runs(
     verdicts: Sequence[str],
     attractors: Sequence[StationaryState],
     boxed: Sequence[tuple[StationaryState, RatioBox]],
-    match_tol: float = 1e-6,
 ) -> list[StationaryState | None]:
     """Name the global attractor each finished run reached, or None.
 
@@ -154,7 +153,7 @@ def label_runs(
     the first of ``boxed`` (as ``attractor_boxes`` gives them) whose box
     holds its end state, whatever its verdict, since the box proves where
     the flow goes from there; as unresolved (None) after a step failure;
-    else by ``match_attractor`` within ``match_tol``.
+    else by ``match_attractor`` within ``dynamics.MATCH_TOL``.
     """
     finals = np.asarray(finals, dtype=float)
     owner = box_index(tuple(finals.T), [box for _, box in boxed]).tolist()
@@ -165,7 +164,7 @@ def label_runs(
         elif verdict == "step-failure":
             out.append(None)
         else:
-            out.append(match_attractor(SimplexState(*row), attractors, match_tol))
+            out.append(match_attractor(SimplexState(*row), attractors))
     return out
 
 
@@ -173,7 +172,6 @@ def find_attractor(
     x0: SimplexState,
     p: Params,
     cfg: IntegratorConfig | None = None,
-    match_tol: float = 1e-6,
     tol: float = DEFAULT_TOL,
     attractors: Sequence | None = None,
 ):
@@ -187,7 +185,7 @@ def find_attractor(
         attractors = classify_global(p, tol).global_attractors
     traj = integrate(x0, p, cfg)
     return label_runs([traj.final_state.as_tuple()], [traj.verdict], attractors,
-                      attractor_boxes(attractors, p), match_tol)[0]
+                      attractor_boxes(attractors, p))[0]
 
 
 def estimate_basins(
@@ -195,7 +193,6 @@ def estimate_basins(
     n: int,
     seed: int = 42,
     cfg: IntegratorConfig | None = None,
-    match_tol: float = 1e-6,
     tol: float = DEFAULT_TOL,
     jobs: int = 1,
 ) -> BasinReport:
@@ -206,7 +203,7 @@ def estimate_basins(
     Each is labelled by ``label_runs``, as ``find_attractor`` labels a run
     from the same start with the same ``cfg``.  A short ``cfg.max_time``
     therefore leaves unresolved only the samples that end outside every box
-    and farther than ``match_tol`` from every attractor.  ``jobs`` is
+    and farther than ``dynamics.MATCH_TOL`` from every attractor.  ``jobs`` is
     accepted and ignored: the batch runs in this process.
     """
     attractors = classify_global(p, tol).global_attractors
@@ -217,7 +214,7 @@ def estimate_basins(
 
     counts = {a.label: 0 for a in attractors}
     counts["unresolved"] = 0
-    for hit in label_runs(finals, verdicts, attractors, boxed, match_tol):
+    for hit in label_runs(finals, verdicts, attractors, boxed):
         counts[hit.label if hit is not None else "unresolved"] += 1
     return BasinReport(
         sample_count=n,

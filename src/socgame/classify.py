@@ -9,16 +9,21 @@ it:
   whose payoff gap changes sign, once, with the eigen sign of every direction
   of the full simplex.  At a boundary rest point the eigenvalue toward an
   absent strategy W is W's payoff advantage there, and the one along an edge
-  is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g;
+  is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g.  One formula
+  (``_edge_state``) gives an edge state's share and payoff, to the inventory
+  and, over parameter columns, to the regime table and ``classify_grid``;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
 * one regime table holds, for each face, the closed-form sign conditions
   that name which of the known planar phase portraits the face realises
   (portrait number ``pp`` and panel tag ``figure``) and which states attract
-  within it, and the conditions that leave the face undecided.  They are
-  array expressions over parameter columns: ``classify_global`` and
-  ``classify_edge`` read them at one point and take the states from the
-  inventory, ``classify_grid`` reads them over a whole sweep grid at once;
+  within it, and the conditions that leave the face undecided.  It reads
+  the sign branch from the admissibility table (``model.admissibility``),
+  and compares the fallback eta with the H-P, O-P and O-H edge states'
+  payoffs.  Its conditions are array expressions over parameter columns:
+  ``classify_global`` and ``classify_edge`` read them at one point and take
+  the states from the inventory, ``classify_grid`` reads them over a whole
+  sweep grid at once;
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face containing it.
 
@@ -44,12 +49,10 @@ from .model import (
     Admissibility,
     Columns,
     DegenerateParameterError,
-    InvalidParameterError,
     Params,
     SimplexState,
     ValidationReport,
     admissibility,
-    coexistence_payoff,
     payoff_matrix,
     payoff_rows,
     require_valid,
@@ -169,9 +172,12 @@ def _edge_gaps(A: list[list], a: int, b: int) -> tuple:
     return A[a][b] - A[b][b], A[a][a] - A[b][a]
 
 
-def _edge_share(g0, g1):
-    """Share of a where that gap vanishes."""
-    return g0 / (g0 - g1)
+def _edge_state(A: list[list], a: int, b: int) -> tuple:
+    """Share of a where that gap vanishes, and the common payoff of a and b
+    there, from ``model.payoff_rows`` entries (numbers, or columns).  Only
+    meaningful where the gap changes sign along the edge."""
+    g0, g1 = _edge_gaps(A, a, b)
+    return g0 / (g0 - g1), (A[a][a] * A[b][b] - A[a][b] * A[b][a]) / (g1 - g0)
 
 
 class _Inventory:
@@ -203,8 +209,7 @@ class _Inventory:
                 continue
             if g0 * g1 >= 0.0:
                 continue
-            s = _edge_share(g0, g1)
-            pay = (A[a][a] * A[b][b] - A[a][b] * A[b][a]) / (g1 - g0)
+            s, pay = _edge_state(A, a, b)
             signs = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}",
                       _sign(s * (1.0 - s) * (g1 - g0), tol)),)
             signs += tuple(
@@ -375,16 +380,17 @@ def regime_table(c: Columns, adm: Admissibility, tol: float) -> dict[str, FaceTa
     """
     b_plus = adm.b_plus
     above = adm.beta_above_eta
+    A = payoff_rows(c)
     with np.errstate(all="ignore"):
         hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
         hp_pos = hp_det > 0.0
         h_in_sn = b_plus & (c.beta > 0.0)
-        coex_pay = coexistence_payoff(c)
+        # payoffs at the H-P, O-P and O-H mixed states, against the fallback
+        _, coex_pay = _edge_state(A, 1, 2)
+        _, op_pay = _edge_state(A, 0, 2)
+        _, oh_pay = _edge_state(A, 0, 1)
         coex_beats_fallback = c.eta < coex_pay
         beta_at_eta = abs(c.beta - c.eta) <= tol
-        # payoffs at the O-P and O-H mixed states against the fallback
-        op_pay = c.alpha * c.epsilon / (c.alpha + c.epsilon)
-        oh_pay = c.alpha * c.beta / (c.alpha + c.beta)
         return {
             "S_N": _face("S_N", [
                 ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
@@ -473,24 +479,14 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
     classification hits a degenerate boundary is reported as None instead of
     raising, the global set is left empty, and the report is flagged.
     """
-    if strict:
+    try:
         validation = require_valid(p, tol)
-    else:
-        # degeneracy outranks the admissibility checks, matching require_valid:
-        # a boundary point is reported as degenerate, not rejected as invalid
+    except DegenerateParameterError:
+        # degeneracy outranks invalidity in require_valid, so a lax report
+        # flags a boundary point as degenerate instead of rejecting it
+        if strict:
+            raise
         validation = validate(p, tol)
-        if not validation.degenerate_quantities and not (
-            validation.positivity_ok and validation.nondominance_ok
-        ):
-            raise InvalidParameterError("; ".join(validation.messages) or "invalid parameters")
-    return _classify_validated(p, validation, tol, strict)
-
-
-def _classify_validated(
-    p: Params, validation: ValidationReport, tol: float, strict: bool,
-) -> RegimeReport:
-    """``classify_global`` after its admissibility gate, given ``validate(p,
-    tol)``'s report, for callers that have validated ``p`` already."""
     global_attractors: tuple[StationaryState, ...] = ()
     welfare = None
     # a degenerate classifying quantity leaves every face table undecided
@@ -552,7 +548,7 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
         attracts = {label: settled & on for label, on in _global(faces).items()}
 
         # locations of the candidates: vertices, and the H+P edge state
-        s = _edge_share(*_edge_gaps(payoff_rows(c), 1, 2))
+        s, _ = _edge_state(payoff_rows(c), 1, 2)
         locations = {label: _VERTICES[v].as_tuple() for v, label in enumerate(STRATEGIES)}
         locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
         check_orderings(

@@ -20,11 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .basins import attractor_boxes, estimate_basins, label_runs
-from .classify import _classify_validated, classify_global, classify_grid
+from .classify import classify_global, classify_grid
 from .dynamics import IntegrationError, IntegratorConfig, decimal, integrate
 from .model import (
     BRANCHES,
     DEFAULT_TOL,
+    PARAM_NAMES,
     Columns,
     DegenerateParameterError,
     InvalidParameterError,
@@ -36,7 +37,8 @@ from .model import (
 )
 from .portrait import render_portrait
 
-_PARAM_KEYS = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
+# the most sweep grid points, and basin samples, one command may ask for
+MAX_ITEMS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +96,7 @@ def _parse_set(sets: Sequence[str]) -> dict[str, float]:
             raise ValueError(f"--set expects KEY=VAL, got {item!r}")
         key, val = item.split("=", 1)
         key = key.strip()
-        if key not in _PARAM_KEYS:
+        if key not in PARAM_NAMES:
             raise ValueError(f"--set: unknown parameter {key!r}")
         out[key] = float(val)
     return out
@@ -112,7 +114,7 @@ def _parse_axis(text: str) -> SweepAxis:
     if len(parts) != 4:
         raise ValueError(f"--sweep expects NAME:MIN:MAX:STEPS, got {text!r}")
     name, lo, hi, steps = parts
-    if name not in _PARAM_KEYS:
+    if name not in PARAM_NAMES:
         raise ValueError(f"--sweep: unknown parameter {name!r}")
     n = int(steps)
     if n < 2:
@@ -161,7 +163,7 @@ def cmd_equilibria(rc: RunConfig) -> int:
     if vrep.degenerate_quantities or not (vrep.positivity_ok and vrep.nondominance_ok):
         sys.stdout.write(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
         return 3 if vrep.degenerate_quantities else 2
-    report = _classify_validated(p, vrep, rc.tol, strict=False)
+    report = classify_global(p, rc.tol, strict=False)
     text = _json(report.as_dict())
     sys.stdout.write(text)
     if rc.out is not None:
@@ -304,11 +306,13 @@ def _build_parser() -> _Parser:
     sw = sub.add_parser("sweep", parents=[common],
                         help="classify over a 1D or 2D parameter grid")
     sw.add_argument("--sweep", action="append", required=True,
-                    metavar="NAME:MIN:MAX:STEPS", help="grid axis (max twice)")
+                    metavar="NAME:MIN:MAX:STEPS",
+                    help=f"grid axis (max twice; at most {MAX_ITEMS} grid points)")
 
     ba = sub.add_parser("basins", parents=[common],
                         help="Monte Carlo basin-of-attraction fractions")
-    ba.add_argument("--samples", type=int, default=1000)
+    ba.add_argument("--samples", type=int, default=1000,
+                    help=f"number of uniform starts, 1 to {MAX_ITEMS}")
     ba.add_argument("--max-time", type=float, default=1000.0,
                     help="horizon of each sample's run; a sample that enters a "
                          "region proved to flow to one attractor is labelled "
@@ -332,6 +336,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if len(args.sweep) > 2:
             raise ValueError("--sweep given more than twice; at most 2 axes")
         axes = tuple(_parse_axis(s) for s in args.sweep)
+        if (n := math.prod(a.steps for a in axes)) > MAX_ITEMS:
+            raise ValueError(f"--sweep grid has {n} points, more than {MAX_ITEMS}")
+    samples = getattr(args, "samples", 1000)
+    if not 0 < samples <= MAX_ITEMS:
+        raise ValueError(f"--samples must be from 1 to {MAX_ITEMS}, got {samples}")
 
     return RunConfig(
         command=args.command,
@@ -341,7 +350,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         out=Path(args.out) if args.out is not None else None,
         sweep_axes=axes,
         x0=_parse_x0(args.x0) if getattr(args, "x0", None) else None,
-        samples=getattr(args, "samples", 1000),
+        samples=samples,
         integrator=IntegratorConfig(method=getattr(args, "method", "rk45"),
                                     max_time=getattr(args, "max_time", 1000.0)),
     )

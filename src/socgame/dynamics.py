@@ -68,6 +68,8 @@ _MAX_STEP = 0.5
 _MIN_STEP_FACTOR = 1e-13  # step failure below this times max(1, |t|)
 _CONVERGED = 1e-10  # a run to rest stops once max|dx/dt| falls below this
 _EXTINCTION_FLOOR = 1e-14  # shares below this are clamped to exactly 0
+# a run that ends this close (max-norm) to an attractor has reached it
+MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -468,11 +470,11 @@ def states_at(x0: SimplexState, p: Params, times: Sequence[float]) -> list[Simpl
     return [SimplexState(*y) for y in ys]
 
 
-def match_attractor(state: SimplexState, attractors: Sequence, match_tol: float = 1e-6):
-    """First attractor within ``match_tol`` of ``state`` in max-norm, or None."""
+def match_attractor(state: SimplexState, attractors: Sequence):
+    """First attractor within ``MATCH_TOL`` of ``state`` in max-norm, or None."""
     xs = state.as_tuple()
     for cand in attractors:
         loc = cand.location.as_tuple()
-        if max(abs(a - b) for a, b in zip(xs, loc)) <= match_tol:
+        if max(abs(a - b) for a, b in zip(xs, loc)) <= MATCH_TOL:
             return cand
     return None

@@ -18,8 +18,11 @@ per-strategy payoffs are linear in the shares::
 ``alpha, delta, epsilon, eta`` are strictly positive gains/losses; ``beta``
 and ``gamma`` may take either sign.  All downstream analysis assumes the
 parameter point is *admissible*: no strategy weakly dominated, and not on a
-degenerate boundary where the classification would change.  ``validate``
-reports exactly that.
+degenerate boundary where the classification would change.  Each of these
+conditions is stated once, in the admissibility table (``admissibility``),
+as an array expression over parameter columns; ``validate``,
+``dominance_relations`` and ``nash_vertices`` read it at one point, and the
+sweep reads it over a whole grid.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,31 +68,28 @@ class Params:
     eta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta", "epsilon", "eta"):
+        for name in PARAM_NAMES:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"parameter {name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
     @classmethod
     def from_mapping(cls, m: dict[str, float]) -> "Params":
-        missing = [k for k in ("alpha", "beta", "gamma", "delta", "epsilon", "eta") if k not in m]
+        missing = [k for k in PARAM_NAMES if k not in m]
         if missing:
             raise ValueError(f"missing parameters: {', '.join(missing)}")
-        extra = [k for k in m if k not in ("alpha", "beta", "gamma", "delta", "epsilon", "eta")]
+        extra = [k for k in m if k not in PARAM_NAMES]
         if extra:
             raise ValueError(f"unknown parameters: {', '.join(sorted(extra))}")
         return cls(**{k: float(v) for k, v in m.items()})
+
+
+# the field names of Params, in order
+PARAM_NAMES = tuple(f.name for f in fields(Params))
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,6 @@ class SimplexState:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
-
-    def support(self, zero_tol: float = 0.0) -> tuple[str, ...]:
-        """Strategies with share strictly above ``zero_tol``."""
-        return tuple(s for s, v in zip(STRATEGIES, self.as_tuple()) if v > zero_tol)
 
 
 @dataclass(frozen=True)
@@ -198,8 +194,7 @@ class Columns(NamedTuple):
     def of(cls, p: Params) -> "Columns":
         """One point, as numpy scalars: a ratio the tables form but do not
         consult there divides by zero to inf or nan instead of raising."""
-        return cls(*(np.float64(v) for v in (p.alpha, p.beta, p.gamma, p.delta,
-                                             p.epsilon, p.eta)))
+        return cls(**{k: np.float64(v) for k, v in p.as_dict().items()})
 
 
 # ``Admissibility.branch`` indexes this
@@ -208,20 +203,32 @@ BRANCHES = (None, "B-plus", "B-minus")
 
 class Admissibility(NamedTuple):
     """The admissibility table: every condition ``validate`` checks, as one
-    boolean mask over the points of a ``Columns`` (a numpy bool for one)."""
+    boolean mask over the points of a ``Columns`` (a numpy bool for one).
+
+    Its primitive masks are the signs of the one-signed constants, the five
+    weak-dominance relations and the degenerate quantities; nondominance and
+    the sign branch are read from them.
+    """
 
     positive: dict[str, np.ndarray]  # alpha, delta, epsilon, eta strictly positive
-    vertices: np.ndarray  # alpha, epsilon and max(beta, gamma) all beat eta
+    dominated: dict[tuple[str, str], np.ndarray]  # (dominated, dominating): weak dominance
     b_plus: np.ndarray  # beta > -delta and gamma < epsilon
     b_minus: np.ndarray  # beta < -delta and gamma > epsilon
     beta_above_eta: np.ndarray  # the all-uncivil payoff beats the fallback
     degenerate: dict[str, np.ndarray]  # classifying quantity within tol of zero
 
     @property
+    def vertices(self) -> np.ndarray:
+        """No vertex payoff falls to the isolation fallback: N dominates
+        none of O, H and P."""
+        d = self.dominated
+        return ~(d["O", "N"] | d["H", "N"] | d["P", "N"])
+
+    @property
     def valid(self) -> np.ndarray:
         """Positivity and nondominance (degeneracy aside)."""
         positive = functools.reduce(operator.and_, self.positive.values())
-        return positive & self.vertices & (self.b_plus | self.b_minus)
+        return positive & ~functools.reduce(operator.or_, self.dominated.values())
 
     @property
     def on_boundary(self) -> np.ndarray:
@@ -259,23 +266,34 @@ def admissibility(c: Columns, tol: float = DEFAULT_TOL) -> Admissibility:
     """Evaluate the admissibility table at every point of ``c``.
 
     Three layers: sign constraints on the four one-signed constants;
-    nondominance (every strategy survives weak-dominance elimination, which
-    pins one of two sign branches for (beta+delta, epsilon-gamma)); and
-    distance-from-boundary for every classifying quantity.
+    nondominance (no strategy is weakly dominated, which pins one of two
+    sign branches for (beta+delta, epsilon-gamma)); and distance from the
+    boundary for every classifying quantity.
     """
     with np.errstate(all="ignore"):
         beta_above_eta = c.beta > c.eta
         degenerate = {name: abs(v) <= tol for name, v in _classifying_quantities(c).items()}
         degenerate["alpha+beta"] = degenerate["alpha+beta"] & beta_above_eta
+        # the dominated strategy earns at most the dominating one's payoff
+        # against every pure state; only N can dominate O, and N is never
+        # dominated
+        dominated = {
+            ("O", "N"): c.alpha <= c.eta,
+            ("H", "N"): np.maximum(c.beta, c.gamma) <= c.eta,
+            ("H", "P"): (c.beta <= -c.delta) & (c.gamma <= c.epsilon),
+            ("P", "N"): c.epsilon <= c.eta,
+            ("P", "H"): (c.beta >= -c.delta) & (c.gamma >= c.epsilon),
+        }
+        # where neither of H and P dominates the other, beta+delta and
+        # epsilon-gamma are nonzero with one sign, and beta+delta tells which
+        hp_free = ~dominated["H", "P"] & ~dominated["P", "H"]
+        h_gains = c.beta > -c.delta
         return Admissibility(
             positive={name: getattr(c, name) > 0.0
                       for name in ("alpha", "delta", "epsilon", "eta")},
-            # no vertex payoff may fall to the isolation fallback...
-            vertices=((c.alpha > c.eta) & (c.epsilon > c.eta)
-                      & (np.maximum(c.beta, c.gamma) > c.eta)),
-            # ...and the H/P cross terms must sit in one of two strict sign branches
-            b_plus=(c.beta > -c.delta) & (c.gamma < c.epsilon),
-            b_minus=(c.beta < -c.delta) & (c.gamma > c.epsilon),
+            dominated=dominated,
+            b_plus=hp_free & h_gains,
+            b_minus=hp_free & ~h_gains,
             beta_above_eta=beta_above_eta,
             degenerate=degenerate,
         )
@@ -304,7 +322,7 @@ def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     return ValidationReport(
         positivity_ok=all(table.positive.values()),
-        nondominance_ok=bool(table.vertices) and branch is not None,
+        nondominance_ok=not any(table.dominated.values()),
         branch=branch,
         degenerate_quantities=degenerate,
         messages=tuple(messages),
@@ -325,60 +343,35 @@ def require_valid(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def nash_vertices(p: Params, tol: float = DEFAULT_TOL) -> dict[str, bool]:
-    """Which pure states are strict Nash equilibria.
+    """Which pure states are strict Nash equilibria, read off the
+    admissibility table.
 
     N always is (any deviation forfeits the fallback payoff).  O needs
-    alpha > eta, H needs beta > eta, P needs epsilon > max(gamma, eta).
-    Raises if a defining inequality sits within ``tol`` of equality.
+    alpha > eta, H needs beta > eta, P needs epsilon > max(gamma, eta): at an
+    admissible point O always is, and P is exactly on branch B-plus.  Raises
+    as ``require_valid`` does, and where beta sits within ``tol`` of eta.
     """
     require_valid(p, tol)
-    for name, v in {
-        "alpha-eta": p.alpha - p.eta,
-        "beta-eta": p.beta - p.eta,
-        "epsilon-gamma": p.epsilon - p.gamma,
-        "epsilon-eta": p.epsilon - p.eta,
-    }.items():
-        if abs(v) <= tol:
-            raise DegenerateParameterError(f"Nash boundary: |{name}| <= {tol}")
+    if abs(p.beta - p.eta) <= tol:
+        raise DegenerateParameterError(f"Nash boundary: |beta-eta| <= {tol}")
+    table = admissibility(Columns.of(p), tol)
     return {
-        "O": p.alpha > p.eta,
-        "H": p.beta > p.eta,
-        "P": p.epsilon > p.gamma and p.epsilon > p.eta,
+        "O": not table.dominated["O", "N"],
+        "H": bool(table.beta_above_eta),
+        "P": bool(table.b_plus & ~table.dominated["P", "N"]),
         "N": True,
     }
 
 
-def coexistence_payoff(p: Params) -> float:
-    """Common payoff at the mixed uncivil/polite state on the H-P edge:
-    (beta*epsilon + gamma*delta) / (epsilon - gamma + beta + delta).
-
-    The caller is responsible for the denominator being away from zero
-    (``validate`` flags it as a degenerate quantity).
-    """
-    num = p.beta * p.epsilon + p.gamma * p.delta
-    den = (p.epsilon - p.gamma) + (p.beta + p.delta)
-    return num / den
-
-
 def dominance_relations(p: Params) -> list[tuple[str, str]]:
-    """Weak-dominance pairs ``(dominated, dominating)``.
+    """Weak-dominance pairs ``(dominated, dominating)``: the admissibility
+    table's dominance masks that hold at ``p``, in the table's order.
 
-    Only N can dominate or tie down O; H and P can dominate each other; N is
-    never dominated.  Weak inequalities, no tolerance: boundary equality
-    already means weak dominance.
+    Weak inequalities, no tolerance: boundary equality already means weak
+    dominance.  Raises if one of the one-signed constants is not positive.
     """
-    for name in ("alpha", "delta", "epsilon", "eta"):
-        if getattr(p, name) <= 0.0:
+    table = admissibility(Columns.of(p))
+    for name, ok in table.positive.items():
+        if not ok:
             raise InvalidParameterError(f"{name} must be strictly positive")
-    rel: list[tuple[str, str]] = []
-    if p.alpha <= p.eta:
-        rel.append(("O", "N"))
-    if p.eta >= max(p.beta, p.gamma):
-        rel.append(("H", "N"))
-    if p.beta <= -p.delta and p.gamma <= p.epsilon:
-        rel.append(("H", "P"))
-    if p.epsilon <= p.eta:
-        rel.append(("P", "N"))
-    if p.beta >= -p.delta and p.gamma >= p.epsilon:
-        rel.append(("P", "H"))
-    return rel
+    return [pair for pair, on in table.dominated.items() if on]

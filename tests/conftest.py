@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from socgame import Params, coexistence_payoff, validate
+from oracles import coexistence_payoff, oh_payoff, op_payoff
+from socgame import Params, validate
+from socgame.model import PARAM_NAMES
 
 # canonical instances used throughout the suite
 SET_A = Params(alpha=2, beta=1, gamma=1, delta=1, epsilon=2, eta=0.5)
@@ -96,9 +99,13 @@ SNAPS = {
     "|beta|": ("beta", lambda p: 0.0),
     "beta-eta": ("eta", lambda p: p.beta),
     "eta-coex": ("eta", coexistence_payoff),
-    "eta-op_pay": ("eta", lambda p: p.alpha * p.epsilon / (p.alpha + p.epsilon)),
-    "eta-oh_pay": ("eta", lambda p: p.alpha * p.beta / (p.alpha + p.beta)),
+    "eta-op_pay": ("eta", op_payoff),
+    "eta-oh_pay": ("eta", oh_payoff),
 }
+
+# where an arbitrary (mostly inadmissible) point's parameters are drawn from
+PARAM_RANGES = {"alpha": (-0.5, 3.0), "beta": (-3.0, 2.5), "gamma": (-1.0, 3.5),
+                "delta": (-0.5, 2.0), "epsilon": (-0.5, 3.0), "eta": (-0.2, 1.5)}
 
 
 def snapped(base: dict, snap) -> Params:
@@ -111,6 +118,18 @@ def snapped(base: dict, snap) -> Params:
         except ZeroDivisionError:
             pass
     return Params(**base)
+
+
+@st.composite
+def snapped_points(draw) -> Params:
+    """A point, admissible or anywhere in PARAM_RANGES, perhaps snapped onto
+    one of the SNAPS boundaries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = draw_params(rng, draw(st.sampled_from(("B-plus", "B-minus")))).as_dict()
+    else:
+        base = {k: float(rng.uniform(*PARAM_RANGES[k])) for k in PARAM_NAMES}
+    return snapped(base, draw(st.sampled_from((None,) + tuple(SNAPS))))
 
 
 # A B-minus point and a start whose run to rest ends max-time-reached at

@@ -18,7 +18,10 @@ Nothing here is used by the package.  Tests check against it:
   face.  ``lv_states_at`` integrates the chart with scipy's ``solve_ivp``,
   so the conjugacy test compares two integrators that share no code;
 * ``numeric_jacobian``: finite-difference eigenvalues at a rest point of
-  the face flow or of either chart system.
+  the face flow or of either chart system;
+* the admissibility inequalities as plain comparisons, one per condition
+  (``dominance_oracle``, ``nondominance_oracle``, ``nash_oracle``), and the
+  closed forms of the H-P, O-P and O-H edge states' payoffs.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from socgame import Params, SimplexState
+from socgame import DegenerateParameterError, InvalidParameterError, Params, SimplexState
 from socgame.dynamics import replicator_field
+from socgame.model import require_valid
 
 
 class ChartDomainError(ValueError):
@@ -192,3 +196,75 @@ def numeric_jacobian(loc, p: Params, system: str = "replicator-face",
         )
     eigs = np.linalg.eigvals(fd_jacobian(f, u, step))
     return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+
+def coexistence_payoff(p) -> float:
+    """Common payoff at the mixed state on the H-P edge:
+    (beta*epsilon + gamma*delta) / (epsilon - gamma + beta + delta)."""
+    return (p.beta * p.epsilon + p.gamma * p.delta) / ((p.epsilon - p.gamma) + (p.beta + p.delta))
+
+
+def coexistence_share(p) -> float:
+    """H's share at that state: (epsilon - gamma) / (epsilon - gamma + beta + delta)."""
+    return (p.epsilon - p.gamma) / ((p.epsilon - p.gamma) + (p.beta + p.delta))
+
+
+def op_payoff(p) -> float:
+    """Common payoff at the mixed state on the O-P edge."""
+    return p.alpha * p.epsilon / (p.alpha + p.epsilon)
+
+
+def oh_payoff(p) -> float:
+    """Common payoff at the mixed state on the O-H edge."""
+    return p.alpha * p.beta / (p.alpha + p.beta)
+
+
+def dominance_oracle(p: Params) -> list[tuple[str, str]]:
+    """Weak-dominance pairs ``(dominated, dominating)``, each inequality
+    written out: X is weakly dominated by Y when Y earns at least X's payoff
+    against every pure state."""
+    for name in ("alpha", "delta", "epsilon", "eta"):
+        if getattr(p, name) <= 0.0:
+            raise InvalidParameterError(f"{name} must be strictly positive")
+    rel: list[tuple[str, str]] = []
+    if p.alpha <= p.eta:
+        rel.append(("O", "N"))
+    if p.eta >= max(p.beta, p.gamma):
+        rel.append(("H", "N"))
+    if p.beta <= -p.delta and p.gamma <= p.epsilon:
+        rel.append(("H", "P"))
+    if p.epsilon <= p.eta:
+        rel.append(("P", "N"))
+    if p.beta >= -p.delta and p.gamma >= p.epsilon:
+        rel.append(("P", "H"))
+    return rel
+
+
+def nondominance_oracle(p: Params) -> tuple[bool, str | None]:
+    """``validate``'s (nondominance_ok, branch): every vertex payoff beats
+    the fallback, and the H/P cross terms sit in one strict sign branch."""
+    vertices = p.alpha > p.eta and p.epsilon > p.eta and max(p.beta, p.gamma) > p.eta
+    b_plus = p.beta > -p.delta and p.gamma < p.epsilon
+    b_minus = p.beta < -p.delta and p.gamma > p.epsilon
+    branch = "B-plus" if b_plus else "B-minus" if b_minus else None
+    return vertices and branch is not None, branch
+
+
+def nash_oracle(p: Params, tol: float) -> dict[str, bool]:
+    """Strict Nash vertices, every defining inequality checked against
+    ``tol`` and then compared directly."""
+    require_valid(p, tol)
+    for name, v in {
+        "alpha-eta": p.alpha - p.eta,
+        "beta-eta": p.beta - p.eta,
+        "epsilon-gamma": p.epsilon - p.gamma,
+        "epsilon-eta": p.epsilon - p.eta,
+    }.items():
+        if abs(v) <= tol:
+            raise DegenerateParameterError(f"Nash boundary: |{name}| <= {tol}")
+    return {
+        "O": p.alpha > p.eta,
+        "H": p.beta > p.eta,
+        "P": p.epsilon > p.gamma and p.epsilon > p.eta,
+        "N": True,
+    }

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, draw_params
-from oracles import from_lv, lv_states_at, numeric_jacobian, to_lv
+from oracles import coexistence_payoff, from_lv, lv_states_at, numeric_jacobian, to_lv
 from socgame import (
     IntegratorConfig,
     SimplexState,
     classify_edge,
     classify_global,
-    coexistence_payoff,
     face_states,
     full_interior_state,
     integrate,

@@ -12,11 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, SET_C, SET_D, SNAPS, draw_params, draw_simplex, snapped
+from conftest import (
+    PARAM_RANGES,
+    SET_A,
+    SET_B,
+    SET_C,
+    SET_D,
+    SNAPS,
+    draw_params,
+    draw_simplex,
+    snapped,
+    snapped_points,
+)
 from oracles import (
     NonStationaryPointError,
+    coexistence_payoff,
+    coexistence_share,
     fd_jacobian,
     numeric_jacobian,
+    oh_payoff,
+    op_payoff,
     reduced_field,
     to_lv,
 )
@@ -25,16 +40,15 @@ from socgame import (
     SimplexState,
     classify_edge,
     classify_global,
-    coexistence_payoff,
     face_states,
     full_interior_state,
     nash_vertices,
     validate,
 )
 from socgame.cli import main
-from socgame.classify import FACE_ABSENT, FACES
+from socgame.classify import FACE_ABSENT, FACES, _edge_state
 from socgame.dynamics import replicator_jacobian
-from socgame.model import Params
+from socgame.model import PARAM_NAMES, Columns, Params, payoff_rows
 
 FACE_STRATEGIES = {
     "S_N": {"O", "H", "P"},
@@ -380,9 +394,32 @@ class TestFaceStates:
 
         # the H/P mixed state is exactly the closed form
         hp = {s.label: s for s in face_states(p, "S_N")}["H+P"]
-        share = (p.epsilon - p.gamma) / ((p.epsilon - p.gamma) + (p.beta + p.delta))
-        assert hp.location.x2 == share
+        assert hp.location.x2 == coexistence_share(p)
         assert hp.payoff == coexistence_payoff(p)
+
+
+class TestEdgeState:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points())
+    def test_equals_closed_forms(self, p):
+        # the one edge-state formula against each edge's closed form, on
+        # numbers (as the inventory calls it) and on numpy columns (as the
+        # regime and grid tables call it), on and off every SNAPS boundary;
+        # where the closed form divides by zero, so does the formula
+        rows, cols = payoff_rows(p), payoff_rows(Columns.of(p))
+        closed = {(1, 2): (coexistence_share, coexistence_payoff),
+                  (0, 2): (None, op_payoff), (0, 1): (None, oh_payoff)}
+        for (a, b), (share, payoff) in closed.items():
+            try:
+                want = payoff(p)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    _edge_state(rows, a, b)
+                continue
+            got, got_cols = _edge_state(rows, a, b), _edge_state(cols, a, b)
+            assert got[1] == got_cols[1] == want, (a, b)
+            if share is not None:
+                assert got[0] == got_cols[0] == share(p)
 
 
 class TestAnalyticJacobian:
@@ -427,10 +464,6 @@ class TestAnalyticJacobian:
 # ---------------------------------------------------------------------------
 # the whole-grid classification against the per-point one
 
-PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
-PARAM_RANGES = {"alpha": (-0.5, 3.0), "beta": (-3.0, 2.5), "gamma": (-1.0, 3.5),
-                "delta": (-0.5, 2.0), "epsilon": (-0.5, 3.0), "eta": (-0.2, 1.5)}
-
 # the planar portrait number of each panel
 FIGURE_PP = {"2a": 7, "2b": 35, "2c": 9, "2d": 37, "2e": 11, "2f": 36,
              "3a": 7, "3b": 35, "3c": 9, "3d": 37, "3e": 11, "3f": 36,
@@ -460,7 +493,7 @@ def face_oracle(p, tol, face):
             return ("3c" if p.eta < coex else "3d"), ["P", "N"]
         return ("3e", ["N", "H+P"]) if p.eta < coex else ("3f", ["N"])
     if face == "S_H":
-        op_pay = p.alpha * p.epsilon / (p.alpha + p.epsilon)
+        op_pay = op_payoff(p)
         if abs(p.eta - op_pay) <= tol:
             return "fallback payoff on the O-P edge-state boundary"
         return ("4a" if p.eta < op_pay else "4b"), ["O", "P", "N"]
@@ -468,7 +501,7 @@ def face_oracle(p, tol, face):
         return f"face S_P case boundary: |beta-eta| <= {tol}"
     if p.beta <= p.eta:
         return "5c", ["O", "N"]
-    oh_pay = p.alpha * p.beta / (p.alpha + p.beta)
+    oh_pay = oh_payoff(p)
     if abs(p.eta - oh_pay) <= tol:
         return "fallback payoff on the O-H edge-state boundary"
     return ("5a" if p.eta < oh_pay else "5b"), ["O", "H", "N"]
@@ -491,14 +524,9 @@ def point_row(p, tol):
 
 @st.composite
 def sweep_cases(draw):
-    """A base point, admissible or anywhere in PARAM_RANGES, perhaps snapped
-    onto one boundary, and one or two axes that start at it."""
+    """A point from ``snapped_points`` and one or two axes that start at it."""
+    p = draw(snapped_points())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        base = draw_params(rng, draw(st.sampled_from(("B-plus", "B-minus")))).as_dict()
-    else:
-        base = {k: float(rng.uniform(*PARAM_RANGES[k])) for k in PARAM_NAMES}
-    p = snapped(base, draw(st.sampled_from((None,) + tuple(SNAPS))))
     axes = []
     for _ in range(draw(st.integers(1, 2))):
         name = draw(st.sampled_from(PARAM_NAMES))

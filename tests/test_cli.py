@@ -291,6 +291,16 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 10001
 
+    def test_grid_size_bounded(self, capsys, params_a):
+        # refused before the grid is allocated, with one input-error line
+        for axes, n in ((["eta:0:1:100000000000"], 10**11),
+                        (["eta:0:1:1000001"], 10**6 + 1),
+                        (["eta:0:1:1001", "beta:0:1:1000"], 1001000)):
+            argv = [a for axis in axes for a in ("--sweep", axis)]
+            code, out, err = run(capsys, "sweep", "--params", params_a, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"input error: --sweep grid has {n} points, more than 1000000\n"
+
     def test_malformed_axis(self, capsys, params_a):
         code, _, err = run(capsys, "sweep", "--params", params_a,
                            "--sweep", "eta:0:1")
@@ -325,6 +335,14 @@ class TestBasins:
         in_process = estimate_basins(Params.from_mapping(_read_params_file(params_b)), 60,
                                      seed=5, jobs=2).as_dict()
         assert (code1, out1) == (code2, out2) == (0, _json(in_process))
+
+    def test_sample_count_bounded(self, capsys, params_a):
+        # refused before any work, also on degenerate parameters (gamma=2)
+        for n in ("100000000000", "1000001", "0"):
+            code, out, err = run(capsys, "basins", "--params", params_a, "--set", "gamma=2",
+                                 "--samples", n)
+            assert (code, out) == (1, "")
+            assert err == f"input error: --samples must be from 1 to 1000000, got {n}\n"
 
     def test_rejects_zero_samples(self, capsys, params_b):
         code, _, err = run(capsys, "basins", "--params", params_b,

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, SET_C, SET_D, draw_params, draw_simplex
+from conftest import SET_A, SET_B, SET_C, SET_D, draw_params, draw_simplex, snapped_points
+from oracles import dominance_oracle, nash_oracle, nondominance_oracle
 from socgame import (
     DegenerateParameterError,
     InvalidParameterError,
     Params,
     SimplexState,
-    coexistence_payoff,
     dominance_relations,
+    face_states,
     nash_vertices,
     payoff_matrix,
     payoff_vector,
@@ -196,14 +199,52 @@ class TestDominance:
         assert ("O", "N") in rels and ("H", "N") in rels and ("P", "N") in rels
 
 
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (InvalidParameterError, DegenerateParameterError) as e:
+        return type(e), str(e)
+
+
+class TestAdmissibilityOracle:
+    # the admissibility table's dominance masks, and what is read off them,
+    # against the inequalities written out, on and off every SNAPS boundary
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points())
+    def test_dominance_relations(self, p):
+        assert outcome(dominance_relations, p) == outcome(dominance_oracle, p)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_nash_vertices(self, p, tol):
+        got = outcome(nash_vertices, p, tol)
+        assert got == outcome(nash_oracle, p, tol)
+        if isinstance(got, dict):  # plain bools, as the check JSON needs
+            assert all(type(v) is bool for v in got.values())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_validate_nondominance_and_branch(self, p, tol):
+        v = validate(p, tol)
+        assert (v.nondominance_ok, v.branch) == nondominance_oracle(p)
+
+
 class TestCoexistencePayoff:
+    # the H+P state of the no-isolation face carries the coexistence payoff
+
+    @staticmethod
+    def hp_payoff(p):
+        return {s.label: s for s in face_states(p, "S_N")}["H+P"].payoff
+
     def test_values(self):
-        assert abs(coexistence_payoff(SET_A) - 1.0) < 1e-12
-        assert abs(coexistence_payoff(SET_B) - 1 / 3) < 1e-12
-        assert abs(coexistence_payoff(SET_C) - 0.2 / 1.3) < 1e-12
+        assert abs(self.hp_payoff(SET_A) - 1.0) < 1e-12
+        assert abs(self.hp_payoff(SET_B) - 1 / 3) < 1e-12
+        assert abs(self.hp_payoff(SET_C) - 0.2 / 1.3) < 1e-12
 
     def test_matches_payoff_at_the_state(self):
-        # the quotient equals the common H/P payoff where the two intersect
+        # the state's payoff equals the common H/P payoff where the two intersect
         for p, x2 in ((SET_A, 1 / 3), (SET_B, 1 / 3)):
             pv = payoff_vector(SimplexState(0, x2, 1 - x2, 0), p)
-            assert abs(coexistence_payoff(p) - pv[1]) < 1e-12
+            assert abs(self.hp_payoff(p) - pv[1]) < 1e-12

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import SET_A, SET_B, draw_params
+from oracles import coexistence_payoff
 from socgame import (
     OrderingViolationError,
     SimplexState,
     StationaryState,
     classify_edge,
     classify_global,
-    coexistence_payoff,
     welfare_report,
 )
 from socgame.model import Params
