@@ -13,75 +13,40 @@ compete under replicator dynamics on the 3-simplex.  The package provides:
 * welfare ranking of the attractors (isolation is always strictly worst),
 * Monte Carlo basin-of-attraction estimates,
 * a CLI (``socgame``) with JSON/CSV/SVG reporting.
+
+``import socgame`` loads no submodule, and so not numpy either: each name in
+``__all__`` imports its submodule on first use (PEP 562).
 """
 
-from .basins import BasinReport, estimate_basins, find_attractor, sample_simplex
-from .classify import (
-    EdgeRegime,
-    RegimeReport,
-    StationaryState,
-    classify_edge,
-    classify_global,
-    face_states,
-    full_interior_state,
-)
-from .dynamics import (
-    IntegrationError,
-    IntegratorConfig,
-    Trajectory,
-    integrate,
-    match_attractor,
-    states_at,
-)
-from .model import (
-    DEFAULT_TOL,
-    STRATEGIES,
-    DegenerateParameterError,
-    InvalidParameterError,
-    Params,
-    SimplexState,
-    ValidationReport,
-    dominance_relations,
-    nash_vertices,
-    payoff_matrix,
-    payoff_vector,
-    validate,
-)
-from .welfare import OrderingViolationError, WelfareReport, welfare_report
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasinReport",
-    "IntegrationError",
-    "DEFAULT_TOL",
-    "DegenerateParameterError",
-    "EdgeRegime",
-    "IntegratorConfig",
-    "InvalidParameterError",
-    "OrderingViolationError",
-    "Params",
-    "RegimeReport",
-    "STRATEGIES",
-    "SimplexState",
-    "StationaryState",
-    "Trajectory",
-    "ValidationReport",
-    "WelfareReport",
-    "classify_edge",
-    "classify_global",
-    "dominance_relations",
-    "estimate_basins",
-    "face_states",
-    "find_attractor",
-    "full_interior_state",
-    "integrate",
-    "match_attractor",
-    "nash_vertices",
-    "payoff_matrix",
-    "payoff_vector",
-    "sample_simplex",
-    "states_at",
-    "validate",
-    "welfare_report",
-]
+# submodule -> the public names it exports at package level
+_SUBMODULES = {
+    "basins": ("BasinReport", "estimate_basins", "find_attractor", "sample_simplex"),
+    "classify": ("EdgeRegime", "RegimeReport", "StationaryState", "classify_edge",
+                 "classify_global", "face_states", "full_interior_state"),
+    "dynamics": ("IntegrationError", "IntegratorConfig", "Trajectory", "integrate",
+                 "match_attractor", "states_at"),
+    "model": ("DEFAULT_TOL", "STRATEGIES", "DegenerateParameterError",
+              "InvalidParameterError", "Params", "SimplexState", "ValidationReport",
+              "dominance_relations", "nash_vertices", "payoff_matrix", "payoff_vector",
+              "validate"),
+    "welfare": ("OrderingViolationError", "WelfareReport", "welfare_report"),
+}
+_HOME = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,7 @@ the fractions always account for every sample.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,6 +141,14 @@ def attractor_boxes(attractors: Sequence[StationaryState],
     return [(a, box) for a in attractors if (box := ratio_box(a, A)) is not None]
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_boxes(attractors: tuple[StationaryState, ...],
+                  p: Params) -> tuple[tuple[StationaryState, RatioBox], ...]:
+    """``attractor_boxes``, built once per distinct (attractors, p): a caller
+    of ``find_attractor`` labels many starts against one classification."""
+    return tuple(attractor_boxes(attractors, p))
+
+
 def label_runs(
     finals,
     verdicts: Sequence[str],
@@ -179,13 +188,15 @@ def find_attractor(
 
     Returns the StationaryState ``label_runs`` names for the run's end, or
     None when the run did not resolve to any classified attractor.  Pass
-    ``attractors`` to reuse a classification across many starts.
+    ``attractors`` to reuse a classification across many starts; their
+    ratio boxes are then built once, not on every call.
     """
     if attractors is None:
         attractors = classify_global(p, tol).global_attractors
+    attractors = tuple(attractors)
     traj = integrate(x0, p, cfg)
     return label_runs([traj.final_state.as_tuple()], [traj.verdict], attractors,
-                      attractor_boxes(attractors, p))[0]
+                      _cached_boxes(attractors, p))[0]
 
 
 def estimate_basins(

@@ -12,10 +12,16 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+# Every matrix socgame factors or multiplies is at most 4x4, which OpenBLAS
+# never splits across threads, so a thread pool only costs start-up time.
+# This must run before numpy is first imported; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -341,6 +347,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     samples = getattr(args, "samples", 1000)
     if not 0 < samples <= MAX_ITEMS:
         raise ValueError(f"--samples must be from 1 to {MAX_ITEMS}, got {samples}")
+    if args.command == "basins" and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0 for basins, got {args.seed}")
 
     return RunConfig(
         command=args.command,

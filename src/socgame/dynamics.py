@@ -352,14 +352,20 @@ class RatioBox(NamedTuple):
 def box_index(y: Sequence, boxes: Sequence[RatioBox]) -> np.ndarray:
     """Index of the first of ``boxes`` that holds each row of ``y``, four
     share columns (a tuple, or an array of shape (4, n)); -1 for a row in
-    none of them."""
+    none of them.
+
+    Every share must be finite and non-negative, or NaN (a row with a NaN
+    share is in no box), as every projected state is: a lower bound
+    ``lo[k] == 0`` then always holds and is not tested."""
     found = np.full(len(y[0]), -1)
     for i, b in enumerate(boxes):
         xr = y[b.ref]
         inside = xr > 0.0
         for k in range(4):
             if k != b.ref:
-                inside &= (b.lo[k] * xr <= y[k]) & (y[k] <= b.hi[k] * xr)
+                if b.lo[k] > 0.0:
+                    inside &= b.lo[k] * xr <= y[k]
+                inside &= y[k] <= b.hi[k] * xr
         found[(found < 0) & inside] = i
     return found
 

@@ -21,7 +21,8 @@ from socgame import (
     match_attractor,
     sample_simplex,
 )
-from socgame.basins import ratio_box
+from socgame import basins
+from socgame.basins import attractor_boxes, label_runs, ratio_box
 from socgame.model import payoff_rows
 
 
@@ -180,6 +181,29 @@ class TestRatioBoxes:
             for x0 in box_points(box, rng):
                 hit = match_attractor(integrate(x0, p).final_state, attractors)
                 assert hit is not None and hit.label == a.label, (p, a.label, x0)
+
+    def test_find_attractor_builds_boxes_once_per_classification(self, monkeypatch):
+        calls = []
+
+        def counting_ratio_box(state, A):
+            calls.append(state.label)
+            return ratio_box(state, A)
+
+        attractors = classify_global(SET_B).global_attractors
+        starts = [SimplexState(*row) for row in sample_simplex(6, 3).tolist()]
+        runs = [integrate(x0, SET_B) for x0 in starts]
+        expected = label_runs([r.final_state.as_tuple() for r in runs], [r.verdict for r in runs],
+                              attractors, attractor_boxes(attractors, SET_B))
+        monkeypatch.setattr(basins, "ratio_box", counting_ratio_box)
+        basins._cached_boxes.cache_clear()
+        # a fresh list each call: equal attractors share one set of boxes
+        hits = [find_attractor(x0, SET_B, attractors=list(attractors)) for x0 in starts]
+        assert hits == expected
+        assert sorted(calls) == sorted(a.label for a in attractors)
+        # other parameters get boxes of their own, once
+        for x0 in starts[:3]:
+            find_attractor(x0, SET_A)
+        assert len(calls) == len(attractors) + len(classify_global(SET_A).global_attractors)
 
     def test_box_needs_the_support_ratio_to_rise_on_its_lower_face(self):
         # In this game the H-P rates ignore the O and N shares, so the lower

@@ -1,7 +1,13 @@
-"""Command line interface, exercised in process through main(argv)."""
+"""Command line interface, exercised in process through main(argv), and in
+new processes where what a process imports at start-up matters."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +15,9 @@ from conftest import BOX_ONLY_P, BOX_ONLY_X0
 from socgame import Params, estimate_basins
 from socgame.cli import _json, _read_params_file, main
 from socgame.dynamics import IntegrationError
+from test_golden import CASES, GOLDEN_DIR, _params_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -344,6 +353,14 @@ class TestBasins:
             assert (code, out) == (1, "")
             assert err == f"input error: --samples must be from 1 to 1000000, got {n}\n"
 
+    def test_negative_seed_rejected(self, capsys, params_a):
+        # refused before any work, also on degenerate parameters (gamma=2)
+        for seed in ("-1", "-12345678901234567890"):
+            code, out, err = run(capsys, "basins", "--params", params_a, "--set", "gamma=2",
+                                 "--seed", seed)
+            assert (code, out) == (1, "")
+            assert err == f"input error: --seed must be >= 0 for basins, got {seed}\n"
+
     def test_rejects_zero_samples(self, capsys, params_b):
         code, _, err = run(capsys, "basins", "--params", params_b,
                            "--samples", "0")
@@ -388,3 +405,70 @@ class TestUsage:
     def test_missing_params_flag(self, capsys):
         assert main(["check"]) == 1
         capsys.readouterr()
+
+
+def fresh_env(threads: str | None = None) -> dict:
+    """The environment for a new Python process that imports socgame from
+    ``src/``, with OPENBLAS_NUM_THREADS set to ``threads`` or absent.  It is
+    never inherited, because importing ``socgame.cli`` has set it here."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def fresh_python(code: str, threads: str | None = None):
+    """Run ``code`` in a new interpreter; returns the JSON it prints."""
+    res = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=fresh_env(threads),
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout)
+
+
+class TestFreshProcess:
+    def test_import_loads_no_submodule_and_keeps_the_environment(self):
+        out = fresh_python("""
+            import json, os, sys
+            before = dict(os.environ)
+            import socgame
+            loaded = [m for m in sys.modules
+                      if m.split(".")[0] == "numpy" or m.startswith("socgame.")]
+            print(json.dumps({"loaded": loaded, "environ_kept": dict(os.environ) == before}))
+            """)
+        assert out == {"loaded": [], "environ_kept": True}
+
+    def test_every_public_name_resolves_on_first_use(self):
+        out = fresh_python("""
+            import json, socgame
+            star = {}
+            exec("from socgame import *", star)
+            try:
+                socgame.no_such_name
+                error = None
+            except AttributeError as e:
+                error = str(e)
+            print(json.dumps({
+                "unbound": [n for n in socgame.__all__ if n not in star],
+                "same": all(star[n] is getattr(socgame, n) for n in socgame.__all__),
+                "in_dir": set(socgame.__all__) <= set(dir(socgame)),
+                "error": error}))
+            """)
+        assert out == {"unbound": [], "same": True, "in_dir": True,
+                       "error": "module 'socgame' has no attribute 'no_such_name'"}
+
+    @pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3")], ids=["unset", "set-3"])
+    def test_cli_runs_blas_single_threaded_unless_told(self, threads, seen):
+        code = "import json, os, socgame.cli; print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))"
+        assert fresh_python(code, threads) == seen
+
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "set-2"])
+    @pytest.mark.parametrize("name", ["equilibria_A.json", "sweep_A_beta_gamma.csv",
+                                      "basins_B.json"])
+    def test_module_run_reproduces_golden(self, tmp_path, name, threads):
+        p, argv, code, written = CASES[name]
+        assert written is None  # these goldens are stdout
+        res = subprocess.run([sys.executable, "-m", "socgame.cli", *argv,
+                              "--params", _params_file(tmp_path, p)],
+                             env=fresh_env(threads), capture_output=True, cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (code, b"")
+        assert res.stdout == (GOLDEN_DIR / name).read_bytes()

@@ -26,7 +26,7 @@ from socgame import (
     match_attractor,
     states_at,
 )
-from socgame.dynamics import _integrate_rows, replicator_field
+from socgame.dynamics import RatioBox, _integrate_rows, box_index, replicator_field
 
 
 class TestReplicatorRhs:
@@ -288,6 +288,47 @@ class TestBatchedRuns:
             assert tuple(final) == tr.final_state.as_tuple()
             assert verdict == tr.verdict
             assert k == len(tr.times) - 1
+
+
+def two_sided_box_index(y, boxes):
+    """``box_index`` with both bounds tested for every ratio, lower bounds
+    of 0 included."""
+    found = np.full(len(y[0]), -1)
+    for i, b in enumerate(boxes):
+        xr = y[b.ref]
+        inside = xr > 0.0
+        for k in range(4):
+            if k != b.ref:
+                inside &= (b.lo[k] * xr <= y[k]) & (y[k] <= b.hi[k] * xr)
+        found[(found < 0) & inside] = i
+    return found
+
+
+@st.composite
+def ratio_boxes(draw):
+    """A box as ``basins.ratio_box`` shapes one: lower bounds of 0 or above."""
+    ref = draw(st.integers(0, 3))
+    bound = st.floats(0.0, 4.0)
+    lo, hi = [1.0] * 4, [1.0] * 4
+    for k in range(4):
+        if k != ref:
+            lo[k] = draw(st.one_of(st.just(0.0), bound))
+            hi[k] = lo[k] + draw(bound)
+    return RatioBox(ref, tuple(lo), tuple(hi))
+
+
+# exact zeros, shares of any size and NaN; rows need not sum to 1
+SHARE = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e300), st.just(math.nan))
+
+
+class TestBoxIndex:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(boxes=st.lists(ratio_boxes(), max_size=4),
+           rows=st.lists(st.tuples(SHARE, SHARE, SHARE, SHARE), min_size=1, max_size=30))
+    def test_equals_two_sided_test_on_non_negative_shares(self, boxes, rows):
+        y = np.array(rows).T
+        assert box_index(y, boxes).tolist() == two_sided_box_index(y, boxes).tolist()
+        assert box_index(tuple(y), boxes).tolist() == two_sided_box_index(y, boxes).tolist()
 
 
 class TestAttractorMatching:
