@@ -35,7 +35,8 @@ from .dynamics import (
 from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState, payoff_rows
 
 SAMPLING = "uniform-simplex"
-_TAUS = tuple(2.0 ** -i for i in range(31))  # box widths tried, widest first
+# a box bound is set by a power of two 2**e, for e from _NARROWEST up
+_NARROWEST, _WIDEST = -30, 30
 # a corner's ratio rate must clear this share of the sum of its terms' sizes,
 # far above the rounding of the rate and of the row test
 _MARGIN = 1e-9
@@ -84,37 +85,84 @@ def sample_simplex(n: int, seed: int) -> np.ndarray:
 
 
 def ratio_box(state: StationaryState, A: list[list]) -> RatioBox | None:
-    """The widest box, for tau = 1, 1/2, ..., 2**-30, that proves every start
-    in it flows to ``state``, a vertex or edge-interior state; None if no
-    tau works.  ``A`` is the payoff matrix as ``model.payoff_rows`` gives it.
+    """A wide box that proves every start in it flows to ``state``, a vertex
+    or edge-interior state; None if no box of the search does.  ``A`` is the
+    payoff matrix as ``model.payoff_rows`` gives it.
 
     The reference R is the support strategy with the larger share, and
     u_k = x_k / x_R.  Then d/dt log u_k = pi_k - pi_R = x_R L_k(u), where
     L_k(u) = sum_j (A_kj - A_Rj) u_j with u_R = 1 is affine
-    (Hofbauer & Sigmund 1998, ch. 7).  The box holds u_k in [0, tau] for
+    (Hofbauer & Sigmund 1998, ch. 7).  The box holds u_k in [0, hi_k] for
     each strategy off the support and, for an edge state, the other support
-    strategy's ratio within [u*(1 - tau), u*(1 + tau)] of its value u* at
-    the state.  It certifies when, at every corner, each off-support L_k is
-    negative, and the in-support L is negative on the upper face and
-    positive on the lower face, each by a relative margin.  An affine
-    function keeps its corner signs over a whole face, so the box is
-    forward-invariant, the off-support ratios decay exponentially, and the
-    omega-limit is the one rest point of the edge inside the box.  The lower
-    face must lie above 0, because the face x_S = 0 is invariant and flows
-    elsewhere.
+    strategy's ratio within [lo_k, hi_k] around its value u* at the state.
+    It certifies when, at every corner, each off-support L_k is negative, and
+    the in-support L is negative on the upper face and positive on the lower
+    face, each by a relative margin.  An affine function keeps its corner
+    signs over a whole face, so the box is forward-invariant, the
+    off-support ratios decay exponentially, and the omega-limit is the one
+    rest point of the edge inside the box.
+
+    Every bound is a power of two: hi_k = 2**e off the support, and
+    lo_k = u*(1 - 2**e), hi_k = u*(1 + 2**e) on it, for e from -30 up to
+    30, -1 and 0 in turn.  The lower face stays at u*/2 or above, because
+    the face x_S = 0 is invariant and flows elsewhere.  The search starts
+    from the widest uniform box, every bound at one exponent, and then
+    raises each bound's exponent in turn as far as the box still certifies,
+    until no bound moves.  Along one bound every corner condition, an affine
+    rate less a margin times a convex size, is concave, so the bound's
+    values that certify form an interval around the start, and each raise
+    is a bisection.
     """
     support = [STRATEGIES.index(s) for s in state.support]
     x = state.location.as_tuple()
     ref = max(support, key=lambda k: x[k])
-    for tau in _TAUS:
-        lo, hi = [0.0] * 4, [tau] * 4
-        lo[ref] = hi[ref] = 1.0
-        for k in support:
-            if k != ref:
-                lo[k], hi[k] = x[k] / x[ref] * (1.0 - tau), x[k] / x[ref] * (1.0 + tau)
-        if all(lo[k] > 0.0 for k in support) and _certifies(A, ref, support, lo, hi):
-            return RatioBox(ref, tuple(lo), tuple(hi))
-    return None
+    lo, hi = [0.0] * 4, [0.0] * 4
+    lo[ref] = hi[ref] = 1.0
+    faces = (lo, hi)
+    # each movable bound (k, face: 0 lower, 1 upper) with its largest exponent
+    tops = {}
+    for k in range(4):
+        if k in support and k != ref:
+            tops[k, 0], tops[k, 1] = -1, 0
+        elif k != ref:
+            tops[k, 1] = _WIDEST
+
+    def put(k: int, face: int, e: int) -> None:
+        t = 2.0 ** e
+        if k not in support:
+            hi[k] = t
+        else:
+            faces[face][k] = x[k] / x[ref] * ((1.0 - t) if face == 0 else (1.0 + t))
+
+    def fits(k: int, face: int, e: int) -> bool:
+        # move bound (k, face) to exponent e, and back if the box fails
+        old = faces[face][k]
+        put(k, face, e)
+        if _certifies(A, ref, support, lo, hi):
+            return True
+        faces[face][k] = old
+        return False
+
+    # the uniform box: tau = 2**e for every bound, widest first
+    for e in range(min(0, *tops.values()), _NARROWEST - 1, -1):
+        for key in tops:
+            put(*key, e)
+        if _certifies(A, ref, support, lo, hi):
+            break
+    else:
+        return None
+    exps = dict.fromkeys(tops, e)
+    moved = True
+    while moved:
+        moved = False
+        for key, top in tops.items():
+            good, bad = exps[key], top + 1  # the box fits at good, not at bad
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                good, bad = (mid, bad) if fits(*key, mid) else (good, mid)
+            if good != exps[key]:
+                exps[key], moved = good, True
+    return RatioBox(ref, tuple(lo), tuple(hi))
 
 
 def _certifies(A: list[list], ref: int, support: list[int], lo: list, hi: list) -> bool:

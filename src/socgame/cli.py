@@ -25,7 +25,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .basins import attractor_boxes, estimate_basins, label_runs
+# basins and portrait are imported by the handlers that use them, so that
+# check, equilibria and sweep do not load them
 from .classify import classify_global, classify_grid
 from .dynamics import IntegrationError, IntegratorConfig, decimal, integrate
 from .model import (
@@ -41,7 +42,6 @@ from .model import (
     nash_vertices,
     validate,
 )
-from .portrait import render_portrait
 
 # the most sweep grid points, and basin samples, one command may ask for
 MAX_ITEMS = 10**6
@@ -179,6 +179,8 @@ def cmd_equilibria(rc: RunConfig) -> int:
 
 
 def cmd_simulate(rc: RunConfig) -> int:
+    from .basins import attractor_boxes, label_runs
+
     p = rc.params
     report = classify_global(p, rc.tol)  # raises on inadmissible/degenerate input
     traj = integrate(rc.x0, p, rc.integrator)
@@ -240,6 +242,8 @@ def cmd_sweep(rc: RunConfig) -> int:
 
 
 def cmd_basins(rc: RunConfig) -> int:
+    from .basins import estimate_basins
+
     report = estimate_basins(
         rc.params, rc.samples, seed=rc.seed, tol=rc.tol, cfg=rc.integrator,
     )
@@ -257,6 +261,8 @@ def cmd_basins(rc: RunConfig) -> int:
 
 
 def cmd_portrait(rc: RunConfig) -> int:
+    from .portrait import render_portrait
+
     out_dir = rc.out if rc.out is not None else Path(".")
     svg_path, csv_path = render_portrait(rc.params, out_dir, rc.tol)
     print(f"wrote {svg_path}")

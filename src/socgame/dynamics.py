@@ -13,23 +13,26 @@ for.  ``_drive`` follows one path with its samples: it either runs to rest
 (``integrate``: sample every accepted step, stop when max|dx/dt| falls below
 _CONVERGED or at the caller's max_time) or lands on requested times
 (``states_at``).  ``_integrate_rows`` runs many starts together and keeps
-only where each ended (``estimate_basins``): its state is a tuple of numpy
-columns with one row per start, and every row keeps its own time, step size
-and step count and leaves the batch when it stops.  A row also stops, short
-of rest, once it lies in one of the caller's ratio boxes (``RatioBox``),
-regions proved to flow to one attractor.  Both loops use the same steppers
-and stop on the same tests in the same order, so a row that no box captures
-ends bit for bit where ``integrate`` from that start ends.  Single runs stay
-on tuples of Python floats: through numpy a batch of one costs more than ten
-times as much per step.
+only where each ended (``estimate_basins``): its state is one (4, m) numpy
+block with a column per running start, and every row keeps its own time,
+step size and step count and leaves the batch when it stops.  A row also
+stops, short of rest, once it lies in one of the caller's ratio boxes
+(``RatioBox``), regions proved to flow to one attractor.  Both loops use
+the same steppers and stop on the same tests in the same order, so a row
+that no box captures ends bit for bit where ``integrate`` from that start
+ends.  Single runs stay on tuples of Python floats: through numpy a batch of
+one costs more than ten times as much per step.
 
 The step is a hand-rolled Dormand-Prince 5(4) under error control (_ABS_TOL,
 _REL_TOL, steps at most _MAX_STEP), or, for deterministic regression runs, a
 classical RK4 step of fixed size _STEP that is always accepted.  Their stage
-lines work one component at a time, so the same lines step a float tuple or
-a tuple of columns.  After every accepted step the simplex state is
-renormalized, shares below _EXTINCTION_FLOOR are clamped to exactly zero, and
-the state is renormalized again if clamping fired.  An off-the-shelf driver
+lines work one tuple entry at a time, so the same lines step four floats or
+the one-entry tuple ``(block,)``, where each line is a single array
+expression.  The batch takes its step-size factors from Python's ``pow``
+in one pass over the rows (``_grow_rows``), as ``_drive`` does one step at
+a time.  After every accepted step the simplex state is renormalized,
+shares below _EXTINCTION_FLOOR are clamped to exactly zero, and the state
+is renormalized again if clamping fired.  An off-the-shelf driver
 cannot interpose that projection between accepted steps.  Coordinates that
 start at exactly zero stay exactly zero through both stepping and
 projection, so faces and edges are invariant in the strictest sense.  A
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -187,18 +191,19 @@ def _err_norm(err: Sequence[float], y: tuple[float, ...], ynew: tuple[float, ...
 
 
 def _err_norm_rows(err: Sequence, y: tuple, ynew: tuple) -> np.ndarray:
-    """``_err_norm`` of every row at once, for states held as numpy columns."""
-    r = np.maximum.reduce([np.abs(e) / (_ABS_TOL + _REL_TOL * np.maximum(np.abs(a), np.abs(b)))
-                           for e, a, b in zip(err, y, ynew)])
+    """``_err_norm`` of every row at once, for a state held as one (4, m)
+    block: ``err``, ``y`` and ``ynew`` each hold that block alone."""
+    (e,), (a,), (b,) = err, y, ynew
+    r = (np.abs(e) / (_ABS_TOL + _REL_TOL * np.maximum(np.abs(a), np.abs(b)))).max(axis=0)
     return np.where(np.isnan(r), np.inf, r)
 
 
 def _dp_step(f: _RHS, y: tuple, h, k1: tuple, norm=_err_norm):
     """One Dormand-Prince trial step; returns (y_new, error norm).  The step
     is acceptable when the norm is at most 1; it is inf when NaN arose.  The
-    stage lines work one component at a time, so ``y``, ``h`` and ``k1`` may
-    be floats or numpy columns (one entry per row) alike; ``norm`` reduces
-    the component errors."""
+    stage lines work one tuple entry at a time, so ``y`` and ``k1`` may be
+    four floats with a float ``h``, or one (4, m) block with ``h`` holding
+    one step per column; ``norm`` reduces the entries' errors."""
     y2 = tuple(yi + h * _A21 * a for yi, a in zip(y, k1))
     k2 = f(y2)
     y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
@@ -239,6 +244,17 @@ def _shrink(err: float) -> float:
     return 0.1 if math.isinf(err) else max(0.2, 0.9 * err ** -0.2)
 
 
+def _grow_rows(err: np.ndarray) -> np.ndarray:
+    """``_grow`` of every entry of ``err`` at once, bit for bit.  The powers
+    come from Python's ``pow`` in one pass: numpy's own power can differ from
+    it in the last bit.  A zero error skips ``pow`` (``0.0 ** -0.2`` raises)
+    and takes the cap, as in ``_grow``."""
+    factor = np.full(err.shape, np.inf)
+    pos = err > 0.0
+    factor[pos] = 0.9 * np.fromiter(map(pow, err[pos].tolist(), repeat(-0.2)), float)
+    return np.minimum(5.0, np.maximum(0.2, factor))
+
+
 def _renormalize(y: tuple) -> tuple:
     s = y[0] + y[1] + y[2] + y[3]
     return tuple(v / s for v in y)
@@ -252,14 +268,15 @@ def _project_simplex(y: tuple[float, ...]) -> tuple[float, ...]:
     return y
 
 
-def _project_rows(y: tuple) -> tuple:
-    """``_project_simplex`` of every row at once; only rows whose clamp fires
-    are clamped and renormalized again."""
-    y = _renormalize(y)
-    fired = np.logical_or.reduce([(v < _EXTINCTION_FLOOR) & (v != 0.0) for v in y])
+def _project_rows(y: np.ndarray) -> np.ndarray:
+    """``_project_simplex`` of every column of the (4, m) block ``y`` at once,
+    summing in the same order; only columns whose clamp fires are clamped and
+    renormalized again."""
+    y = y / (y[0] + y[1] + y[2] + y[3])
+    fired = ((y < _EXTINCTION_FLOOR) & (y != 0.0)).any(axis=0)
     if fired.any():
-        z = _renormalize(tuple(np.where(v < _EXTINCTION_FLOOR, 0.0, v) for v in y))
-        y = tuple(np.where(fired, a, b) for a, b in zip(z, y))
+        z = np.where(y < _EXTINCTION_FLOOR, 0.0, y)
+        y = np.where(fired, z / (z[0] + z[1] + z[2] + z[3]), y)
     return y
 
 
@@ -383,17 +400,19 @@ def _integrate_rows(
     step, stops there with the verdict "certified": the box proves where it
     goes, and ``box_index`` of its final state names the box.  Every other
     row takes exactly the steps ``_drive`` takes to rest from the same start
-    and ends with the same state and verdict, bit for bit: the state is a
-    tuple of four numpy columns over the running rows, fed through the same
-    field and stage arithmetic, and each row keeps its own t, h and step
-    count.  Step-size factors come from Python's ``**`` one row at a time,
-    because numpy's vectorised power can differ from it in the last bit.
+    and ends with the same state and verdict, bit for bit: the state is one
+    (4, m) block over the running rows, handed to the steppers as ``(y,)``,
+    so every elementwise operation of the field, the stages and the
+    projection runs in the same order as on four floats, and each row keeps
+    its own t, h and step count.  Step-size factors come from Python's
+    ``pow``, in one pass over the accepted rows (``_grow_rows``), because
+    numpy's vectorised power can differ from it in the last bit.
     Rows leave the running set when they are certified, converge, reach
     max_time or fail a step.  No samples are recorded.
     """
 
     def f(y: tuple) -> tuple:
-        return replicator_field(y, p)
+        return (np.array(replicator_field(y[0], p)),)
 
     fixed = cfg.method == "rk4"
     max_time = cfg.max_time
@@ -401,8 +420,8 @@ def _integrate_rows(
     verdict = np.zeros(len(final), dtype=np.int8)  # index into _VERDICTS
     steps = np.zeros(len(final), dtype=np.int64)
     rows = np.arange(len(final))  # the running rows, by position in x0
-    y = final.T.copy()  # y[i] holds component i of every running row
-    k1 = np.array(f(tuple(y)))
+    y = final.T.copy()  # column j holds running row rows[j]
+    (k1,) = f((y,))
     t = np.zeros(len(rows))
     h = np.full(len(rows), _STEP if fixed else _FIRST_STEP)
     n = np.zeros(len(rows), dtype=np.int64)
@@ -424,26 +443,24 @@ def _integrate_rows(
         capped = max_time - t < h
         h_try = np.where(capped, max_time - t, h)
         if fixed:
-            ynew, _ = _rk4_step(f, tuple(y), h_try, tuple(k1))
+            (ynew,), _ = _rk4_step(f, (y,), h_try, (k1,))
             ok = np.ones(len(rows), dtype=bool)
         else:
-            ynew, err = _dp_step(f, tuple(y), h_try, tuple(k1), _err_norm_rows)
+            (ynew,), err = _dp_step(f, (y,), h_try, (k1,), _err_norm_rows)
             ok = err <= 1.0
-        acc = np.flatnonzero(ok)
-        if acc.size:
-            n[acc] += 1
-            later = n[acc] * _STEP if fixed else t[acc] + h_try[acc]
-            t[acc] = np.where(capped[acc], max_time, later)
-            ya = _project_rows(tuple(c[acc] for c in ynew))
-            y[:, acc] = ya
-            k1[:, acc] = f(ya)
-            if not fixed:
-                free = acc[~capped[acc]]
-                grow = [_grow(e) for e in err[free].tolist()]
-                h[free] = np.minimum(h_try[free] * grow, _MAX_STEP)
-        rej = np.flatnonzero(~ok)
+        # in most iterations every row moves on, and a slice indexes views
+        acc = slice(None) if ok.all() else ok
+        n[acc] += 1
+        later = n[acc] * _STEP if fixed else t[acc] + h_try[acc]
+        t[acc] = np.where(capped[acc], max_time, later)
+        ya = _project_rows(ynew[:, acc])
+        y[:, acc] = ya
+        (k1[:, acc],) = f((ya,))
         failed = np.zeros(len(rows), dtype=bool)
-        if rej.size:
+        if not fixed:
+            free = ok & ~capped
+            h[free] = np.minimum(h_try[free] * _grow_rows(err[free]), _MAX_STEP)
+            rej = ~ok
             h[rej] = h_try[rej] * [_shrink(e) for e in err[rej].tolist()]
             failed[rej] = h[rej] < _MIN_STEP_FACTOR * np.maximum(1.0, np.abs(t[rej]))
     return final, [_VERDICTS[v] for v in verdict], steps

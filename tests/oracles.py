@@ -21,7 +21,9 @@ Nothing here is used by the package.  Tests check against it:
   the face flow or of either chart system;
 * the admissibility inequalities as plain comparisons, one per condition
   (``dominance_oracle``, ``nondominance_oracle``, ``nash_oracle``), and the
-  closed forms of the H-P, O-P and O-H edge states' payoffs.
+  closed forms of the H-P, O-P and O-H edge states' payoffs;
+* ``uniform_ratio_box``: the widest ratio box of one width tau for every
+  ratio, the box ``basins.ratio_box`` starts from and must contain.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from socgame import DegenerateParameterError, InvalidParameterError, Params, SimplexState
-from socgame.dynamics import replicator_field
-from socgame.model import require_valid
+from socgame.basins import _certifies
+from socgame.dynamics import RatioBox, replicator_field
+from socgame.model import STRATEGIES, require_valid
 
 
 class ChartDomainError(ValueError):
@@ -268,3 +271,22 @@ def nash_oracle(p: Params, tol: float) -> dict[str, bool]:
         "P": p.epsilon > p.gamma and p.epsilon > p.eta,
         "N": True,
     }
+
+
+def uniform_ratio_box(state, A) -> RatioBox | None:
+    """The first tau of 1, 1/2, ..., 2**-30 for which the box with every
+    off-support ratio in [0, tau] and the other support ratio within
+    [u*(1 - tau), u*(1 + tau)] passes ``basins._certifies``; None if none
+    does.  The lower face of a support ratio must lie above 0."""
+    support = [STRATEGIES.index(s) for s in state.support]
+    x = state.location.as_tuple()
+    ref = max(support, key=lambda k: x[k])
+    for tau in (2.0 ** -i for i in range(31)):
+        lo, hi = [0.0] * 4, [tau] * 4
+        lo[ref] = hi[ref] = 1.0
+        for k in support:
+            if k != ref:
+                lo[k], hi[k] = x[k] / x[ref] * (1.0 - tau), x[k] / x[ref] * (1.0 + tau)
+        if all(lo[k] > 0.0 for k in support) and _certifies(A, ref, support, lo, hi):
+            return RatioBox(ref, tuple(lo), tuple(hi))
+    return None

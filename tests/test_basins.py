@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SET_A, SET_B, SET_C, SNAPS, admissible, draw_params, snapped
+from oracles import uniform_ratio_box
 from socgame import (
     IntegratorConfig,
     SimplexState,
@@ -22,8 +23,8 @@ from socgame import (
     sample_simplex,
 )
 from socgame import basins
-from socgame.basins import attractor_boxes, label_runs, ratio_box
-from socgame.model import payoff_rows
+from socgame.basins import _certifies, attractor_boxes, label_runs, ratio_box
+from socgame.model import STRATEGIES, payoff_rows
 
 
 class TestSampleSimplex:
@@ -181,6 +182,34 @@ class TestRatioBoxes:
             for x0 in box_points(box, rng):
                 hit = match_attractor(integrate(x0, p).final_state, attractors)
                 assert hit is not None and hit.label == a.label, (p, a.label, x0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
+           snap=st.sampled_from((None,) + tuple(SNAPS)),
+           offset=st.sampled_from((1e-2, -1e-2, 1e-4, -1e-4)))
+    def test_box_grows_from_the_uniform_box(self, seed, branch, snap, offset):
+        # each bound moves out from the uniform-tau box and the result still
+        # certifies; a support ratio's lower face stays at u*/2 or above
+        p = draw_params(np.random.default_rng(seed), branch)
+        if snap is not None:
+            name = SNAPS[snap][0]
+            q = snapped(p.as_dict(), snap)
+            q = replace(q, **{name: getattr(q, name) + offset})
+            p = q if admissible(q, abs(offset) / 2) else p
+        A = payoff_rows(p)
+        for a in classify_global(p).global_attractors:
+            box, start = ratio_box(a, A), uniform_ratio_box(a, A)
+            assert (box is None) == (start is None), (p, a.label)
+            if box is None:
+                continue
+            assert box.ref == start.ref
+            assert all(lo <= s for lo, s in zip(box.lo, start.lo)), (p, a.label, box, start)
+            assert all(hi >= s for hi, s in zip(box.hi, start.hi)), (p, a.label, box, start)
+            support = [STRATEGIES.index(s) for s in a.support]
+            assert _certifies(A, box.ref, support, list(box.lo), list(box.hi))
+            x = a.location.as_tuple()
+            for k in support:
+                assert box.lo[k] >= x[k] / x[box.ref] / 2, (p, a.label, box)
 
     def test_find_attractor_builds_boxes_once_per_classification(self, monkeypatch):
         calls = []

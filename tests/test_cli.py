@@ -456,6 +456,19 @@ class TestFreshProcess:
         assert out == {"unbound": [], "same": True, "in_dir": True,
                        "error": "module 'socgame' has no attribute 'no_such_name'"}
 
+    @pytest.mark.parametrize("argv", [["check"], ["sweep", "--sweep", "beta:-3:2:11"]],
+                             ids=["check", "sweep"])
+    def test_check_and_sweep_leave_basins_and_portrait_unloaded(self, params_a, argv):
+        out = fresh_python(f"""
+            import contextlib, io, json, sys
+            from socgame.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main({argv + ["--params", params_a]!r})
+            print(json.dumps({{"code": code, "loaded": [
+                m for m in ("socgame.basins", "socgame.portrait") if m in sys.modules]}}))
+            """)
+        assert out == {"code": 0, "loaded": []}
+
     @pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3")], ids=["unset", "set-3"])
     def test_cli_runs_blas_single_threaded_unless_told(self, threads, seen):
         code = "import json, os, socgame.cli; print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))"

@@ -21,12 +21,21 @@ from oracles import (
 from socgame import (
     IntegratorConfig,
     SimplexState,
+    classify_global,
     find_attractor,
     integrate,
     match_attractor,
     states_at,
 )
-from socgame.dynamics import RatioBox, _integrate_rows, box_index, replicator_field
+from socgame.basins import attractor_boxes
+from socgame.dynamics import (
+    RatioBox,
+    _grow,
+    _grow_rows,
+    _integrate_rows,
+    box_index,
+    replicator_field,
+)
 
 
 class TestReplicatorRhs:
@@ -264,22 +273,31 @@ class TestDriverProperties:
         assert np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-9
 
 
+def batch_case(seed, branch, zeros, run):
+    """A drawn point, one start per entry of ``zeros`` with those shares
+    set to 0, and the integrator settings ``run``."""
+    rng = np.random.default_rng(seed)
+    p = draw_params(rng, branch)
+    x0 = np.array([draw_simplex(rng) for _ in zeros])
+    for row, z in zip(x0, zeros):
+        row[sorted(z)] = 0.0
+    x0 /= x0.sum(axis=1, keepdims=True)
+    return p, x0, IntegratorConfig(method=run[0], max_time=run[1])
+
+
+# the short horizons end most runs in max-time-reached, rk4 to 2.505 after a
+# last step shortened to land on max_time
+BATCH_CASES = dict(
+    seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
+    zeros=st.lists(st.sets(st.integers(0, 3), max_size=3), min_size=1, max_size=24),
+    run=st.sampled_from((("rk45", 1000.0), ("rk45", 3.3), ("rk4", 2.505))))
+
+
 class TestBatchedRuns:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
-           zeros=st.lists(st.sets(st.integers(0, 3), max_size=3), min_size=1, max_size=24),
-           run=st.sampled_from((("rk45", 1000.0), ("rk45", 3.3), ("rk4", 2.505))))
+    @given(**BATCH_CASES)
     def test_batch_equals_per_start(self, seed, branch, zeros, run):
-        # the short horizons end most runs in max-time-reached, rk4 to 2.505
-        # after a last step shortened to land on max_time
-        rng = np.random.default_rng(seed)
-        p = draw_params(rng, branch)
-        x0 = np.array([draw_simplex(rng) for _ in zeros])
-        for row, z in zip(x0, zeros):
-            row[sorted(z)] = 0.0
-        x0 /= x0.sum(axis=1, keepdims=True)
-        cfg = IntegratorConfig(method=run[0], max_time=run[1])
-
+        p, x0, cfg = batch_case(seed, branch, zeros, run)
         finals, verdicts, steps = _integrate_rows(x0, p, cfg)
         assert len(verdicts) == len(x0)
         for row, final, verdict, k in zip(x0.tolist(), finals.tolist(), verdicts,
@@ -288,6 +306,43 @@ class TestBatchedRuns:
             assert tuple(final) == tr.final_state.as_tuple()
             assert verdict == tr.verdict
             assert k == len(tr.times) - 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**BATCH_CASES)
+    def test_batch_with_boxes_equals_per_start_until_certified(self, seed, branch, zeros, run):
+        # a certified row stops, inside a box, where the run to rest is after
+        # as many steps; every other row ends where that run ends
+        p, x0, cfg = batch_case(seed, branch, zeros, run)
+        boxes = [box for _, box in attractor_boxes(classify_global(p).global_attractors, p)]
+        finals, verdicts, steps = _integrate_rows(x0, p, cfg, boxes)
+        inside = box_index(finals.T, boxes).tolist()
+        for row, final, verdict, k, i in zip(x0.tolist(), finals.tolist(), verdicts,
+                                             steps.tolist(), inside):
+            tr = integrate(SimplexState(*row), p, cfg)
+            if verdict == "certified":
+                assert i >= 0 and k <= len(tr.times) - 1
+                assert tuple(final) == tr.states[k].as_tuple()
+            else:
+                assert tuple(final) == tr.final_state.as_tuple()
+                assert verdict == tr.verdict
+                assert k == len(tr.times) - 1
+
+
+def near(c):
+    """Floats within 64 ulps of ``c``."""
+    return st.integers(-64, 64).map(lambda i: c + i * math.ulp(c))
+
+
+# 0.9 * e ** -0.2 is 5 at e = 0.18 ** 5 and 0.2 at e = 4.5 ** 5
+GROW_ERRORS = st.one_of(st.floats(-12.0, 0.0).map(lambda k: 10.0 ** k),
+                        st.sampled_from((0.0, 1.0)), near(0.18 ** 5), near(4.5 ** 5))
+
+
+class TestStepFactors:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(errs=st.lists(GROW_ERRORS, min_size=1, max_size=40))
+    def test_batch_grow_equals_grow(self, errs):
+        assert _grow_rows(np.array(errs)).tolist() == [_grow(e) for e in errs]
 
 
 def two_sided_box_index(y, boxes):
