@@ -6,11 +6,10 @@ process.  Each global attractor that admits one gets a ratio box
 (``ratio_box``), a region proved to flow to it; a sample stops as soon as it
 enters a box.  The other samples run to rest.  Every finished run, here or
 in ``find_attractor`` and the CLI's ``simulate``, is labelled by one rule
-(``label_runs``): by the box that holds its end state, else as unresolved
-after a step failure, else by matching the classified global attractors.
-Fractions come with binomial standard errors; runs that fail to resolve to
-any classified attractor are tallied separately rather than discarded, so
-the fractions always account for every sample.
+(``label_runs``): by the box that holds its end state.  "Unresolved" means
+"ended in no ratio box".  Fractions come with binomial standard errors;
+unresolved runs are tallied separately rather than discarded, so the
+fractions always account for every sample.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .dynamics import (
     _integrate_rows,
     box_index,
     integrate,
-    match_attractor,
 )
 from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState, payoff_rows
 
@@ -198,31 +196,18 @@ def _cached_boxes(attractors: tuple[StationaryState, ...],
 
 
 def label_runs(
-    finals,
-    verdicts: Sequence[str],
-    attractors: Sequence[StationaryState],
-    boxed: Sequence[tuple[StationaryState, RatioBox]],
+    finals, boxed: Sequence[tuple[StationaryState, RatioBox]],
 ) -> list[StationaryState | None]:
     """Name the global attractor each finished run reached, or None.
 
-    ``finals`` holds the runs' end states, shape (n, 4), and ``verdicts``
-    their verdicts.  A run is labelled, in this order: by the attractor of
-    the first of ``boxed`` (as ``attractor_boxes`` gives them) whose box
-    holds its end state, whatever its verdict, since the box proves where
-    the flow goes from there; as unresolved (None) after a step failure;
-    else by ``match_attractor`` within ``dynamics.MATCH_TOL``.
+    ``finals`` holds the runs' end states, shape (n, 4).  A run is labelled
+    by the attractor of the first of ``boxed`` (in ``attractor_boxes``
+    order) whose box holds its end state, since the box proves where the
+    flow goes from there.  A run that ended in no ratio box is unresolved
+    (None), whatever its verdict.
     """
-    finals = np.asarray(finals, dtype=float)
-    owner = box_index(tuple(finals.T), [box for _, box in boxed]).tolist()
-    out: list[StationaryState | None] = []
-    for row, verdict, i in zip(finals.tolist(), verdicts, owner):
-        if i >= 0:
-            out.append(boxed[i][0])
-        elif verdict == "step-failure":
-            out.append(None)
-        else:
-            out.append(match_attractor(SimplexState(*row), attractors))
-    return out
+    owner = box_index(np.asarray(finals, dtype=float).T, [box for _, box in boxed])
+    return [boxed[i][0] if i >= 0 else None for i in owner.tolist()]
 
 
 def find_attractor(
@@ -235,16 +220,15 @@ def find_attractor(
     """Integrate from ``x0`` and name the global attractor it reached.
 
     Returns the StationaryState ``label_runs`` names for the run's end, or
-    None when the run did not resolve to any classified attractor.  Pass
+    None when the run is unresolved: it ended in no ratio box.  Pass
     ``attractors`` to reuse a classification across many starts; their
     ratio boxes are then built once, not on every call.
     """
     if attractors is None:
         attractors = classify_global(p, tol).global_attractors
-    attractors = tuple(attractors)
     traj = integrate(x0, p, cfg)
-    return label_runs([traj.final_state.as_tuple()], [traj.verdict], attractors,
-                      _cached_boxes(attractors, p))[0]
+    return label_runs([traj.final_state.as_tuple()],
+                      _cached_boxes(tuple(attractors), p))[0]
 
 
 def estimate_basins(
@@ -260,20 +244,20 @@ def estimate_basins(
     All samples run in one batch.  A sample that enters the ratio box of an
     attractor (``ratio_box``) stops there; every other sample runs to rest.
     Each is labelled by ``label_runs``, as ``find_attractor`` labels a run
-    from the same start with the same ``cfg``.  A short ``cfg.max_time``
-    therefore leaves unresolved only the samples that end outside every box
-    and farther than ``dynamics.MATCH_TOL`` from every attractor.  ``jobs`` is
-    accepted and ignored: the batch runs in this process.
+    from the same start with the same ``cfg``; "unresolved" counts the
+    samples that ended in no ratio box.  Every global attractor is listed,
+    one without a box with count 0.  ``jobs`` is accepted and ignored: the
+    batch runs in this process.
     """
     attractors = classify_global(p, tol).global_attractors
     cfg = cfg if cfg is not None else IntegratorConfig()
     boxed = attractor_boxes(attractors, p)
-    finals, verdicts, _ = _integrate_rows(sample_simplex(n, seed), p, cfg,
-                                          [box for _, box in boxed])
+    finals, _, _ = _integrate_rows(sample_simplex(n, seed), p, cfg,
+                                   [box for _, box in boxed])
 
     counts = {a.label: 0 for a in attractors}
     counts["unresolved"] = 0
-    for hit in label_runs(finals, verdicts, attractors, boxed):
+    for hit in label_runs(finals, boxed):
         counts[hit.label if hit is not None else "unresolved"] += 1
     return BasinReport(
         sample_count=n,

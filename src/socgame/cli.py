@@ -194,9 +194,8 @@ def cmd_simulate(rc: RunConfig) -> int:
     print(f"wrote {csv_path}")
     print(f"verdict: {traj.verdict} at t={decimal(traj.times[-1])} "
           f"(terminal velocity {traj.terminal_velocity:.3e})")
-    attractors = report.global_attractors
-    hit, = label_runs([traj.final_state.as_tuple()], [traj.verdict], attractors,
-                      attractor_boxes(attractors, p))
+    hit, = label_runs([traj.final_state.as_tuple()],
+                      attractor_boxes(report.global_attractors, p))
     print(hit.label if hit is not None else "unresolved")
     return 4 if traj.verdict == "step-failure" else 0
 
@@ -327,9 +326,10 @@ def _build_parser() -> _Parser:
                     help=f"number of uniform starts, 1 to {MAX_ITEMS}")
     ba.add_argument("--max-time", type=float, default=1000.0,
                     help="horizon of each sample's run; a sample that enters a "
-                         "region proved to flow to one attractor is labelled "
-                         "by that proof, even if the horizon would stop it "
-                         "before it settles")
+                         "region proved to flow to one attractor (a ratio box) "
+                         "is labelled by that proof, even if the horizon would "
+                         "stop it before it settles; \"unresolved\" means "
+                         "\"ended in no ratio box\"")
 
     sub.add_parser("portrait", parents=[common],
                    help="planar-net SVG phase portrait of the boundary faces")

@@ -72,7 +72,8 @@ _MAX_STEP = 0.5
 _MIN_STEP_FACTOR = 1e-13  # step failure below this times max(1, |t|)
 _CONVERGED = 1e-10  # a run to rest stops once max|dx/dt| falls below this
 _EXTINCTION_FLOOR = 1e-14  # shares below this are clamped to exactly 0
-# a run that ends this close (max-norm) to an attractor has reached it
+# how close (max-norm) ``match_attractor`` calls a state near an attractor:
+# a nearness check, not a label; runs are labelled by ratio boxes
 MATCH_TOL = 1e-6
 
 
@@ -390,6 +391,9 @@ def box_index(y: Sequence, boxes: Sequence[RatioBox]) -> np.ndarray:
 _VERDICTS = ("converged", "max-time-reached", "step-failure", "certified")
 
 
+# a stage that overflows gives inf or NaN, which _err_norm_rows turns into a
+# rejected step, as Python floats do silently in _drive
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_rows(
     x0: np.ndarray, p: Params, cfg: IntegratorConfig, boxes: Sequence[RatioBox] = (),
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -483,9 +487,12 @@ def integrate(x0: SimplexState, p: Params, cfg: IntegratorConfig | None = None) 
 
 
 def states_at(x0: SimplexState, p: Params, times: Sequence[float]) -> list[SimplexState]:
-    """Replicator states at the given increasing times (t=0 allowed first),
-    from rk45 runs; IntegrationError if the step size underflows first."""
+    """Replicator states at the given times, from rk45 runs.  The times must
+    be finite, non-negative and non-decreasing (ValueError otherwise);
+    IntegrationError if the step size underflows first."""
     times = list(times)
+    if not all(0.0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"sample times must be finite, >= 0 and non-decreasing, got {times!r}")
     _, ys, _, _ = _drive(p, x0.as_tuple(), "rk45", math.inf, times)
     if len(ys) != len(times):
         raise IntegrationError(

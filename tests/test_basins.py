@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import SET_A, SET_B, SET_C, SNAPS, admissible, draw_params, snapped
 from oracles import uniform_ratio_box
 from socgame import (
+    DegenerateParameterError,
     IntegratorConfig,
     SimplexState,
     StationaryState,
@@ -21,6 +22,7 @@ from socgame import (
     integrate,
     match_attractor,
     sample_simplex,
+    validate,
 )
 from socgame import basins
 from socgame.basins import _certifies, attractor_boxes, label_runs, ratio_box
@@ -211,6 +213,53 @@ class TestRatioBoxes:
             for k in support:
                 assert box.lo[k] >= x[k] / x[box.ref] / 2, (p, a.label, box)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
+           margin=st.sampled_from((0.3, 1e-3, 1e-6)),
+           snap=st.sampled_from((None,) + tuple(SNAPS)),
+           offset=st.sampled_from((0.3, -0.3, 1e-3, -1e-3, 1e-6, -1e-6, 1e-8, -1e-8)))
+    def test_every_global_attractor_gets_a_box(self, seed, branch, margin, snap, offset):
+        # a run is labelled by the box that holds its end state alone, so an
+        # attractor without a box would collect no runs.  A snapped point
+        # that is invalid or fails to classify falls back to the drawn one.
+        p = draw_params(np.random.default_rng(seed), branch, margin)
+        attractors = classify_global(p).global_attractors
+        if snap is not None:
+            name = SNAPS[snap][0]
+            q = snapped(p.as_dict(), snap)
+            q = replace(q, **{name: getattr(q, name) + offset})
+            if validate(q).ok:
+                try:
+                    p, attractors = q, classify_global(q).global_attractors
+                except DegenerateParameterError:
+                    pass
+        A = payoff_rows(p)
+        for a in attractors:
+            assert ratio_box(a, A) is not None, (p, a.label)
+
+    def test_attractor_without_a_box_collects_no_runs(self, monkeypatch):
+        # with the H+P box withheld, runs that settle on the H-P edge end in
+        # no box and are unresolved, however near H+P they end
+        full = dict(estimate_basins(SET_B, 300, seed=7).counts)
+        x0 = SimplexState(0.05, 0.35, 0.55, 0.05)
+        attractors = classify_global(SET_B).global_attractors
+        near = match_attractor(integrate(x0, SET_B).final_state, attractors)
+        assert full["H+P"] > 0 and near is not None and near.label == "H+P"
+
+        def no_hp_box(state, A):
+            return None if state.label == "H+P" else ratio_box(state, A)
+
+        monkeypatch.setattr(basins, "ratio_box", no_hp_box)
+        basins._cached_boxes.cache_clear()
+        try:
+            counts = dict(estimate_basins(SET_B, 300, seed=7).counts)
+            hit = find_attractor(x0, SET_B)
+        finally:
+            basins._cached_boxes.cache_clear()
+        assert counts == {"O": full["O"], "N": full["N"], "H+P": 0,
+                          "unresolved": full["unresolved"] + full["H+P"]}
+        assert hit is None
+
     def test_find_attractor_builds_boxes_once_per_classification(self, monkeypatch):
         calls = []
 
@@ -221,8 +270,8 @@ class TestRatioBoxes:
         attractors = classify_global(SET_B).global_attractors
         starts = [SimplexState(*row) for row in sample_simplex(6, 3).tolist()]
         runs = [integrate(x0, SET_B) for x0 in starts]
-        expected = label_runs([r.final_state.as_tuple() for r in runs], [r.verdict for r in runs],
-                              attractors, attractor_boxes(attractors, SET_B))
+        expected = label_runs([r.final_state.as_tuple() for r in runs],
+                              attractor_boxes(attractors, SET_B))
         monkeypatch.setattr(basins, "ratio_box", counting_ratio_box)
         basins._cached_boxes.cache_clear()
         # a fresh list each call: equal attractors share one set of boxes

@@ -169,6 +169,16 @@ class TestSimulate:
         assert lines[-2].startswith("verdict: max-time-reached")
         assert lines[-1] == "H+P"
 
+    def test_rest_point_outside_every_box_is_unresolved(self, capsys, params_b, tmp_path):
+        # H is a rest point of set B but not an attractor: the run converges
+        # at once and ends in no ratio box
+        code, out, _ = run(capsys, "simulate", "--params", params_b,
+                           "--x0", "0,1,0,0", "--out", str(tmp_path / "s10"))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[1].startswith("verdict: converged at t=0.0 ")
+        assert lines[-1] == "unresolved"
+
     def test_csv_output(self, capsys, params_a, tmp_path):
         out_dir = tmp_path / "s4"
         code, out, _ = run(capsys, "simulate", "--params", params_a,
@@ -344,6 +354,17 @@ class TestBasins:
         in_process = estimate_basins(Params.from_mapping(_read_params_file(params_b)), 60,
                                      seed=5, jobs=2).as_dict()
         assert (code1, out1) == (code2, out2) == (0, _json(in_process))
+
+    def test_overflowing_stages_stay_silent(self, capsys, params_a):
+        # the stages overflow to inf and NaN, which only reject steps; in
+        # process a RuntimeWarning is an error (pyproject's filterwarnings)
+        argv = ["basins", "--params", params_a, "--set", "alpha=1e200",
+                "--set", "epsilon=1e200", "--samples", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        res = subprocess.run([sys.executable, "-m", "socgame.cli", *argv],
+                             env=fresh_env(), capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
 
     def test_sample_count_bounded(self, capsys, params_a):
         # refused before any work, also on degenerate parameters (gamma=2)

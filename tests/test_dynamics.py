@@ -239,6 +239,20 @@ class TestConjugacy:
         assert len(out) == len(times)
         assert out[0].as_tuple() == (0.25, 0.25, 0.25, 0.25)
 
+    @pytest.mark.parametrize("times", [[math.nan], [math.inf], [0.0, -math.inf], [-1.0],
+                                       [0.0, 2.0, 1.0], [1.0, math.nan, 2.0]],
+                             ids=["nan", "inf", "-inf", "negative", "decreasing", "nan-between"])
+    def test_states_at_rejects_bad_times(self, times):
+        # checked before integrating: NaN and inf targets are never reached,
+        # a negative one would return the start, a decreasing one would
+        # fail as a step underflow
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            states_at(SimplexState(0.25, 0.25, 0.25, 0.25), SET_B, times)
+
+    def test_states_at_repeats_a_repeated_time(self):
+        out = states_at(SimplexState(0.25, 0.25, 0.25, 0.25), SET_B, [0.0, 0.0, 1.5, 1.5])
+        assert len(out) == 4 and out[0] == out[1]
+
     def test_empty_times_give_no_states(self):
         assert states_at(SimplexState(0.25, 0.25, 0.25, 0.25), SET_A, []) == []
         assert lv_states_at(LVState(1.0, 1.0, 1.0), SET_A, []) == []
