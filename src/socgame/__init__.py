@@ -27,9 +27,9 @@ _SUBMODULES = {
     "basins": ("BasinReport", "estimate_basins", "find_attractor", "sample_simplex"),
     "classify": ("EdgeRegime", "RegimeReport", "StationaryState", "classify_edge",
                  "classify_global", "face_states", "full_interior_state"),
-    "dynamics": ("IntegrationError", "IntegratorConfig", "Trajectory", "integrate",
-                 "match_attractor", "states_at"),
-    "model": ("DEFAULT_TOL", "STRATEGIES", "DegenerateParameterError",
+    "dynamics": ("IntegratorConfig", "Trajectory", "integrate", "match_attractor",
+                 "states_at"),
+    "model": ("DEFAULT_TOL", "STRATEGIES", "DegenerateParameterError", "IntegrationError",
               "InvalidParameterError", "Params", "SimplexState", "ValidationReport",
               "dominance_relations", "nash_vertices", "payoff_matrix", "payoff_vector",
               "validate"),

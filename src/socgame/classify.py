@@ -58,7 +58,6 @@ from .model import (
     require_valid,
     validate,
 )
-from .dynamics import replicator_jacobian
 from .welfare import WelfareReport, check_orderings, supported_payoffs, welfare_report
 
 # interior-state eigenvalues closer to zero than this get the "degenerate" sign
@@ -249,6 +248,10 @@ def _interior_signs(name: str, x: Sequence[float], p: Params,
                     active: tuple[int, ...]) -> tuple[tuple[str, str], ...]:
     """Eigen signs of the flow at the rest point ``x`` in the chart of
     ``active``, sorted by real part and labelled ``<name> eig <k>``."""
+    # imported here, so that the sweep, which never reads eigen signs, does
+    # not load the integrators
+    from .dynamics import replicator_jacobian
+
     eigs = np.linalg.eigvals(replicator_jacobian(x, p, active))
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
     return tuple((f"{name} eig {i + 1}", _sign(float(ev.real), SIGN_TOL))

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # Every matrix socgame factors or multiplies is at most 4x4, which OpenBLAS
 # never splits across threads, so a thread pool only costs start-up time.
@@ -25,23 +25,29 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-# basins and portrait are imported by the handlers that use them, so that
-# check, equilibria and sweep do not load them
-from .classify import classify_global, classify_grid
-from .dynamics import IntegrationError, IntegratorConfig, decimal, integrate
+# Only model is imported here. Each handler imports the rest of what it runs,
+# so a command loads (and, without bytecode caches, compiles) only that:
+# check loads model alone; equilibria and sweep add classify and welfare;
+# simulate and basins add dynamics, and basins adds basins; portrait adds
+# dynamics and portrait.
 from .model import (
     BRANCHES,
     DEFAULT_TOL,
     PARAM_NAMES,
     Columns,
     DegenerateParameterError,
+    IntegrationError,
     InvalidParameterError,
     Params,
     SimplexState,
+    decimal,
     dominance_relations,
     nash_vertices,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import IntegratorConfig
 
 # the most sweep grid points, and basin samples, one command may ask for
 MAX_ITEMS = 10**6
@@ -74,7 +80,7 @@ class RunConfig:
     sweep_axes: tuple[SweepAxis, ...] = ()
     x0: SimplexState | None = None
     samples: int = 1000
-    integrator: IntegratorConfig = IntegratorConfig()
+    integrator: IntegratorConfig | None = None  # simulate and basins only
 
 
 def _read_params_file(path: str) -> dict[str, float]:
@@ -164,6 +170,8 @@ def cmd_check(rc: RunConfig) -> int:
 
 
 def cmd_equilibria(rc: RunConfig) -> int:
+    from .classify import classify_global
+
     p = rc.params
     vrep = validate(p, rc.tol)
     if vrep.degenerate_quantities or not (vrep.positivity_ok and vrep.nondominance_ok):
@@ -180,6 +188,8 @@ def cmd_equilibria(rc: RunConfig) -> int:
 
 def cmd_simulate(rc: RunConfig) -> int:
     from .basins import attractor_boxes, label_runs
+    from .classify import classify_global
+    from .dynamics import integrate
 
     p = rc.params
     report = classify_global(p, rc.tol)  # raises on inadmissible/degenerate input
@@ -201,11 +211,12 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 
 def cmd_sweep(rc: RunConfig) -> int:
+    from .classify import classify_grid
+
     axes = rc.sweep_axes
     grids = [np.linspace(a.lo, a.hi, a.steps) for a in axes]
     n = math.prod(a.steps for a in axes)
-    # rows run over the grid like itertools.product; a repeated axis name
-    # takes the later axis's value
+    # rows run over the grid like itertools.product
     values = rc.params.as_dict()
     for a, mesh in zip(axes, np.meshgrid(*grids, indexing="ij")):
         values[a.name] = mesh.ravel()
@@ -348,6 +359,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if len(args.sweep) > 2:
             raise ValueError("--sweep given more than twice; at most 2 axes")
         axes = tuple(_parse_axis(s) for s in args.sweep)
+        if len({a.name for a in axes}) < len(axes):
+            raise ValueError(f"--sweep axis {axes[0].name!r} given twice; "
+                             "the two axes must vary different parameters")
         if (n := math.prod(a.steps for a in axes)) > MAX_ITEMS:
             raise ValueError(f"--sweep grid has {n} points, more than {MAX_ITEMS}")
     samples = getattr(args, "samples", 1000)
@@ -355,6 +369,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"--samples must be from 1 to {MAX_ITEMS}, got {samples}")
     if args.command == "basins" and args.seed < 0:
         raise ValueError(f"--seed must be >= 0 for basins, got {args.seed}")
+    integrator = None
+    if args.command in ("simulate", "basins"):
+        from .dynamics import IntegratorConfig
+
+        integrator = IntegratorConfig(method=getattr(args, "method", "rk45"),
+                                      max_time=args.max_time)
 
     return RunConfig(
         command=args.command,
@@ -365,8 +385,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         sweep_axes=axes,
         x0=_parse_x0(args.x0) if getattr(args, "x0", None) else None,
         samples=samples,
-        integrator=IntegratorConfig(method=getattr(args, "method", "rk45"),
-                                    max_time=getattr(args, "max_time", 1000.0)),
+        integrator=integrator,
     )
 
 

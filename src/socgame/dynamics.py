@@ -49,13 +49,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Params, SimplexState, payoff_rows
+# IntegrationError lives in model, beside the other exit-code errors, so
+# that the CLI catches it without loading this module; it is re-exported here
+from .model import IntegrationError, Params, SimplexState, decimal, payoff_rows
 
 _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive step size underflowed before reaching a requested time."""
 
 
 # Integrator settings that no caller chooses.
@@ -124,11 +122,6 @@ class Trajectory:
         for t, s in zip(self.times, self.states):
             row = (t,) + s.as_tuple()
             fileobj.write(",".join(decimal(v) for v in row) + "\n")
-
-
-def decimal(v: float) -> str:
-    # shortest decimal that round-trips, never scientific notation
-    return np.format_float_positional(v, unique=True, trim="0")
 
 
 # ---------------------------------------------------------------------------

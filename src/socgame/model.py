@@ -23,6 +23,10 @@ conditions is stated once, in the admissibility table (``admissibility``),
 as an array expression over parameter columns; ``validate``,
 ``dominance_relations`` and ``nash_vertices`` read it at one point, and the
 sweep reads it over a whole grid.
+
+The errors that the CLI maps to exit codes live here too, with the decimal
+formatter every writer shares, so that a command that never integrates
+need not load ``dynamics`` to catch or print them.
 """
 
 from __future__ import annotations
@@ -53,6 +57,15 @@ class InvalidParameterError(ValueError):
 
 class DegenerateParameterError(ValueError):
     """A classifying quantity sits on (or within tolerance of) a boundary."""
+
+
+class IntegrationError(RuntimeError):
+    """Adaptive step size underflowed before reaching a requested time."""
+
+
+def decimal(v: float) -> str:
+    # shortest decimal that round-trips, never scientific notation
+    return np.format_float_positional(v, unique=True, trim="0")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .classify import FACE_ABSENT, FACES, classify_global, face_states
-from .dynamics import decimal, replicator_jacobian, states_at
-from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState
+from .dynamics import replicator_jacobian, states_at
+from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState, decimal
 
 _H = math.sqrt(3.0) / 2.0
 

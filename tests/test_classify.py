@@ -561,6 +561,10 @@ class TestGridClassification:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
 
+        if len({name for name, *_ in axes}) < len(axes):  # a repeated axis is refused
+            assert (code, out.getvalue()) == (1, "")
+            assert err.getvalue().startswith("input error: --sweep axis")
+            return
         if error is not None:
             assert (code, out.getvalue()) == (1, "")
             assert err.getvalue() == f"input error: {error}\n"

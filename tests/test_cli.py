@@ -225,11 +225,17 @@ class TestSimulate:
         def boom(*a, **kw):
             raise IntegrationError("step size underflow at t=1.5")
 
-        monkeypatch.setattr("socgame.cli.integrate", boom)
+        monkeypatch.setattr("socgame.dynamics.integrate", boom)
         code, _, err = run(capsys, "simulate", "--params", params_a,
                            "--x0", "0,0,0.26,0.74", "--out", str(tmp_path / "s8"))
         assert code == 4
         assert "integration failure" in err
+
+    def test_integration_error_is_one_class(self):
+        import socgame
+        import socgame.model
+
+        assert socgame.IntegrationError is IntegrationError is socgame.model.IntegrationError
 
 
 def sweep_rows(out):
@@ -295,6 +301,13 @@ class TestSweep:
                            "--sweep", "eta:0.2:0.4:3", "--sweep", "beta:0.5:1:2",
                            "--sweep", "alpha:1:2:2")
         assert code == 1
+
+    def test_repeated_axis_rejected(self, capsys, params_a):
+        code, out, err = run(capsys, "sweep", "--params", params_a,
+                             "--sweep", "alpha:1:3:3", "--sweep", "alpha:0.5:0.7:2")
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "alpha" in err
 
     def test_non_finite_bound_rejected(self, capsys, params_a):
         for axis in ("beta:0:inf:3", "beta:nan:1:3", "beta:-1e308:1e308:3"):
@@ -477,18 +490,25 @@ class TestFreshProcess:
         assert out == {"unbound": [], "same": True, "in_dir": True,
                        "error": "module 'socgame' has no attribute 'no_such_name'"}
 
-    @pytest.mark.parametrize("argv", [["check"], ["sweep", "--sweep", "beta:-3:2:11"]],
-                             ids=["check", "sweep"])
-    def test_check_and_sweep_leave_basins_and_portrait_unloaded(self, params_a, argv):
+    # each command loads the socgame submodules it runs, and no others
+    @pytest.mark.parametrize("argv, loaded", [
+        (["check"], ["socgame.cli", "socgame.model"]),
+        (["sweep", "--sweep", "beta:-3:2:11"],
+         ["socgame.classify", "socgame.cli", "socgame.model", "socgame.welfare"]),
+        (["basins", "--samples", "20", "--seed", "5"],
+         ["socgame.basins", "socgame.classify", "socgame.cli", "socgame.dynamics",
+          "socgame.model", "socgame.welfare"]),
+    ], ids=["check", "sweep", "basins"])
+    def test_command_loads_only_the_modules_it_runs(self, params_a, argv, loaded):
         out = fresh_python(f"""
             import contextlib, io, json, sys
             from socgame.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main({argv + ["--params", params_a]!r})
-            print(json.dumps({{"code": code, "loaded": [
-                m for m in ("socgame.basins", "socgame.portrait") if m in sys.modules]}}))
+            print(json.dumps({{"code": code, "loaded": sorted(
+                m for m in sys.modules if m.startswith("socgame."))}}))
             """)
-        assert out == {"code": 0, "loaded": []}
+        assert out == {"code": 0, "loaded": loaded}
 
     @pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3")], ids=["unset", "set-3"])
     def test_cli_runs_blas_single_threaded_unless_told(self, threads, seen):
@@ -496,7 +516,7 @@ class TestFreshProcess:
         assert fresh_python(code, threads) == seen
 
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "set-2"])
-    @pytest.mark.parametrize("name", ["equilibria_A.json", "sweep_A_beta_gamma.csv",
+    @pytest.mark.parametrize("name", ["check_A.json", "equilibria_A.json", "sweep_A_beta_gamma.csv",
                                       "basins_B.json"])
     def test_module_run_reproduces_golden(self, tmp_path, name, threads):
         p, argv, code, written = CASES[name]

@@ -27,6 +27,9 @@ FACE_BOUNDARY = Params(2, 0, 1, 1, 2, 0.4)
 # name -> (params, extra argv, expected exit code, file written under --out
 # that is compared, or None to compare stdout)
 CASES = {
+    "check_A.json": (SET_A, ["check"], 0, None),
+    "check_A_dominated.json": (SET_A, ["check", "--set", "eta=3"], 2, None),
+    "check_A_degenerate.json": (SET_A, ["check", "--set", "gamma=2"], 3, None),
     "equilibria_A.json": (SET_A, ["equilibria"], 0, None),
     "equilibria_B.json": (SET_B, ["equilibria"], 0, None),
     "equilibria_C.json": (SET_C, ["equilibria"], 0, None),
