@@ -2,9 +2,12 @@
 
 Each file under ``tests/golden/`` is either the stdout of one CLI invocation
 on a canonical parameter set, or a file that invocation wrote under
-``--out``, together with the exit code it must end with.  One more golden,
-``states_at_B.json``, holds ``states_at`` samples as ``repr``'d floats.  Re-record them (only on purpose, when an output format or
-the integrator is meant to change) with
+``--out``, together with the exit code it must end with.  Two more goldens
+hold integrator output as ``repr``'d floats: ``states_at_B.json`` holds
+``states_at`` samples, and ``rows_B.json`` the end state, verdict and step
+count of every row of one basin batch (``_integrate_rows``).  Re-record
+them (only on purpose, when an output format or the integrator is meant to
+change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -16,8 +19,10 @@ from pathlib import Path
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, SET_D
-from socgame import Params, SimplexState, states_at
+from socgame import IntegratorConfig, Params, SimplexState, classify_global, states_at
+from socgame.basins import attractor_boxes, sample_simplex
 from socgame.cli import main
+from socgame.dynamics import _integrate_rows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -53,12 +58,16 @@ CASES = {
                                    "--max-time", "2.005"], 0, "trajectory.csv"),
     "basins_B.json": (SET_B, ["basins", "--samples", "200", "--seed", "5", "--jobs", "1"],
                       0, None),
+    # seed 18 has the longest batch tail of seeds 11-40: 204 iterations
+    "basins_B_seed18.json": (SET_B, ["basins", "--samples", "1000", "--seed", "18"], 0, None),
     "portrait_A.svg": (SET_A, ["portrait"], 0, "portrait.svg"),
     "portrait_A_trajectories.csv": (SET_A, ["portrait"], 0, "portrait_trajectories.csv"),
 }
 
 SAMPLE_STARTS = ((0.25, 0.25, 0.25, 0.25), (0.05, 0.35, 0.55, 0.05))
 SAMPLE_TIMES = [0.0, 0.5, 1.0, 7.25, 20.0]
+# the first 200 basin samples of seed 18 hold its longest row, 204 steps
+ROWS_SEED, ROWS_COUNT = 18, 200
 
 
 def _params_file(directory: Path, p: Params) -> str:
@@ -95,6 +104,17 @@ def _integrator_samples() -> bytes:
                        indent=1) + "\n").encode()
 
 
+def _batch_rows() -> bytes:
+    """``_integrate_rows`` on set B, with its ratio boxes, every float
+    ``repr``'d."""
+    boxes = [box for _, box in attractor_boxes(classify_global(SET_B).global_attractors, SET_B)]
+    finals, verdicts, steps = _integrate_rows(sample_simplex(ROWS_COUNT, ROWS_SEED), SET_B,
+                                              IntegratorConfig(), boxes)
+    doc = [{"final": [repr(v) for v in final], "verdict": verdict, "steps": k}
+           for final, verdict, k in zip(finals.tolist(), verdicts, steps.tolist())]
+    return (json.dumps({"seed": ROWS_SEED, "rows": doc}, indent=1) + "\n").encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_matches_golden(name, tmp_path):
     code, got = _run_case(name, tmp_path)
@@ -104,6 +124,10 @@ def test_cli_stdout_matches_golden(name, tmp_path):
 
 def test_integrator_samples_match_golden():
     assert _integrator_samples() == (GOLDEN_DIR / "states_at_B.json").read_bytes()
+
+
+def test_batch_rows_match_golden():
+    assert _batch_rows() == (GOLDEN_DIR / "rows_B.json").read_bytes()
 
 
 if __name__ == "__main__":
@@ -119,3 +143,5 @@ if __name__ == "__main__":
         print(f"recorded {name}")
     (GOLDEN_DIR / "states_at_B.json").write_bytes(_integrator_samples())
     print("recorded states_at_B.json")
+    (GOLDEN_DIR / "rows_B.json").write_bytes(_batch_rows())
+    print("recorded rows_B.json")
