@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: check, equilibria, simulate, sweep, basins, portrait.
-Parameters come from a flat key=value file (--params) with --set overrides.
+Parameters come from a flat key=value file (--params) with --set overrides;
+a key given twice in the file, or twice in --set, is an input error.
 Exit codes: 0 success, 1 input error, 2 inadmissible parameters
 (dominated strategy), 3 degenerate boundary, 4 integration failure.
 """
@@ -94,6 +95,8 @@ def _read_params_file(path: str) -> dict[str, float]:
             raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip()
+        if key in out:
+            raise ValueError(f"{path}:{ln}: parameter {key!r} given twice")
         try:
             out[key] = float(val.strip())
         except ValueError:
@@ -110,6 +113,8 @@ def _parse_set(sets: Sequence[str]) -> dict[str, float]:
         key = key.strip()
         if key not in PARAM_NAMES:
             raise ValueError(f"--set: unknown parameter {key!r}")
+        if key in out:
+            raise ValueError(f"--set: parameter {key!r} given twice")
         out[key] = float(val)
     return out
 

@@ -99,6 +99,17 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--params", params_a, "--set", "eta")
         assert code == 1
 
+    def test_repeated_key_rejected(self, capsys, params_a, tmp_path):
+        f = tmp_path / "twice.params"
+        f.write_text(Path(params_a).read_text() + "alpha = 0.1\n")
+        code, out, err = run(capsys, "check", "--params", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"input error: {f}:8: parameter 'alpha' given twice\n"
+        code, out, err = run(capsys, "check", "--params", params_a,
+                             "--set", "eta=3", "--set", " eta=0.4")
+        assert (code, out) == (1, "")
+        assert err == "input error: --set: parameter 'eta' given twice\n"
+
 
 class TestEquilibria:
     def test_full_report(self, capsys, params_a, tmp_path):

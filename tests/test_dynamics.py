@@ -2,10 +2,11 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BOX_ONLY_P, BOX_ONLY_X0, SET_A, SET_B, SET_C, draw_params, draw_simplex
@@ -27,11 +28,13 @@ from socgame import (
     match_attractor,
     states_at,
 )
+from socgame import dynamics
 from socgame.basins import attractor_boxes
 from socgame.dynamics import (
     RatioBox,
     _grow,
     _grow_rows,
+    _in_a_box,
     _integrate_rows,
     box_index,
     replicator_field,
@@ -307,39 +310,70 @@ BATCH_CASES = dict(
     run=st.sampled_from((("rk45", 1000.0), ("rk45", 3.3), ("rk4", 2.505))))
 
 
+# more rows than _HANDOVER_ROWS: with and without boxes, the batch steps
+# them all, then hands its last rows to _drive after some steps
+WIDE_CASE = dict(seed=0, branch="B-minus", zeros=[set()] * 48, run=("rk45", 1000.0))
+
+
+def batch_runs(x0, p, cfg, boxes=()):
+    """``_integrate_rows`` as a pure batch (no handover) and with the
+    handover at its default size."""
+    runs = []
+    for handover in (0, dynamics._HANDOVER_ROWS):
+        with mock.patch.object(dynamics, "_HANDOVER_ROWS", handover):
+            runs.append(_integrate_rows(x0, p, cfg, boxes))
+    return runs
+
+
 class TestBatchedRuns:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(**BATCH_CASES)
+    @example(**WIDE_CASE)
     def test_batch_equals_per_start(self, seed, branch, zeros, run):
         p, x0, cfg = batch_case(seed, branch, zeros, run)
-        finals, verdicts, steps = _integrate_rows(x0, p, cfg)
-        assert len(verdicts) == len(x0)
-        for row, final, verdict, k in zip(x0.tolist(), finals.tolist(), verdicts,
-                                          steps.tolist()):
-            tr = integrate(SimplexState(*row), p, cfg)
-            assert tuple(final) == tr.final_state.as_tuple()
-            assert verdict == tr.verdict
-            assert k == len(tr.times) - 1
+        runs = [integrate(SimplexState(*row), p, cfg) for row in x0.tolist()]
+        for finals, verdicts, steps in batch_runs(x0, p, cfg):
+            assert len(verdicts) == len(x0)
+            for tr, final, verdict, k in zip(runs, finals.tolist(), verdicts, steps.tolist()):
+                assert tuple(final) == tr.final_state.as_tuple()
+                assert verdict == tr.verdict
+                assert k == len(tr.times) - 1
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(**BATCH_CASES)
+    @example(**WIDE_CASE)
     def test_batch_with_boxes_equals_per_start_until_certified(self, seed, branch, zeros, run):
         # a certified row stops, inside a box, where the run to rest is after
         # as many steps; every other row ends where that run ends
         p, x0, cfg = batch_case(seed, branch, zeros, run)
         boxes = [box for _, box in attractor_boxes(classify_global(p).global_attractors, p)]
-        finals, verdicts, steps = _integrate_rows(x0, p, cfg, boxes)
-        inside = box_index(finals.T, boxes).tolist()
-        for row, final, verdict, k, i in zip(x0.tolist(), finals.tolist(), verdicts,
-                                             steps.tolist(), inside):
-            tr = integrate(SimplexState(*row), p, cfg)
-            if verdict == "certified":
-                assert i >= 0 and k <= len(tr.times) - 1
-                assert tuple(final) == tr.states[k].as_tuple()
-            else:
-                assert tuple(final) == tr.final_state.as_tuple()
-                assert verdict == tr.verdict
-                assert k == len(tr.times) - 1
+        runs = [integrate(SimplexState(*row), p, cfg) for row in x0.tolist()]
+        for finals, verdicts, steps in batch_runs(x0, p, cfg, boxes):
+            inside = box_index(finals.T, boxes).tolist()
+            for tr, final, verdict, k, i in zip(runs, finals.tolist(), verdicts,
+                                                steps.tolist(), inside):
+                if verdict == "certified":
+                    assert i >= 0 and k <= len(tr.times) - 1
+                    assert tuple(final) == tr.states[k].as_tuple()
+                else:
+                    assert tuple(final) == tr.final_state.as_tuple()
+                    assert verdict == tr.verdict
+                    assert k == len(tr.times) - 1
+
+    @pytest.mark.parametrize("with_boxes", [False, True])
+    def test_last_rows_leave_the_batch_mid_run(self, monkeypatch, with_boxes):
+        p, x0, cfg = batch_case(**WIDE_CASE)
+        boxes = [box for _, box in attractor_boxes(classify_global(p).global_attractors, p)]
+        resumed = []
+        drive = dynamics._drive
+
+        def spy(*args, **kwargs):
+            resumed.append(kwargs["n"])
+            return drive(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_drive", spy)
+        _integrate_rows(x0, p, cfg, boxes if with_boxes else ())
+        assert 0 < len(resumed) <= dynamics._HANDOVER_ROWS and min(resumed) > 0
 
 
 def near(c):
@@ -398,6 +432,8 @@ class TestBoxIndex:
         y = np.array(rows).T
         assert box_index(y, boxes).tolist() == two_sided_box_index(y, boxes).tolist()
         assert box_index(tuple(y), boxes).tolist() == two_sided_box_index(y, boxes).tolist()
+        assert ([_in_a_box(row, boxes) for row in rows]
+                == (two_sided_box_index(y, boxes) >= 0).tolist())
 
 
 class TestAttractorMatching:
