@@ -5,7 +5,9 @@ on a canonical parameter set, or a file that invocation wrote under
 ``--out``, together with the exit code it must end with.  Two more goldens
 hold integrator output as ``repr``'d floats: ``states_at_B.json`` holds
 ``states_at`` samples, and ``rows_B.json`` the end state, verdict and step
-count of every row of one basin batch (``_integrate_rows``).  Re-record
+count of every row of one basin batch (``_integrate_rows``).
+``face_states.json`` holds every stationary state ``face_states`` finds on
+each face of sets A, B and C, floats ``repr``'d.  Re-record
 them (only on purpose, when an output format or the integrator is meant to
 change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -19,8 +21,16 @@ from pathlib import Path
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, SET_D
-from socgame import IntegratorConfig, Params, SimplexState, classify_global, states_at
+from socgame import (
+    IntegratorConfig,
+    Params,
+    SimplexState,
+    classify_global,
+    face_states,
+    states_at,
+)
 from socgame.basins import attractor_boxes, sample_simplex
+from socgame.classify import FACES
 from socgame.cli import main
 from socgame.dynamics import _integrate_rows
 
@@ -104,6 +114,19 @@ def _integrator_samples() -> bytes:
                        indent=1) + "\n").encode()
 
 
+def _face_states() -> bytes:
+    """``face_states`` on every face of sets A, B and C, every float
+    ``repr``'d."""
+    doc = {}
+    for name, p in (("A", SET_A), ("B", SET_B), ("C", SET_C)):
+        doc[name] = {face: [{**s.as_dict(),
+                             "location": [repr(v) for v in s.location.as_tuple()],
+                             "payoff": repr(s.payoff)}
+                            for s in face_states(p, face)]
+                     for face in FACES}
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
 def _batch_rows() -> bytes:
     """``_integrate_rows`` on set B, with its ratio boxes, every float
     ``repr``'d."""
@@ -126,6 +149,10 @@ def test_integrator_samples_match_golden():
     assert _integrator_samples() == (GOLDEN_DIR / "states_at_B.json").read_bytes()
 
 
+def test_face_states_match_golden():
+    assert _face_states() == (GOLDEN_DIR / "face_states.json").read_bytes()
+
+
 def test_batch_rows_match_golden():
     assert _batch_rows() == (GOLDEN_DIR / "rows_B.json").read_bytes()
 
@@ -143,5 +170,7 @@ if __name__ == "__main__":
         print(f"recorded {name}")
     (GOLDEN_DIR / "states_at_B.json").write_bytes(_integrator_samples())
     print("recorded states_at_B.json")
+    (GOLDEN_DIR / "face_states.json").write_bytes(_face_states())
+    print("recorded face_states.json")
     (GOLDEN_DIR / "rows_B.json").write_bytes(_batch_rows())
     print("recorded rows_B.json")
