@@ -27,10 +27,14 @@ it:
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face containing it.
 
-The sign tables leave one question open, the stability type of interior
-states: it is read off the eigenvalues of the replicator flow's analytic
-Jacobian (``dynamics.replicator_jacobian``) in the chart of the face, or of
-the whole simplex, that holds the state.
+The sign tables leave interior states open.  One routine
+(``_interior_state``) finds both kinds, a face's and the whole simplex's:
+every strategy of the support earns one payoff and the shares sum to 1.
+One boundary rule holds for both: a share within tol of 0 raises
+DegenerateParameterError, and a negative share or a singular system means
+there is no state.  The stability type is read off the eigenvalues of the
+replicator flow's analytic Jacobian (``dynamics.replicator_jacobian``) in
+the chart of the face, or of the whole simplex, that holds the state.
 """
 
 from __future__ import annotations
@@ -244,72 +248,57 @@ class _Inventory:
                 if STRATEGIES[absent] not in s.support]
 
 
-def _interior_signs(name: str, x: Sequence[float], p: Params,
-                    active: tuple[int, ...]) -> tuple[tuple[str, str], ...]:
-    """Eigen signs of the flow at the rest point ``x`` in the chart of
-    ``active``, sorted by real part and labelled ``<name> eig <k>``."""
+def _interior_state(p: Params, active: tuple[int, ...], tol: float) -> StationaryState | None:
+    """Rest point with support ``active``, a face's three strategies or all
+    four: where they all earn one payoff and their shares sum to 1, by one
+    linear solve.  None where the system is singular or a share is
+    negative; DegenerateParameterError where a share is within ``tol`` of 0,
+    since the state then sits on the boundary of its face or simplex.  The
+    eigen signs are read off the Jacobian in the chart of ``active``, sorted
+    by real part and labelled ``face eig <k>`` or ``orthant eig <k>``."""
     # imported here, so that the sweep, which never reads eigen signs, does
     # not load the integrators
     from .dynamics import replicator_jacobian
 
-    eigs = np.linalg.eigvals(replicator_jacobian(x, p, active))
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    return tuple((f"{name} eig {i + 1}", _sign(float(ev.real), SIGN_TOL))
-                 for i, ev in enumerate(eigs))
-
-
-def _face_interior_state(p: Params, face: str, tol: float) -> StationaryState | None:
-    """Rest point inside ``face``, if the equal-payoff solve lands there.
-    Stability is read off the Jacobian of the face flow.  On S_N it exists
-    exactly when beta*epsilon+gamma*delta, alpha*(beta+delta) and
-    alpha*(epsilon-gamma) share one strict sign."""
-    active = tuple(i for i in range(4) if i != FACE_ABSENT[face])
     A = payoff_matrix(p)
-    # equal payoffs among the three actives, shares sum to 1
-    m = np.zeros((3, 3))
-    for col, s in enumerate(active):
-        m[0, col] = A[active[0], s] - A[active[1], s]
-        m[1, col] = A[active[0], s] - A[active[2], s]
-        m[2, col] = 1.0
+    n = len(active)
+    # the first active strategy's payoff equals each other's; shares sum to 1
+    m = np.ones((n, n))
+    m[:-1] = A[active[0], active] - A[np.ix_(active[1:], active)]
     try:
-        sol = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
+        sol = np.linalg.solve(m, np.eye(n)[-1])
     except np.linalg.LinAlgError:
         return None
-    if not (min(sol) > tol and max(sol) < 1.0 - tol):
+    kind, name = ("full-interior", "orthant") if n == 4 else ("face-interior", "face")
+    if any(abs(v) <= tol for v in sol):
+        raise DegenerateParameterError(f"{kind} state on the boundary: a share within {tol} of 0")
+    if any(v < 0.0 for v in sol):
         return None
     xs = [0.0] * 4
-    for s_idx, share in zip(active, sol):
-        xs[s_idx] = float(share)
-    signs = _interior_signs("face", xs, p, active)
+    for k, share in zip(active, sol):
+        xs[k] = float(share)
+    eigs = np.linalg.eigvals(replicator_jacobian(xs, p, active))
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    signs = tuple((f"{name} eig {i + 1}", _sign(float(ev.real), SIGN_TOL))
+                  for i, ev in enumerate(eigs))
     support = tuple(STRATEGIES[i] for i in active)
-    return _state("+".join(support), "face-interior", SimplexState(*xs), support,
+    return _state("+".join(support), kind, SimplexState(*xs), support,
                   float(A[active[0]] @ np.array(xs)), signs)
 
 
 def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
-    """Stationary state interior to the whole simplex, if any.
+    """Stationary state interior to the whole simplex, if any
+    (``_interior_state`` over all four strategies).
 
     All four payoffs equal the fallback eta there.  It always carries a
     strictly positive eigenvalue (eta*w in the ratio chart w = x4/x1), so it
-    is never attractive; the full sign pattern is read off the Jacobian of
-    the flow on the whole simplex.  The ``orthant eig`` labels name the same
-    signs the ratio chart gives: the two Jacobians differ by a change of
-    coordinates and a positive time scale, which keep every sign and the
-    order by real part.
+    is never attractive.  The ``orthant eig`` labels name the same signs the
+    ratio chart gives: the two Jacobians differ by a change of coordinates
+    and a positive time scale, which keep every sign and the order by real
+    part.
     """
     require_valid(p, tol)
-    x1 = p.eta / p.alpha
-    det = p.beta * p.epsilon + p.gamma * p.delta  # nonzero when valid
-    x2 = p.eta * (p.epsilon - p.gamma) / det
-    x3 = p.eta * (p.beta + p.delta) / det
-    x4 = 1.0 - x1 - x2 - x3
-    coords = (x1, x2, x3, x4)
-    if any(abs(v) <= tol for v in coords):
-        raise DegenerateParameterError("full-interior state on a boundary face")
-    if any(v < 0.0 for v in coords):
-        return None
-    return _state("O+H+P+N", "full-interior", SimplexState(*coords), ("O", "H", "P", "N"),
-                  p.eta, _interior_signs("orthant", coords, p, (0, 1, 2, 3)))
+    return _interior_state(p, (0, 1, 2, 3), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +315,13 @@ def _require_face(p: Params, face: str, tol: float) -> None:
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
     """All stationary states on one boundary face: the inventory's vertex
     and edge-interior states restricted to the face (closed-form signs),
-    then the face-interior state if there is one (Jacobian signs).
+    then the face-interior state if there is one (``_interior_state``,
+    Jacobian signs).  Raises DegenerateParameterError where an edge of the
+    face is undecided or the face-interior state lies on an edge.
     """
     _require_face(p, face, tol)
     out = _Inventory(p, tol).face(face)
-    interior = _face_interior_state(p, face, tol)
+    interior = _interior_state(p, tuple(i for i in range(4) if i != FACE_ABSENT[face]), tol)
     if interior is not None:
         out.append(interior)
     return out

@@ -17,28 +17,30 @@ only where each ended (``estimate_basins``): its state is one (4, m) numpy
 block with a column per running start, and every row keeps its own time,
 step size and step count and leaves the batch when it stops.  A row also
 stops, short of rest, once it lies in one of the caller's ratio boxes
-(``RatioBox``), regions proved to flow to one attractor.  Both loops use
-the same steppers and stop on the same tests in the same order, so a row
-that no box captures ends bit for bit where ``integrate`` from that start
-ends.  Single runs stay on tuples of Python floats: a step of the block
-costs about as much in numpy dispatch as ten float steps, whatever its
-size.  So the batch hands its last _HANDOVER_ROWS rows to ``_drive``, each
-resumed from its own time, step size and step count with the same boxes,
-rather than run its slowest rows' last hundred or so steps as blocks of a
-handful.
+(``RatioBox``), regions proved to flow to one attractor.  The block steps
+rk45 only and takes whole steps only.  Everything else is ``_drive``'s,
+resumed from the row's own time, step size and step count with the same
+boxes: an rk4 run (from its start), a row whose next step would pass
+max_time, and the batch's last _HANDOVER_ROWS rows.  Single runs stay on
+tuples of Python floats: a step of the block costs about as much in numpy
+dispatch as ten float steps, whatever its size, so the slowest rows' last
+hundred or so steps are not run as blocks of a handful.  Both loops use
+the same Dormand-Prince step and stop on the same tests in the same order,
+so a row that no box captures ends bit for bit where ``integrate`` from
+that start ends.
 
 The step is a hand-rolled Dormand-Prince 5(4) under error control (_ABS_TOL,
 _REL_TOL, steps at most _MAX_STEP), or, for deterministic regression runs, a
-classical RK4 step of fixed size _STEP that is always accepted.  Their stage
-lines work one tuple entry at a time, so the same lines step four floats or
-the one-entry tuple ``(block,)``, where each line is a single array
-expression.  The batch takes its step-size factors from Python's ``pow``
-in one pass over the rows (``_grow_rows``), as ``_drive`` does one step at
-a time.  After every accepted step the simplex state is renormalized,
-shares below _EXTINCTION_FLOOR are clamped to exactly zero, and the state
-is renormalized again if clamping fired.  An off-the-shelf driver
-cannot interpose that projection between accepted steps.  Coordinates that
-start at exactly zero stay exactly zero through both stepping and
+classical RK4 step of fixed size _STEP that is always accepted.  The
+Dormand-Prince stage lines work one tuple entry at a time, so the same lines
+step four floats or the one-entry tuple ``(block,)``, where each line is a
+single array expression.  The batch takes its step-size factors from
+Python's ``pow`` in one pass over the rows (``_grow_rows``), as ``_drive``
+does one step at a time.  After every accepted step the simplex state is
+renormalized, shares below _EXTINCTION_FLOOR are clamped to exactly zero,
+and the state is renormalized again if clamping fired.  An off-the-shelf
+driver cannot interpose that projection between accepted steps.  Coordinates
+that start at exactly zero stay exactly zero through both stepping and
 projection, so faces and edges are invariant in the strictest sense.  A
 caller chooses only the method and max_time (``IntegratorConfig``); the
 other settings are module constants.
@@ -299,7 +301,7 @@ def _drive(
     falls below _CONVERGED ("converged") or at ``max_time``
     ("max-time-reached").  ``t``, ``h`` and ``n`` resume such a run at time
     ``t`` with step size ``h`` (None: the method's first step) after ``n``
-    accepted steps; ``_integrate_rows`` hands its last rows over so.  With
+    accepted steps; ``_integrate_rows`` hands rows over so.  With
     ``times`` the run starts at t=0 and lands exactly on
     each requested time, samples only there, and stops after the last one;
     ``max_time`` is not used.  A step toward a sample time or ``max_time``
@@ -455,10 +457,12 @@ def _integrate_rows(
     ``pow``, in one pass over the accepted rows (``_grow_rows``), because
     numpy's vectorised power can differ from it in the last bit.
     Rows leave the block when they are certified, converge, reach max_time
-    or fail a step.  Once at most _HANDOVER_ROWS are left, each goes on in
-    ``_drive`` from its own t, h and step count, with the same boxes: a
-    batch iteration has a fixed cost of about ten float steps, and the last
-    rows of a batch can run a hundred iterations more.  No samples are
+    or fail a step.  The block steps rk45 only and never shortens a step:
+    a row whose next step would pass max_time goes on in ``_drive`` from
+    its own t, h and step count, with the same boxes, as do the last
+    _HANDOVER_ROWS rows (a batch iteration has a fixed cost of about ten
+    float steps, and the last rows of a batch can run a hundred iterations
+    more) and, from their starts, all rows of an rk4 run.  No samples are
     recorded.
     """
 
@@ -475,16 +479,19 @@ def _integrate_rows(
     y = final.T.copy()  # column j holds running row rows[j]
     (k1,) = f((y,))
     t = np.zeros(len(rows))
-    h = np.full(len(rows), _STEP if fixed else _FIRST_STEP)
+    h = np.full(len(rows), _FIRST_STEP)
     n = np.zeros(len(rows), dtype=np.int64)
+    handover = []  # (rows, y, t, h, n) of rows that go on in _drive
     failed = None  # the rows whose step failed in the previous iteration
-    while True:
+    while not fixed:
         converged = np.abs(k1).max(axis=0) < _CONVERGED
         certified = _inside(y, bounds).any(axis=0)
         stop = certified | converged | (t >= max_time)
         if failed is not None:
             stop |= failed
-        if stop.any():
+        # a step shortened to land on max_time is left to _drive
+        late = ~stop & (max_time - t < h)
+        if stop.any() or late.any():
             # the first test that holds names the verdict: a failed step,
             # a box, convergence, else max_time
             code = np.where(certified, 3, np.where(converged, 0, 1))
@@ -494,44 +501,35 @@ def _integrate_rows(
             final[done] = y[:, stop].T
             verdict[done] = code[stop]
             steps[done] = n[stop]
-            go = ~stop
+            handover.append((rows[late], y[:, late], t[late], h[late], n[late]))
+            go = ~(stop | late)
             rows, y, k1, t, h, n = rows[go], y[:, go], k1[:, go], t[go], h[go], n[go]
         if rows.size <= _HANDOVER_ROWS:
             break
-        capped = max_time - t < h
-        any_capped = capped.any()
-        h_try = np.where(capped, max_time - t, h) if any_capped else h
-        if fixed:
-            (ynew,), _ = _rk4_step(f, (y,), h_try, (k1,))
-            all_ok = True
-        else:
-            (ynew,), err = _dp_step(f, (y,), h_try, (k1,), _err_norm_rows)
-            ok = err <= 1.0
-            all_ok = ok.all()
+        (ynew,), err = _dp_step(f, (y,), h, (k1,), _err_norm_rows)
+        ok = err <= 1.0
+        all_ok = ok.all()
         # in most iterations every row moves on, and a slice indexes views
         acc = slice(None) if all_ok else ok
         n[acc] += 1
-        later = n[acc] * _STEP if fixed else t[acc] + h_try[acc]
-        t[acc] = np.where(capped[acc], max_time, later) if any_capped else later
+        t[acc] += h[acc]
         ya = _project_rows(ynew[:, acc])
         y[:, acc] = ya
         (k1[:, acc],) = f((ya,))
         failed = None
-        if fixed:
+        if all_ok:
+            h = np.minimum(h * _grow_rows(err), _MAX_STEP)
             continue
-        if all_ok and not any_capped:
-            h = np.minimum(h_try * _grow_rows(err), _MAX_STEP)
-            continue
-        free = ok & ~capped
-        h[free] = np.minimum(h_try[free] * _grow_rows(err[free]), _MAX_STEP)
-        if not all_ok:
-            rej = ~ok
-            h[rej] = h_try[rej] * [_shrink(e) for e in err[rej].tolist()]
-            failed = rej & (h < _MIN_STEP_FACTOR * np.maximum(1.0, np.abs(t)))
+        h[ok] = np.minimum(h[ok] * _grow_rows(err[ok]), _MAX_STEP)
+        rej = ~ok
+        h[rej] = h[rej] * [_shrink(e) for e in err[rej].tolist()]
+        failed = rej & (h < _MIN_STEP_FACTOR * np.maximum(1.0, np.abs(t)))
+    handover.append((rows, y, t, h, n))
+    rows, y, t, h, n = (np.concatenate(part, axis=-1) for part in zip(*handover))
     for row, yj, tj, hj, nj in zip(rows.tolist(), y.T.tolist(), t.tolist(), h.tolist(),
                                    n.tolist()):
         times, ys, _, why = _drive(p, tuple(yj), cfg.method, max_time, boxes=boxes,
-                                   t=tj, h=hj, n=nj)
+                                   t=tj, h=None if fixed else hj, n=nj)
         final[row] = ys[-1]
         verdict[row] = _VERDICTS.index(why)
         steps[row] = nj + len(times) - 1

@@ -20,8 +20,9 @@ Nothing here is used by the package.  Tests check against it:
 * ``numeric_jacobian``: finite-difference eigenvalues at a rest point of
   the face flow or of either chart system;
 * the admissibility inequalities as plain comparisons, one per condition
-  (``dominance_oracle``, ``nondominance_oracle``, ``nash_oracle``), and the
-  closed forms of the H-P, O-P and O-H edge states' payoffs;
+  (``dominance_oracle``, ``nondominance_oracle``, ``nash_oracle``), the
+  closed forms of the H-P, O-P and O-H edge states' payoffs, and the closed
+  form of the rest point inside the whole simplex (``full_interior_shares``);
 * ``uniform_ratio_box``: the widest ratio box of one width tau for every
   ratio, the box ``basins.ratio_box`` starts from and must contain.
 """
@@ -220,6 +221,17 @@ def op_payoff(p) -> float:
 def oh_payoff(p) -> float:
     """Common payoff at the mixed state on the O-H edge."""
     return p.alpha * p.beta / (p.alpha + p.beta)
+
+
+def full_interior_shares(p) -> tuple[float, float, float, float]:
+    """Shares where all four payoffs equal the fallback eta, with det =
+    beta*epsilon + gamma*delta: x1 = eta/alpha, x2 = eta*(epsilon-gamma)/det,
+    x3 = eta*(beta+delta)/det and x4 = 1 - x1 - x2 - x3."""
+    det = p.beta * p.epsilon + p.gamma * p.delta
+    x1 = p.eta / p.alpha
+    x2 = p.eta * (p.epsilon - p.gamma) / det
+    x3 = p.eta * (p.beta + p.delta) / det
+    return x1, x2, x3, 1.0 - x1 - x2 - x3
 
 
 def dominance_oracle(p: Params) -> list[tuple[str, str]]:

@@ -29,6 +29,7 @@ from oracles import (
     coexistence_payoff,
     coexistence_share,
     fd_jacobian,
+    full_interior_shares,
     numeric_jacobian,
     oh_payoff,
     op_payoff,
@@ -48,7 +49,7 @@ from socgame import (
 from socgame.cli import main
 from socgame.classify import FACE_ABSENT, FACES, _edge_state
 from socgame.dynamics import replicator_jacobian
-from socgame.model import PARAM_NAMES, Columns, Params, payoff_rows
+from socgame.model import DEFAULT_TOL, PARAM_NAMES, Columns, Params, payoff_rows
 
 FACE_STRATEGIES = {
     "S_N": {"O", "H", "P"},
@@ -71,10 +72,17 @@ def sn_vertex_signs(p):
     return {s.label: s.eigen_signs for s in sn_states(p, "vertex")}
 
 
+def interior(p, where):
+    """The face-interior state of face ``where``, or the full-interior state
+    for "full"; None if there is none."""
+    if where == "full":
+        return full_interior_state(p)
+    return next((s for s in face_states(p, where) if s.kind == "face-interior"), None)
+
+
 def sn_interior(p):
     """The face-interior state of S_N, or None."""
-    interior = sn_states(p, "face-interior")
-    return interior[0] if interior else None
+    return interior(p, "S_N")
 
 
 class TestVertexEigensigns:
@@ -152,6 +160,66 @@ class TestFullInteriorState:
 
     def test_set_c_infeasible(self):
         assert full_interior_state(SET_C) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_matches_closed_form(self, seed, branch):
+        # the equal-payoff solve against the closed form: no state exactly
+        # where a closed-form share is negative, else the same shares, at
+        # the fallback payoff
+        p = draw_params(np.random.default_rng(seed), branch)
+        want = full_interior_shares(p)
+        s = full_interior_state(p)
+        assert (s is None) == (min(want) < 0.0)
+        if s is not None:
+            assert max(abs(a - b) for a, b in zip(s.location.as_tuple(), want)) <= 1e-12
+            assert abs(s.payoff - p.eta) <= 1e-12
+
+
+# the last share of each interior state in closed form: 1 at eta = 0, and
+# falling through 0 as eta rises through an edge state's payoff (faces) or
+# the full-interior state reaches S_N
+LAST_SHARE = {
+    "S_O": lambda p: 1.0 - p.eta / coexistence_payoff(p),
+    "S_H": lambda p: 1.0 - p.eta / op_payoff(p),
+    "S_P": lambda p: 1.0 - p.eta / oh_payoff(p),
+    "full": lambda p: full_interior_shares(p)[3],
+}
+
+
+def eta_onto_zero(p, share, tol=DEFAULT_TOL):
+    """``p`` with eta bisected until ``share`` is within tol/10 of 0; None if
+    it stays positive up to the largest eta that keeps ``p`` undominated,
+    or if bisection does not get that close."""
+    lo, hi = 0.0, min(p.alpha, p.epsilon, max(p.beta, p.gamma))
+    if share(replace(p, eta=hi)) >= 0.0:
+        return None
+    for _ in range(200):
+        q = replace(p, eta=0.5 * (lo + hi))
+        v = share(q)
+        if abs(v) <= tol / 10:
+            return q
+        lo, hi = (q.eta, hi) if v > 0.0 else (lo, q.eta)
+    return None
+
+
+class TestInteriorStateBoundary:
+    @pytest.mark.parametrize("where", sorted(LAST_SHARE))
+    def test_share_within_tol_of_zero_raises(self, where):
+        # one boundary rule for every interior state: where a share lies
+        # within tol of 0 at a valid point, the state neither exists nor
+        # vanishes, it is degenerate
+        rng = np.random.default_rng(32)
+        for i in range(200):
+            q = eta_onto_zero(draw_params(rng, ("B-plus", "B-minus")[i % 2]), LAST_SHARE[where])
+            if (q is not None and validate(q).ok
+                    and interior(replace(q, eta=q.eta * (1.0 - 1e-6)), where) is not None):
+                break
+        else:
+            pytest.fail(f"no valid point puts the {where} interior state on its boundary")
+        kind = "full-interior" if where == "full" else "face-interior"
+        with pytest.raises(DegenerateParameterError, match=f"{kind} state"):
+            interior(q, where)
 
 
 class TestNumericJacobian:
