@@ -19,6 +19,8 @@ socgame basins --params "$b" --samples 200 --seed 5 | cmp - "$g/basins_B.json"
 socgame basins --params "$b" --samples 1000 --seed 18 | cmp - "$g/basins_B_seed18.json"
 socgame simulate --params "$a" --x0 0,0,0.26,0.74 --out "$out/s" | tail -n 1 | grep -qx P
 cmp "$out/s/trajectory.csv" "$g/simulate_A.csv"
+socgame simulate --params "$a" --x0 0,0,0.26,0.74 --max-time 2.005 --out "$out/m" >/dev/null
+cmp "$out/m/trajectory.csv" "$g/simulate_A_max_time.csv"
 socgame portrait --params "$a" --out "$out/p"
 cmp "$out/p/portrait.svg" "$g/portrait_A.svg"
 cmp "$out/p/portrait_trajectories.csv" "$g/portrait_A_trajectories.csv"

@@ -63,6 +63,10 @@ CASES = {
     "simulate_A.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74"], 0, "trajectory.csv"),
     "simulate_B.csv": (SET_B, ["simulate", "--x0", "0.05,0.35,0.55,0.05"], 0,
                        "trajectory.csv"),
+    # its last step is shortened to land on max_time (uncapped it would
+    # step from t=1.7037 to t=2.0578)
+    "simulate_A_max_time.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74",
+                                        "--max-time", "2.005"], 0, "trajectory.csv"),
     # ends in a step shortened to land on max_time
     "simulate_A_rk4.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74", "--method", "rk4",
                                    "--max-time", "2.005"], 0, "trajectory.csv"),
