@@ -327,7 +327,6 @@ def _build_parser() -> _Parser:
                          help="integrate one trajectory and name its attractor")
     sim.add_argument("--x0", required=True, metavar="X1,X2,X3,X4",
                      help="initial shares, comma separated")
-    sim.add_argument("--method", choices=("rk45", "rk4"), default="rk45")
     sim.add_argument("--max-time", type=float, default=1000.0)
 
     sw = sub.add_parser("sweep", parents=[common],
@@ -378,8 +377,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     if args.command in ("simulate", "basins"):
         from .dynamics import IntegratorConfig
 
-        integrator = IntegratorConfig(method=getattr(args, "method", "rk45"),
-                                      max_time=args.max_time)
+        integrator = IntegratorConfig(max_time=args.max_time)
 
     return RunConfig(
         command=args.command,

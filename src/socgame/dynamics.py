@@ -1,5 +1,5 @@
 """Population dynamics: the replicator flow on the simplex, its Jacobian, and
-the integrators that drive it.
+the loops that integrate it.
 
 The replicator flow on shares ``x`` is ``dx_i/dt = x_i (P_i - Pbar)``, with
 payoffs ``P = A x`` and mean ``Pbar = x . A x``.  Its Jacobian has the closed
@@ -17,33 +17,31 @@ only where each ended (``estimate_basins``): its state is one (4, m) numpy
 block with a column per running start, and every row keeps its own time,
 step size and step count and leaves the batch when it stops.  A row also
 stops, short of rest, once it lies in one of the caller's ratio boxes
-(``RatioBox``), regions proved to flow to one attractor.  The block steps
-rk45 only and takes whole steps only.  Everything else is ``_drive``'s,
-resumed from the row's own time, step size and step count with the same
-boxes: an rk4 run (from its start), a row whose next step would pass
-max_time, and the batch's last _HANDOVER_ROWS rows.  Single runs stay on
-tuples of Python floats: a step of the block costs about as much in numpy
-dispatch as ten float steps, whatever its size, so the slowest rows' last
-hundred or so steps are not run as blocks of a handful.  Both loops use
-the same Dormand-Prince step and stop on the same tests in the same order,
+(``RatioBox``), regions proved to flow to one attractor.  The block takes
+whole steps only.  Everything else is ``_drive``'s, resumed from the row's
+own time, step size and step count with the same boxes: a row whose next
+step would pass max_time, and the batch's last _HANDOVER_ROWS rows.  Single
+runs stay on tuples of Python floats: a step of the block costs about as
+much in numpy dispatch as ten float steps, whatever its size, so the
+slowest rows' last hundred or so steps are not run as blocks of a handful.
+Both loops use the same step and stop on the same tests in the same order,
 so a row that no box captures ends bit for bit where ``integrate`` from
 that start ends.
 
-The step is a hand-rolled Dormand-Prince 5(4) under error control (_ABS_TOL,
-_REL_TOL, steps at most _MAX_STEP), or, for deterministic regression runs, a
-classical RK4 step of fixed size _STEP that is always accepted.  The
-Dormand-Prince stage lines work one tuple entry at a time, so the same lines
-step four floats or the one-entry tuple ``(block,)``, where each line is a
-single array expression.  The batch takes its step-size factors from
-Python's ``pow`` in one pass over the rows (``_grow_rows``), as ``_drive``
-does one step at a time.  After every accepted step the simplex state is
-renormalized, shares below _EXTINCTION_FLOOR are clamped to exactly zero,
-and the state is renormalized again if clamping fired.  An off-the-shelf
-driver cannot interpose that projection between accepted steps.  Coordinates
-that start at exactly zero stay exactly zero through both stepping and
-projection, so faces and edges are invariant in the strictest sense.  A
-caller chooses only the method and max_time (``IntegratorConfig``); the
-other settings are module constants.
+Every run takes the one step: a hand-rolled Dormand-Prince 5(4) under error
+control (_ABS_TOL, _REL_TOL, steps at most _MAX_STEP).  Its stage lines work
+one tuple entry at a time, so the same lines step four floats or the
+one-entry tuple ``(block,)``, where each line is a single array expression.
+The batch takes its step-size factors from Python's ``pow`` in one pass
+over the rows (``_grow_rows``), as ``_drive`` does one step at a time.
+After every accepted step the simplex state is renormalized, shares below
+_EXTINCTION_FLOOR are clamped to exactly zero, and the state is
+renormalized again if clamping fired.  An off-the-shelf driver cannot
+interpose that projection between accepted steps.  Coordinates that start
+at exactly zero stay exactly zero through both stepping and projection, so
+faces and edges are invariant in the strictest sense.  A caller chooses
+only max_time (``IntegratorConfig``); the other settings are module
+constants.
 """
 
 from __future__ import annotations
@@ -63,13 +61,12 @@ _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
 
 
 # Integrator settings that no caller chooses.
-_STEP = 0.01  # rk4 step size
-_FIRST_STEP = 1e-3  # rk45 trial size of the first step
-# rk45 error control: a step is accepted when every component's error
-# estimate is within _ABS_TOL + _REL_TOL * max(|y|, |y_new|)
+_FIRST_STEP = 1e-3  # trial size of the first step
+# error control: a step is accepted when every component's error estimate
+# is within _ABS_TOL + _REL_TOL * max(|y|, |y_new|)
 _ABS_TOL = 1e-9
 _REL_TOL = 1e-9
-# ceiling on the rk45 step size; keeps decaying modes inside the stepper's
+# ceiling on the step size; keeps decaying modes inside the stepper's
 # stability region, so near-extinct shares keep shrinking down to the
 # extinction floor instead of hovering just below _ABS_TOL
 _MAX_STEP = 0.5
@@ -83,24 +80,17 @@ MATCH_TOL = 1e-6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """What a caller chooses about a run to rest.
-
-    method    "rk45" (adaptive Dormand-Prince 5(4), default) or "rk4"
-              (fixed step 0.01, for deterministic regression runs)
-    max_time  horizon after which the run reports max-time-reached;
-              positive and finite
+    """What a caller chooses about a run to rest: ``max_time``, the horizon
+    after which the run reports max-time-reached, positive and finite.
 
     Step sizes, tolerances, the convergence threshold and the extinction
     floor are module constants.  Runs that sample at requested times
-    (``states_at``) always use rk45 and have no horizon.
+    (``states_at``) have no horizon.
     """
 
-    method: str = "rk45"
     max_time: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if not 0.0 < self.max_time < math.inf:
             raise ValueError(f"max_time must be positive and finite, got {self.max_time!r}")
 
@@ -166,7 +156,7 @@ def replicator_jacobian(x: Sequence[float], p: Params,
 
 
 # ---------------------------------------------------------------------------
-# the integration loops and their two steppers (autonomous systems)
+# the integration loops and their stepper (autonomous systems)
 
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -225,22 +215,13 @@ def _dp_step(f: _RHS, y: tuple, h, k1: tuple, norm=_err_norm):
     return ynew, norm(err, y, ynew)
 
 
-def _rk4_step(f: _RHS, y: tuple, h, k1: tuple):
-    """One classical Runge-Kutta step; no error estimate, so the norm is 0."""
-    k2 = f(tuple(yi + 0.5 * h * a for yi, a in zip(y, k1)))
-    k3 = f(tuple(yi + 0.5 * h * a for yi, a in zip(y, k2)))
-    k4 = f(tuple(yi + h * a for yi, a in zip(y, k3)))
-    return tuple(yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)), 0.0
-
-
 def _grow(err: float) -> float:
-    # step-size factor after an accepted rk45 step
+    # step-size factor after an accepted step
     return 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
 
 
 def _shrink(err: float) -> float:
-    # step-size factor after a rejected rk45 step
+    # step-size factor after a rejected step
     return 0.1 if math.isinf(err) else max(0.2, 0.9 * err ** -0.2)
 
 
@@ -283,13 +264,12 @@ def _project_rows(y: np.ndarray) -> np.ndarray:
 def _drive(
     p: Params,
     y0: tuple[float, ...],
-    method: str,
     max_time: float,
     times: Sequence[float] | None = None,
     *,
     boxes: Sequence[RatioBox] = (),
     t: float = 0.0,
-    h: float | None = None,
+    h: float = _FIRST_STEP,
     n: int = 0,
 ) -> tuple[list[float], list[tuple[float, ...]], float, str]:
     """The one integration loop of the replicator flow from the shares
@@ -300,26 +280,20 @@ def _drive(
     ("certified", tested first, as ``box_index`` tests), once max|dy/dt|
     falls below _CONVERGED ("converged") or at ``max_time``
     ("max-time-reached").  ``t``, ``h`` and ``n`` resume such a run at time
-    ``t`` with step size ``h`` (None: the method's first step) after ``n``
-    accepted steps; ``_integrate_rows`` hands rows over so.  With
-    ``times`` the run starts at t=0 and lands exactly on
-    each requested time, samples only there, and stops after the last one;
-    ``max_time`` is not used.  A step toward a sample time or ``max_time``
-    is shortened to end on it.  "rk45" steps with Dormand-Prince under error
-    control; "rk4" accepts every step of the fixed size _STEP and keeps its
-    times at n * _STEP.  Too small a step ends the run with "step-failure",
-    so fewer samples than ``times`` can come back.  ``velocity`` is
-    max|dy/dt| at the last state.  Each accepted state is projected back
-    onto the simplex (``_project_simplex``) before anything else sees it.
+    ``t`` with step size ``h`` after ``n`` accepted steps; ``_integrate_rows``
+    hands rows over so.  With ``times`` the run starts at t=0 and lands
+    exactly on each requested time, samples only there, and stops after the
+    last one; ``max_time`` is not used.  A step toward a sample time or
+    ``max_time`` is shortened to end on it.  Too small a step ends the run
+    with "step-failure", so fewer samples than ``times`` can come back.
+    ``velocity`` is max|dy/dt| at the last state.  Each accepted state is
+    projected back onto the simplex (``_project_simplex``) before anything
+    else sees it.
     """
 
     def f(y: tuple) -> tuple:
         return replicator_field(y, p)
 
-    fixed = method == "rk4"
-    step = _rk4_step if fixed else _dp_step
-    if h is None:
-        h = _STEP if fixed else _FIRST_STEP
     to_rest = times is None
     targets = [max_time] if to_rest else list(times)
     y, k1 = y0, f(y0)
@@ -343,10 +317,10 @@ def _drive(
         target = targets[i]
         capped = target - t < h
         h_try = target - t if capped else h
-        ynew, err = step(f, y, h_try, k1)
+        ynew, err = _dp_step(f, y, h_try, k1)
         if err <= 1.0:
             n += 1
-            t = target if capped else (n * _STEP if fixed else t + h_try)
+            t = target if capped else t + h_try
             y = _project_simplex(ynew)
             k1 = f(y)
             if to_rest:
@@ -357,7 +331,7 @@ def _drive(
                 i += 1
                 out_t.append(t)
                 out_y.append(y)
-            if not (capped or fixed):
+            if not capped:
                 # a target-capped step says nothing about the controller's
                 # preferred size, so leave h alone in that case
                 h = min(h_try * _grow(err), _MAX_STEP)
@@ -450,26 +424,24 @@ def _integrate_rows(
     goes, and ``box_index`` of its final state names the box.  Every other
     row takes exactly the steps ``_drive`` takes to rest from the same start
     and ends with the same state and verdict, bit for bit: the state is one
-    (4, m) block over the running rows, handed to the steppers as ``(y,)``,
+    (4, m) block over the running rows, handed to the step as ``(y,)``,
     so every elementwise operation of the field, the stages and the
     projection runs in the same order as on four floats, and each row keeps
     its own t, h and step count.  Step-size factors come from Python's
     ``pow``, in one pass over the accepted rows (``_grow_rows``), because
     numpy's vectorised power can differ from it in the last bit.
     Rows leave the block when they are certified, converge, reach max_time
-    or fail a step.  The block steps rk45 only and never shortens a step:
-    a row whose next step would pass max_time goes on in ``_drive`` from
-    its own t, h and step count, with the same boxes, as do the last
-    _HANDOVER_ROWS rows (a batch iteration has a fixed cost of about ten
-    float steps, and the last rows of a batch can run a hundred iterations
-    more) and, from their starts, all rows of an rk4 run.  No samples are
+    or fail a step.  The block never shortens a step: a row whose next step
+    would pass max_time goes on in ``_drive`` from its own t, h and step
+    count, with the same boxes, as do the last _HANDOVER_ROWS rows (a batch
+    iteration has a fixed cost of about ten float steps, and the last rows
+    of a batch can run a hundred iterations more).  No samples are
     recorded.
     """
 
     def f(y: tuple) -> tuple:
         return (np.array(replicator_field(y[0], p)),)
 
-    fixed = cfg.method == "rk4"
     max_time = cfg.max_time
     bounds = _stack_bounds(boxes)
     final = np.array(x0, dtype=float)
@@ -483,7 +455,7 @@ def _integrate_rows(
     n = np.zeros(len(rows), dtype=np.int64)
     handover = []  # (rows, y, t, h, n) of rows that go on in _drive
     failed = None  # the rows whose step failed in the previous iteration
-    while not fixed:
+    while True:
         converged = np.abs(k1).max(axis=0) < _CONVERGED
         certified = _inside(y, bounds).any(axis=0)
         stop = certified | converged | (t >= max_time)
@@ -528,8 +500,7 @@ def _integrate_rows(
     rows, y, t, h, n = (np.concatenate(part, axis=-1) for part in zip(*handover))
     for row, yj, tj, hj, nj in zip(rows.tolist(), y.T.tolist(), t.tolist(), h.tolist(),
                                    n.tolist()):
-        times, ys, _, why = _drive(p, tuple(yj), cfg.method, max_time, boxes=boxes,
-                                   t=tj, h=None if fixed else hj, n=nj)
+        times, ys, _, why = _drive(p, tuple(yj), max_time, boxes=boxes, t=tj, h=hj, n=nj)
         final[row] = ys[-1]
         verdict[row] = _VERDICTS.index(why)
         steps[row] = nj + len(times) - 1
@@ -548,18 +519,18 @@ def integrate(x0: SimplexState, p: Params, cfg: IntegratorConfig | None = None) 
     running out the clock and from step-size underflow.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
-    times, ys, vel, verdict = _drive(p, x0.as_tuple(), cfg.method, cfg.max_time)
+    times, ys, vel, verdict = _drive(p, x0.as_tuple(), cfg.max_time)
     return Trajectory(tuple(times), tuple(SimplexState(*y) for y in ys), vel, verdict)
 
 
 def states_at(x0: SimplexState, p: Params, times: Sequence[float]) -> list[SimplexState]:
-    """Replicator states at the given times, from rk45 runs.  The times must
-    be finite, non-negative and non-decreasing (ValueError otherwise);
-    IntegrationError if the step size underflows first."""
+    """Replicator states at the given times.  The times must be finite,
+    non-negative and non-decreasing (ValueError otherwise); IntegrationError
+    if the step size underflows first."""
     times = list(times)
     if not all(0.0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"sample times must be finite, >= 0 and non-decreasing, got {times!r}")
-    _, ys, _, _ = _drive(p, x0.as_tuple(), "rk45", math.inf, times)
+    _, ys, _, _ = _drive(p, x0.as_tuple(), math.inf, times)
     if len(ys) != len(times):
         raise IntegrationError(
             f"step underflow after {len(ys)} of {len(times)} requested times")

@@ -202,12 +202,16 @@ class TestSimulate:
         body = "\n".join(",".join(r) for r in rows[1:])
         assert "e" not in body and "E" not in body
 
-    def test_fixed_step_method(self, capsys, params_a, tmp_path):
-        code, out, _ = run(capsys, "simulate", "--params", params_a,
-                           "--x0", "0,0,0.26,0.74", "--method", "rk4",
-                           "--out", str(tmp_path / "s5"))
-        assert code == 0
-        assert out.strip().splitlines()[-1] == "P"
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_method_option_rejected(self, capsys, params_a, tmp_path, method):
+        # one stepper serves every run, so no option picks one
+        code, out, err = run(capsys, "simulate", "--params", params_a,
+                             "--x0", "0,0,0.26,0.74", "--method", method,
+                             "--out", str(tmp_path / "s5"))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"socgame: error: unrecognized arguments: --method {method}"]
+        assert not (tmp_path / "s5" / "trajectory.csv").exists()
 
     def test_bad_x0(self, capsys, params_a, tmp_path):
         code, _, err = run(capsys, "simulate", "--params", params_a,
