@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 input error, 2 inadmissible parameters
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -393,12 +394,29 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        # argv None means the program run (python -m socgame.cli, or the
+        # socgame script), and the process exits next. Freezing moves every
+        # object alive now, numpy's and socgame's import-time ones most of
+        # all, to the permanent generation, which the interpreter's shutdown
+        # collection skips; the OS reclaims their memory. Flushes, atexit
+        # handlers and file closes still run. A caller that passes argv goes
+        # on running, so its collector is left as it was.
+        if argv is None:
+            gc.freeze()
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError("standard output is closed")
         rc = _run_config(args)
         return _HANDLERS[rc.command](rc)
     except DegenerateParameterError as e:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the installed socgame console script on the canonical parameter sets
-# and compares its output with the goldens byte for byte.  The tests call
-# cli.main() in process; this checks the entry point a user runs.
+# and compares its output with the goldens byte for byte, and its exit codes
+# with theirs.  The tests call cli.main() in process; this checks the entry
+# point a user runs, which calls main() with no argv.
 #
 #   pip install -e . && bash tests/console_script.sh
 set -euo pipefail
@@ -14,6 +15,13 @@ g=tests/golden
 
 socgame check --params "$a" | cmp - "$g/check_A.json"
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
+# the error exits too: each still writes its report, and keeps its code
+code=0; socgame check --params "$a" --set eta=3 > "$out/d.json" || code=$?
+test "$code" -eq 2
+cmp "$out/d.json" "$g/check_A_dominated.json"
+code=0; socgame check --params "$a" --set gamma=2 > "$out/g.json" || code=$?
+test "$code" -eq 3
+cmp "$out/g.json" "$g/check_A_degenerate.json"
 socgame sweep --params "$a" --sweep beta:-3:2:11 | cmp - "$g/sweep_A_beta.csv"
 socgame basins --params "$b" --samples 200 --seed 5 | cmp - "$g/basins_B.json"
 socgame basins --params "$b" --samples 1000 --seed 18 | cmp - "$g/basins_B_seed18.json"

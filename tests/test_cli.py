@@ -2,6 +2,7 @@
 new processes where what a process imports at start-up matters."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -455,6 +456,28 @@ class TestUsage:
         assert main(["check"]) == 1
         capsys.readouterr()
 
+    # only a program run (argv None) freezes the collector, as it exits
+    @pytest.mark.parametrize("argv, code", [(["check"], 0), (["check", "--set", "eta=3"], 2),
+                                            (["frobnicate"], 1)],
+                             ids=["success", "dominated", "usage"])
+    def test_in_process_call_leaves_the_collector_as_it_was(self, capsys, params_a, argv, code):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(argv + ["--params", params_a]) == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["check", "equilibria", "simulate", "sweep", "basins",
+                                         "portrait"])
+    def test_closed_stdout_refused_before_any_work(self, capsys, monkeypatch, params_a,
+                                                   tmp_path, command):
+        extra = {"simulate": ["--x0", "0,0,0.26,0.74"], "sweep": ["--sweep", "beta:-3:2:11"]}
+        monkeypatch.setattr(sys, "stdout", None)  # how Python starts with fd 1 closed
+        out_dir = tmp_path / "out"
+        code = main([command, "--params", params_a, "--out", str(out_dir),
+                     *extra.get(command, [])])
+        assert (code, capsys.readouterr().err) == (1, "input error: standard output is closed\n")
+        assert not out_dir.exists()
+
 
 def fresh_env(threads: str | None = None) -> dict:
     """The environment for a new Python process that imports socgame from
@@ -531,13 +554,41 @@ class TestFreshProcess:
         assert fresh_python(code, threads) == seen
 
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "set-2"])
-    @pytest.mark.parametrize("name", ["check_A.json", "equilibria_A.json", "sweep_A_beta_gamma.csv",
-                                      "basins_B.json"])
+    # the program run freezes the collector on its way out: these pin its
+    # output, the files it writes under --out and its non-zero exit codes
+    @pytest.mark.parametrize("name", ["check_A.json", "check_A_dominated.json",
+                                      "check_A_degenerate.json", "equilibria_A.json",
+                                      "equilibria_D.json", "sweep_A_beta_gamma.csv",
+                                      "basins_B.json", "simulate_A.csv", "portrait_A.svg",
+                                      "portrait_A_trajectories.csv"])
     def test_module_run_reproduces_golden(self, tmp_path, name, threads):
         p, argv, code, written = CASES[name]
-        assert written is None  # these goldens are stdout
+        if written is not None:
+            argv = argv + ["--out", str(tmp_path / "out")]
         res = subprocess.run([sys.executable, "-m", "socgame.cli", *argv,
                               "--params", _params_file(tmp_path, p)],
                              env=fresh_env(threads), capture_output=True, cwd=tmp_path)
         assert (res.returncode, res.stderr) == (code, b"")
-        assert res.stdout == (GOLDEN_DIR / name).read_bytes()
+        got = res.stdout if written is None else (tmp_path / "out" / written).read_bytes()
+        assert got == (GOLDEN_DIR / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, code", [(["check"], 0), (["check", "--set", "gamma=2"], 3),
+                                            (["check", "--tol", "x"], 1)],
+                             ids=["success", "degenerate", "usage"])
+    def test_program_run_freezes_the_collector_on_its_way_out(self, params_a, argv, code):
+        out = fresh_python(f"""
+            import contextlib, gc, io, json, sys
+            from socgame.cli import main
+            sys.argv = ["socgame", *{argv + ["--params", params_a]!r}]
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main()
+            print(json.dumps({{"code": code, "frozen": gc.get_freeze_count() > 0}}))
+            """)
+        assert out == {"code": code, "frozen": True}
+
+    def test_closed_stdout_exits_1_without_traceback(self, params_a):
+        res = subprocess.run([sys.executable, "-m", "socgame.cli", "check", "--params", params_a],
+                             env=fresh_env(), stderr=subprocess.PIPE, text=True,
+                             preexec_fn=lambda: os.close(1))
+        assert (res.returncode, res.stderr) == (1, "input error: standard output is closed\n")
