@@ -439,7 +439,9 @@ def _global(faces: dict[str, FaceTable]) -> dict[str, np.ndarray]:
 
 def _point_regimes(p: Params, tol: float) -> dict[str, FaceTable]:
     c = Columns.of(p)
-    return regime_table(c, admissibility(c, tol), tol)
+    with np.errstate(all="ignore"):
+        adm = admissibility(c, tol)
+    return regime_table(c, adm, tol)
 
 
 def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime:

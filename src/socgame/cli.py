@@ -3,8 +3,9 @@
 Subcommands: check, equilibria, simulate, sweep, basins, portrait.
 Parameters come from a flat key=value file (--params) with --set overrides;
 a key given twice in the file, or twice in --set, is an input error.
-Exit codes: 0 success, 1 input error, 2 inadmissible parameters
-(dominated strategy), 3 degenerate boundary, 4 integration failure.
+Exit codes: 0 success, 1 input error or output error (standard output
+closed or not writable), 2 inadmissible parameters (dominated strategy),
+3 degenerate boundary, 4 integration failure.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from typing import TYPE_CHECKING, Sequence
 # This must run before numpy is first imported; a value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-# Only model is imported here. Each handler imports the rest of what it runs,
-# so a command loads (and, without bytecode caches, compiles) only that:
-# check loads model alone; equilibria and sweep add classify and welfare;
-# simulate and basins add dynamics, and basins adds basins; portrait adds
-# dynamics and portrait.
+# Only model is imported here, and it loads no numpy. Each handler imports
+# the rest of what it runs, so a command loads (and, without bytecode caches,
+# compiles) only that: check loads model alone, and no numpy; equilibria and
+# sweep add numpy, classify and welfare; simulate and basins add dynamics,
+# and basins adds basins; portrait adds dynamics and portrait.
 from .model import (
     BRANCHES,
     DEFAULT_TOL,
@@ -53,6 +52,20 @@ if TYPE_CHECKING:
 
 # the most sweep grid points, and basin samples, one command may ask for
 MAX_ITEMS = 10**6
+
+
+class OutputError(OSError):
+    """Standard output is closed, or a write to it failed."""
+
+
+def _emit(text: str) -> None:
+    # every handler writes its standard output through here, flushed at
+    # once, so that a failed write is reported as what it is
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        raise OutputError(e) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +184,7 @@ def cmd_check(rc: RunConfig) -> int:
             doc["nash"] = None
             doc["validation"]["messages"].append(str(e))
             code = 3
-    sys.stdout.write(_json(doc))
+    _emit(_json(doc))
     return code
 
 
@@ -181,11 +194,11 @@ def cmd_equilibria(rc: RunConfig) -> int:
     p = rc.params
     vrep = validate(p, rc.tol)
     if vrep.degenerate_quantities or not (vrep.positivity_ok and vrep.nondominance_ok):
-        sys.stdout.write(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
+        _emit(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
         return 3 if vrep.degenerate_quantities else 2
     report = classify_global(p, rc.tol, strict=False)
     text = _json(report.as_dict())
-    sys.stdout.write(text)
+    _emit(text)
     if rc.out is not None:
         rc.out.mkdir(parents=True, exist_ok=True)
         (rc.out / "equilibria.json").write_text(text)
@@ -207,16 +220,18 @@ def cmd_simulate(rc: RunConfig) -> int:
     with open(csv_path, "w") as fh:
         traj.write_csv(fh)
 
-    print(f"wrote {csv_path}")
-    print(f"verdict: {traj.verdict} at t={decimal(traj.times[-1])} "
-          f"(terminal velocity {traj.terminal_velocity:.3e})")
     hit, = label_runs([traj.final_state.as_tuple()],
                       attractor_boxes(report.global_attractors, p))
-    print(hit.label if hit is not None else "unresolved")
+    _emit(f"wrote {csv_path}\n"
+          f"verdict: {traj.verdict} at t={decimal(traj.times[-1])} "
+          f"(terminal velocity {traj.terminal_velocity:.3e})\n"
+          f"{hit.label if hit is not None else 'unresolved'}\n")
     return 4 if traj.verdict == "step-failure" else 0
 
 
 def cmd_sweep(rc: RunConfig) -> int:
+    import numpy as np
+
     from .classify import classify_grid
 
     axes = rc.sweep_axes
@@ -250,7 +265,7 @@ def cmd_sweep(rc: RunConfig) -> int:
     lines.extend(",".join(head) + "," + tails[k]
                  for head, k in zip(itertools.product(*axis_text), which.tolist()))
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    _emit(text)
     if rc.out is not None:
         rc.out.mkdir(parents=True, exist_ok=True)
         (rc.out / "sweep.csv").write_text(text)
@@ -264,7 +279,7 @@ def cmd_basins(rc: RunConfig) -> int:
         rc.params, rc.samples, seed=rc.seed, tol=rc.tol, cfg=rc.integrator,
     )
     doc = report.as_dict()
-    sys.stdout.write(_json(doc))
+    _emit(_json(doc))
     if rc.out is not None:
         rc.out.mkdir(parents=True, exist_ok=True)
         (rc.out / "basins.json").write_text(_json(doc))
@@ -281,8 +296,7 @@ def cmd_portrait(rc: RunConfig) -> int:
 
     out_dir = rc.out if rc.out is not None else Path(".")
     svg_path, csv_path = render_portrait(rc.params, out_dir, rc.tol)
-    print(f"wrote {svg_path}")
-    print(f"wrote {csv_path}")
+    _emit(f"wrote {svg_path}\nwrote {csv_path}\n")
     return 0
 
 
@@ -416,7 +430,7 @@ def _main(argv: Sequence[str] | None) -> int:
         return int(e.code) if e.code else 0
     try:
         if sys.stdout is None:  # started with fd 1 closed
-            raise OSError("standard output is closed")
+            raise OutputError("standard output is closed")
         rc = _run_config(args)
         return _HANDLERS[rc.command](rc)
     except DegenerateParameterError as e:
@@ -428,6 +442,13 @@ def _main(argv: Sequence[str] | None) -> int:
     except IntegrationError as e:
         print(f"integration failure: {e}", file=sys.stderr)
         return 4
+    except OutputError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        if argv is None and sys.stdout is not None:
+            # the program exits next, and its exit flushes stdout again: give
+            # that flush somewhere to write what the failed one left behind
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1

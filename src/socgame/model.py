@@ -20,9 +20,11 @@ and ``gamma`` may take either sign.  All downstream analysis assumes the
 parameter point is *admissible*: no strategy weakly dominated, and not on a
 degenerate boundary where the classification would change.  Each of these
 conditions is stated once, in the admissibility table (``admissibility``),
-as an array expression over parameter columns; ``validate``,
-``dominance_relations`` and ``nash_vertices`` read it at one point, and the
-sweep reads it over a whole grid.
+as an expression that holds both on six floats and on parameter columns;
+``validate``, ``dominance_relations`` and ``nash_vertices`` read it on the
+floats of one point, and the sweep reads it over a whole grid.  So checking
+one point loads no numpy: only ``payoff_matrix`` and ``Columns.of`` import
+it, where they are called.
 
 The errors that the CLI maps to exit codes live here too, with the decimal
 formatter every writer shares, so that a command that never integrates
@@ -35,9 +37,10 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 STRATEGIES = ("O", "H", "P", "N")
 
@@ -64,8 +67,22 @@ class IntegrationError(RuntimeError):
 
 
 def decimal(v: float) -> str:
-    # shortest decimal that round-trips, never scientific notation
-    return np.format_float_positional(v, unique=True, trim="0")
+    """The shortest decimal that round-trips (``repr``), never in scientific
+    notation: the string numpy's ``format_float_positional(v, unique=True,
+    trim="0")`` gives."""
+    s = repr(float(v))
+    mantissa, e, exp = s.partition("e")
+    if not e:
+        return s
+    sign = "-" if mantissa[0] == "-" else ""
+    whole, _, frac = mantissa.lstrip("-").partition(".")
+    digits = whole + frac
+    point = len(whole) + int(exp)  # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    # repr writes an exponent from 1e16 up, and never more than 17 digits,
+    # so the digits all lie before the point
+    return f"{sign}{digits.ljust(point, '0')}.0"
 
 
 @dataclass(frozen=True)
@@ -176,6 +193,8 @@ def payoff_matrix(p: Params) -> np.ndarray:
     vector at state x is ``A @ x``.  N earns the fallback ``eta`` against
     everyone; nobody earns anything from meeting N.
     """
+    import numpy as np
+
     return np.array(payoff_rows(p))
 
 
@@ -194,7 +213,8 @@ def payoff_vector(state: SimplexState | Sequence, p: Params | "Columns") -> tupl
 
 class Columns(NamedTuple):
     """The six parameters over many points at once, one numpy column each;
-    the condition tables below are array expressions over them."""
+    the condition tables below hold on them as on the floats of a
+    ``Params``."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -207,6 +227,8 @@ class Columns(NamedTuple):
     def of(cls, p: Params) -> "Columns":
         """One point, as numpy scalars: a ratio the tables form but do not
         consult there divides by zero to inf or nan instead of raising."""
+        import numpy as np
+
         return cls(**{k: np.float64(v) for k, v in p.as_dict().items()})
 
 
@@ -216,11 +238,13 @@ BRANCHES = (None, "B-plus", "B-minus")
 
 class Admissibility(NamedTuple):
     """The admissibility table: every condition ``validate`` checks, as one
-    boolean mask over the points of a ``Columns`` (a numpy bool for one).
+    boolean mask over the points of a ``Columns``, or one bool on the floats
+    of a ``Params``.
 
     Its primitive masks are the signs of the one-signed constants, the five
     weak-dominance relations and the degenerate quantities; nondominance and
-    the sign branch are read from them.
+    the sign branch are read from them.  Every expression holds on bools and
+    on bool arrays alike: ``m ^ True`` negates (``~`` of a bool is an int).
     """
 
     positive: dict[str, np.ndarray]  # alpha, delta, epsilon, eta strictly positive
@@ -235,13 +259,13 @@ class Admissibility(NamedTuple):
         """No vertex payoff falls to the isolation fallback: N dominates
         none of O, H and P."""
         d = self.dominated
-        return ~(d["O", "N"] | d["H", "N"] | d["P", "N"])
+        return (d["O", "N"] | d["H", "N"] | d["P", "N"]) ^ True
 
     @property
     def valid(self) -> np.ndarray:
         """Positivity and nondominance (degeneracy aside)."""
         positive = functools.reduce(operator.and_, self.positive.values())
-        return positive & ~functools.reduce(operator.or_, self.dominated.values())
+        return positive & (functools.reduce(operator.or_, self.dominated.values()) ^ True)
 
     @property
     def on_boundary(self) -> np.ndarray:
@@ -250,66 +274,73 @@ class Admissibility(NamedTuple):
 
     @property
     def branch(self) -> np.ndarray:
-        return np.where(self.b_plus, 1, np.where(self.b_minus, 2, 0))
+        """Index into ``BRANCHES``: the two branches exclude each other."""
+        return self.b_plus + 2 * self.b_minus
 
 
-def _classifying_quantities(c: Columns) -> dict[str, np.ndarray]:
-    """Quantities whose signs drive admissibility and regime selection.
+def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
+    """Where each quantity whose sign drives admissibility and regime
+    selection lies within ``tol`` of zero.
 
-    Any of these within tolerance of zero puts the parameter point on a
-    boundary between regimes, where strict-inequality reasoning breaks down.
-    The last entries are denominators of payoff ratios used by the
-    classifier; alpha+beta only counts when beta > eta, because that ratio
-    (the O-H edge-state payoff) is only ever consulted there.
+    Any of these puts the parameter point on a boundary between regimes,
+    where strict-inequality reasoning breaks down.  The last entries are
+    denominators of payoff ratios used by the classifier; alpha+beta only
+    counts when beta > eta, because that ratio (the O-H edge-state payoff)
+    is only ever consulted there.
     """
+    def near_zero(v):
+        return abs(v) <= tol
+
+    # rounding is monotone, so max(beta, gamma) - eta rounds to the larger of
+    # u and v, and |max(u, v)| <= tol needs no max
+    u, v = c.beta - c.eta, c.gamma - c.eta
     return {
-        "beta+delta": c.beta + c.delta,
-        "epsilon-gamma": c.epsilon - c.gamma,
-        "beta*epsilon+gamma*delta": c.beta * c.epsilon + c.gamma * c.delta,
-        "alpha-eta": c.alpha - c.eta,
-        "epsilon-eta": c.epsilon - c.eta,
-        "max(beta,gamma)-eta": np.maximum(c.beta, c.gamma) - c.eta,
-        "epsilon-gamma+beta+delta": (c.epsilon - c.gamma) + (c.beta + c.delta),
-        "alpha+epsilon": c.alpha + c.epsilon,
-        "alpha+beta": c.alpha + c.beta,
+        "beta+delta": near_zero(c.beta + c.delta),
+        "epsilon-gamma": near_zero(c.epsilon - c.gamma),
+        "beta*epsilon+gamma*delta": near_zero(c.beta * c.epsilon + c.gamma * c.delta),
+        "alpha-eta": near_zero(c.alpha - c.eta),
+        "epsilon-eta": near_zero(c.epsilon - c.eta),
+        "max(beta,gamma)-eta": (u <= tol) & (v <= tol) & ((u >= -tol) | (v >= -tol)),
+        "epsilon-gamma+beta+delta": near_zero((c.epsilon - c.gamma) + (c.beta + c.delta)),
+        "alpha+epsilon": near_zero(c.alpha + c.epsilon),
+        "alpha+beta": near_zero(c.alpha + c.beta) & (c.beta > c.eta),
     }
 
 
-def admissibility(c: Columns, tol: float = DEFAULT_TOL) -> Admissibility:
-    """Evaluate the admissibility table at every point of ``c``.
+def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibility:
+    """Evaluate the admissibility table at the floats of ``c``, a
+    ``Params``, or at every point of ``c``, a ``Columns``.
 
     Three layers: sign constraints on the four one-signed constants;
     nondominance (no strategy is weakly dominated, which pins one of two
     sign branches for (beta+delta, epsilon-gamma)); and distance from the
-    boundary for every classifying quantity.
+    boundary for every classifying quantity.  On floats nothing here divides
+    or raises; on columns a product may overflow, so callers that pass
+    arrays silence numpy's warnings.
     """
-    with np.errstate(all="ignore"):
-        beta_above_eta = c.beta > c.eta
-        degenerate = {name: abs(v) <= tol for name, v in _classifying_quantities(c).items()}
-        degenerate["alpha+beta"] = degenerate["alpha+beta"] & beta_above_eta
-        # the dominated strategy earns at most the dominating one's payoff
-        # against every pure state; only N can dominate O, and N is never
-        # dominated
-        dominated = {
-            ("O", "N"): c.alpha <= c.eta,
-            ("H", "N"): np.maximum(c.beta, c.gamma) <= c.eta,
-            ("H", "P"): (c.beta <= -c.delta) & (c.gamma <= c.epsilon),
-            ("P", "N"): c.epsilon <= c.eta,
-            ("P", "H"): (c.beta >= -c.delta) & (c.gamma >= c.epsilon),
-        }
-        # where neither of H and P dominates the other, beta+delta and
-        # epsilon-gamma are nonzero with one sign, and beta+delta tells which
-        hp_free = ~dominated["H", "P"] & ~dominated["P", "H"]
-        h_gains = c.beta > -c.delta
-        return Admissibility(
-            positive={name: getattr(c, name) > 0.0
-                      for name in ("alpha", "delta", "epsilon", "eta")},
-            dominated=dominated,
-            b_plus=hp_free & h_gains,
-            b_minus=hp_free & ~h_gains,
-            beta_above_eta=beta_above_eta,
-            degenerate=degenerate,
-        )
+    # the dominated strategy earns at most the dominating one's payoff
+    # against every pure state; only N can dominate O, and N is never
+    # dominated
+    dominated = {
+        ("O", "N"): c.alpha <= c.eta,
+        ("H", "N"): (c.beta <= c.eta) & (c.gamma <= c.eta),
+        ("H", "P"): (c.beta <= -c.delta) & (c.gamma <= c.epsilon),
+        ("P", "N"): c.epsilon <= c.eta,
+        ("P", "H"): (c.beta >= -c.delta) & (c.gamma >= c.epsilon),
+    }
+    # where neither of H and P dominates the other, beta+delta and
+    # epsilon-gamma are nonzero with one sign, and beta+delta tells which
+    hp_free = (dominated["H", "P"] | dominated["P", "H"]) ^ True
+    h_gains = c.beta > -c.delta
+    return Admissibility(
+        positive={name: getattr(c, name) > 0.0
+                  for name in ("alpha", "delta", "epsilon", "eta")},
+        dominated=dominated,
+        b_plus=hp_free & h_gains,
+        b_minus=hp_free & (h_gains ^ True),
+        beta_above_eta=c.beta > c.eta,
+        degenerate=_degenerate(c, tol),
+    )
 
 
 def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -317,7 +348,7 @@ def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
     with a message for every condition that fails.  ``report.ok`` is the
     conjunction of its three layers.
     """
-    table = admissibility(Columns.of(p), tol)
+    table = admissibility(p, tol)
     messages = [f"{name} must be strictly positive, got {getattr(p, name)}"
                 for name, ok in table.positive.items() if not ok]
     if not table.vertices:
@@ -367,11 +398,11 @@ def nash_vertices(p: Params, tol: float = DEFAULT_TOL) -> dict[str, bool]:
     require_valid(p, tol)
     if abs(p.beta - p.eta) <= tol:
         raise DegenerateParameterError(f"Nash boundary: |beta-eta| <= {tol}")
-    table = admissibility(Columns.of(p), tol)
+    table = admissibility(p, tol)
     return {
         "O": not table.dominated["O", "N"],
-        "H": bool(table.beta_above_eta),
-        "P": bool(table.b_plus & ~table.dominated["P", "N"]),
+        "H": table.beta_above_eta,
+        "P": table.b_plus and not table.dominated["P", "N"],
         "N": True,
     }
 
@@ -383,7 +414,7 @@ def dominance_relations(p: Params) -> list[tuple[str, str]]:
     Weak inequalities, no tolerance: boundary equality already means weak
     dominance.  Raises if one of the one-signed constants is not positive.
     """
-    table = admissibility(Columns.of(p))
+    table = admissibility(p)
     for name, ok in table.positive.items():
         if not ok:
             raise InvalidParameterError(f"{name} must be strictly positive")

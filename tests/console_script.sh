@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the installed socgame console script on the canonical parameter sets
 # and compares its output with the goldens byte for byte, and its exit codes
-# with theirs.  The tests call cli.main() in process; this checks the entry
-# point a user runs, which calls main() with no argv.
+# with theirs, and fails if `socgame check` imports any numpy module.  The
+# tests call cli.main() in process; this checks the entry point a user runs,
+# which calls main() with no argv.
 #
 #   pip install -e . && bash tests/console_script.sh
 set -euo pipefail
@@ -14,6 +15,14 @@ b=perfbench/params/set_b.params
 g=tests/golden
 
 socgame check --params "$a" | cmp - "$g/check_A.json"
+# check validates one point on floats: no numpy module may be imported
+PYTHONPROFILEIMPORTTIME=1 socgame check --params "$a" 2> "$out/imports.txt" >/dev/null
+grep -q 'socgame\.model$' "$out/imports.txt"
+if grep -q numpy "$out/imports.txt"; then
+  echo "socgame check imported numpy:" >&2
+  grep numpy "$out/imports.txt" >&2
+  exit 1
+fi
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
 # the error exits too: each still writes its report, and keeps its code
 code=0; socgame check --params "$a" --set eta=3 > "$out/d.json" || code=$?

@@ -2,6 +2,7 @@
 new processes where what a process imports at start-up matters."""
 
 import csv
+import errno
 import gc
 import json
 import os
@@ -475,7 +476,7 @@ class TestUsage:
         out_dir = tmp_path / "out"
         code = main([command, "--params", params_a, "--out", str(out_dir),
                      *extra.get(command, [])])
-        assert (code, capsys.readouterr().err) == (1, "input error: standard output is closed\n")
+        assert (code, capsys.readouterr().err) == (1, "output error: standard output is closed\n")
         assert not out_dir.exists()
 
 
@@ -528,25 +529,27 @@ class TestFreshProcess:
         assert out == {"unbound": [], "same": True, "in_dir": True,
                        "error": "module 'socgame' has no attribute 'no_such_name'"}
 
-    # each command loads the socgame submodules it runs, and no others
-    @pytest.mark.parametrize("argv, loaded", [
-        (["check"], ["socgame.cli", "socgame.model"]),
+    # each command loads the socgame submodules it runs, and no others;
+    # check, which validates one point on floats, loads no numpy
+    @pytest.mark.parametrize("argv, loaded, numpy", [
+        (["check"], ["socgame.cli", "socgame.model"], False),
         (["sweep", "--sweep", "beta:-3:2:11"],
-         ["socgame.classify", "socgame.cli", "socgame.model", "socgame.welfare"]),
+         ["socgame.classify", "socgame.cli", "socgame.model", "socgame.welfare"], True),
         (["basins", "--samples", "20", "--seed", "5"],
          ["socgame.basins", "socgame.classify", "socgame.cli", "socgame.dynamics",
-          "socgame.model", "socgame.welfare"]),
+          "socgame.model", "socgame.welfare"], True),
     ], ids=["check", "sweep", "basins"])
-    def test_command_loads_only_the_modules_it_runs(self, params_a, argv, loaded):
+    def test_command_loads_only_the_modules_it_runs(self, params_a, argv, loaded, numpy):
         out = fresh_python(f"""
             import contextlib, io, json, sys
             from socgame.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main({argv + ["--params", params_a]!r})
             print(json.dumps({{"code": code, "loaded": sorted(
-                m for m in sys.modules if m.startswith("socgame."))}}))
+                m for m in sys.modules if m.startswith("socgame.")),
+                "numpy": any(m.split(".")[0] == "numpy" for m in sys.modules)}}))
             """)
-        assert out == {"code": 0, "loaded": loaded}
+        assert out == {"code": 0, "loaded": loaded, "numpy": numpy}
 
     @pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3")], ids=["unset", "set-3"])
     def test_cli_runs_blas_single_threaded_unless_told(self, threads, seen):
@@ -587,8 +590,27 @@ class TestFreshProcess:
             """)
         assert out == {"code": code, "frozen": True}
 
+    # a failed write to stdout is an output error, whether it fails at the
+    # write (unbuffered) or at the flush of a buffered stream; the program's
+    # own flush on exit then has nothing left to fail on
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["check"], ["sweep", "--sweep", "beta:-3:2:1000"]],
+                             ids=["check", "sweep"])
+    def test_unwritable_stdout_is_an_output_error(self, params_a, argv, unbuffered):
+        env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            res = subprocess.run([sys.executable, "-m", "socgame.cli", *argv,
+                                  "--params", params_a],
+                                 env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            f"output error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"]
+
     def test_closed_stdout_exits_1_without_traceback(self, params_a):
         res = subprocess.run([sys.executable, "-m", "socgame.cli", "check", "--params", params_a],
                              env=fresh_env(), stderr=subprocess.PIPE, text=True,
                              preexec_fn=lambda: os.close(1))
-        assert (res.returncode, res.stderr) == (1, "input error: standard output is closed\n")
+        assert (res.returncode, res.stderr) == (1, "output error: standard output is closed\n")

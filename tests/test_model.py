@@ -1,6 +1,9 @@
 """Payoff arithmetic, admissibility checks, Nash vertices and dominance."""
 
 import math
+import struct
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +24,9 @@ from socgame import (
     payoff_vector,
     validate,
 )
+from socgame import model
 from socgame.dynamics import replicator_field
-from socgame.model import require_valid
+from socgame.model import PARAM_NAMES, Columns, admissibility, decimal, require_valid
 
 
 class TestSimplexState:
@@ -229,6 +233,86 @@ class TestAdmissibilityOracle:
     def test_validate_nondominance_and_branch(self, p, tol):
         v = validate(p, tol)
         assert (v.nondominance_ok, v.branch) == nondominance_oracle(p)
+
+
+def numpy_table(p: Params, tol: float) -> model.Admissibility:
+    """The admissibility table on the numpy scalars of ``Columns.of(p)``."""
+    with np.errstate(all="ignore"):
+        return admissibility(Columns.of(p), tol)
+
+
+# magnitudes whose products and sums overflow to inf, and then to nan
+_HUGE = st.sampled_from((sys.float_info.max, -sys.float_info.max, 1e200, -1e200, 1e155,
+                         -1e155, 5e-324, 0.0, -0.0))
+huge_points = st.builds(lambda vs: Params(**dict(zip(PARAM_NAMES, vs))),
+                        st.lists(st.one_of(_HUGE, st.floats(allow_nan=False,
+                                                            allow_infinity=False)),
+                                 min_size=6, max_size=6))
+
+
+class TestFloatTable:
+    # validate, nash_vertices and dominance_relations read the table on the
+    # floats of a Params; the sweep and the regime table read it on numpy
+    # columns. The two must be one table.
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(p=st.one_of(snapped_points(), huge_points), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_floats_give_the_numpy_table(self, p, tol):
+        floats, columns = admissibility(p, tol), numpy_table(p, tol)
+        for name in ("positive", "dominated", "degenerate"):
+            got, want = getattr(floats, name), getattr(columns, name)
+            assert list(got) == list(want)
+            assert all(type(v) is bool for v in got.values())
+            assert got == {k: bool(v) for k, v in want.items()}
+        for name in ("b_plus", "b_minus", "beta_above_eta", "vertices", "valid",
+                     "on_boundary"):
+            got = getattr(floats, name)
+            assert type(got) is bool and got == bool(getattr(columns, name)), name
+        assert type(floats.branch) is int and floats.branch == int(columns.branch)
+        # the masks that no longer call np.maximum, against the form that does
+        with np.errstate(all="ignore"):
+            top = np.maximum(np.float64(p.beta), np.float64(p.gamma))
+            assert floats.dominated["H", "N"] == bool(top <= p.eta)
+            assert floats.degenerate["max(beta,gamma)-eta"] == bool(abs(top - p.eta) <= tol)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(p=st.one_of(snapped_points(), huge_points), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_validate_reads_the_same_report_off_the_numpy_table(self, p, tol):
+        on_floats = validate(p, tol).as_dict()
+        with mock.patch.object(model, "admissibility", numpy_table):
+            assert validate(p, tol).as_dict() == on_floats
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+class TestDecimal:
+    # model.decimal formats every number socgame writes; it must give the
+    # string numpy's shortest positional formatter gives
+
+    @staticmethod
+    def numpy_decimal(v: float) -> str:
+        return np.format_float_positional(v, unique=True, trim="0")
+
+    @settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+    @given(bits=st.integers(0, 2**64 - 1))
+    def test_random_bit_patterns(self, bits):
+        v = _from_bits(bits)
+        assert decimal(v) == self.numpy_decimal(v)
+
+    @pytest.mark.parametrize("v", [
+        0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+        sys.float_info.min, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.5e-5, 1.0, 0.25,
+        1e22, 1.2345678901234567e-300, math.inf, -math.inf, math.nan,
+    ])
+    def test_edges(self, v):
+        assert decimal(v) == self.numpy_decimal(v)
+
+    def test_never_scientific(self):
+        assert decimal(1e16) == "10000000000000000.0"
+        assert decimal(-1.5e-7) == "-0.00000015"
+        assert decimal(np.float64(0.1)) == "0.1"
 
 
 class TestCoexistencePayoff:
