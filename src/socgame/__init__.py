@@ -27,8 +27,7 @@ _SUBMODULES = {
     "basins": ("BasinReport", "estimate_basins", "find_attractor", "sample_simplex"),
     "classify": ("EdgeRegime", "RegimeReport", "StationaryState", "classify_edge",
                  "classify_global", "face_states", "full_interior_state"),
-    "dynamics": ("IntegratorConfig", "Trajectory", "integrate", "match_attractor",
-                 "states_at"),
+    "dynamics": ("Trajectory", "integrate", "match_attractor", "states_at"),
     "model": ("DEFAULT_TOL", "STRATEGIES", "DegenerateParameterError", "IntegrationError",
               "InvalidParameterError", "Params", "SimplexState", "ValidationReport",
               "dominance_relations", "nash_vertices", "payoff_matrix", "payoff_vector",

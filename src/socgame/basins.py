@@ -23,14 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .classify import StationaryState, classify_global
-from .dynamics import (
-    IntegratorConfig,
-    RatioBox,
-    _integrate_rows,
-    box_index,
-    integrate,
-)
-from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState, payoff_rows
+from .dynamics import RatioBox, _integrate_rows, box_index, integrate
+from .model import (DEFAULT_MAX_TIME, DEFAULT_TOL, STRATEGIES, Params, SimplexState,
+                    check_max_time, payoff_rows)
 
 SAMPLING = "uniform-simplex"
 # a box bound is set by a power of two 2**e, for e from _NARROWEST up
@@ -213,7 +208,7 @@ def label_runs(
 def find_attractor(
     x0: SimplexState,
     p: Params,
-    cfg: IntegratorConfig | None = None,
+    max_time: float = DEFAULT_MAX_TIME,
     tol: float = DEFAULT_TOL,
     attractors: Sequence | None = None,
 ):
@@ -226,7 +221,7 @@ def find_attractor(
     """
     if attractors is None:
         attractors = classify_global(p, tol).global_attractors
-    traj = integrate(x0, p, cfg)
+    traj = integrate(x0, p, max_time)
     return label_runs([traj.final_state.as_tuple()],
                       _cached_boxes(tuple(attractors), p))[0]
 
@@ -235,7 +230,7 @@ def estimate_basins(
     p: Params,
     n: int,
     seed: int = 42,
-    cfg: IntegratorConfig | None = None,
+    max_time: float = DEFAULT_MAX_TIME,
     tol: float = DEFAULT_TOL,
     jobs: int = 1,
 ) -> BasinReport:
@@ -244,15 +239,16 @@ def estimate_basins(
     All samples run in one batch.  A sample that enters the ratio box of an
     attractor (``ratio_box``) stops there; every other sample runs to rest.
     Each is labelled by ``label_runs``, as ``find_attractor`` labels a run
-    from the same start with the same ``cfg``; "unresolved" counts the
+    from the same start with the same ``max_time``; "unresolved" counts the
     samples that ended in no ratio box.  Every global attractor is listed,
-    one without a box with count 0.  ``jobs`` is accepted and ignored: the
+    one without a box with count 0.  ``max_time`` must be positive and
+    finite (ValueError otherwise).  ``jobs`` is accepted and ignored: the
     batch runs in this process.
     """
+    check_max_time(max_time)
     attractors = classify_global(p, tol).global_attractors
-    cfg = cfg if cfg is not None else IntegratorConfig()
     boxed = attractor_boxes(attractors, p)
-    finals, _, _ = _integrate_rows(sample_simplex(n, seed), p, cfg,
+    finals, _, _ = _integrate_rows(sample_simplex(n, seed), p, max_time,
                                    [box for _, box in boxed])
 
     counts = {a.label: 0 for a in attractors}

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 # Every matrix socgame factors or multiplies is at most 4x4, which OpenBLAS
 # never splits across threads, so a thread pool only costs start-up time.
@@ -33,6 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # and basins adds basins; portrait adds dynamics and portrait.
 from .model import (
     BRANCHES,
+    DEFAULT_MAX_TIME,
     DEFAULT_TOL,
     PARAM_NAMES,
     Columns,
@@ -41,14 +42,12 @@ from .model import (
     InvalidParameterError,
     Params,
     SimplexState,
+    check_max_time,
     decimal,
     dominance_relations,
     nash_vertices,
     validate,
 )
-
-if TYPE_CHECKING:
-    from .dynamics import IntegratorConfig
 
 # the most sweep grid points, and basin samples, one command may ask for
 MAX_ITEMS = 10**6
@@ -92,10 +91,10 @@ class RunConfig:
     tol: float
     seed: int
     out: Path | None
-    sweep_axes: tuple[SweepAxis, ...] = ()
-    x0: SimplexState | None = None
-    samples: int = 1000
-    integrator: IntegratorConfig | None = None  # simulate and basins only
+    sweep_axes: tuple[SweepAxis, ...]
+    x0: SimplexState | None  # simulate only
+    samples: int | None  # basins only
+    max_time: float  # read by simulate and basins
 
 
 def _read_params_file(path: str) -> dict[str, float]:
@@ -212,7 +211,7 @@ def cmd_simulate(rc: RunConfig) -> int:
 
     p = rc.params
     report = classify_global(p, rc.tol)  # raises on inadmissible/degenerate input
-    traj = integrate(rc.x0, p, rc.integrator)
+    traj = integrate(rc.x0, p, rc.max_time)
 
     out_dir = rc.out if rc.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,7 +275,7 @@ def cmd_basins(rc: RunConfig) -> int:
     from .basins import estimate_basins
 
     report = estimate_basins(
-        rc.params, rc.samples, seed=rc.seed, tol=rc.tol, cfg=rc.integrator,
+        rc.params, rc.samples, seed=rc.seed, tol=rc.tol, max_time=rc.max_time,
     )
     doc = report.as_dict()
     _emit(_json(doc))
@@ -342,7 +341,7 @@ def _build_parser() -> _Parser:
                          help="integrate one trajectory and name its attractor")
     sim.add_argument("--x0", required=True, metavar="X1,X2,X3,X4",
                      help="initial shares, comma separated")
-    sim.add_argument("--max-time", type=float, default=1000.0)
+    sim.add_argument("--max-time", type=float, default=DEFAULT_MAX_TIME)
 
     sw = sub.add_parser("sweep", parents=[common],
                         help="classify over a 1D or 2D parameter grid")
@@ -354,7 +353,7 @@ def _build_parser() -> _Parser:
                         help="Monte Carlo basin-of-attraction fractions")
     ba.add_argument("--samples", type=int, default=1000,
                     help=f"number of uniform starts, 1 to {MAX_ITEMS}")
-    ba.add_argument("--max-time", type=float, default=1000.0,
+    ba.add_argument("--max-time", type=float, default=DEFAULT_MAX_TIME,
                     help="horizon of each sample's run; a sample that enters a "
                          "region proved to flow to one attractor (a ratio box) "
                          "is labelled by that proof, even if the horizon would "
@@ -383,16 +382,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
                              "the two axes must vary different parameters")
         if (n := math.prod(a.steps for a in axes)) > MAX_ITEMS:
             raise ValueError(f"--sweep grid has {n} points, more than {MAX_ITEMS}")
-    samples = getattr(args, "samples", 1000)
-    if not 0 < samples <= MAX_ITEMS:
+    samples = getattr(args, "samples", None)
+    if samples is not None and not 0 < samples <= MAX_ITEMS:
         raise ValueError(f"--samples must be from 1 to {MAX_ITEMS}, got {samples}")
     if args.command == "basins" and args.seed < 0:
         raise ValueError(f"--seed must be >= 0 for basins, got {args.seed}")
-    integrator = None
-    if args.command in ("simulate", "basins"):
-        from .dynamics import IntegratorConfig
-
-        integrator = IntegratorConfig(max_time=args.max_time)
+    max_time = getattr(args, "max_time", DEFAULT_MAX_TIME)
+    check_max_time(max_time)
 
     return RunConfig(
         command=args.command,
@@ -403,7 +399,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         sweep_axes=axes,
         x0=_parse_x0(args.x0) if getattr(args, "x0", None) else None,
         samples=samples,
-        integrator=integrator,
+        max_time=max_time,
     )
 
 

@@ -40,8 +40,8 @@ renormalized again if clamping fired.  An off-the-shelf driver cannot
 interpose that projection between accepted steps.  Coordinates that start
 at exactly zero stay exactly zero through both stepping and projection, so
 faces and edges are invariant in the strictest sense.  A caller chooses
-only max_time (``IntegratorConfig``); the other settings are module
-constants.
+only the horizon of a run to rest, the ``max_time`` argument; the other
+settings are module constants.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import numpy as np
 
 # IntegrationError lives in model, beside the other exit-code errors, so
 # that the CLI catches it without loading this module; it is re-exported here
-from .model import IntegrationError, Params, SimplexState, decimal, payoff_rows
+from .model import (DEFAULT_MAX_TIME, IntegrationError, Params, SimplexState, check_max_time,
+                    decimal, payoff_matrix)
 
 _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
 
@@ -79,23 +80,6 @@ MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """What a caller chooses about a run to rest: ``max_time``, the horizon
-    after which the run reports max-time-reached, positive and finite.
-
-    Step sizes, tolerances, the convergence threshold and the extinction
-    floor are module constants.  Runs that sample at requested times
-    (``states_at``) have no horizon.
-    """
-
-    max_time: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.max_time < math.inf:
-            raise ValueError(f"max_time must be positive and finite, got {self.max_time!r}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Integration record: states at strictly increasing sample times."""
 
@@ -107,10 +91,6 @@ class Trajectory:
     @property
     def final_state(self) -> SimplexState:
         return self.states[-1]
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array(self.times),
-                np.array([s.as_tuple() for s in self.states]))
 
     def write_csv(self, fileobj) -> None:
         """Plain-decimal CSV, one row per sample, header t,x1,x2,x3,x4."""
@@ -147,7 +127,7 @@ def replicator_jacobian(x: Sequence[float], p: Params,
     With J the full 4x4 Jacobian, J_ij = delta_ij (P_i - Pbar) + x_i (A_ij -
     P_j - (A^T x)_j), the chart's is J[a, b] - J[a, last].
     """
-    A = np.array(payoff_rows(p))
+    A = payoff_matrix(p)
     x = np.asarray(x, dtype=float)
     pi = A @ x
     jac = np.diag(pi - x @ pi) + x[:, None] * (A - pi - A.T @ x)
@@ -414,7 +394,7 @@ _HANDOVER_ROWS = 16
 # rejected step, as Python floats do silently in _drive
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_rows(
-    x0: np.ndarray, p: Params, cfg: IntegratorConfig, boxes: Sequence[RatioBox] = (),
+    x0: np.ndarray, p: Params, max_time: float, boxes: Sequence[RatioBox] = (),
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
     """``integrate`` from every row of ``x0`` (shape (n, 4)) at once, keeping
     only the end: returns (final states (n, 4), verdicts, accepted steps).
@@ -442,7 +422,6 @@ def _integrate_rows(
     def f(y: tuple) -> tuple:
         return (np.array(replicator_field(y[0], p)),)
 
-    max_time = cfg.max_time
     bounds = _stack_bounds(boxes)
     final = np.array(x0, dtype=float)
     verdict = np.zeros(len(final), dtype=np.int8)  # index into _VERDICTS
@@ -511,15 +490,16 @@ def _integrate_rows(
 # public integration entry points
 
 
-def integrate(x0: SimplexState, p: Params, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Run the replicator flow from ``x0`` until it settles or times out.
+def integrate(x0: SimplexState, p: Params, max_time: float = DEFAULT_MAX_TIME) -> Trajectory:
+    """Run the replicator flow from ``x0`` until it settles or ``max_time``,
+    positive and finite, runs out (ValueError otherwise).
 
     Samples are taken at every accepted step.  The verdict distinguishes a
     genuine equilibrium (RHS max-norm below the convergence threshold) from
     running out the clock and from step-size underflow.
     """
-    cfg = cfg if cfg is not None else IntegratorConfig()
-    times, ys, vel, verdict = _drive(p, x0.as_tuple(), cfg.max_time)
+    check_max_time(max_time)
+    times, ys, vel, verdict = _drive(p, x0.as_tuple(), max_time)
     return Trajectory(tuple(times), tuple(SimplexState(*y) for y in ys), vel, verdict)
 
 

@@ -47,6 +47,9 @@ STRATEGIES = ("O", "H", "P", "N")
 # One tolerance governs every strict-inequality check in the package.
 DEFAULT_TOL = 1e-9
 
+# The horizon of a run to rest, unless the caller chooses another.
+DEFAULT_MAX_TIME = 1000.0
+
 # Entries this close below zero are treated as numerical noise and clamped.
 _CLAMP_FLOOR = -1e-12
 
@@ -64,6 +67,13 @@ class DegenerateParameterError(ValueError):
 
 class IntegrationError(RuntimeError):
     """Adaptive step size underflowed before reaching a requested time."""
+
+
+def check_max_time(max_time: float) -> None:
+    """Raise ValueError unless ``max_time``, the horizon after which a run to
+    rest reports max-time-reached, is positive and finite."""
+    if not 0.0 < max_time < math.inf:
+        raise ValueError(f"max_time must be positive and finite, got {max_time!r}")
 
 
 def decimal(v: float) -> str:
@@ -283,7 +293,8 @@ def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
     selection lies within ``tol`` of zero.
 
     Any of these puts the parameter point on a boundary between regimes,
-    where strict-inequality reasoning breaks down.  The last entries are
+    where strict-inequality reasoning breaks down.  eta only counts above
+    zero, since eta <= 0 already fails positivity.  The last entries are
     denominators of payoff ratios used by the classifier; alpha+beta only
     counts when beta > eta, because that ratio (the O-H edge-state payoff)
     is only ever consulted there.
@@ -301,6 +312,7 @@ def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
         "alpha-eta": near_zero(c.alpha - c.eta),
         "epsilon-eta": near_zero(c.epsilon - c.eta),
         "max(beta,gamma)-eta": (u <= tol) & (v <= tol) & ((u >= -tol) | (v >= -tol)),
+        "eta": (c.eta > 0.0) & (c.eta <= tol),
         "epsilon-gamma+beta+delta": near_zero((c.epsilon - c.gamma) + (c.beta + c.delta)),
         "alpha+epsilon": near_zero(c.alpha + c.epsilon),
         "alpha+beta": near_zero(c.alpha + c.beta) & (c.beta > c.eta),

@@ -57,8 +57,6 @@ def _lattice_starts(face: str) -> list[SimplexState]:
     for i in range(1, m - 1):
         for j in range(1, m - i):
             k = m - i - j
-            if k < 1:
-                continue
             xs = [0.0] * 4
             xs[active[0]] = i / m
             xs[active[1]] = j / m

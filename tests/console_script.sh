@@ -31,6 +31,11 @@ cmp "$out/d.json" "$g/check_A_dominated.json"
 code=0; socgame check --params "$a" --set gamma=2 > "$out/g.json" || code=$?
 test "$code" -eq 3
 cmp "$out/g.json" "$g/check_A_degenerate.json"
+# 0 < eta <= tol is a degenerate boundary for check and portrait alike
+code=0; socgame check --params "$a" --set eta=1e-10 >/dev/null || code=$?
+test "$code" -eq 3
+code=0; socgame portrait --params "$a" --set eta=1e-10 --out "$out/e" >/dev/null 2>&1 || code=$?
+test "$code" -eq 3
 socgame sweep --params "$a" --sweep beta:-3:2:11 | cmp - "$g/sweep_A_beta.csv"
 socgame basins --params "$b" --samples 200 --seed 5 | cmp - "$g/basins_B.json"
 socgame basins --params "$b" --samples 1000 --seed 18 | cmp - "$g/basins_B_seed18.json"

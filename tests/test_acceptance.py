@@ -15,7 +15,6 @@ import pytest
 from conftest import SET_A, SET_B, SET_C, draw_params
 from oracles import coexistence_payoff, from_lv, lv_states_at, numeric_jacobian, to_lv
 from socgame import (
-    IntegratorConfig,
     SimplexState,
     classify_edge,
     classify_global,
@@ -200,7 +199,7 @@ def test_08_simplex_and_edge_invariants():
                 x[j] = 0.0
         x /= x.sum()
         traj = integrate(SimplexState(*x), p)
-        _, xs = traj.as_arrays()
+        xs = np.array([s.as_tuple() for s in traj.states])
         assert np.all(xs >= 0.0)
         assert np.max(np.abs(xs.sum(axis=1) - 1.0)) < 1e-9
         for j in zeroed:

@@ -13,7 +13,6 @@ from conftest import SET_A, SET_B, SET_C, SNAPS, admissible, draw_params, snappe
 from oracles import uniform_ratio_box
 from socgame import (
     DegenerateParameterError,
-    IntegratorConfig,
     SimplexState,
     StationaryState,
     classify_global,
@@ -26,7 +25,7 @@ from socgame import (
 )
 from socgame import basins
 from socgame.basins import _certifies, attractor_boxes, label_runs, ratio_box
-from socgame.model import STRATEGIES, payoff_rows
+from socgame.model import DEFAULT_MAX_TIME, STRATEGIES, payoff_rows
 
 
 class TestSampleSimplex:
@@ -61,6 +60,14 @@ class TestEstimateBasins:
         assert counts["unresolved"] == 0
         assert abs(sum(rep.fractions.values()) - 1.0) < 1e-12
 
+    def test_rejects_bad_max_time(self, monkeypatch):
+        # refused before the point is classified or any sample is drawn
+        monkeypatch.setattr(basins, "classify_global", None)
+        monkeypatch.setattr(basins, "sample_simplex", None)
+        for max_time in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_time"):
+                estimate_basins(SET_B, 10, seed=1, max_time=max_time)
+
     def test_set_b_labels(self):
         rep = estimate_basins(SET_B, 300, seed=7)
         counts = dict(rep.counts)
@@ -93,46 +100,45 @@ class TestEstimateBasins:
             assert entry["fraction"] == pytest.approx(entry["count"] / 100)
 
     @pytest.mark.parametrize("p", [SET_A, SET_B, SET_C], ids=["A", "B", "C"])
-    @pytest.mark.parametrize("seed, max_time", [(3, None), (8, None), (3, 20.0)],
+    @pytest.mark.parametrize("seed, max_time",
+                             [(3, DEFAULT_MAX_TIME), (8, DEFAULT_MAX_TIME), (3, 20.0)],
                              ids=["3", "8", "3-t20"])
     def test_counts_equal_per_start_tally(self, p, seed, max_time):
         # a sample certified in the batch gets the label its own run gets,
         # whether that run goes to rest or stops at a short max_time
-        cfg = IntegratorConfig(max_time=max_time) if max_time is not None else None
-        assert (dict(estimate_basins(p, 200, seed=seed, cfg=cfg).counts)
-                == per_start_tally(p, 200, seed, cfg))
+        assert (dict(estimate_basins(p, 200, seed=seed, max_time=max_time).counts)
+                == per_start_tally(p, 200, seed, max_time))
 
     def test_short_horizon_leaves_fewer_unresolved(self):
         # a certified sample is labelled even where max_time stops its run
         # before it settles within the match tolerance
-        cfg = IntegratorConfig(max_time=10.0)
-        short = dict(estimate_basins(SET_B, 300, seed=4, cfg=cfg).counts)
+        short = dict(estimate_basins(SET_B, 300, seed=4, max_time=10.0).counts)
         full = dict(estimate_basins(SET_B, 300, seed=4).counts)
-        tally = match_tally(SET_B, 300, 4, cfg)
+        tally = match_tally(SET_B, 300, 4, 10.0)
         for label in ("O", "N", "H+P"):
             assert tally[label] <= short[label] <= full[label]
         assert short["unresolved"] < tally["unresolved"]
 
 
-def per_start_tally(p, n, seed, cfg=None):
+def per_start_tally(p, n, seed, max_time=DEFAULT_MAX_TIME):
     """``find_attractor`` counts over ``estimate_basins``'s starts."""
     attractors = classify_global(p).global_attractors
     tally = {a.label: 0 for a in attractors}
     tally["unresolved"] = 0
     for row in sample_simplex(n, seed).tolist():
-        hit = find_attractor(SimplexState(*row), p, cfg, attractors=attractors)
+        hit = find_attractor(SimplexState(*row), p, max_time, attractors=attractors)
         tally[hit.label if hit is not None else "unresolved"] += 1
     return tally
 
 
-def match_tally(p, n, seed, cfg):
+def match_tally(p, n, seed, max_time):
     """Counts over ``estimate_basins``'s starts when each run is labelled
     only by matching its end state, with no ratio box."""
     attractors = classify_global(p).global_attractors
     tally = {a.label: 0 for a in attractors}
     tally["unresolved"] = 0
     for row in sample_simplex(n, seed).tolist():
-        tr = integrate(SimplexState(*row), p, cfg)
+        tr = integrate(SimplexState(*row), p, max_time)
         hit = None if tr.verdict == "step-failure" else match_attractor(tr.final_state, attractors)
         tally[hit.label if hit is not None else "unresolved"] += 1
     return tally

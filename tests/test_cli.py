@@ -66,6 +66,23 @@ class TestCheck:
             assert (code, out) == (1, "")
             assert err == f"input error: --tol must be finite and >= 0, got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("command", ["check", "equilibria", "portrait"])
+    def test_tiny_positive_eta_is_degenerate(self, capsys, params_a, tmp_path, command):
+        # 0 < eta <= tol is one degenerate boundary for every command, and
+        # sweep flags it; eta = 0 stays a positivity failure
+        code, _, _ = run(capsys, command, "--params", params_a, "--set", "eta=1e-10",
+                         "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+        code, out, _ = run(capsys, "check", "--params", params_a, "--set", "eta=0")
+        assert code == 2
+        assert json.loads(out)["validation"]["degenerate_quantities"] == []
+        code, out, _ = run(capsys, "sweep", "--params", params_a, "--sweep", "eta:0:1e-10:2")
+        assert code == 0
+        header, rows = sweep_rows(out)
+        valid, degenerate = header.index("valid"), header.index("degenerate")
+        assert [(r[valid], r[degenerate]) for r in rows] == [("0", "0"), ("1", "1")]
+
     def test_dominated_strategy(self, capsys, params_a):
         code, out, _ = run(capsys, "check", "--params", params_a, "--set", "eta=3")
         assert code == 2

@@ -20,7 +20,6 @@ from oracles import (
     to_lv,
 )
 from socgame import (
-    IntegratorConfig,
     SimplexState,
     classify_global,
     find_attractor,
@@ -136,14 +135,14 @@ class TestChartMaps:
             assert abs(sum(s.as_tuple()) - 1.0) < 1e-12
 
 
-class TestIntegratorConfig:
-    def test_rejects_bad_max_time(self):
+class TestIntegrate:
+    def test_rejects_bad_max_time(self, monkeypatch):
+        # refused before any step is taken
+        monkeypatch.setattr(dynamics, "_drive", None)
         for max_time in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="max_time"):
-                IntegratorConfig(max_time=max_time)
+                integrate(SimplexState(0.25, 0.25, 0.25, 0.25), SET_A, max_time=max_time)
 
-
-class TestIntegrate:
     def test_stationary_start_converges_immediately(self):
         tr = integrate(SimplexState(0, 0, 0, 1), SET_A)
         assert tr.verdict == "converged"
@@ -171,7 +170,7 @@ class TestIntegrate:
         for _ in range(20):
             p = draw_params(rng, "B-plus" if rng.random() < 0.5 else "B-minus")
             tr = integrate(SimplexState(*draw_simplex(rng)), p)
-            _, xs = tr.as_arrays()
+            xs = np.array([s.as_tuple() for s in tr.states])
             assert np.all(xs >= 0.0)
             assert np.max(np.abs(xs.sum(axis=1) - 1.0)) < 1e-9
 
@@ -264,14 +263,13 @@ class TestDriverProperties:
         x[zeros] = 0.0
         x /= x.sum()
         x0 = SimplexState(*x)
-        cfg = IntegratorConfig(max_time=max_time)
 
-        tr = integrate(x0, p, cfg)
-        times, xs = tr.as_arrays()
+        tr = integrate(x0, p, max_time)
+        times, xs = np.array(tr.times), np.array([s.as_tuple() for s in tr.states])
         assert np.all(np.diff(times) > 0.0)
         if tr.verdict == "max-time-reached":
             # the last step is shortened to land on max_time exactly
-            assert times[-1] == cfg.max_time
+            assert times[-1] == max_time
         assert np.all(xs[:, zeros] == 0.0)
         assert np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -284,16 +282,16 @@ class TestDriverProperties:
         assert np.max(np.abs(xs.sum(axis=1) - 1.0)) <= 1e-9
 
 
-def batch_case(seed, branch, zeros, max_time):
+def batch_case(seed, branch, zeros):
     """A drawn point, one start per entry of ``zeros`` with those shares
-    set to 0, and the integrator settings for ``max_time``."""
+    set to 0."""
     rng = np.random.default_rng(seed)
     p = draw_params(rng, branch)
     x0 = np.array([draw_simplex(rng) for _ in zeros])
     for row, z in zip(x0, zeros):
         row[sorted(z)] = 0.0
     x0 /= x0.sum(axis=1, keepdims=True)
-    return p, x0, IntegratorConfig(max_time=max_time)
+    return p, x0
 
 
 # the short horizon ends most runs in max-time-reached, the batch's rows in
@@ -309,13 +307,13 @@ BATCH_CASES = dict(
 WIDE_CASE = dict(seed=0, branch="B-minus", zeros=[set()] * 48, max_time=1000.0)
 
 
-def batch_runs(x0, p, cfg, boxes=()):
+def batch_runs(x0, p, max_time, boxes=()):
     """``_integrate_rows`` as a pure batch (no handover) and with the
     handover at its default size."""
     runs = []
     for handover in (0, dynamics._HANDOVER_ROWS):
         with mock.patch.object(dynamics, "_HANDOVER_ROWS", handover):
-            runs.append(_integrate_rows(x0, p, cfg, boxes))
+            runs.append(_integrate_rows(x0, p, max_time, boxes))
     return runs
 
 
@@ -324,9 +322,9 @@ class TestBatchedRuns:
     @given(**BATCH_CASES)
     @example(**WIDE_CASE)
     def test_batch_equals_per_start(self, seed, branch, zeros, max_time):
-        p, x0, cfg = batch_case(seed, branch, zeros, max_time)
-        runs = [integrate(SimplexState(*row), p, cfg) for row in x0.tolist()]
-        for finals, verdicts, steps in batch_runs(x0, p, cfg):
+        p, x0 = batch_case(seed, branch, zeros)
+        runs = [integrate(SimplexState(*row), p, max_time) for row in x0.tolist()]
+        for finals, verdicts, steps in batch_runs(x0, p, max_time):
             assert len(verdicts) == len(x0)
             for tr, final, verdict, k in zip(runs, finals.tolist(), verdicts, steps.tolist()):
                 assert tuple(final) == tr.final_state.as_tuple()
@@ -340,10 +338,10 @@ class TestBatchedRuns:
                                                                max_time):
         # a certified row stops, inside a box, where the run to rest is after
         # as many steps; every other row ends where that run ends
-        p, x0, cfg = batch_case(seed, branch, zeros, max_time)
+        p, x0 = batch_case(seed, branch, zeros)
         boxes = [box for _, box in attractor_boxes(classify_global(p).global_attractors, p)]
-        runs = [integrate(SimplexState(*row), p, cfg) for row in x0.tolist()]
-        for finals, verdicts, steps in batch_runs(x0, p, cfg, boxes):
+        runs = [integrate(SimplexState(*row), p, max_time) for row in x0.tolist()]
+        for finals, verdicts, steps in batch_runs(x0, p, max_time, boxes):
             inside = box_index(finals.T, boxes).tolist()
             for tr, final, verdict, k, i in zip(runs, finals.tolist(), verdicts,
                                                 steps.tolist(), inside):
@@ -357,7 +355,7 @@ class TestBatchedRuns:
 
     @pytest.mark.parametrize("with_boxes", [False, True])
     def test_last_rows_leave_the_batch_mid_run(self, monkeypatch, with_boxes):
-        p, x0, cfg = batch_case(**WIDE_CASE)
+        p, x0 = batch_case(WIDE_CASE["seed"], WIDE_CASE["branch"], WIDE_CASE["zeros"])
         boxes = [box for _, box in attractor_boxes(classify_global(p).global_attractors, p)]
         resumed = []
         drive = dynamics._drive
@@ -367,7 +365,7 @@ class TestBatchedRuns:
             return drive(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_drive", spy)
-        _integrate_rows(x0, p, cfg, boxes if with_boxes else ())
+        _integrate_rows(x0, p, WIDE_CASE["max_time"], boxes if with_boxes else ())
         assert 0 < len(resumed) <= dynamics._HANDOVER_ROWS and min(resumed) > 0
 
 

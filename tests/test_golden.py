@@ -22,7 +22,6 @@ import pytest
 
 from conftest import SET_A, SET_B, SET_C, SET_D
 from socgame import (
-    IntegratorConfig,
     Params,
     SimplexState,
     classify_global,
@@ -33,6 +32,7 @@ from socgame.basins import attractor_boxes, sample_simplex
 from socgame.classify import FACES
 from socgame.cli import main
 from socgame.dynamics import _integrate_rows
+from socgame.model import DEFAULT_MAX_TIME
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -133,7 +133,7 @@ def _batch_rows() -> bytes:
     ``repr``'d."""
     boxes = [box for _, box in attractor_boxes(classify_global(SET_B).global_attractors, SET_B)]
     finals, verdicts, steps = _integrate_rows(sample_simplex(ROWS_COUNT, ROWS_SEED), SET_B,
-                                              IntegratorConfig(), boxes)
+                                              DEFAULT_MAX_TIME, boxes)
     doc = [{"final": [repr(v) for v in final], "verdict": verdict, "steps": k}
            for final, verdict, k in zip(finals.tolist(), verdicts, steps.tolist())]
     return (json.dumps({"seed": ROWS_SEED, "rows": doc}, indent=1) + "\n").encode()
