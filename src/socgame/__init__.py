@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports at package level
 _SUBMODULES = {
     "basins": ("BasinReport", "estimate_basins", "find_attractor", "sample_simplex"),
-    "classify": ("EdgeRegime", "RegimeReport", "StationaryState", "classify_edge",
-                 "classify_global", "face_states", "full_interior_state"),
+    "classify": ("EdgeRegime", "RegimeReport", "StationaryState", "classify_global",
+                 "face_states"),
     "dynamics": ("Trajectory", "integrate", "match_attractor", "states_at"),
     "model": ("DEFAULT_TOL", "STRATEGIES", "DegenerateParameterError", "IntegrationError",
               "InvalidParameterError", "Params", "SimplexState", "ValidationReport",

@@ -10,20 +10,21 @@ it:
   of the full simplex.  At a boundary rest point the eigenvalue toward an
   absent strategy W is W's payoff advantage there, and the one along an edge
   is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g.  One formula
-  (``_edge_state``) gives an edge state's share and payoff, to the inventory
-  and, over parameter columns, to the regime table and ``classify_grid``;
+  (``model._edge_state``) gives an edge state's share and payoff, to the
+  inventory and, over parameter columns, to the admissibility table, the
+  regime table and ``classify_grid``;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
 * one regime table holds, for each face, the closed-form sign conditions
   that name which of the known planar phase portraits the face realises
   (portrait number ``pp`` and panel tag ``figure``) and which states attract
-  within it, and the conditions that leave the face undecided.  It reads
-  the sign branch from the admissibility table (``model.admissibility``),
-  and compares the fallback eta with the H-P, O-P and O-H edge states'
-  payoffs.  Its conditions are array expressions over parameter columns:
-  ``classify_global`` and ``classify_edge`` read them at one point and take
-  the states from the inventory, ``classify_grid`` reads them over a whole
-  sweep grid at once;
+  within it.  It reads the sign branch from the admissibility table
+  (``model.admissibility``), and so where the face is undecided: the
+  face-scoped quantities of ``model.FACE_SCOPE``.  It compares the fallback
+  eta with the H-P, O-P and O-H edge states' payoffs.  Its conditions are
+  array expressions over parameter columns: ``classify_global`` reads them
+  at one point and takes the states from the inventory, ``classify_grid``
+  reads them over a whole sweep grid at once;
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face containing it.
 
@@ -56,6 +57,8 @@ from .model import (
     Params,
     SimplexState,
     ValidationReport,
+    _edge_gaps,
+    _edge_state,
     admissibility,
     payoff_matrix,
     payoff_rows,
@@ -169,20 +172,6 @@ def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ..
 _VERTICES = tuple(SimplexState(*(1.0 if i == v else 0.0 for i in range(4))) for v in range(4))
 
 
-def _edge_gaps(A: list[list], a: int, b: int) -> tuple:
-    """The payoff gap of a over b is affine in the share s of a along the
-    a-b edge: returns it at s = 0 and at s = 1."""
-    return A[a][b] - A[b][b], A[a][a] - A[b][a]
-
-
-def _edge_state(A: list[list], a: int, b: int) -> tuple:
-    """Share of a where that gap vanishes, and the common payoff of a and b
-    there, from ``model.payoff_rows`` entries (numbers, or columns).  Only
-    meaningful where the gap changes sign along the edge."""
-    g0, g1 = _edge_gaps(A, a, b)
-    return g0 / (g0 - g1), (A[a][a] * A[b][b] - A[a][b] * A[b][a]) / (g1 - g0)
-
-
 class _Inventory:
     """Every vertex and edge-interior stationary state of the simplex, each
     built once with the eigen signs of all three of its directions.
@@ -286,30 +275,8 @@ def _interior_state(p: Params, active: tuple[int, ...], tol: float) -> Stationar
                   float(A[active[0]] @ np.array(xs)), signs)
 
 
-def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
-    """Stationary state interior to the whole simplex, if any
-    (``_interior_state`` over all four strategies).
-
-    All four payoffs equal the fallback eta there.  It always carries a
-    strictly positive eigenvalue (eta*w in the ratio chart w = x4/x1), so it
-    is never attractive.  The ``orthant eig`` labels name the same signs the
-    ratio chart gives: the two Jacobians differ by a change of coordinates
-    and a positive time scale, which keep every sign and the order by real
-    part.
-    """
-    require_valid(p, tol)
-    return _interior_state(p, (0, 1, 2, 3), tol)
-
-
 # ---------------------------------------------------------------------------
 # per-face view with interior state, used by the portrait
-
-
-def _require_face(p: Params, face: str, tol: float) -> None:
-    """``require_valid``, then reject a face name not in ``FACES``."""
-    require_valid(p, tol)
-    if face not in FACES:
-        raise ValueError(f"unknown face {face!r}")
 
 
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
@@ -319,7 +286,9 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
     Jacobian signs).  Raises DegenerateParameterError where an edge of the
     face is undecided or the face-interior state lies on an edge.
     """
-    _require_face(p, face, tol)
+    require_valid(p, tol)
+    if face not in FACES:
+        raise ValueError(f"unknown face {face!r}")
     out = _Inventory(p, tol).face(face)
     interior = _interior_state(p, tuple(i for i in range(4) if i != FACE_ABSENT[face]), tol)
     if interior is not None:
@@ -328,47 +297,41 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
 
 
 # ---------------------------------------------------------------------------
-# the regime table: each face's panel and degenerate conditions as array
-# expressions, read at one point by classify_global and classify_edge, and
-# over a whole grid by classify_grid
+# the regime table: each face's panels as array expressions, read at one
+# point by classify_global, and over a whole grid by classify_grid
 
 
 class FaceTable(NamedTuple):
     """One boundary face's regime over the points of a ``Columns``.
 
     ``panels`` lists (figure, pp, attractors within the face) and ``panel``
-    holds each point's index into it.  ``degenerate`` lists (mask, message)
-    in the order they are checked: the first that holds at a point leaves
-    the face undecided there, with that message.
+    holds each point's index into it; ``undecided`` is where a face-scoped
+    quantity of the admissibility table leaves the face undecided.
     """
 
     face: str
     panels: tuple[tuple[str, int, tuple[str, ...]], ...]
     panel: np.ndarray
-    degenerate: tuple[tuple[np.ndarray, str], ...]
-
-    @property
-    def undecided(self) -> np.ndarray:
-        return functools.reduce(operator.or_, (mask for mask, _ in self.degenerate))
+    undecided: np.ndarray
 
     def attracts(self, label: str) -> np.ndarray:
         """Where ``label`` attracts within the face."""
         return np.array([label in labels for _, _, labels in self.panels])[self.panel]
 
 
-def _face(face: str, panels: list[tuple], degenerate: list[tuple[np.ndarray, str]]) -> FaceTable:
+def _face(adm: Admissibility, face: str, panels: list[tuple]) -> FaceTable:
     """``panels`` lists (figure, pp, attractors, condition); a point takes
     the first panel whose condition holds there."""
     panel = -1
     for k in reversed(range(len(panels))):
         panel = np.where(panels[k][3], k, panel)
-    return FaceTable(face, tuple(row[:3] for row in panels), panel, tuple(degenerate))
+    return FaceTable(face, tuple(row[:3] for row in panels), panel, adm.undecided(face))
 
 
-def regime_table(c: Columns, adm: Admissibility, tol: float) -> dict[str, FaceTable]:
+def regime_table(c: Columns, adm: Admissibility) -> dict[str, FaceTable]:
     """Each face's regime at every point of ``c``, in face order.
 
-    Read only where ``adm`` admits the point and finds no degenerate
+    Read only where ``adm`` admits the point and finds no global degenerate
     quantity: there one sign branch holds, so B-minus is where B-plus is
     not, and every denominator below is away from zero.
     """
@@ -384,9 +347,8 @@ def regime_table(c: Columns, adm: Admissibility, tol: float) -> dict[str, FaceTa
         _, op_pay = _edge_state(A, 0, 2)
         _, oh_pay = _edge_state(A, 0, 1)
         coex_beats_fallback = c.eta < coex_pay
-        beta_at_eta = abs(c.beta - c.eta) <= tol
         return {
-            "S_N": _face("S_N", [
+            "S_N": _face(adm, "S_N", [
                 ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
                 ("2b", 35, ("O", "H", "P"), h_in_sn),
                 ("2c", 9, ("O", "P"), b_plus & hp_pos),
@@ -395,28 +357,24 @@ def regime_table(c: Columns, adm: Admissibility, tol: float) -> dict[str, FaceTa
                 # the H/P block determinant is negative
                 ("2e", 11, ("O", "H+P"), hp_det < 0.0),
                 ("2f", 36, ("O",), True),
-            ], [(abs(c.beta) <= tol, f"face S_N case boundary: |beta| <= {tol}")]),
-            "S_O": _face("S_O", [
+            ]),
+            "S_O": _face(adm, "S_O", [
                 ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
                 ("3b", 35, ("H", "P", "N"), b_plus & above),
                 ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
                 ("3d", 37, ("P", "N"), b_plus),
                 ("3e", 11, ("N", "H+P"), coex_beats_fallback),
                 ("3f", 36, ("N",), True),
-            ], [(abs(c.eta - coex_pay) <= tol,
-                 "fallback payoff on the coexistence-payoff boundary"),
-                (b_plus & beta_at_eta, f"face S_O case boundary: |beta-eta| <= {tol}")]),
-            "S_H": _face("S_H", [
+            ]),
+            "S_H": _face(adm, "S_H", [
                 ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
                 ("4b", 35, ("O", "P", "N"), True),
-            ], [(abs(c.eta - op_pay) <= tol, "fallback payoff on the O-P edge-state boundary")]),
-            "S_P": _face("S_P", [
+            ]),
+            "S_P": _face(adm, "S_P", [
                 ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
                 ("5b", 35, ("O", "H", "N"), above),
                 ("5c", 37, ("O", "N"), True),
-            ], [(beta_at_eta, f"face S_P case boundary: |beta-eta| <= {tol}"),
-                (above & (abs(c.eta - oh_pay) <= tol),
-                 "fallback payoff on the O-H edge-state boundary")]),
+            ]),
         }
 
 
@@ -437,43 +395,23 @@ def _global(faces: dict[str, FaceTable]) -> dict[str, np.ndarray]:
             for label, member in _MEMBERSHIP.items()}
 
 
-def _point_regimes(p: Params, tol: float) -> dict[str, FaceTable]:
-    c = Columns.of(p)
-    with np.errstate(all="ignore"):
-        adm = admissibility(c, tol)
-    return regime_table(c, adm, tol)
-
-
-def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime:
-    """A face's regime at one point; raises the first degenerate condition
-    that holds."""
-    for on, message in table.degenerate:
-        if on:
-            raise DegenerateParameterError(message)
+def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime | None:
+    """A face's regime at one point, or None where it is undecided."""
+    if table.undecided:
+        return None
     figure, pp, labels = table.panels[int(table.panel)]
     return EdgeRegime(table.face, pp, figure,
                       tuple(inv.in_face(table.face, label) for label in labels))
-
-
-def classify_edge(p: Params, face: str, tol: float = DEFAULT_TOL) -> EdgeRegime:
-    """Regime of one boundary face: ``S_N`` the no-isolation face (O, H, P),
-    ``S_O`` the no-offline face (H, P, N), ``S_H`` the no-uncivil face
-    (O, P, N) or ``S_P`` the no-polite face (O, H, N).
-
-    Raises DegenerateParameterError, with the face's own message, where the
-    face's regime is undecided.
-    """
-    _require_face(p, face, tol)
-    return _edge_regime(_point_regimes(p, tol)[face], _Inventory(p, tol))
 
 
 def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) -> RegimeReport:
     """Classify all four boundary faces and compose the global attractor set.
 
     A state attracts from the full simplex exactly when it attracts within
-    every boundary face containing it.  With ``strict=False`` a face whose
-    classification hits a degenerate boundary is reported as None instead of
-    raising, the global set is left empty, and the report is flagged.
+    every boundary face containing it.  Raises as ``require_valid`` does.
+    With ``strict=False`` a degenerate point is reported instead: a global
+    degenerate quantity leaves every face None, a face-scoped one the faces
+    in its scope, the global set is left empty, and the report is flagged.
     """
     try:
         validation = require_valid(p, tol)
@@ -485,22 +423,14 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
         validation = validate(p, tol)
     global_attractors: tuple[StationaryState, ...] = ()
     welfare = None
-    # a degenerate classifying quantity leaves every face table undecided
     degenerate = bool(validation.degenerate_quantities)
-    if degenerate:
-        edges: list[EdgeRegime | None] = [None] * len(FACES)
-    else:
+    edges: list[EdgeRegime | None] = [None] * len(FACES)
+    if validation.admissible:
         inv = _Inventory(p, tol)
-        faces = _point_regimes(p, tol)
-        edges = []
-        for table in faces.values():
-            try:
-                edges.append(_edge_regime(table, inv))
-            except DegenerateParameterError:
-                if strict:
-                    raise
-                edges.append(None)
-                degenerate = True
+        c = Columns.of(p)
+        with np.errstate(all="ignore"):
+            faces = regime_table(c, admissibility(c, tol))
+        edges = [_edge_regime(table, inv) for table in faces.values()]
 
     if not degenerate:
         global_attractors = tuple(
@@ -537,7 +467,7 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
     """
     with np.errstate(all="ignore"):
         adm = admissibility(c, tol)
-        faces = regime_table(c, adm, tol)
+        faces = regime_table(c, adm)
         classified = adm.valid & ~adm.on_boundary
         decided = {face: classified & ~t.undecided for face, t in faces.items()}
         settled = functools.reduce(operator.and_, decided.values())

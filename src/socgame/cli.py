@@ -177,12 +177,7 @@ def cmd_check(rc: RunConfig) -> int:
     elif not (report.positivity_ok and report.nondominance_ok):
         code = 2
     else:
-        try:
-            doc["nash"] = nash_vertices(p, rc.tol)
-        except DegenerateParameterError as e:
-            doc["nash"] = None
-            doc["validation"]["messages"].append(str(e))
-            code = 3
+        doc["nash"] = nash_vertices(p, rc.tol)
     _emit(_json(doc))
     return code
 
@@ -192,7 +187,8 @@ def cmd_equilibria(rc: RunConfig) -> int:
 
     p = rc.params
     vrep = validate(p, rc.tol)
-    if vrep.degenerate_quantities or not (vrep.positivity_ok and vrep.nondominance_ok):
+    # a face-scoped boundary still gets the lax report, with those faces null
+    if not vrep.admissible:
         _emit(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
         return 3 if vrep.degenerate_quantities else 2
     report = classify_global(p, rc.tol, strict=False)

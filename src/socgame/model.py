@@ -22,9 +22,9 @@ degenerate boundary where the classification would change.  Each of these
 conditions is stated once, in the admissibility table (``admissibility``),
 as an expression that holds both on six floats and on parameter columns;
 ``validate``, ``dominance_relations`` and ``nash_vertices`` read it on the
-floats of one point, and the sweep reads it over a whole grid.  So checking
-one point loads no numpy: only ``payoff_matrix`` and ``Columns.of`` import
-it, where they are called.
+floats of one point, and the regime table and the sweep over a whole grid.
+So checking one point loads no numpy: only ``payoff_matrix`` and
+``Columns.of`` import it, where they are called.
 
 The errors that the CLI maps to exit codes live here too, with the decimal
 formatter every writer shares, so that a command that never integrates
@@ -171,8 +171,15 @@ class ValidationReport:
     messages: tuple[str, ...]
 
     @property
+    def admissible(self) -> bool:
+        """Valid and on no global boundary: the regime table decides every
+        face that no reported (face-scoped) quantity leaves undecided."""
+        return (self.positivity_ok and self.nondominance_ok
+                and all(q in FACE_SCOPE for q in self.degenerate_quantities))
+
+    @property
     def ok(self) -> bool:
-        return self.positivity_ok and self.nondominance_ok and not self.degenerate_quantities
+        return self.admissible and not self.degenerate_quantities
 
     def as_dict(self) -> dict:
         return {
@@ -194,6 +201,30 @@ def payoff_rows(p: Params | "Columns") -> list[list]:
         [0.0, -p.delta, p.epsilon, 0.0],
         [p.eta, p.eta, p.eta, p.eta],
     ]
+
+
+def _quotient(num, den):
+    """``num / den``, which on floats too gives numpy's inf or nan where
+    ``den`` is zero, instead of raising."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        return num * math.copysign(math.inf, den)
+
+
+def _edge_gaps(A: list[list], a: int, b: int) -> tuple:
+    """The payoff gap of a over b is affine in the share s of a along the
+    a-b edge: returns it at s = 0 and at s = 1."""
+    return A[a][b] - A[b][b], A[a][a] - A[b][a]
+
+
+def _edge_state(A: list[list], a: int, b: int) -> tuple:
+    """Share of a where that gap vanishes, and the common payoff of a and b
+    there, from ``payoff_rows`` entries (numbers, or columns).  Only
+    meaningful where the gap changes sign along the edge."""
+    g0, g1 = _edge_gaps(A, a, b)
+    return (_quotient(g0, g0 - g1),
+            _quotient(A[a][a] * A[b][b] - A[a][b] * A[b][a], g1 - g0))
 
 
 def payoff_matrix(p: Params) -> np.ndarray:
@@ -245,6 +276,16 @@ class Columns(NamedTuple):
 # ``Admissibility.branch`` indexes this
 BRANCHES = (None, "B-plus", "B-minus")
 
+# each face-scoped degenerate quantity, with the boundary faces (named by
+# their absent strategy) whose regime it leaves undecided
+FACE_SCOPE = {
+    "beta": ("S_N",),
+    "beta-eta": ("S_O", "S_P"),
+    "eta-pay(O+P)": ("S_H",),
+    "eta-pay(O+H)": ("S_P",),
+    "eta-pay(H+P)": ("S_O",),
+}
+
 
 class Admissibility(NamedTuple):
     """The admissibility table: every condition ``validate`` checks, as one
@@ -252,9 +293,10 @@ class Admissibility(NamedTuple):
     of a ``Params``.
 
     Its primitive masks are the signs of the one-signed constants, the five
-    weak-dominance relations and the degenerate quantities; nondominance and
-    the sign branch are read from them.  Every expression holds on bools and
-    on bool arrays alike: ``m ^ True`` negates (``~`` of a bool is an int).
+    weak-dominance relations and the degenerate quantities, global and
+    face-scoped; nondominance and the sign branch are read from them.  Every
+    expression holds on bools and on bool arrays alike: ``m ^ True`` negates
+    (``~`` of a bool is an int).
     """
 
     positive: dict[str, np.ndarray]  # alpha, delta, epsilon, eta strictly positive
@@ -263,6 +305,7 @@ class Admissibility(NamedTuple):
     b_minus: np.ndarray  # beta < -delta and gamma > epsilon
     beta_above_eta: np.ndarray  # the all-uncivil payoff beats the fallback
     degenerate: dict[str, np.ndarray]  # classifying quantity within tol of zero
+    face_degenerate: dict[str, np.ndarray]  # the same, for the FACE_SCOPE quantities
 
     @property
     def vertices(self) -> np.ndarray:
@@ -286,6 +329,12 @@ class Admissibility(NamedTuple):
     def branch(self) -> np.ndarray:
         """Index into ``BRANCHES``: the two branches exclude each other."""
         return self.b_plus + 2 * self.b_minus
+
+    def undecided(self, face: str) -> np.ndarray:
+        """Some face-scoped quantity whose scope holds ``face`` is
+        degenerate (read where ``valid`` and not ``on_boundary``)."""
+        return functools.reduce(operator.or_, (on for name, on in self.face_degenerate.items()
+                                               if face in FACE_SCOPE[name]))
 
 
 def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
@@ -319,6 +368,24 @@ def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
     }
 
 
+def _face_degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
+    """Where each ``FACE_SCOPE`` quantity lies within ``tol`` of zero.  At an
+    admissible point beta = eta holds only on B-plus (on B-minus beta < 0,
+    so it would need 0 < eta <= tol); a zero denominator gives an inf or nan
+    payoff, never near eta."""
+    A = payoff_rows(c)
+    _, op_pay = _edge_state(A, 0, 2)
+    _, oh_pay = _edge_state(A, 0, 1)
+    _, coex_pay = _edge_state(A, 1, 2)
+    return {
+        "beta": abs(c.beta) <= tol,
+        "beta-eta": abs(c.beta - c.eta) <= tol,
+        "eta-pay(O+P)": abs(c.eta - op_pay) <= tol,
+        "eta-pay(O+H)": (c.beta > c.eta) & (abs(c.eta - oh_pay) <= tol),
+        "eta-pay(H+P)": abs(c.eta - coex_pay) <= tol,
+    }
+
+
 def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibility:
     """Evaluate the admissibility table at the floats of ``c``, a
     ``Params``, or at every point of ``c``, a ``Columns``.
@@ -326,9 +393,9 @@ def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibilit
     Three layers: sign constraints on the four one-signed constants;
     nondominance (no strategy is weakly dominated, which pins one of two
     sign branches for (beta+delta, epsilon-gamma)); and distance from the
-    boundary for every classifying quantity.  On floats nothing here divides
-    or raises; on columns a product may overflow, so callers that pass
-    arrays silence numpy's warnings.
+    boundary for every classifying quantity.  On floats nothing here
+    raises; on columns a product may overflow or a payoff divide by zero,
+    so callers that pass arrays silence numpy's warnings.
     """
     # the dominated strategy earns at most the dominating one's payoff
     # against every pure state; only N can dominate O, and N is never
@@ -352,13 +419,16 @@ def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibilit
         b_minus=hp_free & (h_gains ^ True),
         beta_above_eta=c.beta > c.eta,
         degenerate=_degenerate(c, tol),
+        face_degenerate=_face_degenerate(c, tol),
     )
 
 
 def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check admissibility of ``p``: the admissibility table at one point,
     with a message for every condition that fails.  ``report.ok`` is the
-    conjunction of its three layers.
+    conjunction of its three layers.  The face-scoped quantities count only
+    where the regime table reads them: at a valid point on no global
+    boundary.
     """
     table = admissibility(p, tol)
     messages = [f"{name} must be strictly positive, got {getattr(p, name)}"
@@ -374,6 +444,8 @@ def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
             "need beta+delta and epsilon-gamma nonzero with matching orientation"
         )
     degenerate = tuple(name for name, on in table.degenerate.items() if on)
+    if table.valid and not degenerate:
+        degenerate = tuple(name for name, on in table.face_degenerate.items() if on)
     messages.extend(f"degenerate boundary: |{name}| <= {tol}" for name in degenerate)
 
     return ValidationReport(
@@ -405,11 +477,9 @@ def nash_vertices(p: Params, tol: float = DEFAULT_TOL) -> dict[str, bool]:
     N always is (any deviation forfeits the fallback payoff).  O needs
     alpha > eta, H needs beta > eta, P needs epsilon > max(gamma, eta): at an
     admissible point O always is, and P is exactly on branch B-plus.  Raises
-    as ``require_valid`` does, and where beta sits within ``tol`` of eta.
+    as ``require_valid`` does, which covers beta within ``tol`` of eta.
     """
     require_valid(p, tol)
-    if abs(p.beta - p.eta) <= tol:
-        raise DegenerateParameterError(f"Nash boundary: |beta-eta| <= {tol}")
     table = admissibility(p, tol)
     return {
         "O": not table.dominated["O", "N"],

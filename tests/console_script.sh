@@ -15,14 +15,17 @@ b=perfbench/params/set_b.params
 g=tests/golden
 
 socgame check --params "$a" | cmp - "$g/check_A.json"
-# check validates one point on floats: no numpy module may be imported
-PYTHONPROFILEIMPORTTIME=1 socgame check --params "$a" 2> "$out/imports.txt" >/dev/null
-grep -q 'socgame\.model$' "$out/imports.txt"
-if grep -q numpy "$out/imports.txt"; then
-  echo "socgame check imported numpy:" >&2
-  grep numpy "$out/imports.txt" >&2
-  exit 1
-fi
+# check validates one point on floats: no numpy module may be imported, also
+# on set B, where the O-H edge state's payoff divides by alpha+beta = 0
+for params in "$a" "$b"; do
+  PYTHONPROFILEIMPORTTIME=1 socgame check --params "$params" 2> "$out/imports.txt" >/dev/null
+  grep -q 'socgame\.model$' "$out/imports.txt"
+  if grep -q numpy "$out/imports.txt"; then
+    echo "socgame check imported numpy on $params:" >&2
+    grep numpy "$out/imports.txt" >&2
+    exit 1
+  fi
+done
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
 # the error exits too: each still writes its report, and keeps its code
 code=0; socgame check --params "$a" --set eta=3 > "$out/d.json" || code=$?
@@ -31,6 +34,9 @@ cmp "$out/d.json" "$g/check_A_dominated.json"
 code=0; socgame check --params "$a" --set gamma=2 > "$out/g.json" || code=$?
 test "$code" -eq 3
 cmp "$out/g.json" "$g/check_A_degenerate.json"
+# beta = 0 leaves only the S_N face undecided, and is a degenerate boundary
+code=0; socgame check --params "$a" --set beta=0 >/dev/null || code=$?
+test "$code" -eq 3
 # 0 < eta <= tol is a degenerate boundary for check and portrait alike
 code=0; socgame check --params "$a" --set eta=1e-10 >/dev/null || code=$?
 test "$code" -eq 3

@@ -25,6 +25,10 @@ Nothing here is used by the package.  Tests check against it:
   form of the rest point inside the whole simplex (``full_interior_shares``);
 * ``uniform_ratio_box``: the widest ratio box of one width tau for every
   ratio, the box ``basins.ratio_box`` starts from and must contain.
+
+Two helpers read one part of what the package computes:
+``full_interior_state``, the rest point inside the whole simplex, and
+``face_regime``, one face's entry of the lax global report.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from socgame import DegenerateParameterError, InvalidParameterError, Params, SimplexState
+from socgame import InvalidParameterError, Params, SimplexState, classify_global
 from socgame.basins import _certifies
+from socgame.classify import FACES, EdgeRegime, StationaryState, _interior_state
 from socgame.dynamics import RatioBox, replicator_field
-from socgame.model import STRATEGIES, require_valid
+from socgame.model import DEFAULT_TOL, STRATEGIES, require_valid
 
 
 class ChartDomainError(ValueError):
@@ -266,8 +271,9 @@ def nondominance_oracle(p: Params) -> tuple[bool, str | None]:
 
 
 def nash_oracle(p: Params, tol: float) -> dict[str, bool]:
-    """Strict Nash vertices, every defining inequality checked against
-    ``tol`` and then compared directly."""
+    """Strict Nash vertices, compared directly, where ``require_valid``
+    passes; it must refuse every point where a defining inequality is within
+    ``tol`` of equality."""
     require_valid(p, tol)
     for name, v in {
         "alpha-eta": p.alpha - p.eta,
@@ -275,8 +281,7 @@ def nash_oracle(p: Params, tol: float) -> dict[str, bool]:
         "epsilon-gamma": p.epsilon - p.gamma,
         "epsilon-eta": p.epsilon - p.eta,
     }.items():
-        if abs(v) <= tol:
-            raise DegenerateParameterError(f"Nash boundary: |{name}| <= {tol}")
+        assert abs(v) > tol, f"require_valid passed the Nash boundary |{name}| <= {tol}"
     return {
         "O": p.alpha > p.eta,
         "H": p.beta > p.eta,
@@ -302,3 +307,24 @@ def uniform_ratio_box(state, A) -> RatioBox | None:
         if all(lo[k] > 0.0 for k in support) and _certifies(A, ref, support, lo, hi):
             return RatioBox(ref, tuple(lo), tuple(hi))
     return None
+
+
+def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
+    """Stationary state interior to the whole simplex, if any: after
+    ``require_valid``, ``classify._interior_state`` over all four strategies.
+
+    All four payoffs equal the fallback eta there.  It always carries a
+    strictly positive eigenvalue (eta*w in the ratio chart w = x4/x1), so it
+    is never attractive.  The ``orthant eig`` labels name the same signs the
+    ratio chart gives: the two Jacobians differ by a change of coordinates
+    and a positive time scale, which keep every sign and the order by real
+    part.
+    """
+    require_valid(p, tol)
+    return _interior_state(p, (0, 1, 2, 3), tol)
+
+
+def face_regime(p: Params, face: str, tol: float = DEFAULT_TOL) -> EdgeRegime | None:
+    """One face's regime: its entry of ``classify_global(p, tol,
+    strict=False)``, None where the face is undecided."""
+    return classify_global(p, tol, strict=False).edges[FACES.index(face)]

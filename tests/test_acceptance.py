@@ -13,13 +13,19 @@ import numpy as np
 import pytest
 
 from conftest import SET_A, SET_B, SET_C, draw_params
-from oracles import coexistence_payoff, from_lv, lv_states_at, numeric_jacobian, to_lv
+from oracles import (
+    coexistence_payoff,
+    face_regime,
+    from_lv,
+    full_interior_state,
+    lv_states_at,
+    numeric_jacobian,
+    to_lv,
+)
 from socgame import (
     SimplexState,
-    classify_edge,
     classify_global,
     face_states,
-    full_interior_state,
     integrate,
     match_attractor,
     payoff_vector,
@@ -161,9 +167,9 @@ def test_06_welfare_inequalities():
         assert total < 100000
         p = draw_params(rng, "B-minus")
         v = coexistence_payoff(p)
-        fig_so = classify_edge(p, "S_O").figure
+        fig_so = face_regime(p, "S_O").figure
         assert (fig_so == "3e") == (v > p.eta)
-        hp_attracts = classify_edge(p, "S_N").figure == "2e" and fig_so == "3e"
+        hp_attracts = face_regime(p, "S_N").figure == "2e" and fig_so == "3e"
         if not hp_attracts:
             continue
         qualifying += 1

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -28,8 +29,10 @@ from oracles import (
     NonStationaryPointError,
     coexistence_payoff,
     coexistence_share,
+    face_regime,
     fd_jacobian,
     full_interior_shares,
+    full_interior_state,
     numeric_jacobian,
     oh_payoff,
     op_payoff,
@@ -38,18 +41,25 @@ from oracles import (
 )
 from socgame import (
     DegenerateParameterError,
+    InvalidParameterError,
     SimplexState,
-    classify_edge,
     classify_global,
     face_states,
-    full_interior_state,
     nash_vertices,
     validate,
 )
 from socgame.cli import main
-from socgame.classify import FACE_ABSENT, FACES, _edge_state
+from socgame.classify import FACE_ABSENT, FACES, _interior_state
 from socgame.dynamics import replicator_jacobian
-from socgame.model import DEFAULT_TOL, PARAM_NAMES, Columns, Params, payoff_rows
+from socgame.model import (
+    DEFAULT_TOL,
+    FACE_SCOPE,
+    PARAM_NAMES,
+    Columns,
+    Params,
+    _edge_state,
+    payoff_rows,
+)
 
 FACE_STRATEGIES = {
     "S_N": {"O", "H", "P"},
@@ -208,18 +218,26 @@ class TestInteriorStateBoundary:
     def test_share_within_tol_of_zero_raises(self, where):
         # one boundary rule for every interior state: where a share lies
         # within tol of 0 at a valid point, the state neither exists nor
-        # vanishes, it is degenerate
+        # vanishes, it is degenerate. A face's interior state meets the
+        # boundary where eta meets an edge state's payoff, a face-scoped
+        # quantity that validate names first
         rng = np.random.default_rng(32)
         for i in range(200):
             q = eta_onto_zero(draw_params(rng, ("B-plus", "B-minus")[i % 2]), LAST_SHARE[where])
-            if (q is not None and validate(q).ok
+            if (q is not None and validate(q).admissible
                     and interior(replace(q, eta=q.eta * (1.0 - 1e-6)), where) is not None):
                 break
         else:
             pytest.fail(f"no valid point puts the {where} interior state on its boundary")
-        kind = "full-interior" if where == "full" else "face-interior"
+        kind, active = ("full-interior", (0, 1, 2, 3)) if where == "full" else (
+            "face-interior", tuple(i for i in range(4) if i != FACE_ABSENT[where]))
         with pytest.raises(DegenerateParameterError, match=f"{kind} state"):
+            _interior_state(q, active, DEFAULT_TOL)
+        with pytest.raises(DegenerateParameterError):
             interior(q, where)
+        quantities = validate(q).degenerate_quantities
+        assert any(where in FACE_SCOPE[name] for name in quantities) or (
+            where == "full" and not quantities)
 
 
 class TestNumericJacobian:
@@ -280,21 +298,22 @@ class TestEdgeClassifiers:
                              ids=[f"{'ABC'[EDGE_TABLE.index(r) // 4]}-{r[1]}"
                                   for r in EDGE_TABLE])
     def test_frozen_regimes(self, p, face, pp, figure, labels):
-        er = classify_edge(p, face)
+        er = face_regime(p, face)
         assert er.edge == face
         assert er.pp == pp
         assert er.figure == figure
         assert [s.label for s in er.attractors] == labels
 
     def test_face_case_boundary_raises(self):
-        # beta = 0 passes global validation but splits the S_N table
-        p = Params(2, 0, 1, 1, 2, 0.5)
-        with pytest.raises(DegenerateParameterError, match="S_N"):
-            classify_edge(p, "S_N")
+        # beta = 0 splits the S_N table only: validate reports it, strict
+        # classification raises, and the lax report leaves S_N undecided
+        p = Params(2, 0, 1, 1, 2, 0.4)
+        assert validate(p).degenerate_quantities == ("beta",)
+        with pytest.raises(DegenerateParameterError, match="quantities: beta$"):
+            classify_global(p)
+        assert face_regime(p, "S_N") is None
 
     def test_rejects_unknown_face(self):
-        with pytest.raises(ValueError, match="unknown face 'S_X'"):
-            classify_edge(SET_A, "S_X")
         with pytest.raises(ValueError, match="unknown face 'S_X'"):
             face_states(SET_A, "S_X")
 
@@ -309,7 +328,7 @@ class TestEdgeClassifiers:
         for i in range(40):
             p = draw_params(rng, "B-plus" if i % 2 else "B-minus")
             for face in FACES:
-                er = classify_edge(p, face)
+                er = face_regime(p, face)
                 family, letter = er.figure[0], er.figure[1:]
                 assert er.pp == pairing[family][letter]
                 got = {s.label for s in er.attractors}
@@ -426,7 +445,7 @@ class TestFaceStates:
         for p in (SET_A, SET_B, SET_C):
             for face in FACES:
                 by_label = {s.label: s for s in face_states(p, face)}
-                for s in classify_edge(p, face).attractors:
+                for s in face_regime(p, face).attractors:
                     assert by_label[s.label] == s
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -473,18 +492,20 @@ class TestEdgeState:
         # the one edge-state formula against each edge's closed form, on
         # numbers (as the inventory calls it) and on numpy columns (as the
         # regime and grid tables call it), on and off every SNAPS boundary;
-        # where the closed form divides by zero, so does the formula
+        # where the closed form divides by zero, the formula gives numpy's
+        # inf or nan on numbers as on columns
         rows, cols = payoff_rows(p), payoff_rows(Columns.of(p))
         closed = {(1, 2): (coexistence_share, coexistence_payoff),
                   (0, 2): (None, op_payoff), (0, 1): (None, oh_payoff)}
         for (a, b), (share, payoff) in closed.items():
+            with np.errstate(all="ignore"):
+                got, got_cols = _edge_state(rows, a, b), _edge_state(cols, a, b)
             try:
                 want = payoff(p)
             except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    _edge_state(rows, a, b)
+                assert all(type(v) is float and not math.isfinite(v) for v in got[1:])
+                assert np.array_equal(got, got_cols, equal_nan=True), (a, b)
                 continue
-            got, got_cols = _edge_state(rows, a, b), _edge_state(cols, a, b)
             assert got[1] == got_cols[1] == want, (a, b)
             if share is not None:
                 assert got[0] == got_cols[0] == share(p)
@@ -539,12 +560,12 @@ FIGURE_PP = {"2a": 7, "2b": 35, "2c": 9, "2d": 37, "2e": 11, "2f": 36,
 
 
 def face_oracle(p, tol, face):
-    """Each face's regime as plain per-face branches state it: the message
-    of the first degenerate condition that holds, else (figure, attractors)."""
+    """Each face's regime as plain per-face branches state it: None where a
+    boundary condition leaves it undecided, else (figure, attractors)."""
     hp_det = p.beta * p.epsilon + p.gamma * p.delta
     if face == "S_N":
         if abs(p.beta) <= tol:
-            return f"face S_N case boundary: |beta| <= {tol}"
+            return None
         if p.gamma < p.epsilon:
             fig = ("2a" if hp_det > 0 else "2b") if p.beta > 0 else ("2c" if hp_det > 0 else "2d")
             return fig, ["O", "H", "P"] if p.beta > 0 else ["O", "P"]
@@ -552,10 +573,10 @@ def face_oracle(p, tol, face):
     if face == "S_O":
         coex = coexistence_payoff(p)
         if abs(p.eta - coex) <= tol:
-            return "fallback payoff on the coexistence-payoff boundary"
+            return None
         if p.gamma < p.epsilon:
             if abs(p.beta - p.eta) <= tol:
-                return f"face S_O case boundary: |beta-eta| <= {tol}"
+                return None
             if p.beta > p.eta:
                 return ("3a" if p.eta < coex else "3b"), ["H", "P", "N"]
             return ("3c" if p.eta < coex else "3d"), ["P", "N"]
@@ -563,15 +584,15 @@ def face_oracle(p, tol, face):
     if face == "S_H":
         op_pay = op_payoff(p)
         if abs(p.eta - op_pay) <= tol:
-            return "fallback payoff on the O-P edge-state boundary"
+            return None
         return ("4a" if p.eta < op_pay else "4b"), ["O", "P", "N"]
     if abs(p.beta - p.eta) <= tol:
-        return f"face S_P case boundary: |beta-eta| <= {tol}"
+        return None
     if p.beta <= p.eta:
         return "5c", ["O", "N"]
     oh_pay = oh_payoff(p)
     if abs(p.eta - oh_pay) <= tol:
-        return "fallback payoff on the O-H edge-state boundary"
+        return None
     return ("5a" if p.eta < oh_pay else "5b"), ["O", "H", "N"]
 
 
@@ -581,7 +602,7 @@ def point_row(p, tol):
     valid = v.positivity_ok and v.nondominance_ok
     degenerate = bool(v.degenerate_quantities)
     figures, n_att = ["", "", "", ""], ""
-    if valid and not degenerate:
+    if v.admissible:
         rep = classify_global(p, tol, strict=False)
         degenerate = rep.degenerate
         figures = [e.figure if e is not None else "" for e in rep.edges]
@@ -644,40 +665,38 @@ class TestGridClassification:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), snap=st.sampled_from((None,) + tuple(SNAPS)),
            tol=st.sampled_from((1e-9, 1e-3)))
-    def test_strict_face_messages(self, seed, snap, tol):
+    def test_face_regimes_match_oracle(self, seed, snap, tol):
+        # each face's entry of the lax report against the per-face oracle,
+        # undecided exactly where validate names a quantity scoped to it
         rng = np.random.default_rng(seed)
         for i in range(20):
             p = snapped(draw_params(rng, ("B-plus", "B-minus")[i % 2]).as_dict(), snap)
             v = validate(p, tol)
-            if v.degenerate_quantities or not (v.positivity_ok and v.nondominance_ok):
-                continue
-            for face in FACES:
-                want = face_oracle(p, tol, face)
-                if isinstance(want, str):
-                    with pytest.raises(DegenerateParameterError) as info:
-                        classify_edge(p, face, tol)
-                    assert str(info.value) == want
-                else:
-                    er = classify_edge(p, face, tol)
-                    figure, labels = want
-                    assert (er.figure, er.pp, [s.label for s in er.attractors]) == (
-                        figure, FIGURE_PP[figure], labels)
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), snap=st.sampled_from((None,) + tuple(SNAPS)),
-           tol=st.sampled_from((1e-9, 1e-3)))
-    def test_classify_edge_is_the_global_report_entry(self, seed, snap, tol):
-        # one face's regime is that face's entry of the lax global report,
-        # and it raises exactly where that entry is None
-        rng = np.random.default_rng(seed)
-        for i in range(20):
-            p = snapped(draw_params(rng, ("B-plus", "B-minus")[i % 2]).as_dict(), snap)
-            if not validate(p, tol).ok:
+            if not v.admissible:
                 continue
             edges = classify_global(p, tol, strict=False).edges
             for face, entry in zip(FACES, edges):
-                if entry is None:
-                    with pytest.raises(DegenerateParameterError):
-                        classify_edge(p, face, tol)
-                else:
-                    assert classify_edge(p, face, tol) == entry
+                want = face_oracle(p, tol, face)
+                assert (entry is None) == (want is None) == any(
+                    face in FACE_SCOPE[q] for q in v.degenerate_quantities), face
+                if entry is not None:
+                    figure, labels = want
+                    assert (entry.figure, entry.pp, [s.label for s in entry.attractors]) == (
+                        figure, FIGURE_PP[figure], labels)
+
+
+class TestValidateAgreesWithClassify:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_ok_iff_strict_classify_global_returns(self, p, tol):
+        # validate(p).ok holds exactly where strict classification returns;
+        # where it does not, a reported quantity means a degenerate error
+        v = validate(p, tol)
+        try:
+            classify_global(p, tol)
+        except DegenerateParameterError:
+            assert not v.ok and v.degenerate_quantities
+        except InvalidParameterError:
+            assert not v.ok and not v.degenerate_quantities
+        else:
+            assert v.ok

@@ -83,6 +83,41 @@ class TestCheck:
         valid, degenerate = header.index("valid"), header.index("degenerate")
         assert [(r[valid], r[degenerate]) for r in rows] == [("0", "0"), ("1", "1")]
 
+    # (alpha, beta, gamma, delta, epsilon, eta) on each face-scoped boundary,
+    # and the quantity validate names there
+    FACE_BOUNDARIES = {
+        "beta": (2, 0, 1, 1, 2, 0.5),
+        "beta-eta": (2, 0.5, 1, 1, 2, 0.5),
+        "eta-pay(O+P)": (2, 1.5, 1, 1, 2, 1),
+        "eta-pay(O+H)": (2, 1, 0.5, 1, 3, 2 / 3),
+        "eta-pay(H+P)": (2, -3, 4, 1, 2, 0.5),  # on B-minus
+        "eta-pay(H+P) B-plus": (2, 1, 0.5, 1, 2, 5 / 7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FACE_BOUNDARIES))
+    def test_face_boundary_is_degenerate(self, capsys, params_a, name):
+        # a boundary that leaves only some faces undecided is one for check
+        # too, as for equilibria
+        point = dict(zip(("alpha", "beta", "gamma", "delta", "epsilon", "eta"),
+                         self.FACE_BOUNDARIES[name]))
+        sets = [arg for k, v in point.items() for arg in ("--set", f"{k}={v!r}")]
+        code, out, _ = run(capsys, "check", "--params", params_a, *sets)
+        assert code == 3
+        doc = json.loads(out)
+        assert name.split()[0] in doc["validation"]["degenerate_quantities"]
+        assert "nash" not in doc
+        code, _, _ = run(capsys, "equilibria", "--params", params_a, *sets)
+        assert code == 3
+
+    def test_zero_edge_state_denominator_is_not_a_boundary(self, capsys, params_b):
+        # set B has alpha + beta = 0 exactly: the O-H edge state's payoff is
+        # -inf there, which no tolerance puts near eta
+        code, out, _ = run(capsys, "check", "--params", params_b)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["validation"]["degenerate_quantities"] == []
+        assert doc["nash"] == {"O": True, "H": False, "P": False, "N": True}
+
     def test_dominated_strategy(self, capsys, params_a):
         code, out, _ = run(capsys, "check", "--params", params_a, "--set", "eta=3")
         assert code == 2

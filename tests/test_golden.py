@@ -36,7 +36,8 @@ from socgame.model import DEFAULT_MAX_TIME
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# passes validate, but the S_N face table splits at beta = 0
+# valid, but beta = 0 leaves the S_N face undecided: validate names it, and
+# the lax report keeps the other three faces
 FACE_BOUNDARY = Params(2, 0, 1, 1, 2, 0.4)
 
 # name -> (params, extra argv, expected exit code, file written under --out

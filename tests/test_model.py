@@ -259,7 +259,7 @@ class TestFloatTable:
     @given(p=st.one_of(snapped_points(), huge_points), tol=st.sampled_from((1e-9, 1e-3)))
     def test_floats_give_the_numpy_table(self, p, tol):
         floats, columns = admissibility(p, tol), numpy_table(p, tol)
-        for name in ("positive", "dominated", "degenerate"):
+        for name in ("positive", "dominated", "degenerate", "face_degenerate"):
             got, want = getattr(floats, name), getattr(columns, name)
             assert list(got) == list(want)
             assert all(type(v) is bool for v in got.values())

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import SET_A, SET_B, draw_params
-from oracles import coexistence_payoff
+from oracles import coexistence_payoff, face_regime
 from socgame import (
     OrderingViolationError,
     SimplexState,
     StationaryState,
-    classify_edge,
     classify_global,
     welfare_report,
 )
@@ -112,9 +111,9 @@ class TestCoexistenceSandwich:
         rng = np.random.default_rng(34)
         for _ in range(200):
             p = draw_params(rng, "B-minus")
-            fig = classify_edge(p, "S_O").figure
+            fig = face_regime(p, "S_O").figure
             assert fig in ("3e", "3f")
             assert (fig == "3e") == (p.eta < coexistence_payoff(p))
             labels = {a.label for a in classify_global(p).global_attractors}
-            hp_attracts = (classify_edge(p, "S_N").figure == "2e") and (fig == "3e")
+            hp_attracts = (face_regime(p, "S_N").figure == "2e") and (fig == "3e")
             assert ("H+P" in labels) == hp_attracts
