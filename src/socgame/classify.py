@@ -11,8 +11,9 @@ it:
   absent strategy W is W's payoff advantage there, and the one along an edge
   is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g.  One formula
   (``model._edge_state``) gives an edge state's share and payoff, to the
-  inventory and, over parameter columns, to the admissibility table, the
-  regime table and ``classify_grid``;
+  inventory and, over parameter columns, to the admissibility table, which
+  carries the O-P, O-H and H-P states on to the regime table and
+  ``classify_grid``;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
 * one regime table holds, for each face, the closed-form sign conditions
@@ -337,15 +338,14 @@ def regime_table(c: Columns, adm: Admissibility) -> dict[str, FaceTable]:
     """
     b_plus = adm.b_plus
     above = adm.beta_above_eta
-    A = payoff_rows(c)
+    # payoffs at the H-P, O-P and O-H mixed states, against the fallback
+    _, coex_pay = adm.edge_states["H+P"]
+    _, op_pay = adm.edge_states["O+P"]
+    _, oh_pay = adm.edge_states["O+H"]
     with np.errstate(all="ignore"):
         hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
         hp_pos = hp_det > 0.0
         h_in_sn = b_plus & (c.beta > 0.0)
-        # payoffs at the H-P, O-P and O-H mixed states, against the fallback
-        _, coex_pay = _edge_state(A, 1, 2)
-        _, op_pay = _edge_state(A, 0, 2)
-        _, oh_pay = _edge_state(A, 0, 1)
         coex_beats_fallback = c.eta < coex_pay
         return {
             "S_N": _face(adm, "S_N", [
@@ -474,7 +474,7 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
         attracts = {label: settled & on for label, on in _global(faces).items()}
 
         # locations of the candidates: vertices, and the H+P edge state
-        s, _ = _edge_state(payoff_rows(c), 1, 2)
+        s, _ = adm.edge_states["H+P"]
         locations = {label: _VERTICES[v].as_tuple() for v, label in enumerate(STRATEGIES)}
         locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
         check_orderings(

@@ -306,6 +306,7 @@ class Admissibility(NamedTuple):
     beta_above_eta: np.ndarray  # the all-uncivil payoff beats the fallback
     degenerate: dict[str, np.ndarray]  # classifying quantity within tol of zero
     face_degenerate: dict[str, np.ndarray]  # the same, for the FACE_SCOPE quantities
+    edge_states: dict[str, tuple]  # "O+P", "O+H", "H+P": (share of the first, payoff)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -368,21 +369,27 @@ def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
     }
 
 
-def _face_degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
-    """Where each ``FACE_SCOPE`` quantity lies within ``tol`` of zero.  At an
-    admissible point beta = eta holds only on B-plus (on B-minus beta < 0,
-    so it would need 0 < eta <= tol); a zero denominator gives an inf or nan
-    payoff, never near eta."""
+def _edge_states(c: Params | Columns) -> dict[str, tuple]:
+    """``_edge_state`` on the O-P, O-H and H-P edges, whose payoffs the face
+    regimes compare with the fallback eta."""
     A = payoff_rows(c)
-    _, op_pay = _edge_state(A, 0, 2)
-    _, oh_pay = _edge_state(A, 0, 1)
-    _, coex_pay = _edge_state(A, 1, 2)
+    return {"O+P": _edge_state(A, 0, 2), "O+H": _edge_state(A, 0, 1),
+            "H+P": _edge_state(A, 1, 2)}
+
+
+def _face_degenerate(c: Params | Columns, edges: dict[str, tuple],
+                     tol: float) -> dict[str, np.ndarray]:
+    """Where each ``FACE_SCOPE`` quantity lies within ``tol`` of zero, with
+    ``edges`` from ``_edge_states``.  At an admissible point beta = eta
+    holds only on B-plus (on B-minus beta < 0, so it would need
+    0 < eta <= tol); a zero denominator gives an inf or nan payoff, never
+    near eta."""
     return {
         "beta": abs(c.beta) <= tol,
         "beta-eta": abs(c.beta - c.eta) <= tol,
-        "eta-pay(O+P)": abs(c.eta - op_pay) <= tol,
-        "eta-pay(O+H)": (c.beta > c.eta) & (abs(c.eta - oh_pay) <= tol),
-        "eta-pay(H+P)": abs(c.eta - coex_pay) <= tol,
+        "eta-pay(O+P)": abs(c.eta - edges["O+P"][1]) <= tol,
+        "eta-pay(O+H)": (c.beta > c.eta) & (abs(c.eta - edges["O+H"][1]) <= tol),
+        "eta-pay(H+P)": abs(c.eta - edges["H+P"][1]) <= tol,
     }
 
 
@@ -411,6 +418,7 @@ def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibilit
     # epsilon-gamma are nonzero with one sign, and beta+delta tells which
     hp_free = (dominated["H", "P"] | dominated["P", "H"]) ^ True
     h_gains = c.beta > -c.delta
+    edges = _edge_states(c)
     return Admissibility(
         positive={name: getattr(c, name) > 0.0
                   for name in ("alpha", "delta", "epsilon", "eta")},
@@ -419,7 +427,8 @@ def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibilit
         b_minus=hp_free & (h_gains ^ True),
         beta_above_eta=c.beta > c.eta,
         degenerate=_degenerate(c, tol),
-        face_degenerate=_face_degenerate(c, tol),
+        face_degenerate=_face_degenerate(c, edges, tol),
+        edge_states=edges,
     )
 
 

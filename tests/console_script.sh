@@ -26,6 +26,11 @@ for params in "$a" "$b"; do
     exit 1
   fi
 done
+# a program run ends its own process, except under a profiler or tracer,
+# which reports after main returns: cProfile must still print its table
+python -m cProfile -m socgame.cli check --params "$a" > "$out/profile.txt"
+head -n "$(wc -l < "$g/check_A.json")" "$out/profile.txt" | cmp - "$g/check_A.json"
+grep -q 'ncalls  *tottime  *percall  *cumtime  *percall' "$out/profile.txt"
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
 # the error exits too: each still writes its report, and keeps its code
 code=0; socgame check --params "$a" --set eta=3 > "$out/d.json" || code=$?

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import BOX_ONLY_P, BOX_ONLY_X0
 from socgame import Params, estimate_basins
-from socgame.cli import _json, _read_params_file, main
+from socgame.cli import _YOUNG_OBJECTS, _json, _read_params_file, main
 from socgame.dynamics import IntegrationError
 from test_golden import CASES, GOLDEN_DIR, _params_file
 
@@ -509,14 +509,16 @@ class TestUsage:
         assert main(["check"]) == 1
         capsys.readouterr()
 
-    # only a program run (argv None) freezes the collector, as it exits
+    # only a program run (argv None) raises the collector's threshold and
+    # ends the process; a call with argv returns and leaves the collector alone
     @pytest.mark.parametrize("argv, code", [(["check"], 0), (["check", "--set", "eta=3"], 2),
                                             (["frobnicate"], 1)],
                              ids=["success", "dominated", "usage"])
     def test_in_process_call_leaves_the_collector_as_it_was(self, capsys, params_a, argv, code):
-        before = gc.get_freeze_count(), gc.isenabled()
+        before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
         assert main(argv + ["--params", params_a]) == code
-        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+        assert gc.isenabled()
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["check", "equilibria", "simulate", "sweep", "basins",
@@ -548,6 +550,35 @@ def fresh_python(code: str, threads: str | None = None):
     res = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=fresh_env(threads),
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout)
+
+
+# a program run that returns from main, as it does under a profiler, so
+# that the interpreter's exit flushes and tears down
+MAIN_RETURNS = ("-c", "import sys; from socgame.cli import main; "
+                      "sys.setprofile(lambda *args: None); sys.exit(main())")
+
+
+def run_to_full_stdout(argv: list, unbuffered: str | None,
+                       program: tuple = ("-m", "socgame.cli")):
+    """Run ``program`` with ``argv`` in a new interpreter whose stdout is
+    /dev/full, buffered or not."""
+    env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, *program, *argv],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+
+
+def run_with_closed_stdout(argv: list, program: tuple = ("-m", "socgame.cli")):
+    """Run ``program`` with ``argv`` in a new interpreter started with fd 1
+    closed."""
+    return subprocess.run([sys.executable, *program, *argv], env=fresh_env(),
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+
+
+ENOSPC_ERROR = [f"output error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"]
+CLOSED_ERROR = "output error: standard output is closed\n"
 
 
 class TestFreshProcess:
@@ -609,8 +640,9 @@ class TestFreshProcess:
         assert fresh_python(code, threads) == seen
 
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "set-2"])
-    # the program run freezes the collector on its way out: these pin its
-    # output, the files it writes under --out and its non-zero exit codes
+    # the program run ends the process itself, skipping the interpreter's
+    # teardown: these pin its output, the files it writes under --out and
+    # its non-zero exit codes
     @pytest.mark.parametrize("name", ["check_A.json", "check_A_dominated.json",
                                       "check_A_degenerate.json", "equilibria_A.json",
                                       "equilibria_D.json", "sweep_A_beta_gamma.csv",
@@ -627,20 +659,64 @@ class TestFreshProcess:
         got = res.stdout if written is None else (tmp_path / "out" / written).read_bytes()
         assert got == (GOLDEN_DIR / name).read_bytes()
 
+    # the program run ends the process with its code once main has run the
+    # atexit handlers and flushed: the handler's line, left in a buffered
+    # stdout, follows the command's output, and no line after main() runs
     @pytest.mark.parametrize("argv, code", [(["check"], 0), (["check", "--set", "gamma=2"], 3),
                                             (["check", "--tol", "x"], 1)],
                              ids=["success", "degenerate", "usage"])
-    def test_program_run_freezes_the_collector_on_its_way_out(self, params_a, argv, code):
-        out = fresh_python(f"""
-            import contextlib, gc, io, json, sys
+    def test_program_run_ends_the_process_with_its_code(self, capsys, params_a, argv, code):
+        argv = argv + ["--params", params_a]
+        assert main(argv) == code
+        want = capsys.readouterr()
+        res = subprocess.run([sys.executable, "-c", textwrap.dedent(f"""
+            import atexit, gc, json, sys
             from socgame.cli import main
-            sys.argv = ["socgame", *{argv + ["--params", params_a]!r}]
-            with contextlib.redirect_stdout(io.StringIO()), \\
-                    contextlib.redirect_stderr(io.StringIO()):
+            atexit.register(lambda: print(json.dumps(
+                {{"collector": gc.isenabled(), "threshold": gc.get_threshold()[0],
+                  "frozen": gc.get_freeze_count()}})))
+            sys.argv = ["socgame", *{argv!r}]
+            main()
+            print("after main")
+            """)], env={k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"},
+            capture_output=True, text=True)
+        assert res.returncode == code
+        assert res.stdout == want.out + (
+            f'{{"collector": true, "threshold": {_YOUNG_OBJECTS}, "frozen": 0}}\n')
+        assert res.stderr == want.err
+
+    # a profiler or tracer reports after main returns, so under one the
+    # program run returns its code and the script goes on
+    @pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+    def test_observed_program_run_returns_its_code(self, params_a, hook):
+        out = fresh_python(f"""
+            import contextlib, io, json, sys
+            from socgame.cli import main
+            sys.argv = ["socgame", "check", "--set", "gamma=2", "--params", {params_a!r}]
+            sys.{hook}(lambda *args: None)
+            with contextlib.redirect_stdout(io.StringIO()):
                 code = main()
-            print(json.dumps({{"code": code, "frozen": gc.get_freeze_count() > 0}}))
+            sys.{hook}(None)
+            print(json.dumps({{"code": code}}))
             """)
-        assert out == {"code": code, "frozen": True}
+        assert out == {"code": 3}
+
+    def test_escaping_exception_prints_its_traceback(self, params_a):
+        res = subprocess.run([sys.executable, "-c", textwrap.dedent(f"""
+            import sys
+            from socgame import cli
+
+            def fail(rc):
+                raise RuntimeError("handler failed")
+
+            cli._HANDLERS["check"] = fail
+            sys.argv = ["socgame", "check", "--params", {params_a!r}]
+            cli.main()
+            print("after main")
+            """)], env=fresh_env(), capture_output=True, text=True)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith("Traceback (most recent call last):\n")
+        assert res.stderr.endswith("RuntimeError: handler failed\n")
 
     # a failed write to stdout is an output error, whether it fails at the
     # write (unbuffered) or at the flush of a buffered stream; the program's
@@ -650,19 +726,24 @@ class TestFreshProcess:
     @pytest.mark.parametrize("argv", [["check"], ["sweep", "--sweep", "beta:-3:2:1000"]],
                              ids=["check", "sweep"])
     def test_unwritable_stdout_is_an_output_error(self, params_a, argv, unbuffered):
-        env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered is not None:
-            env["PYTHONUNBUFFERED"] = unbuffered
-        with open("/dev/full", "w") as full:
-            res = subprocess.run([sys.executable, "-m", "socgame.cli", *argv,
-                                  "--params", params_a],
-                                 env=env, stdout=full, stderr=subprocess.PIPE, text=True)
-        assert res.returncode == 1
-        assert res.stderr.splitlines() == [
-            f"output error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"]
+        res = run_to_full_stdout(argv + ["--params", params_a], unbuffered)
+        assert (res.returncode, res.stderr.splitlines()) == (1, ENOSPC_ERROR)
 
     def test_closed_stdout_exits_1_without_traceback(self, params_a):
-        res = subprocess.run([sys.executable, "-m", "socgame.cli", "check", "--params", params_a],
-                             env=fresh_env(), stderr=subprocess.PIPE, text=True,
-                             preexec_fn=lambda: os.close(1))
-        assert (res.returncode, res.stderr) == (1, "output error: standard output is closed\n")
+        res = run_with_closed_stdout(["check", "--params", params_a])
+        assert (res.returncode, res.stderr) == (1, CLOSED_ERROR)
+
+    # where main returns, the interpreter's exit flushes stdout: the same
+    # output errors read the same
+    @pytest.mark.parametrize("stdout", ["full-buffered", "full-unbuffered", "closed"])
+    def test_output_errors_read_the_same_when_main_returns(self, params_a, stdout):
+        if stdout != "closed" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        argv = ["sweep", "--sweep", "beta:-3:2:1000", "--params", params_a]
+        if stdout == "closed":
+            res = run_with_closed_stdout(argv, MAIN_RETURNS)
+            assert (res.returncode, res.stderr) == (1, CLOSED_ERROR)
+        else:
+            res = run_to_full_stdout(argv, "1" if stdout == "full-unbuffered" else None,
+                                     MAIN_RETURNS)
+            assert (res.returncode, res.stderr.splitlines()) == (1, ENOSPC_ERROR)
