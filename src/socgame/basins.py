@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ _NARROWEST, _WIDEST = -30, 30
 _MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class BasinReport:
+class BasinReport(NamedTuple):
     sample_count: int
     seed: int
     sampling: str

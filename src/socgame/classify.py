@@ -12,20 +12,16 @@ it:
   is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g.  One formula
   (``model._edge_state``) gives an edge state's share and payoff, to the
   inventory and, over parameter columns, to the admissibility table, which
-  carries the O-P, O-H and H-P states on to the regime table and
-  ``classify_grid``;
+  carries the O-P, O-H and H-P states on to the regime table;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
-* one regime table holds, for each face, the closed-form sign conditions
-  that name which of the known planar phase portraits the face realises
-  (portrait number ``pp`` and panel tag ``figure``) and which states attract
-  within it.  It reads the sign branch from the admissibility table
-  (``model.admissibility``), and so where the face is undecided: the
-  face-scoped quantities of ``model.FACE_SCOPE``.  It compares the fallback
-  eta with the H-P, O-P and O-H edge states' payoffs.  Its conditions are
-  array expressions over parameter columns: ``classify_global`` reads them
-  at one point and takes the states from the inventory, ``classify_grid``
-  reads them over a whole sweep grid at once;
+* the regime table (``regimes.regime_table``) holds, for each face, the
+  closed-form sign conditions that name which of the known planar phase
+  portraits the face realises and which states attract within it, as array
+  expressions over parameter columns.  ``classify_global`` reads it at one
+  point and takes the states from the inventory; ``regimes.classify_grid``
+  reads it over a whole sweep grid at once, and a sweep never loads this
+  module;
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face containing it.
 
@@ -41,10 +37,7 @@ the chart of the face, or of the whole simplex, that holds the state.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,7 +45,6 @@ import numpy as np
 from .model import (
     DEFAULT_TOL,
     STRATEGIES,
-    Admissibility,
     Columns,
     DegenerateParameterError,
     Params,
@@ -66,7 +58,8 @@ from .model import (
     require_valid,
     validate,
 )
-from .welfare import WelfareReport, check_orderings, supported_payoffs, welfare_report
+from .regimes import FaceTable, _global, regime_table
+from .welfare import WelfareReport, welfare_report
 
 # interior-state eigenvalues closer to zero than this get the "degenerate" sign
 SIGN_TOL = 1e-7
@@ -93,8 +86,7 @@ def _stability(signs: Sequence[tuple[str, str]]) -> str:
     return "saddle"
 
 
-@dataclass(frozen=True)
-class StationaryState:
+class StationaryState(NamedTuple):
     label: str  # e.g. "O", "H+P", "O+H+P", "O+H+P+N"
     kind: str  # "vertex" | "edge-interior" | "face-interior" | "full-interior"
     location: SimplexState
@@ -115,8 +107,7 @@ class StationaryState:
         }
 
 
-@dataclass(frozen=True)
-class EdgeRegime:
+class EdgeRegime(NamedTuple):
     """Dynamic regime of one boundary face: portrait number, panel tag, and
     the states attractive within that face."""
 
@@ -134,8 +125,7 @@ class EdgeRegime:
         }
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     params: Params
     validation: ValidationReport
     edges: tuple[EdgeRegime | None, ...]  # S_N, S_O, S_H, S_P
@@ -246,8 +236,8 @@ def _interior_state(p: Params, active: tuple[int, ...], tol: float) -> Stationar
     since the state then sits on the boundary of its face or simplex.  The
     eigen signs are read off the Jacobian in the chart of ``active``, sorted
     by real part and labelled ``face eig <k>`` or ``orthant eig <k>``."""
-    # imported here, so that the sweep, which never reads eigen signs, does
-    # not load the integrators
+    # imported here, so that classify_global, which finds no interior state,
+    # does not load the integrators
     from .dynamics import replicator_jacobian
 
     A = payoff_matrix(p)
@@ -295,104 +285,6 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
     if interior is not None:
         out.append(interior)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the regime table: each face's panels as array expressions, read at one
-# point by classify_global, and over a whole grid by classify_grid
-
-
-class FaceTable(NamedTuple):
-    """One boundary face's regime over the points of a ``Columns``.
-
-    ``panels`` lists (figure, pp, attractors within the face) and ``panel``
-    holds each point's index into it; ``undecided`` is where a face-scoped
-    quantity of the admissibility table leaves the face undecided.
-    """
-
-    face: str
-    panels: tuple[tuple[str, int, tuple[str, ...]], ...]
-    panel: np.ndarray
-    undecided: np.ndarray
-
-    def attracts(self, label: str) -> np.ndarray:
-        """Where ``label`` attracts within the face."""
-        return np.array([label in labels for _, _, labels in self.panels])[self.panel]
-
-
-def _face(adm: Admissibility, face: str, panels: list[tuple]) -> FaceTable:
-    """``panels`` lists (figure, pp, attractors, condition); a point takes
-    the first panel whose condition holds there."""
-    panel = -1
-    for k in reversed(range(len(panels))):
-        panel = np.where(panels[k][3], k, panel)
-    return FaceTable(face, tuple(row[:3] for row in panels), panel, adm.undecided(face))
-
-
-def regime_table(c: Columns, adm: Admissibility) -> dict[str, FaceTable]:
-    """Each face's regime at every point of ``c``, in face order.
-
-    Read only where ``adm`` admits the point and finds no global degenerate
-    quantity: there one sign branch holds, so B-minus is where B-plus is
-    not, and every denominator below is away from zero.
-    """
-    b_plus = adm.b_plus
-    above = adm.beta_above_eta
-    # payoffs at the H-P, O-P and O-H mixed states, against the fallback
-    _, coex_pay = adm.edge_states["H+P"]
-    _, op_pay = adm.edge_states["O+P"]
-    _, oh_pay = adm.edge_states["O+H"]
-    with np.errstate(all="ignore"):
-        hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
-        hp_pos = hp_det > 0.0
-        h_in_sn = b_plus & (c.beta > 0.0)
-        coex_beats_fallback = c.eta < coex_pay
-        return {
-            "S_N": _face(adm, "S_N", [
-                ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
-                ("2b", 35, ("O", "H", "P"), h_in_sn),
-                ("2c", 9, ("O", "P"), b_plus & hp_pos),
-                ("2d", 37, ("O", "P"), b_plus),
-                # branch B-minus: coexistence on the H-P edge attracts when
-                # the H/P block determinant is negative
-                ("2e", 11, ("O", "H+P"), hp_det < 0.0),
-                ("2f", 36, ("O",), True),
-            ]),
-            "S_O": _face(adm, "S_O", [
-                ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
-                ("3b", 35, ("H", "P", "N"), b_plus & above),
-                ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
-                ("3d", 37, ("P", "N"), b_plus),
-                ("3e", 11, ("N", "H+P"), coex_beats_fallback),
-                ("3f", 36, ("N",), True),
-            ]),
-            "S_H": _face(adm, "S_H", [
-                ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
-                ("4b", 35, ("O", "P", "N"), True),
-            ]),
-            "S_P": _face(adm, "S_P", [
-                ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
-                ("5b", 35, ("O", "H", "N"), above),
-                ("5c", 37, ("O", "N"), True),
-            ]),
-        }
-
-
-# faces containing each candidate global attractor
-_MEMBERSHIP = {
-    "O": ("S_N", "S_H", "S_P"),
-    "H": ("S_N", "S_O", "S_P"),
-    "P": ("S_N", "S_O", "S_H"),
-    "N": ("S_O", "S_H", "S_P"),
-    "H+P": ("S_N", "S_O"),
-}
-
-
-def _global(faces: dict[str, FaceTable]) -> dict[str, np.ndarray]:
-    """Where each candidate attracts from the full simplex: where it
-    attracts within every boundary face containing it."""
-    return {label: functools.reduce(operator.and_, (faces[f].attracts(label) for f in member))
-            for label, member in _MEMBERSHIP.items()}
 
 
 def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime | None:
@@ -446,46 +338,3 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
         welfare=welfare,
         degenerate=degenerate,
     )
-
-
-class GridRegimes(NamedTuple):
-    """``validate`` and ``classify_global(strict=False)`` over the points of
-    a ``Columns``, as arrays: what a sweep row reports."""
-
-    valid: np.ndarray  # positivity and nondominance
-    degenerate: np.ndarray  # a degenerate quantity, or an undecided face
-    branch: np.ndarray  # index into model.BRANCHES
-    figures: tuple[tuple[tuple[str, ...], np.ndarray], ...]  # per face: tags, index or -1
-    n_attractors: np.ndarray  # -1 where the global set is not decided
-
-
-def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
-    """Classify every point of ``c`` at once, building no state or report.
-
-    The welfare checks of ``welfare_report`` run at every point whose global
-    set is decided; the first point that fails one raises its error.
-    """
-    with np.errstate(all="ignore"):
-        adm = admissibility(c, tol)
-        faces = regime_table(c, adm)
-        classified = adm.valid & ~adm.on_boundary
-        decided = {face: classified & ~t.undecided for face, t in faces.items()}
-        settled = functools.reduce(operator.and_, decided.values())
-        attracts = {label: settled & on for label, on in _global(faces).items()}
-
-        # locations of the candidates: vertices, and the H+P edge state
-        s, _ = adm.edge_states["H+P"]
-        locations = {label: _VERTICES[v].as_tuple() for v, label in enumerate(STRATEGIES)}
-        locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
-        check_orderings(
-            {label: (on, supported_payoffs(locations[label], label.split("+"), c))
-             for label, on in attracts.items()}, c, tol)
-
-        return GridRegimes(
-            valid=adm.valid,
-            degenerate=adm.on_boundary | (classified & ~settled),
-            branch=adm.branch,
-            figures=tuple((tuple(row[0] for row in t.panels), np.where(decided[face], t.panel, -1))
-                          for face, t in faces.items()),
-            n_attractors=np.where(settled, sum(attracts.values()), -1),
-        )

@@ -4,8 +4,9 @@ Subcommands: check, equilibria, simulate, sweep, basins, portrait.
 Parameters come from a flat key=value file (--params) with --set overrides;
 a key given twice in the file, or twice in --set, is an input error.
 Exit codes: 0 success, 1 input error or output error (standard output
-closed or not writable), 2 inadmissible parameters (dominated strategy),
-3 degenerate boundary, 4 integration failure.
+closed or not writable, or a file under --out not writable), 2 inadmissible
+parameters (dominated strategy), 3 degenerate boundary, 4 integration
+failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import atexit
 import gc
 import itertools
-import json
 import math
 import os
 import sys
@@ -28,9 +28,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only model is imported here, and it loads no numpy. Each handler imports
 # the rest of what it runs, so a command loads (and, without bytecode caches,
-# compiles) only that: check loads model alone, and no numpy; equilibria and
-# sweep add numpy, classify and welfare; simulate and basins add dynamics,
-# and basins adds basins; portrait adds dynamics and portrait.
+# compiles) only that: check loads model alone, and no numpy; sweep adds
+# numpy, regimes and welfare; equilibria adds classify to those; simulate
+# and basins add dynamics and basins as well, and portrait dynamics and
+# portrait. json is loaded only by a command that writes JSON (_json).
 from .model import (
     BRANCHES,
     DEFAULT_MAX_TIME,
@@ -54,7 +55,8 @@ MAX_ITEMS = 10**6
 
 
 class OutputError(OSError):
-    """Standard output is closed, or a write to it failed."""
+    """Standard output is closed, or a write to it, or to a file under
+    --out, failed."""
 
 
 def _emit(text: str) -> None:
@@ -154,7 +156,21 @@ def _parse_axis(text: str) -> SweepAxis:
     return SweepAxis(name=name, lo=lo_v, hi=hi_v, steps=n)
 
 
+def _write_out(out: Path, files: dict[str, str]) -> None:
+    # the result is on stdout already: a failed write here is an output
+    # error, not an input one
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as e:
+        raise OutputError(e) from None
+
+
 def _json(doc: dict) -> str:
+    # imported here: sweep, the command run most often, writes no JSON
+    import json
+
     # canonical form: stable key order, so reparse+redump is byte-identical
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -193,8 +209,7 @@ def cmd_equilibria(rc: RunConfig) -> int:
     text = _json(report.as_dict())
     _emit(text)
     if rc.out is not None:
-        rc.out.mkdir(parents=True, exist_ok=True)
-        (rc.out / "equilibria.json").write_text(text)
+        _write_out(rc.out, {"equilibria.json": text})
     return 3 if report.degenerate else 0
 
 
@@ -225,7 +240,7 @@ def cmd_simulate(rc: RunConfig) -> int:
 def cmd_sweep(rc: RunConfig) -> int:
     import numpy as np
 
-    from .classify import classify_grid
+    from .regimes import classify_grid
 
     axes = rc.sweep_axes
     grids = [np.linspace(a.lo, a.hi, a.steps) for a in axes]
@@ -260,8 +275,7 @@ def cmd_sweep(rc: RunConfig) -> int:
     text = "\n".join(lines) + "\n"
     _emit(text)
     if rc.out is not None:
-        rc.out.mkdir(parents=True, exist_ok=True)
-        (rc.out / "sweep.csv").write_text(text)
+        _write_out(rc.out, {"sweep.csv": text})
     return 0
 
 
@@ -271,16 +285,14 @@ def cmd_basins(rc: RunConfig) -> int:
     report = estimate_basins(
         rc.params, rc.samples, seed=rc.seed, tol=rc.tol, max_time=rc.max_time,
     )
-    doc = report.as_dict()
-    _emit(_json(doc))
+    text = _json(report.as_dict())
+    _emit(text)
     if rc.out is not None:
-        rc.out.mkdir(parents=True, exist_ok=True)
-        (rc.out / "basins.json").write_text(_json(doc))
         rows = ["label,count,fraction,stderr"]
         for label, c in report.counts:
             rows.append(f"{label},{c},{decimal(report.fractions[label])},"
                         f"{decimal(report.stderr[label])}")
-        (rc.out / "basins.csv").write_text("\n".join(rows) + "\n")
+        _write_out(rc.out, {"basins.json": text, "basins.csv": "\n".join(rows) + "\n"})
     return 0
 
 

@@ -47,7 +47,6 @@ settings are module constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -79,8 +78,7 @@ _EXTINCTION_FLOOR = 1e-14  # shares below this are clamped to exactly 0
 MATCH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Integration record: states at strictly increasing sample times."""
 
     times: tuple[float, ...]

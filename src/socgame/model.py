@@ -98,7 +98,10 @@ def decimal(v: float) -> str:
 @dataclass(frozen=True)
 class Params:
     """Immutable payoff constants.  Positivity is checked by ``validate``,
-    not at construction, so that invalid points can still be reported on."""
+    not at construction, so that invalid points can still be reported on.
+
+    The one value type that stays a dataclass, not a ``NamedTuple``:
+    callers vary one constant of a point with ``dataclasses.replace``."""
 
     alpha: float
     beta: float
@@ -132,8 +135,15 @@ class Params:
 PARAM_NAMES = tuple(f.name for f in fields(Params))
 
 
-@dataclass(frozen=True)
-class SimplexState:
+# the fields of SimplexState, whose constructor checks them
+class _Shares(NamedTuple):
+    x1: float
+    x2: float
+    x3: float
+    x4: float
+
+
+class SimplexState(_Shares):
     """Point on the closed unit 3-simplex: shares of O, H, P, N.
 
     Entries in ``[-1e-12, 0)`` are clamped to exactly 0 (integrator noise);
@@ -141,29 +151,32 @@ class SimplexState:
     rejected.
     """
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("x1", "x2", "x3", "x4"):
-            v = float(getattr(self, name))
+    def __new__(cls, x1: float, x2: float, x3: float, x4: float) -> "SimplexState":
+        xs = []
+        for name, raw in zip(_Shares._fields, (x1, x2, x3, x4)):
+            v = float(raw)
             if _CLAMP_FLOOR <= v < 0.0:
                 v = 0.0
             if v < 0.0 or not math.isfinite(v):
-                raise ValueError(f"share {name}={getattr(self, name)!r} outside the simplex")
-            object.__setattr__(self, name, v)
-        s = self.x1 + self.x2 + self.x3 + self.x4
+                raise ValueError(f"share {name}={raw!r} outside the simplex")
+            xs.append(v)
+        s = xs[0] + xs[1] + xs[2] + xs[3]
         if abs(s - 1.0) > _SUM_TOL:
             raise ValueError(f"shares sum to {s!r}, expected 1 within {_SUM_TOL}")
+        return super().__new__(cls, *xs)
+
+    @classmethod
+    def _make(cls, iterable) -> "SimplexState":
+        # _replace builds through here: validate as the constructor does
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.x2, self.x3, self.x4)
+        return self[:]  # a slice of a tuple subclass is a plain tuple
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     positivity_ok: bool
     nondominance_ok: bool
     branch: str | None  # "B-plus" | "B-minus" | None
@@ -243,7 +256,7 @@ def payoff_vector(state: SimplexState | Sequence, p: Params | "Columns") -> tupl
     """Per-strategy expected payoffs (P_O, P_H, P_P, P_N) at ``state``, a
     ``SimplexState`` or four shares (numbers, or columns over points with
     ``p`` a ``Columns``)."""
-    x1, x2, x3, _ = state.as_tuple() if isinstance(state, SimplexState) else state
+    x1, x2, x3, _ = state
     return (
         p.alpha * x1,
         p.beta * x2 + p.gamma * x3,

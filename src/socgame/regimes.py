@@ -1,0 +1,166 @@
+"""The regime table: each boundary face's phase-portrait panels as array
+expressions over parameter columns.
+
+For each face the table holds the closed-form sign conditions that name
+which of the known planar phase portraits the face realises (portrait
+number ``pp`` and panel tag ``figure``) and which states attract within it.
+It reads the sign branch from the admissibility table
+(``model.admissibility``), and so where the face is undecided: the
+face-scoped quantities of ``model.FACE_SCOPE``. It compares the fallback
+eta with the payoffs of the H-P, O-P and O-H edge states, which the
+admissibility table carries. A state attracts from the full simplex exactly
+when it attracts within every boundary face containing it (``_global``).
+
+``classify.classify_global`` reads the table at one point and takes the
+states from its inventory; ``classify_grid`` reads it over a whole sweep
+grid at once and builds no state or report, so a sweep loads this module
+and not ``classify``.
+"""
+
+from __future__ import annotations
+
+import functools
+import operator
+from typing import NamedTuple
+
+import numpy as np
+
+from .model import DEFAULT_TOL, STRATEGIES, Admissibility, Columns, admissibility
+from .welfare import check_orderings, supported_payoffs
+
+
+class FaceTable(NamedTuple):
+    """One boundary face's regime over the points of a ``Columns``.
+
+    ``panels`` lists (figure, pp, attractors within the face) and ``panel``
+    holds each point's index into it; ``undecided`` is where a face-scoped
+    quantity of the admissibility table leaves the face undecided.
+    """
+
+    face: str
+    panels: tuple[tuple[str, int, tuple[str, ...]], ...]
+    panel: np.ndarray
+    undecided: np.ndarray
+
+    def attracts(self, label: str) -> np.ndarray:
+        """Where ``label`` attracts within the face."""
+        return np.array([label in labels for _, _, labels in self.panels])[self.panel]
+
+
+def _face(adm: Admissibility, face: str, panels: list[tuple]) -> FaceTable:
+    """``panels`` lists (figure, pp, attractors, condition); a point takes
+    the first panel whose condition holds there."""
+    panel = -1
+    for k in reversed(range(len(panels))):
+        panel = np.where(panels[k][3], k, panel)
+    return FaceTable(face, tuple(row[:3] for row in panels), panel, adm.undecided(face))
+
+
+def regime_table(c: Columns, adm: Admissibility) -> dict[str, FaceTable]:
+    """Each face's regime at every point of ``c``, in face order.
+
+    Read only where ``adm`` admits the point and finds no global degenerate
+    quantity: there one sign branch holds, so B-minus is where B-plus is
+    not, and every denominator below is away from zero.
+    """
+    b_plus = adm.b_plus
+    above = adm.beta_above_eta
+    # payoffs at the H-P, O-P and O-H mixed states, against the fallback
+    _, coex_pay = adm.edge_states["H+P"]
+    _, op_pay = adm.edge_states["O+P"]
+    _, oh_pay = adm.edge_states["O+H"]
+    with np.errstate(all="ignore"):
+        hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
+        hp_pos = hp_det > 0.0
+        h_in_sn = b_plus & (c.beta > 0.0)
+        coex_beats_fallback = c.eta < coex_pay
+        return {
+            "S_N": _face(adm, "S_N", [
+                ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
+                ("2b", 35, ("O", "H", "P"), h_in_sn),
+                ("2c", 9, ("O", "P"), b_plus & hp_pos),
+                ("2d", 37, ("O", "P"), b_plus),
+                # branch B-minus: coexistence on the H-P edge attracts when
+                # the H/P block determinant is negative
+                ("2e", 11, ("O", "H+P"), hp_det < 0.0),
+                ("2f", 36, ("O",), True),
+            ]),
+            "S_O": _face(adm, "S_O", [
+                ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
+                ("3b", 35, ("H", "P", "N"), b_plus & above),
+                ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
+                ("3d", 37, ("P", "N"), b_plus),
+                ("3e", 11, ("N", "H+P"), coex_beats_fallback),
+                ("3f", 36, ("N",), True),
+            ]),
+            "S_H": _face(adm, "S_H", [
+                ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
+                ("4b", 35, ("O", "P", "N"), True),
+            ]),
+            "S_P": _face(adm, "S_P", [
+                ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
+                ("5b", 35, ("O", "H", "N"), above),
+                ("5c", 37, ("O", "N"), True),
+            ]),
+        }
+
+
+# faces containing each candidate global attractor
+_MEMBERSHIP = {
+    "O": ("S_N", "S_H", "S_P"),
+    "H": ("S_N", "S_O", "S_P"),
+    "P": ("S_N", "S_O", "S_H"),
+    "N": ("S_O", "S_H", "S_P"),
+    "H+P": ("S_N", "S_O"),
+}
+
+
+def _global(faces: dict[str, FaceTable]) -> dict[str, np.ndarray]:
+    """Where each candidate attracts from the full simplex: where it
+    attracts within every boundary face containing it."""
+    return {label: functools.reduce(operator.and_, (faces[f].attracts(label) for f in member))
+            for label, member in _MEMBERSHIP.items()}
+
+
+class GridRegimes(NamedTuple):
+    """``validate`` and ``classify_global(strict=False)`` over the points of
+    a ``Columns``, as arrays: what a sweep row reports."""
+
+    valid: np.ndarray  # positivity and nondominance
+    degenerate: np.ndarray  # a degenerate quantity, or an undecided face
+    branch: np.ndarray  # index into model.BRANCHES
+    figures: tuple[tuple[tuple[str, ...], np.ndarray], ...]  # per face: tags, index or -1
+    n_attractors: np.ndarray  # -1 where the global set is not decided
+
+
+def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
+    """Classify every point of ``c`` at once, building no state or report.
+
+    The welfare checks of ``welfare_report`` run at every point whose global
+    set is decided; the first point that fails one raises its error.
+    """
+    with np.errstate(all="ignore"):
+        adm = admissibility(c, tol)
+        faces = regime_table(c, adm)
+        classified = adm.valid & ~adm.on_boundary
+        decided = {face: classified & ~t.undecided for face, t in faces.items()}
+        settled = functools.reduce(operator.and_, decided.values())
+        attracts = {label: settled & on for label, on in _global(faces).items()}
+
+        # locations of the candidates: vertices, and the H+P edge state
+        s, _ = adm.edge_states["H+P"]
+        locations = {label: tuple(1.0 if i == v else 0.0 for i in range(4))
+                     for v, label in enumerate(STRATEGIES)}
+        locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
+        check_orderings(
+            {label: (on, supported_payoffs(locations[label], label.split("+"), c))
+             for label, on in attracts.items()}, c, tol)
+
+        return GridRegimes(
+            valid=adm.valid,
+            degenerate=adm.on_boundary | (classified & ~settled),
+            branch=adm.branch,
+            figures=tuple((tuple(row[0] for row in t.panels), np.where(decided[face], t.panel, -1))
+                          for face, t in faces.items()),
+            n_attractors=np.where(settled, sum(attracts.values()), -1),
+        )

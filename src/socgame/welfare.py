@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ class OrderingViolationError(ValueError):
     """A proven welfare inequality failed; inputs are inconsistent."""
 
 
-@dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(NamedTuple):
     payoffs: tuple[tuple[str, float], ...]  # (label, payoff), best first
     ordering: tuple[tuple[str, ...], ...]  # payoff-tie groups, best first
     trap_dominated: bool  # some attractor strictly beats isolation

@@ -521,6 +521,23 @@ class TestUsage:
         assert gc.isenabled()
         capsys.readouterr()
 
+    # the result is printed whole before the files under --out are written,
+    # so a failed write there is an output error, not an input one
+    @pytest.mark.parametrize("argv", [["equilibria"], ["sweep", "--sweep", "beta:-3:2:11"],
+                                      ["basins", "--samples", "20"]],
+                             ids=["equilibria", "sweep", "basins"])
+    def test_unwritable_out_is_an_output_error(self, capsys, params_a, tmp_path, argv):
+        argv = argv + ["--params", params_a]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + ["--out", str(blocker / "out")]) == 1
+        got = capsys.readouterr()
+        assert got.out == want
+        error = OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(blocker / "out"))
+        assert got.err == f"output error: {error}\n"
+
     @pytest.mark.parametrize("command", ["check", "equilibria", "simulate", "sweep", "basins",
                                          "portrait"])
     def test_closed_stdout_refused_before_any_work(self, capsys, monkeypatch, params_a,
@@ -617,10 +634,10 @@ class TestFreshProcess:
     @pytest.mark.parametrize("argv, loaded, numpy", [
         (["check"], ["socgame.cli", "socgame.model"], False),
         (["sweep", "--sweep", "beta:-3:2:11"],
-         ["socgame.classify", "socgame.cli", "socgame.model", "socgame.welfare"], True),
+         ["socgame.cli", "socgame.model", "socgame.regimes", "socgame.welfare"], True),
         (["basins", "--samples", "20", "--seed", "5"],
          ["socgame.basins", "socgame.classify", "socgame.cli", "socgame.dynamics",
-          "socgame.model", "socgame.welfare"], True),
+          "socgame.model", "socgame.regimes", "socgame.welfare"], True),
     ], ids=["check", "sweep", "basins"])
     def test_command_loads_only_the_modules_it_runs(self, params_a, argv, loaded, numpy):
         out = fresh_python(f"""
@@ -633,6 +650,18 @@ class TestFreshProcess:
                 "numpy": any(m.split(".")[0] == "numpy" for m in sys.modules)}}))
             """)
         assert out == {"code": 0, "loaded": loaded, "numpy": numpy}
+
+    # sweep writes CSV, so it never loads json; the script prints its JSON
+    # by hand so as not to load it either
+    def test_sweep_run_loads_no_json(self, params_a):
+        out = fresh_python(f"""
+            import contextlib, io, sys
+            from socgame.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["sweep", "--sweep", "beta:-3:2:11", "--params", {params_a!r}])
+            print('{{"code": %d, "json": %s}}' % (code, str("json" in sys.modules).lower()))
+            """)
+        assert out == {"code": 0, "json": False}
 
     @pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3")], ids=["unset", "set-3"])
     def test_cli_runs_blas_single_threaded_unless_told(self, threads, seen):

@@ -1,6 +1,9 @@
-"""Payoff arithmetic, admissibility checks, Nash vertices and dominance."""
+"""Value types, payoff arithmetic, admissibility checks, Nash vertices and
+dominance."""
 
+import dataclasses
 import math
+import pickle
 import struct
 import sys
 from unittest import mock
@@ -13,12 +16,22 @@ from hypothesis import strategies as st
 from conftest import SET_A, SET_B, SET_C, SET_D, draw_params, draw_simplex, snapped_points
 from oracles import dominance_oracle, nash_oracle, nondominance_oracle
 from socgame import (
+    BasinReport,
     DegenerateParameterError,
+    EdgeRegime,
     InvalidParameterError,
     Params,
+    RegimeReport,
     SimplexState,
+    StationaryState,
+    Trajectory,
+    ValidationReport,
+    WelfareReport,
+    classify_global,
     dominance_relations,
+    estimate_basins,
     face_states,
+    integrate,
     nash_vertices,
     payoff_matrix,
     payoff_vector,
@@ -44,6 +57,67 @@ class TestSimplexState:
 
     def test_vertices_are_exact(self):
         assert SimplexState(1, 0, 0, 0).as_tuple() == (1.0, 0.0, 0.0, 0.0)
+
+    def test_noise_below_zero_is_clamped(self):
+        s = SimplexState(0.5, 0.5, -1e-13, 0)
+        assert s.as_tuple() == (0.5, 0.5, 0.0, 0.0)
+        assert type(s.as_tuple()) is tuple
+
+    def test_replace_and_unpickle_validate_as_the_constructor_does(self):
+        s = SimplexState(0.5, 0.5, 0, 0)
+        assert s._replace(x2=0.5 - 1e-13, x3=1e-13) == (0.5, 0.5 - 1e-13, 1e-13, 0.0)
+        with pytest.raises(ValueError, match="sum"):
+            s._replace(x1=1.0)
+        with pytest.raises(ValueError, match="outside the simplex"):
+            s._replace(x1=1.5, x2=-0.5)
+        assert type(s._replace(x4=0.0)) is SimplexState
+        back = pickle.loads(pickle.dumps(s))
+        assert (type(back), back) == (SimplexState, s)
+
+
+# every public value type, as two instances that differ in some field
+VALUE_PAIRS = {
+    "Params": lambda: (SET_A, dataclasses.replace(SET_A, eta=0.6)),
+    "SimplexState": lambda: (SimplexState(1, 0, 0, 0), SimplexState(0, 1, 0, 0)),
+    "ValidationReport": lambda: (validate(SET_A), validate(SET_B)),
+    "StationaryState": lambda: classify_global(SET_A).global_attractors[:2],
+    "EdgeRegime": lambda: classify_global(SET_A).edges[:2],
+    "RegimeReport": lambda: (classify_global(SET_A), classify_global(SET_B)),
+    "WelfareReport": lambda: (classify_global(SET_A).welfare, classify_global(SET_B).welfare),
+    "Trajectory": lambda: (integrate(SimplexState(0.25, 0.25, 0.25, 0.25), SET_A),
+                           integrate(SimplexState(0.25, 0.25, 0.25, 0.25), SET_B)),
+    "BasinReport": lambda: (estimate_basins(SET_B, 20, seed=1),
+                            estimate_basins(SET_B, 20, seed=2)),
+}
+VALUE_TYPES = {cls.__name__: cls for cls in (
+    Params, SimplexState, ValidationReport, StationaryState, EdgeRegime, RegimeReport,
+    WelfareReport, Trajectory, BasinReport)}
+
+
+class TestValueTypes:
+    """Every value type is immutable and compares and hashes by its fields.
+    Params alone is a dataclass: ``dataclasses.replace`` varies one
+    constant of a point, and the benchmark's sweep grid relies on it."""
+
+    @pytest.mark.parametrize("name", VALUE_PAIRS)
+    def test_frozen_and_compared_by_fields(self, name):
+        v, other = VALUE_PAIRS[name]()
+        assert type(v) is type(other) is VALUE_TYPES[name]
+        names = ([f.name for f in dataclasses.fields(v)] if dataclasses.is_dataclass(v)
+                 else list(type(v)._fields))
+        with pytest.raises(AttributeError):
+            setattr(v, names[0], getattr(other, names[0]))
+        copy = type(v)(**{n: getattr(v, n) for n in names})
+        assert copy is not v and copy == v and hash(copy) == hash(v)
+        assert v != other
+
+    def test_params_is_the_one_dataclass(self):
+        assert [name for name, cls in VALUE_TYPES.items()
+                if dataclasses.is_dataclass(cls)] == ["Params"]
+        q = dataclasses.replace(SET_A, beta=-2)
+        assert (q.beta, q.gamma, type(q.beta)) == (-2.0, SET_A.gamma, float)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(SET_A, eta=math.nan)
 
 
 class TestPayoffs:
