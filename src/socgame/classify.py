@@ -17,13 +17,13 @@ it:
   strategy and drops the direction toward that strategy;
 * the regime table (``regimes.regime_table``) holds, for each face, the
   closed-form sign conditions that name which of the known planar phase
-  portraits the face realises and which states attract within it, as array
-  expressions over parameter columns.  ``classify_global`` reads it at one
-  point and takes the states from the inventory; ``regimes.classify_grid``
-  reads it over a whole sweep grid at once, and a sweep never loads this
-  module;
+  portraits the face realises and which states attract within it, on the
+  floats of one point and on parameter columns alike.  One decision
+  (``regimes.decide``) reads it: ``classify_global`` at one point, with the
+  states from the inventory, and ``regimes.classify_grid`` over a whole
+  sweep grid, so a sweep never loads this module;
 * a state attracts from the full simplex exactly when it is attractive
-  inside every boundary face containing it.
+  inside every boundary face that holds it.
 
 The sign tables leave interior states open.  One routine
 (``_interior_state``) finds both kinds, a face's and the whole simplex's:
@@ -44,8 +44,9 @@ import numpy as np
 
 from .model import (
     DEFAULT_TOL,
+    FACE_ABSENT,
+    FACE_ACTIVE,
     STRATEGIES,
-    Columns,
     DegenerateParameterError,
     Params,
     SimplexState,
@@ -53,20 +54,17 @@ from .model import (
     _edge_gaps,
     _edge_state,
     admissibility,
+    face_holds,
     payoff_matrix,
     payoff_rows,
     require_valid,
     validate,
 )
-from .regimes import FaceTable, _global, regime_table
+from .regimes import FaceTable, decide
 from .welfare import WelfareReport, welfare_report
 
 # interior-state eigenvalues closer to zero than this get the "degenerate" sign
 SIGN_TOL = 1e-7
-
-# boundary faces named by the strategy that is absent
-FACES = ("S_N", "S_O", "S_H", "S_P")
-FACE_ABSENT = {"S_N": 3, "S_O": 0, "S_H": 1, "S_P": 2}
 
 
 def _sign(v: float, tol: float) -> str:
@@ -218,14 +216,13 @@ class _Inventory:
     def face(self, face: str) -> list[StationaryState]:
         """Every vertex and edge-interior state on ``face``, seen inside it.
         Raises if one of the face's edges is undecided."""
-        absent = FACE_ABSENT[face]
         for a, b in self.undecided:
-            if absent not in (a, b):
+            if face_holds(face, (STRATEGIES[a], STRATEGIES[b])):
                 raise DegenerateParameterError(
                     f"edge {STRATEGIES[a]}-{STRATEGIES[b]} state existence boundary"
                 )
         return [self.in_face(face, label) for label, s in self.states.items()
-                if STRATEGIES[absent] not in s.support]
+                if face_holds(face, s.support)]
 
 
 def _interior_state(p: Params, active: tuple[int, ...], tol: float) -> StationaryState | None:
@@ -278,22 +275,19 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
     face is undecided or the face-interior state lies on an edge.
     """
     require_valid(p, tol)
-    if face not in FACES:
+    if face not in FACE_ACTIVE:
         raise ValueError(f"unknown face {face!r}")
     out = _Inventory(p, tol).face(face)
-    interior = _interior_state(p, tuple(i for i in range(4) if i != FACE_ABSENT[face]), tol)
+    interior = _interior_state(p, FACE_ACTIVE[face], tol)
     if interior is not None:
         out.append(interior)
     return out
 
 
-def _edge_regime(table: FaceTable, inv: _Inventory) -> EdgeRegime | None:
-    """A face's regime at one point, or None where it is undecided."""
-    if table.undecided:
-        return None
-    figure, pp, labels = table.panels[int(table.panel)]
-    return EdgeRegime(table.face, pp, figure,
-                      tuple(inv.in_face(table.face, label) for label in labels))
+def _edge_regime(face: str, table: FaceTable, inv: _Inventory) -> EdgeRegime:
+    """A decided face's regime at one point."""
+    figure, pp, labels = table.panels[table.panel]
+    return EdgeRegime(face, pp, figure, tuple(inv.in_face(face, label) for label in labels))
 
 
 def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) -> RegimeReport:
@@ -313,28 +307,17 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
         if strict:
             raise
         validation = validate(p, tol)
-    global_attractors: tuple[StationaryState, ...] = ()
-    welfare = None
-    degenerate = bool(validation.degenerate_quantities)
-    edges: list[EdgeRegime | None] = [None] * len(FACES)
-    if validation.admissible:
-        inv = _Inventory(p, tol)
-        c = Columns.of(p)
-        with np.errstate(all="ignore"):
-            faces = regime_table(c, admissibility(c, tol))
-        edges = [_edge_regime(table, inv) for table in faces.values()]
-
-    if not degenerate:
-        global_attractors = tuple(
-            inv.states[label] for label, on in _global(faces).items() if on)
-        welfare = welfare_report(global_attractors, p, tol)
+    d = decide(p, admissibility(p, tol))
+    inv = _Inventory(p, tol) if validation.admissible else None
+    global_attractors = tuple(inv.states[label] for label, on in d.attracts.items() if on)
 
     return RegimeReport(
         params=p,
         validation=validation,
-        edges=tuple(edges),
+        edges=tuple(_edge_regime(face, table, inv) if d.decided[face] else None
+                    for face, table in d.faces.items()),
         global_attractors=global_attractors,
         global_case=validation.branch or "none",
-        welfare=welfare,
-        degenerate=degenerate,
+        welfare=welfare_report(global_attractors, p, tol) if d.settled else None,
+        degenerate=not d.settled,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import io
 import itertools
 import math
 import os
@@ -157,7 +158,7 @@ def _parse_axis(text: str) -> SweepAxis:
 
 
 def _write_out(out: Path, files: dict[str, str]) -> None:
-    # the result is on stdout already: a failed write here is an output
+    # the result is computed already: a failed write here is an output
     # error, not an input one
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -223,14 +224,13 @@ def cmd_simulate(rc: RunConfig) -> int:
     traj = integrate(rc.x0, p, rc.max_time)
 
     out_dir = rc.out if rc.out is not None else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "trajectory.csv"
-    with open(csv_path, "w") as fh:
-        traj.write_csv(fh)
+    csv = io.StringIO()
+    traj.write_csv(csv)
+    _write_out(out_dir, {"trajectory.csv": csv.getvalue()})
 
     hit, = label_runs([traj.final_state.as_tuple()],
                       attractor_boxes(report.global_attractors, p))
-    _emit(f"wrote {csv_path}\n"
+    _emit(f"wrote {out_dir / 'trajectory.csv'}\n"
           f"verdict: {traj.verdict} at t={decimal(traj.times[-1])} "
           f"(terminal velocity {traj.terminal_velocity:.3e})\n"
           f"{hit.label if hit is not None else 'unresolved'}\n")
@@ -300,7 +300,10 @@ def cmd_portrait(rc: RunConfig) -> int:
     from .portrait import render_portrait
 
     out_dir = rc.out if rc.out is not None else Path(".")
-    svg_path, csv_path = render_portrait(rc.params, out_dir, rc.tol)
+    try:
+        svg_path, csv_path = render_portrait(rc.params, out_dir, rc.tol)
+    except OSError as e:  # render_portrait reads nothing: its files failed
+        raise OutputError(e) from None
     _emit(f"wrote {svg_path}\nwrote {csv_path}\n")
     return 0
 

@@ -22,9 +22,10 @@ degenerate boundary where the classification would change.  Each of these
 conditions is stated once, in the admissibility table (``admissibility``),
 as an expression that holds both on six floats and on parameter columns;
 ``validate``, ``dominance_relations`` and ``nash_vertices`` read it on the
-floats of one point, and the regime table and the sweep over a whole grid.
-So checking one point loads no numpy: only ``payoff_matrix`` and
-``Columns.of`` import it, where they are called.
+floats of one point, and the regime table over a whole grid.  So checking
+one point loads no numpy: only ``payoff_matrix`` imports it, where it is
+called.  The four boundary faces are named here too (``FACES``), with the
+strategies each holds and the degenerate quantities scoped to it.
 
 The errors that the CLI maps to exit codes live here too, with the decimal
 formatter every writer shares, so that a command that never integrates
@@ -277,20 +278,25 @@ class Columns(NamedTuple):
     epsilon: np.ndarray
     eta: np.ndarray
 
-    @classmethod
-    def of(cls, p: Params) -> "Columns":
-        """One point, as numpy scalars: a ratio the tables form but do not
-        consult there divides by zero to inf or nan instead of raising."""
-        import numpy as np
-
-        return cls(**{k: np.float64(v) for k, v in p.as_dict().items()})
-
 
 # ``Admissibility.branch`` indexes this
 BRANCHES = (None, "B-plus", "B-minus")
 
-# each face-scoped degenerate quantity, with the boundary faces (named by
-# their absent strategy) whose regime it leaves undecided
+# the boundary faces in report order, each named by its absent strategy,
+# with the indices of that strategy and of the three the face holds
+FACES = ("S_N", "S_O", "S_H", "S_P")
+FACE_ABSENT = {face: STRATEGIES.index(face[2:]) for face in FACES}
+FACE_ACTIVE = {face: tuple(i for i in range(4) if i != absent)
+               for face, absent in FACE_ABSENT.items()}
+
+
+def face_holds(face: str, support: Sequence[str]) -> bool:
+    """A face holds a state whose support avoids the face's absent strategy."""
+    return STRATEGIES[FACE_ABSENT[face]] not in support
+
+
+# each face-scoped degenerate quantity, with the boundary faces whose
+# regime it leaves undecided
 FACE_SCOPE = {
     "beta": ("S_N",),
     "beta-eta": ("S_O", "S_P"),

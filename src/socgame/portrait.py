@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import FACE_ABSENT, FACES, classify_global, face_states
+from .classify import classify_global, face_states
 from .dynamics import replicator_jacobian, states_at
-from .model import DEFAULT_TOL, STRATEGIES, Params, SimplexState, decimal
+from .model import DEFAULT_TOL, FACE_ACTIVE, FACES, STRATEGIES, Params, SimplexState, decimal
 
 _H = math.sqrt(3.0) / 2.0
 
@@ -50,17 +50,13 @@ def _face_xy(face: str, state: SimplexState) -> tuple[float, float]:
 
 
 def _lattice_starts(face: str) -> list[SimplexState]:
-    absent = FACE_ABSENT[face]
-    active = [i for i in range(4) if i != absent]
     out = []
     m = _LATTICE_M
     for i in range(1, m - 1):
         for j in range(1, m - i):
-            k = m - i - j
             xs = [0.0] * 4
-            xs[active[0]] = i / m
-            xs[active[1]] = j / m
-            xs[active[2]] = k / m
+            for a, n in zip(FACE_ACTIVE[face], (i, j, m - i - j)):
+                xs[a] = n / m
             out.append(SimplexState(*xs))
     return out
 
@@ -73,8 +69,7 @@ def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
     manifold is the edge itself, and its separatrix is the stable manifold,
     which forward runs cannot trace.
     """
-    absent = FACE_ABSENT[face]
-    active = tuple(i for i in range(4) if i != absent)
+    active = FACE_ACTIVE[face]
     out: list[SimplexState] = []
     for s in states:
         if s.stability != "saddle" or s.kind == "vertex":

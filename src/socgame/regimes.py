@@ -1,20 +1,20 @@
-"""The regime table: each boundary face's phase-portrait panels as array
-expressions over parameter columns.
+"""The regime table: each boundary face's phase-portrait panels, and the
+one decision read off it.
 
 For each face the table holds the closed-form sign conditions that name
 which of the known planar phase portraits the face realises (portrait
 number ``pp`` and panel tag ``figure``) and which states attract within it.
-It reads the sign branch from the admissibility table
-(``model.admissibility``), and so where the face is undecided: the
-face-scoped quantities of ``model.FACE_SCOPE``. It compares the fallback
-eta with the payoffs of the H-P, O-P and O-H edge states, which the
-admissibility table carries. A state attracts from the full simplex exactly
-when it attracts within every boundary face containing it (``_global``).
+It reads the sign branch and the O-P, O-H and H-P edge-state payoffs from
+the admissibility table (``model.admissibility``), and like that table it
+holds on the floats of a ``Params`` and on numpy columns alike.
 
-``classify.classify_global`` reads the table at one point and takes the
-states from its inventory; ``classify_grid`` reads it over a whole sweep
-grid at once and builds no state or report, so a sweep loads this module
-and not ``classify``.
+``decide`` reads both tables into where each face is decided (no
+face-scoped quantity of ``model.FACE_SCOPE`` leaves it undecided), where
+all are, and where each candidate attracts from the full simplex: where it
+attracts within every face that holds it (``model.face_holds``).
+``classify.classify_global`` reads the decision at the floats of one point;
+``classify_grid`` reads it over a whole sweep grid at once and builds no
+state or report, so a sweep loads this module and not ``classify``.
 """
 
 from __future__ import annotations
@@ -25,43 +25,45 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DEFAULT_TOL, STRATEGIES, Admissibility, Columns, admissibility
+from .model import (DEFAULT_TOL, FACES, STRATEGIES, Admissibility, Columns, Params,
+                    admissibility, face_holds)
 from .welfare import check_orderings, supported_payoffs
 
 
 class FaceTable(NamedTuple):
-    """One boundary face's regime over the points of a ``Columns``.
+    """One boundary face's regime at the floats of a ``Params``, or over the
+    points of a ``Columns``: ``panels`` lists (figure, pp, attractors within
+    the face) and ``panel`` holds each point's index into it."""
 
-    ``panels`` lists (figure, pp, attractors within the face) and ``panel``
-    holds each point's index into it; ``undecided`` is where a face-scoped
-    quantity of the admissibility table leaves the face undecided.
-    """
-
-    face: str
     panels: tuple[tuple[str, int, tuple[str, ...]], ...]
     panel: np.ndarray
-    undecided: np.ndarray
 
     def attracts(self, label: str) -> np.ndarray:
         """Where ``label`` attracts within the face."""
-        return np.array([label in labels for _, _, labels in self.panels])[self.panel]
+        return functools.reduce(operator.or_, (self.panel == k for k, (_, _, labels)
+                                               in enumerate(self.panels) if label in labels),
+                                False)
 
 
-def _face(adm: Admissibility, face: str, panels: list[tuple]) -> FaceTable:
+def _face(panels: list[tuple]) -> FaceTable:
     """``panels`` lists (figure, pp, attractors, condition); a point takes
-    the first panel whose condition holds there."""
+    the first panel whose condition holds there, selected by arithmetic that
+    holds on a bool as on a mask."""
     panel = -1
     for k in reversed(range(len(panels))):
-        panel = np.where(panels[k][3], k, panel)
-    return FaceTable(face, tuple(row[:3] for row in panels), panel, adm.undecided(face))
+        holds = panels[k][3]
+        panel = k * holds + panel * (holds ^ True)
+    return FaceTable(tuple(row[:3] for row in panels), panel)
 
 
-def regime_table(c: Columns, adm: Admissibility) -> dict[str, FaceTable]:
-    """Each face's regime at every point of ``c``, in face order.
+def regime_table(c: Params | Columns, adm: Admissibility) -> dict[str, FaceTable]:
+    """Each face's regime at the floats of ``c``, a ``Params``, or at every
+    point of ``c``, a ``Columns``, in face order.
 
     Read only where ``adm`` admits the point and finds no global degenerate
     quantity: there one sign branch holds, so B-minus is where B-plus is
-    not, and every denominator below is away from zero.
+    not, and every denominator below is away from zero.  Callers that pass
+    columns silence numpy's warnings.
     """
     b_plus = adm.b_plus
     above = adm.beta_above_eta
@@ -69,57 +71,70 @@ def regime_table(c: Columns, adm: Admissibility) -> dict[str, FaceTable]:
     _, coex_pay = adm.edge_states["H+P"]
     _, op_pay = adm.edge_states["O+P"]
     _, oh_pay = adm.edge_states["O+H"]
-    with np.errstate(all="ignore"):
-        hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
-        hp_pos = hp_det > 0.0
-        h_in_sn = b_plus & (c.beta > 0.0)
-        coex_beats_fallback = c.eta < coex_pay
-        return {
-            "S_N": _face(adm, "S_N", [
-                ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
-                ("2b", 35, ("O", "H", "P"), h_in_sn),
-                ("2c", 9, ("O", "P"), b_plus & hp_pos),
-                ("2d", 37, ("O", "P"), b_plus),
-                # branch B-minus: coexistence on the H-P edge attracts when
-                # the H/P block determinant is negative
-                ("2e", 11, ("O", "H+P"), hp_det < 0.0),
-                ("2f", 36, ("O",), True),
-            ]),
-            "S_O": _face(adm, "S_O", [
-                ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
-                ("3b", 35, ("H", "P", "N"), b_plus & above),
-                ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
-                ("3d", 37, ("P", "N"), b_plus),
-                ("3e", 11, ("N", "H+P"), coex_beats_fallback),
-                ("3f", 36, ("N",), True),
-            ]),
-            "S_H": _face(adm, "S_H", [
-                ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
-                ("4b", 35, ("O", "P", "N"), True),
-            ]),
-            "S_P": _face(adm, "S_P", [
-                ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
-                ("5b", 35, ("O", "H", "N"), above),
-                ("5c", 37, ("O", "N"), True),
-            ]),
-        }
+    hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
+    hp_pos = hp_det > 0.0
+    h_in_sn = b_plus & (c.beta > 0.0)
+    coex_beats_fallback = c.eta < coex_pay
+    return {
+        "S_N": _face([
+            ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
+            ("2b", 35, ("O", "H", "P"), h_in_sn),
+            ("2c", 9, ("O", "P"), b_plus & hp_pos),
+            ("2d", 37, ("O", "P"), b_plus),
+            # branch B-minus: coexistence on the H-P edge attracts when
+            # the H/P block determinant is negative
+            ("2e", 11, ("O", "H+P"), hp_det < 0.0),
+            ("2f", 36, ("O",), True),
+        ]),
+        "S_O": _face([
+            ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
+            ("3b", 35, ("H", "P", "N"), b_plus & above),
+            ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
+            ("3d", 37, ("P", "N"), b_plus),
+            ("3e", 11, ("N", "H+P"), coex_beats_fallback),
+            ("3f", 36, ("N",), True),
+        ]),
+        "S_H": _face([
+            ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
+            ("4b", 35, ("O", "P", "N"), True),
+        ]),
+        "S_P": _face([
+            ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
+            ("5b", 35, ("O", "H", "N"), above),
+            ("5c", 37, ("O", "N"), True),
+        ]),
+    }
 
 
-# faces containing each candidate global attractor
-_MEMBERSHIP = {
-    "O": ("S_N", "S_H", "S_P"),
-    "H": ("S_N", "S_O", "S_P"),
-    "P": ("S_N", "S_O", "S_H"),
-    "N": ("S_O", "S_H", "S_P"),
-    "H+P": ("S_N", "S_O"),
-}
+# the candidate global attractors in report order, vertices then the H-P
+# edge state, each with the faces that hold it
+_CANDIDATES = {label: tuple(face for face in FACES if face_holds(face, label.split("+")))
+               for label in STRATEGIES + ("H+P",)}
 
 
-def _global(faces: dict[str, FaceTable]) -> dict[str, np.ndarray]:
-    """Where each candidate attracts from the full simplex: where it
-    attracts within every boundary face containing it."""
-    return {label: functools.reduce(operator.and_, (faces[f].attracts(label) for f in member))
-            for label, member in _MEMBERSHIP.items()}
+class Decision(NamedTuple):
+    """What the two tables decide, at the floats of a ``Params`` or over a ``Columns``."""
+
+    faces: dict[str, FaceTable]  # each face's regime, in face order
+    decided: dict[str, np.ndarray]  # admitted, and no face-scoped quantity undecides it
+    settled: np.ndarray  # every face decided
+    attracts: dict[str, np.ndarray]  # settled, and the candidate attracts globally
+
+
+def decide(c: Params | Columns, adm: Admissibility) -> Decision:
+    """Read the regime table at ``c`` where ``adm``, its admissibility
+    table, admits the point and finds no global degenerate quantity.
+
+    A candidate attracts from the full simplex exactly when it attracts
+    within every boundary face that holds it.
+    """
+    faces = regime_table(c, adm)
+    classified = adm.valid & (adm.on_boundary ^ True)
+    decided = {face: classified & (adm.undecided(face) ^ True) for face in faces}
+    settled = functools.reduce(operator.and_, decided.values())
+    attracts = {label: functools.reduce(operator.and_, (faces[f].attracts(label) for f in held),
+                                        settled) for label, held in _CANDIDATES.items()}
+    return Decision(faces, decided, settled, attracts)
 
 
 class GridRegimes(NamedTuple):
@@ -141,11 +156,7 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
     """
     with np.errstate(all="ignore"):
         adm = admissibility(c, tol)
-        faces = regime_table(c, adm)
-        classified = adm.valid & ~adm.on_boundary
-        decided = {face: classified & ~t.undecided for face, t in faces.items()}
-        settled = functools.reduce(operator.and_, decided.values())
-        attracts = {label: settled & on for label, on in _global(faces).items()}
+        d = decide(c, adm)
 
         # locations of the candidates: vertices, and the H+P edge state
         s, _ = adm.edge_states["H+P"]
@@ -154,13 +165,14 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
         locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
         check_orderings(
             {label: (on, supported_payoffs(locations[label], label.split("+"), c))
-             for label, on in attracts.items()}, c, tol)
+             for label, on in d.attracts.items()}, c, tol)
 
         return GridRegimes(
             valid=adm.valid,
-            degenerate=adm.on_boundary | (classified & ~settled),
+            degenerate=adm.on_boundary | (adm.valid & ~d.settled),
             branch=adm.branch,
-            figures=tuple((tuple(row[0] for row in t.panels), np.where(decided[face], t.panel, -1))
-                          for face, t in faces.items()),
-            n_attractors=np.where(settled, sum(attracts.values()), -1),
+            figures=tuple((tuple(row[0] for row in t.panels),
+                           np.where(d.decided[face], t.panel, -1))
+                          for face, t in d.faces.items()),
+            n_attractors=np.where(d.settled, sum(d.attracts.values()), -1),
         )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import coexistence_payoff, oh_payoff, op_payoff
 from socgame import Params, validate
-from socgame.model import PARAM_NAMES
+from socgame.model import PARAM_NAMES, Columns
 
 # canonical instances used throughout the suite
 SET_A = Params(alpha=2, beta=1, gamma=1, delta=1, epsilon=2, eta=0.5)
@@ -36,6 +36,13 @@ def set_c() -> Params:
 @pytest.fixture
 def set_d() -> Params:
     return SET_D
+
+
+def numpy_columns(p: Params) -> Columns:
+    """``p`` as a one-point ``Columns`` of numpy scalars, which the tables
+    read as they read a grid: a ratio they form but do not consult divides
+    by zero to inf or nan."""
+    return Columns(**{k: np.float64(v) for k, v in p.as_dict().items()})
 
 
 def admissible(p: Params, margin: float = MARGIN) -> bool:

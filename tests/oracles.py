@@ -42,9 +42,9 @@ from scipy.integrate import solve_ivp
 
 from socgame import InvalidParameterError, Params, SimplexState, classify_global
 from socgame.basins import _certifies
-from socgame.classify import FACES, EdgeRegime, StationaryState, _interior_state
+from socgame.classify import EdgeRegime, StationaryState, _interior_state
 from socgame.dynamics import RatioBox, replicator_field
-from socgame.model import DEFAULT_TOL, STRATEGIES, require_valid
+from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, require_valid
 
 
 class ChartDomainError(ValueError):

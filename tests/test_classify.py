@@ -22,6 +22,7 @@ from conftest import (
     SNAPS,
     draw_params,
     draw_simplex,
+    numpy_columns,
     snapped,
     snapped_points,
 )
@@ -49,17 +50,21 @@ from socgame import (
     validate,
 )
 from socgame.cli import main
-from socgame.classify import FACE_ABSENT, FACES, _interior_state
+from socgame.classify import _interior_state
 from socgame.dynamics import replicator_jacobian
 from socgame.model import (
     DEFAULT_TOL,
+    FACE_ABSENT,
     FACE_SCOPE,
+    FACES,
     PARAM_NAMES,
-    Columns,
+    STRATEGIES,
     Params,
     _edge_state,
+    admissibility,
     payoff_rows,
 )
+from socgame.regimes import decide
 
 FACE_STRATEGIES = {
     "S_N": {"O", "H", "P"},
@@ -494,7 +499,7 @@ class TestEdgeState:
         # regime and grid tables call it), on and off every SNAPS boundary;
         # where the closed form divides by zero, the formula gives numpy's
         # inf or nan on numbers as on columns
-        rows, cols = payoff_rows(p), payoff_rows(Columns.of(p))
+        rows, cols = payoff_rows(p), payoff_rows(numpy_columns(p))
         closed = {(1, 2): (coexistence_share, coexistence_payoff),
                   (0, 2): (None, op_payoff), (0, 1): (None, oh_payoff)}
         for (a, b), (share, payoff) in closed.items():
@@ -700,3 +705,42 @@ class TestValidateAgreesWithClassify:
             assert not v.ok and not v.degenerate_quantities
         else:
             assert v.ok
+
+
+class TestOneDecision:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_floats_give_the_numpy_decision(self, p, tol):
+        # classify_global reads the decision on the floats of its Params,
+        # classify_grid on numpy columns: the two must be one decision, and
+        # on floats it holds plain numbers
+        floats = decide(p, admissibility(p, tol))
+        with np.errstate(all="ignore"):
+            c = numpy_columns(p)
+            columns = decide(c, admissibility(c, tol))
+        for face, table in floats.faces.items():
+            assert type(table.panel) is int and table.panel == int(columns.faces[face].panel)
+            assert type(floats.decided[face]) is bool
+            assert floats.decided[face] == bool(columns.decided[face]), face
+        assert type(floats.settled) is bool and floats.settled == bool(columns.settled)
+        assert list(floats.attracts) == list(columns.attracts)
+        for label, on in floats.attracts.items():
+            assert type(on) is bool and on == bool(columns.attracts[label]), label
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_global_attractors_attract_in_the_faces_their_support_avoids(self, p, tol):
+        # a state is a global attractor exactly when it attracts within
+        # every face whose absent strategy its support avoids
+        if not validate(p, tol).ok:
+            return
+        rep = classify_global(p, tol)
+        within = {}
+        for face, entry in zip(FACES, rep.edges):
+            for s in entry.attractors:
+                within.setdefault(s.label, set()).add(face)
+        for label, faces in within.items():
+            avoided = {face for face in FACES
+                       if STRATEGIES[FACE_ABSENT[face]] not in label.split("+")}
+            assert (faces == avoided) == (label in [a.label for a in rep.global_attractors])
+        assert {a.label for a in rep.global_attractors} <= set(within)

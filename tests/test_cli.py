@@ -538,6 +538,19 @@ class TestUsage:
         error = OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(blocker / "out"))
         assert got.err == f"output error: {error}\n"
 
+    # these two print only the paths they wrote, so a failed write leaves
+    # standard output empty
+    @pytest.mark.parametrize("argv", [["simulate", "--x0", "0,0,0.26,0.74"], ["portrait"]],
+                             ids=["simulate", "portrait"])
+    def test_unwritable_out_is_an_output_error_with_nothing_printed(self, capsys, params_a,
+                                                                    tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + ["--params", params_a, "--out", str(blocker / "out")]) == 1
+        got = capsys.readouterr()
+        error = OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(blocker / "out"))
+        assert (got.out, got.err) == ("", f"output error: {error}\n")
+
     @pytest.mark.parametrize("command", ["check", "equilibria", "simulate", "sweep", "basins",
                                          "portrait"])
     def test_closed_stdout_refused_before_any_work(self, capsys, monkeypatch, params_a,

@@ -29,10 +29,9 @@ from socgame import (
     states_at,
 )
 from socgame.basins import attractor_boxes, sample_simplex
-from socgame.classify import FACES
 from socgame.cli import main
 from socgame.dynamics import _integrate_rows
-from socgame.model import DEFAULT_MAX_TIME
+from socgame.model import DEFAULT_MAX_TIME, FACES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, SET_C, SET_D, draw_params, draw_simplex, snapped_points
+from conftest import (SET_A, SET_B, SET_C, SET_D, draw_params, draw_simplex, numpy_columns,
+                      snapped_points)
 from oracles import dominance_oracle, nash_oracle, nondominance_oracle
 from socgame import (
     BasinReport,
@@ -39,7 +40,7 @@ from socgame import (
 )
 from socgame import model
 from socgame.dynamics import replicator_field
-from socgame.model import PARAM_NAMES, Columns, admissibility, decimal, require_valid
+from socgame.model import PARAM_NAMES, admissibility, decimal, require_valid
 
 
 class TestSimplexState:
@@ -310,9 +311,9 @@ class TestAdmissibilityOracle:
 
 
 def numpy_table(p: Params, tol: float) -> model.Admissibility:
-    """The admissibility table on the numpy scalars of ``Columns.of(p)``."""
+    """The admissibility table on the numpy scalars of ``numpy_columns(p)``."""
     with np.errstate(all="ignore"):
-        return admissibility(Columns.of(p), tol)
+        return admissibility(numpy_columns(p), tol)
 
 
 # magnitudes whose products and sums overflow to inf, and then to nan

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import SET_A, SET_B, SET_C
 from socgame import Params, face_states
-from socgame.classify import FACE_ABSENT, FACES
+from socgame.model import FACE_ABSENT, FACES
 from socgame.portrait import _saddle_outsets
 
 # H+P is an edge saddle that is stable along H-P and unstable toward O and N
