@@ -28,11 +28,14 @@ it:
 The sign tables leave interior states open.  One routine
 (``_interior_state``) finds both kinds, a face's and the whole simplex's:
 every strategy of the support earns one payoff and the shares sum to 1.
-One boundary rule holds for both: a share within tol of 0 raises
-DegenerateParameterError, and a negative share or a singular system means
-there is no state.  The stability type is read off the eigenvalues of the
+There is a state only where the system is regular and every share is
+positive.  The stability type is read off the eigenvalues of the
 replicator flow's analytic Jacobian (``dynamics.replicator_jacobian``) in
 the chart of the face, or of the whole simplex, that holds the state.
+
+The admissibility table alone decides degeneracy: only
+``model.require_valid`` raises DegenerateParameterError, so every point
+``validate`` accepts has its faces, states and global set.
 """
 
 from __future__ import annotations
@@ -166,15 +169,14 @@ class _Inventory:
     built once with the eigen signs of all three of its directions.
 
     ``states`` maps label to state, vertices first, then edges in index
-    order.  ``undecided`` lists the edges (index pairs) whose payoff gap
-    vanishes within ``tol`` at one end, so whether they carry an interior
-    rest point is not decided.
+    order.  Each edge's end gaps are quantities of the admissibility table,
+    or vanish only where it reports a degenerate or dominated point, so
+    past ``require_valid`` whether an edge carries a state is decided.
     """
 
     def __init__(self, p: Params, tol: float) -> None:
         A = payoff_rows(p)
         self.states: dict[str, StationaryState] = {}
-        self.undecided: list[tuple[int, int]] = []
 
         for v, name in enumerate(STRATEGIES):
             # toward W at pure state V: W's payoff advantage, A[W,V] - A[V,V]
@@ -185,9 +187,6 @@ class _Inventory:
         for a, b in itertools.combinations(range(4), 2):
             # an interior root needs a strict sign change of the payoff gap
             g0, g1 = _edge_gaps(A, a, b)
-            if abs(g0) <= tol or abs(g1) <= tol:
-                self.undecided.append((a, b))
-                continue
             if g0 * g1 >= 0.0:
                 continue
             s, pay = _edge_state(A, a, b)
@@ -214,25 +213,19 @@ class _Inventory:
         return _state(s.label, s.kind, s.location, s.support, s.payoff, signs)
 
     def face(self, face: str) -> list[StationaryState]:
-        """Every vertex and edge-interior state on ``face``, seen inside it.
-        Raises if one of the face's edges is undecided."""
-        for a, b in self.undecided:
-            if face_holds(face, (STRATEGIES[a], STRATEGIES[b])):
-                raise DegenerateParameterError(
-                    f"edge {STRATEGIES[a]}-{STRATEGIES[b]} state existence boundary"
-                )
+        """Every vertex and edge-interior state on ``face``, seen inside it."""
         return [self.in_face(face, label) for label, s in self.states.items()
                 if face_holds(face, s.support)]
 
 
-def _interior_state(p: Params, active: tuple[int, ...], tol: float) -> StationaryState | None:
+def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | None:
     """Rest point with support ``active``, a face's three strategies or all
     four: where they all earn one payoff and their shares sum to 1, by one
-    linear solve.  None where the system is singular or a share is
-    negative; DegenerateParameterError where a share is within ``tol`` of 0,
-    since the state then sits on the boundary of its face or simplex.  The
-    eigen signs are read off the Jacobian in the chart of ``active``, sorted
-    by real part and labelled ``face eig <k>`` or ``orthant eig <k>``."""
+    linear solve.  None where the system is singular or a share is not
+    positive, so the state does not lie inside its face or simplex.  The
+    eigen signs, "degenerate" within ``SIGN_TOL`` of 0, are read off the
+    Jacobian in the chart of ``active``, sorted by real part and labelled
+    ``face eig <k>`` or ``orthant eig <k>``."""
     # imported here, so that classify_global, which finds no interior state,
     # does not load the integrators
     from .dynamics import replicator_jacobian
@@ -247,9 +240,7 @@ def _interior_state(p: Params, active: tuple[int, ...], tol: float) -> Stationar
     except np.linalg.LinAlgError:
         return None
     kind, name = ("full-interior", "orthant") if n == 4 else ("face-interior", "face")
-    if any(abs(v) <= tol for v in sol):
-        raise DegenerateParameterError(f"{kind} state on the boundary: a share within {tol} of 0")
-    if any(v < 0.0 for v in sol):
+    if any(v <= 0.0 for v in sol):
         return None
     xs = [0.0] * 4
     for k, share in zip(active, sol):
@@ -271,14 +262,14 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
     """All stationary states on one boundary face: the inventory's vertex
     and edge-interior states restricted to the face (closed-form signs),
     then the face-interior state if there is one (``_interior_state``,
-    Jacobian signs).  Raises DegenerateParameterError where an edge of the
-    face is undecided or the face-interior state lies on an edge.
+    Jacobian signs).  Raises as ``require_valid`` does, and ValueError for
+    an unknown face.
     """
     require_valid(p, tol)
     if face not in FACE_ACTIVE:
         raise ValueError(f"unknown face {face!r}")
     out = _Inventory(p, tol).face(face)
-    interior = _interior_state(p, FACE_ACTIVE[face], tol)
+    interior = _interior_state(p, FACE_ACTIVE[face])
     if interior is not None:
         out.append(interior)
     return out

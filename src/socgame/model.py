@@ -45,7 +45,9 @@ if TYPE_CHECKING:
 
 STRATEGIES = ("O", "H", "P", "N")
 
-# One tolerance governs every strict-inequality check in the package.
+# One tolerance governs every strict-inequality check on the parameters.  The
+# signs of numerically computed eigenvalues, at interior states, use
+# classify.SIGN_TOL instead.
 DEFAULT_TOL = 1e-9
 
 # The horizon of a run to rest, unless the caller chooses another.

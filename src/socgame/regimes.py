@@ -165,7 +165,7 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
         locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
         check_orderings(
             {label: (on, supported_payoffs(locations[label], label.split("+"), c))
-             for label, on in d.attracts.items()}, c, tol)
+             for label, on in d.attracts.items()}, c)
 
         return GridRegimes(
             valid=adm.valid,

@@ -7,6 +7,11 @@ state N pays strictly less than any other attractor (whatever traps the
 population in N is never welfare-optimal), and when the uncivil/polite
 coexistence state attracts, its payoff lies strictly between the all-polite
 payoff epsilon and the all-uncivil payoff beta, above the fallback eta.
+Both are checked exactly, with no tolerance.  The admissibility table
+already decides each sign beyond tol: the gaps to eta are its quantities, and
+the coexistence payoff's distances to beta and epsilon carry the factors
+beta+delta and epsilon-gamma.  A margin here would be a second boundary,
+rounded differently, that rejects points ``validate`` accepts.
 
 The one comparison deliberately left open is all-offline O versus the
 coexistence state: their payoffs can fall either way depending on parameters,
@@ -81,7 +86,7 @@ def _raise_first(checks: Sequence[tuple]) -> None:
                 raise error(message(i))
 
 
-def check_orderings(attractors: dict[str, tuple], p, tol: float = DEFAULT_TOL) -> dict:
+def check_orderings(attractors: dict[str, tuple], p) -> dict:
     """The proven welfare inequalities at every point at once.
 
     ``attractors`` maps each label, in attractor order, to where it attracts
@@ -101,18 +106,18 @@ def check_orderings(attractors: dict[str, tuple], p, tol: float = DEFAULT_TOL) -
             if label != "N":
                 v = pay[label]
                 checks.append((
-                    isolated & attracts & (v <= p.eta + tol), OrderingViolationError,
+                    isolated & attracts & (v <= p.eta), OrderingViolationError,
                     lambda i, label=label, v=v: f"attractor {label} pays {_at(v, i)}, "
                     f"not strictly above isolation {_at(p.eta, i)}"))
     if "H+P" in attractors:
         attracts, v = attractors["H+P"][0], pay["H+P"]
         checks.append((
-            attracts & np.logical_not((p.beta + tol < v) & (v < p.epsilon - tol)),
+            attracts & np.logical_not((p.beta < v) & (v < p.epsilon)),
             OrderingViolationError,
             lambda i: f"coexistence payoff {_at(v, i)} outside "
                       f"({_at(p.beta, i)}, {_at(p.epsilon, i)})"))
         checks.append((
-            attracts & (v <= p.eta + tol), OrderingViolationError,
+            attracts & (v <= p.eta), OrderingViolationError,
             lambda i: f"coexistence payoff {_at(v, i)} does not beat the fallback "
                       f"{_at(p.eta, i)}"))
     _raise_first(checks)
@@ -124,8 +129,7 @@ def welfare_report(attractors: Sequence["StationaryState"], p: Params,
     """Rank the attractors by payoff and check the proven inequalities
     (``check_orderings`` at one point)."""
     pay = check_orderings(
-        {a.label: (True, supported_payoffs(a.location, a.support, p)) for a in attractors},
-        p, tol)
+        {a.label: (True, supported_payoffs(a.location, a.support, p)) for a in attractors}, p)
 
     ranked = sorted(pay.items(), key=lambda kv: (-kv[1], kv[0]))
     groups: list[list[str]] = []

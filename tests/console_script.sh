@@ -27,8 +27,10 @@ for params in "$a" "$b"; do
   fi
 done
 # a program run ends its own process, except under a profiler or tracer,
-# which reports after main returns: cProfile must still print its table
-python -m cProfile -m socgame.cli check --params "$a" > "$out/profile.txt"
+# which reports after main returns: cProfile must still print its table.
+# python -m finds the package on the import path, not the command on PATH
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+  python -m cProfile -m socgame.cli check --params "$a" > "$out/profile.txt"
 head -n "$(wc -l < "$g/check_A.json")" "$out/profile.txt" | cmp - "$g/check_A.json"
 grep -q 'ncalls  *tottime  *percall  *cumtime  *percall' "$out/profile.txt"
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
@@ -47,6 +49,9 @@ code=0; socgame check --params "$a" --set eta=1e-10 >/dev/null || code=$?
 test "$code" -eq 3
 code=0; socgame portrait --params "$a" --set eta=1e-10 --out "$out/e" >/dev/null 2>&1 || code=$?
 test "$code" -eq 3
+# 3e-9 off epsilon = gamma the table accepts the point, and so does portrait
+socgame portrait --params "$a" --set alpha=4 --set beta=-2 --set gamma=2.000000003 \
+  --set epsilon=1 --set eta=0.2 --out "$out/n" >/dev/null
 socgame sweep --params "$a" --sweep beta:-3:2:11 | cmp - "$g/sweep_A_beta.csv"
 socgame basins --params "$b" --samples 200 --seed 5 | cmp - "$g/basins_B.json"
 socgame basins --params "$b" --samples 1000 --seed 18 | cmp - "$g/basins_B_seed18.json"

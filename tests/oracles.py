@@ -321,7 +321,7 @@ def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
     part.
     """
     require_valid(p, tol)
-    return _interior_state(p, (0, 1, 2, 3), tol)
+    return _interior_state(p, (0, 1, 2, 3))
 
 
 def face_regime(p: Params, face: str, tol: float = DEFAULT_TOL) -> EdgeRegime | None:

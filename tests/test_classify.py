@@ -1,6 +1,7 @@
 """Analytic stationary states, per-face regime tables and global composition."""
 
 import contextlib
+import functools
 import io
 import itertools
 import math
@@ -55,14 +56,17 @@ from socgame.dynamics import replicator_jacobian
 from socgame.model import (
     DEFAULT_TOL,
     FACE_ABSENT,
+    FACE_ACTIVE,
     FACE_SCOPE,
     FACES,
     PARAM_NAMES,
     STRATEGIES,
     Params,
+    ValidationReport,
     _edge_state,
     admissibility,
     payoff_rows,
+    require_valid,
 )
 from socgame.regimes import decide
 
@@ -221,11 +225,12 @@ def eta_onto_zero(p, share, tol=DEFAULT_TOL):
 class TestInteriorStateBoundary:
     @pytest.mark.parametrize("where", sorted(LAST_SHARE))
     def test_share_within_tol_of_zero_raises(self, where):
-        # one boundary rule for every interior state: where a share lies
-        # within tol of 0 at a valid point, the state neither exists nor
-        # vanishes, it is degenerate. A face's interior state meets the
+        # an interior state with a share within tol of 0 raises only where
+        # the admissibility table does: a face's interior state meets the
         # boundary where eta meets an edge state's payoff, a face-scoped
-        # quantity that validate names first
+        # quantity that validate names, so face_states raises; the
+        # full-interior state reaches S_N at no table quantity. The solve
+        # itself never raises: no state, or one with positive shares
         rng = np.random.default_rng(32)
         for i in range(200):
             q = eta_onto_zero(draw_params(rng, ("B-plus", "B-minus")[i % 2]), LAST_SHARE[where])
@@ -234,15 +239,16 @@ class TestInteriorStateBoundary:
                 break
         else:
             pytest.fail(f"no valid point puts the {where} interior state on its boundary")
-        kind, active = ("full-interior", (0, 1, 2, 3)) if where == "full" else (
-            "face-interior", tuple(i for i in range(4) if i != FACE_ABSENT[where]))
-        with pytest.raises(DegenerateParameterError, match=f"{kind} state"):
-            _interior_state(q, active, DEFAULT_TOL)
-        with pytest.raises(DegenerateParameterError):
-            interior(q, where)
+        active = (0, 1, 2, 3) if where == "full" else FACE_ACTIVE[where]
+        s = _interior_state(q, active)
+        assert s is None or all(s.location.as_tuple()[k] > 0.0 for k in active)
         quantities = validate(q).degenerate_quantities
-        assert any(where in FACE_SCOPE[name] for name in quantities) or (
-            where == "full" and not quantities)
+        if where == "full":
+            assert not quantities
+        else:
+            assert any(where in FACE_SCOPE[name] for name in quantities)
+            with pytest.raises(DegenerateParameterError, match="^degenerate classifying"):
+                interior(q, where)
 
 
 class TestNumericJacobian:
@@ -705,6 +711,39 @@ class TestValidateAgreesWithClassify:
             assert not v.ok and not v.degenerate_quantities
         else:
             assert v.ok
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), snap=st.sampled_from(tuple(SNAPS)),
+           k=st.integers(1, 20), sign=st.sampled_from((-1, 1)),
+           tol=st.sampled_from((1e-9, 1e-3)))
+    def test_ok_iff_every_classifier_returns_off_a_boundary(self, seed, snap, k, sign, tol):
+        # k tol off a boundary, validate(p).ok holds exactly where
+        # classify_global and face_states on all four faces return; where
+        # it does not, each raises require_valid's own error
+        rng = np.random.default_rng(seed)
+        name, value = SNAPS[snap]
+        for i in range(10):
+            base = draw_params(rng, ("B-plus", "B-minus")[i % 2])
+            try:
+                moved = float(value(base)) + sign * k * tol
+            except ZeroDivisionError:
+                continue
+            p = replace(base, **{name: moved})
+            try:
+                want = require_valid(p, tol)
+            except (DegenerateParameterError, InvalidParameterError) as err:
+                want = err
+            assert isinstance(want, ValidationReport) == validate(p, tol).ok
+            calls = [functools.partial(classify_global, p, tol)] + [
+                functools.partial(face_states, p, face, tol) for face in FACES]
+            for call in calls:
+                try:
+                    call()
+                except (DegenerateParameterError, InvalidParameterError) as err:
+                    assert (type(err), str(err)) == (type(want), str(want)), call
+                else:
+                    assert isinstance(want, ValidationReport), call
 
 
 class TestOneDecision:

@@ -39,6 +39,12 @@ def params_b(tmp_path):
     return str(f)
 
 
+def point_args(values):
+    """``--set`` arguments for a point given as (alpha, ..., eta)."""
+    names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
+    return [arg for k, v in zip(names, values) for arg in ("--set", f"{k}={v!r}")]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -95,12 +101,10 @@ class TestCheck:
     }
 
     @pytest.mark.parametrize("name", sorted(FACE_BOUNDARIES))
-    def test_face_boundary_is_degenerate(self, capsys, params_a, name):
+    def test_face_boundary_is_degenerate(self, capsys, params_a, tmp_path, name):
         # a boundary that leaves only some faces undecided is one for check
-        # too, as for equilibria
-        point = dict(zip(("alpha", "beta", "gamma", "delta", "epsilon", "eta"),
-                         self.FACE_BOUNDARIES[name]))
-        sets = [arg for k, v in point.items() for arg in ("--set", f"{k}={v!r}")]
+        # too, as for equilibria and portrait
+        sets = point_args(self.FACE_BOUNDARIES[name])
         code, out, _ = run(capsys, "check", "--params", params_a, *sets)
         assert code == 3
         doc = json.loads(out)
@@ -108,6 +112,20 @@ class TestCheck:
         assert "nash" not in doc
         code, _, _ = run(capsys, "equilibria", "--params", params_a, *sets)
         assert code == 3
+        code, _, _ = run(capsys, "portrait", "--params", params_a, *sets,
+                         "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["check", "equilibria", "portrait"])
+    def test_near_boundary_point_is_classified(self, capsys, params_a, tmp_path, command):
+        # 3e-9 off epsilon = gamma on B-minus, beyond tol: the table accepts
+        # the point, so every command classifies it, though the S_N
+        # face-interior solve finds a share within tol of 0 there
+        sets = point_args((4, -2, 2.000000003, 1, 1, 0.2))
+        code, _, err = run(capsys, command, "--params", params_a, *sets,
+                           "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
 
     def test_zero_edge_state_denominator_is_not_a_boundary(self, capsys, params_b):
         # set B has alpha + beta = 0 exactly: the O-H edge state's payoff is
