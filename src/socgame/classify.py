@@ -11,8 +11,8 @@ it:
   absent strategy W is W's payoff advantage there, and the one along an edge
   is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g.  One formula
   (``model._edge_state``) gives an edge state's share and payoff, to the
-  inventory and, over parameter columns, to the admissibility table, which
-  carries the O-P, O-H and H-P states on to the regime table;
+  inventory and to the table of classifying quantities, whose signs of
+  eta against the O-P, O-H and H-P payoffs the regime table reads;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
 * the regime table (``regimes.regime_table``) holds, for each face, the
@@ -298,7 +298,7 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
         if strict:
             raise
         validation = validate(p, tol)
-    d = decide(p, admissibility(p, tol))
+    d = decide(admissibility(p, tol))
     inv = _Inventory(p, tol) if validation.admissible else None
     global_attractors = tuple(inv.states[label] for label, on in d.attracts.items() if on)
 

@@ -18,9 +18,10 @@ per-strategy payoffs are linear in the shares::
 ``alpha, delta, epsilon, eta`` are strictly positive gains/losses; ``beta``
 and ``gamma`` may take either sign.  All downstream analysis assumes the
 parameter point is *admissible*: no strategy weakly dominated, and not on a
-degenerate boundary where the classification would change.  Each of these
-conditions is stated once, in the admissibility table (``admissibility``),
-as an expression that holds both on six floats and on parameter columns;
+degenerate boundary where the classification would change.  Each
+classifying quantity is stated once (``_quantities``), and each of these
+conditions once, in the admissibility table (``admissibility``), as a sign
+or band of them that holds on six floats and on parameter columns alike;
 ``validate``, ``dominance_relations`` and ``nash_vertices`` read it on the
 floats of one point, and the regime table over a whole grid.  So checking
 one point loads no numpy: only ``payoff_matrix`` imports it, where it is
@@ -210,11 +211,12 @@ class ValidationReport(NamedTuple):
 
 def payoff_rows(p: Params | "Columns") -> list[list]:
     """Rows of the payoff matrix (see ``payoff_matrix``) as lists, whose
-    entries are columns when ``p`` is a ``Columns``."""
+    entries are columns when ``p`` is a ``Columns``; int zeros keep exact
+    ``Fraction`` fields exact."""
     return [
-        [p.alpha, 0.0, 0.0, 0.0],
-        [0.0, p.beta, p.gamma, 0.0],
-        [0.0, -p.delta, p.epsilon, 0.0],
+        [p.alpha, 0, 0, 0],
+        [0, p.beta, p.gamma, 0],
+        [0, -p.delta, p.epsilon, 0],
         [p.eta, p.eta, p.eta, p.eta],
     ]
 
@@ -311,7 +313,7 @@ FACE_SCOPE = {
 class Admissibility(NamedTuple):
     """The admissibility table: every condition ``validate`` checks, as one
     boolean mask over the points of a ``Columns``, or one bool on the floats
-    of a ``Params``.
+    of a ``Params``, read off the classifying quantities (``_quantities``).
 
     Its primitive masks are the signs of the one-signed constants, the five
     weak-dominance relations and the degenerate quantities, global and
@@ -327,7 +329,8 @@ class Admissibility(NamedTuple):
     beta_above_eta: np.ndarray  # the all-uncivil payoff beats the fallback
     degenerate: dict[str, np.ndarray]  # classifying quantity within tol of zero
     face_degenerate: dict[str, np.ndarray]  # the same, for the FACE_SCOPE quantities
-    edge_states: dict[str, tuple]  # "O+P", "O+H", "H+P": (share of the first, payoff)
+    quantities: dict[str, np.ndarray]  # the quantities whose signs the regime table reads
+    hp_share: np.ndarray  # share of H at the H-P edge state
 
     @property
     def vertices(self) -> np.ndarray:
@@ -359,97 +362,95 @@ class Admissibility(NamedTuple):
                                                if face in FACE_SCOPE[name]))
 
 
-def _degenerate(c: Params | Columns, tol: float) -> dict[str, np.ndarray]:
-    """Where each quantity whose sign drives admissibility and regime
-    selection lies within ``tol`` of zero.
-
-    Any of these puts the parameter point on a boundary between regimes,
-    where strict-inequality reasoning breaks down.  eta only counts above
-    zero, since eta <= 0 already fails positivity.  The last entries are
-    denominators of payoff ratios used by the classifier; alpha+beta only
-    counts when beta > eta, because that ratio (the O-H edge-state payoff)
-    is only ever consulted there.
-    """
-    def near_zero(v):
-        return abs(v) <= tol
-
-    # rounding is monotone, so max(beta, gamma) - eta rounds to the larger of
-    # u and v, and |max(u, v)| <= tol needs no max
-    u, v = c.beta - c.eta, c.gamma - c.eta
-    return {
-        "beta+delta": near_zero(c.beta + c.delta),
-        "epsilon-gamma": near_zero(c.epsilon - c.gamma),
-        "beta*epsilon+gamma*delta": near_zero(c.beta * c.epsilon + c.gamma * c.delta),
-        "alpha-eta": near_zero(c.alpha - c.eta),
-        "epsilon-eta": near_zero(c.epsilon - c.eta),
-        "max(beta,gamma)-eta": (u <= tol) & (v <= tol) & ((u >= -tol) | (v >= -tol)),
-        "eta": (c.eta > 0.0) & (c.eta <= tol),
-        "epsilon-gamma+beta+delta": near_zero((c.epsilon - c.gamma) + (c.beta + c.delta)),
-        "alpha+epsilon": near_zero(c.alpha + c.epsilon),
-        "alpha+beta": near_zero(c.alpha + c.beta) & (c.beta > c.eta),
-    }
+# the global degenerate quantities, in the order validate reports them
+_GLOBAL = ("beta+delta", "epsilon-gamma", "beta*epsilon+gamma*delta", "alpha-eta",
+           "epsilon-eta", "max(beta,gamma)-eta", "eta", "epsilon-gamma+beta+delta",
+           "alpha+epsilon", "alpha+beta")
 
 
-def _edge_states(c: Params | Columns) -> dict[str, tuple]:
-    """``_edge_state`` on the O-P, O-H and H-P edges, whose payoffs the face
-    regimes compare with the fallback eta."""
+def _quantities(c: Params | Columns) -> tuple[dict, np.ndarray]:
+    """Each classifying quantity at ``c`` by name, and the share of H at the
+    H-P edge state.  A quantity within tol of zero puts the point on a
+    boundary between regimes, where strict-inequality reasoning breaks
+    down.  The last three ``_GLOBAL`` ones are the denominators of the
+    edge-state payoffs that eta is compared with; a zero one gives an inf or
+    nan payoff, never near eta.  The ones the table keeps come last: on
+    columns the others, freed once the masks are built, then leave room
+    below them that the next arrays reuse."""
     A = payoff_rows(c)
-    return {"O+P": _edge_state(A, 0, 2), "O+H": _edge_state(A, 0, 1),
-            "H+P": _edge_state(A, 1, 2)}
-
-
-def _face_degenerate(c: Params | Columns, edges: dict[str, tuple],
-                     tol: float) -> dict[str, np.ndarray]:
-    """Where each ``FACE_SCOPE`` quantity lies within ``tol`` of zero, with
-    ``edges`` from ``_edge_states``.  At an admissible point beta = eta
-    holds only on B-plus (on B-minus beta < 0, so it would need
-    0 < eta <= tol); a zero denominator gives an inf or nan payoff, never
-    near eta."""
+    bd, eg = c.beta + c.delta, c.epsilon - c.gamma
     return {
-        "beta": abs(c.beta) <= tol,
-        "beta-eta": abs(c.beta - c.eta) <= tol,
-        "eta-pay(O+P)": abs(c.eta - edges["O+P"][1]) <= tol,
-        "eta-pay(O+H)": (c.beta > c.eta) & (abs(c.eta - edges["O+H"][1]) <= tol),
-        "eta-pay(H+P)": abs(c.eta - edges["H+P"][1]) <= tol,
-    }
+        "beta+delta": bd,
+        "epsilon-gamma": eg,
+        "alpha-eta": c.alpha - c.eta,
+        "epsilon-eta": c.epsilon - c.eta,
+        "eta": c.eta,
+        "epsilon-gamma+beta+delta": eg + bd,
+        "alpha+epsilon": c.alpha + c.epsilon,
+        "alpha+beta": c.alpha + c.beta,
+        "beta-eta": c.beta - c.eta,
+        "gamma-eta": c.gamma - c.eta,
+        "beta": c.beta,
+        "eta-pay(H+P)": c.eta - (hp := _edge_state(A, 1, 2))[1],
+        "eta-pay(O+P)": c.eta - _edge_state(A, 0, 2)[1],
+        "eta-pay(O+H)": c.eta - _edge_state(A, 0, 1)[1],
+        "beta*epsilon+gamma*delta": c.beta * c.epsilon + c.gamma * c.delta,
+    }, hp[0]
 
 
 def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibility:
-    """Evaluate the admissibility table at the floats of ``c``, a
-    ``Params``, or at every point of ``c``, a ``Columns``.
+    """Evaluate the admissibility table on ``c``, any object with the six
+    parameter fields: a ``Params``, a ``Columns``, or exact ``Fraction``s.
 
     Three layers: sign constraints on the four one-signed constants;
     nondominance (no strategy is weakly dominated, which pins one of two
     sign branches for (beta+delta, epsilon-gamma)); and distance from the
-    boundary for every classifying quantity.  On floats nothing here
-    raises; on columns a product may overflow or a payoff divide by zero,
-    so callers that pass arrays silence numpy's warnings.
+    boundary for every classifying quantity, each read off ``_quantities``
+    (for finite floats ``a <= b`` exactly where ``fl(a - b) <= 0``).  On
+    floats nothing here raises; on columns a product may overflow or a
+    payoff divide by zero, so callers that pass arrays silence numpy's
+    warnings.
     """
+    q, hp_share = _quantities(c)
+    bd, eg, u, v = q["beta+delta"], q["epsilon-gamma"], q["beta-eta"], q["gamma-eta"]
+    above = u > 0.0
     # the dominated strategy earns at most the dominating one's payoff
     # against every pure state; only N can dominate O, and N is never
     # dominated
     dominated = {
-        ("O", "N"): c.alpha <= c.eta,
-        ("H", "N"): (c.beta <= c.eta) & (c.gamma <= c.eta),
-        ("H", "P"): (c.beta <= -c.delta) & (c.gamma <= c.epsilon),
-        ("P", "N"): c.epsilon <= c.eta,
-        ("P", "H"): (c.beta >= -c.delta) & (c.gamma >= c.epsilon),
+        ("O", "N"): q["alpha-eta"] <= 0.0,
+        ("H", "N"): (u <= 0.0) & (v <= 0.0),
+        ("H", "P"): (bd <= 0.0) & (eg >= 0.0),
+        ("P", "N"): q["epsilon-eta"] <= 0.0,
+        ("P", "H"): (bd >= 0.0) & (eg <= 0.0),
     }
     # where neither of H and P dominates the other, beta+delta and
     # epsilon-gamma are nonzero with one sign, and beta+delta tells which
     hp_free = (dominated["H", "P"] | dominated["P", "H"]) ^ True
-    h_gains = c.beta > -c.delta
-    edges = _edge_states(c)
+    h_gains = bd > 0.0
+    # each quantity within tol of zero, but: max(beta, gamma) - eta rounds
+    # to the larger of u and v, so |max(u, v)| <= tol needs no max; eta
+    # counts only above zero, since eta <= 0 fails positivity; alpha+beta
+    # and eta-pay(O+H) count only where beta > eta, where the O-H payoff
+    # is read.  At an admissible point beta = eta holds only on B-plus (on
+    # B-minus beta < 0, so it would need 0 < eta <= tol).
+    near = {name: abs(x) <= tol for name, x in q.items()}
+    near["max(beta,gamma)-eta"] = (u <= tol) & (v <= tol) & ((u >= -tol) | (v >= -tol))
+    near["eta"] = (c.eta > 0.0) & near["eta"]
+    near["alpha+beta"] = near["alpha+beta"] & above
+    near["eta-pay(O+H)"] = above & near["eta-pay(O+H)"]
     return Admissibility(
         positive={name: getattr(c, name) > 0.0
                   for name in ("alpha", "delta", "epsilon", "eta")},
         dominated=dominated,
         b_plus=hp_free & h_gains,
         b_minus=hp_free & (h_gains ^ True),
-        beta_above_eta=c.beta > c.eta,
-        degenerate=_degenerate(c, tol),
-        face_degenerate=_face_degenerate(c, edges, tol),
-        edge_states=edges,
+        beta_above_eta=above,
+        degenerate={name: near[name] for name in _GLOBAL},
+        face_degenerate={name: near[name] for name in FACE_SCOPE},
+        quantities={name: q[name] for name in ("beta*epsilon+gamma*delta", "beta",
+                                               "eta-pay(O+P)", "eta-pay(O+H)", "eta-pay(H+P)")},
+        hp_share=hp_share,
     )
 
 

@@ -4,9 +4,9 @@ one decision read off it.
 For each face the table holds the closed-form sign conditions that name
 which of the known planar phase portraits the face realises (portrait
 number ``pp`` and panel tag ``figure``) and which states attract within it.
-It reads the sign branch and the O-P, O-H and H-P edge-state payoffs from
-the admissibility table (``model.admissibility``), and like that table it
-holds on the floats of a ``Params`` and on numpy columns alike.
+It reads the sign branch and the signs of the classifying quantities
+(``model._quantities``) that the admissibility table keeps, and like that
+table it holds on the floats of a ``Params`` and on numpy columns alike.
 
 ``decide`` reads both tables into where each face is decided (no
 face-scoped quantity of ``model.FACE_SCOPE`` leaves it undecided), where
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (DEFAULT_TOL, FACES, STRATEGIES, Admissibility, Columns, Params,
+from .model import (DEFAULT_TOL, FACES, STRATEGIES, Admissibility, Columns,
                     admissibility, face_holds)
 from .welfare import check_orderings, supported_payoffs
 
@@ -56,25 +56,23 @@ def _face(panels: list[tuple]) -> FaceTable:
     return FaceTable(tuple(row[:3] for row in panels), panel)
 
 
-def regime_table(c: Params | Columns, adm: Admissibility) -> dict[str, FaceTable]:
-    """Each face's regime at the floats of ``c``, a ``Params``, or at every
-    point of ``c``, a ``Columns``, in face order.
+def regime_table(adm: Admissibility) -> dict[str, FaceTable]:
+    """Each face's regime, in face order, read off ``adm``, the admissibility
+    table at the floats of a ``Params`` or over a ``Columns``.
 
     Read only where ``adm`` admits the point and finds no global degenerate
     quantity: there one sign branch holds, so B-minus is where B-plus is
-    not, and every denominator below is away from zero.  Callers that pass
+    not, and every denominator is away from zero.  Callers that pass
     columns silence numpy's warnings.
     """
     b_plus = adm.b_plus
     above = adm.beta_above_eta
-    # payoffs at the H-P, O-P and O-H mixed states, against the fallback
-    _, coex_pay = adm.edge_states["H+P"]
-    _, op_pay = adm.edge_states["O+P"]
-    _, oh_pay = adm.edge_states["O+H"]
-    hp_det = c.beta * c.epsilon + c.gamma * c.delta  # det of the H/P payoff block
+    q = adm.quantities
+    hp_det = q["beta*epsilon+gamma*delta"]  # det of the H/P payoff block
     hp_pos = hp_det > 0.0
-    h_in_sn = b_plus & (c.beta > 0.0)
-    coex_beats_fallback = c.eta < coex_pay
+    h_in_sn = b_plus & (q["beta"] > 0.0)
+    # the fallback eta below the H-P, O-P and O-H edge-state payoffs
+    coex_beats_fallback = q["eta-pay(H+P)"] < 0.0
     return {
         "S_N": _face([
             ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
@@ -95,11 +93,11 @@ def regime_table(c: Params | Columns, adm: Admissibility) -> dict[str, FaceTable
             ("3f", 36, ("N",), True),
         ]),
         "S_H": _face([
-            ("4a", 7, ("O", "P", "N"), c.eta < op_pay),
+            ("4a", 7, ("O", "P", "N"), q["eta-pay(O+P)"] < 0.0),
             ("4b", 35, ("O", "P", "N"), True),
         ]),
         "S_P": _face([
-            ("5a", 7, ("O", "H", "N"), above & (c.eta < oh_pay)),
+            ("5a", 7, ("O", "H", "N"), above & (q["eta-pay(O+H)"] < 0.0)),
             ("5b", 35, ("O", "H", "N"), above),
             ("5c", 37, ("O", "N"), True),
         ]),
@@ -121,14 +119,14 @@ class Decision(NamedTuple):
     attracts: dict[str, np.ndarray]  # settled, and the candidate attracts globally
 
 
-def decide(c: Params | Columns, adm: Admissibility) -> Decision:
-    """Read the regime table at ``c`` where ``adm``, its admissibility
-    table, admits the point and finds no global degenerate quantity.
+def decide(adm: Admissibility) -> Decision:
+    """Read the regime table off ``adm``, the admissibility table, where it
+    admits the point and finds no global degenerate quantity.
 
     A candidate attracts from the full simplex exactly when it attracts
     within every boundary face that holds it.
     """
-    faces = regime_table(c, adm)
+    faces = regime_table(adm)
     classified = adm.valid & (adm.on_boundary ^ True)
     decided = {face: classified & (adm.undecided(face) ^ True) for face in faces}
     settled = functools.reduce(operator.and_, decided.values())
@@ -156,23 +154,23 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
     """
     with np.errstate(all="ignore"):
         adm = admissibility(c, tol)
-        d = decide(c, adm)
+        d = decide(adm)
 
         # locations of the candidates: vertices, and the H+P edge state
-        s, _ = adm.edge_states["H+P"]
         locations = {label: tuple(1.0 if i == v else 0.0 for i in range(4))
                      for v, label in enumerate(STRATEGIES)}
-        locations["H+P"] = (0.0, s, 1.0 - s, 0.0)
+        locations["H+P"] = (0.0, adm.hp_share, 1.0 - adm.hp_share, 0.0)
         check_orderings(
             {label: (on, supported_payoffs(locations[label], label.split("+"), c))
              for label, on in d.attracts.items()}, c)
 
+        # each code lies in -1..6, so int8 holds it in an eighth of the memory
         return GridRegimes(
             valid=adm.valid,
             degenerate=adm.on_boundary | (adm.valid & ~d.settled),
-            branch=adm.branch,
+            branch=adm.branch.astype(np.int8),
             figures=tuple((tuple(row[0] for row in t.panels),
-                           np.where(d.decided[face], t.panel, -1))
+                           np.where(d.decided[face], t.panel, -1).astype(np.int8))
                           for face, t in d.faces.items()),
-            n_attractors=np.where(d.settled, sum(d.attracts.values()), -1),
+            n_attractors=np.where(d.settled, sum(d.attracts.values()), -1).astype(np.int8),
         )

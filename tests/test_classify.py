@@ -7,7 +7,9 @@ import itertools
 import math
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -753,10 +755,10 @@ class TestOneDecision:
         # classify_global reads the decision on the floats of its Params,
         # classify_grid on numpy columns: the two must be one decision, and
         # on floats it holds plain numbers
-        floats = decide(p, admissibility(p, tol))
+        floats = decide(admissibility(p, tol))
         with np.errstate(all="ignore"):
             c = numpy_columns(p)
-            columns = decide(c, admissibility(c, tol))
+            columns = decide(admissibility(c, tol))
         for face, table in floats.faces.items():
             assert type(table.panel) is int and table.panel == int(columns.faces[face].panel)
             assert type(floats.decided[face]) is bool
@@ -765,6 +767,27 @@ class TestOneDecision:
         assert list(floats.attracts) == list(columns.attracts)
         for label, on in floats.attracts.items():
             assert type(on) is bool and on == bool(columns.attracts[label]), label
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_fractions_give_the_float_decision_off_every_boundary(self, p, tol):
+        # on six exact Fraction fields the tables evaluate exactly; wherever
+        # neither that table nor the float one finds a classifying quantity
+        # within tol of zero, the two make one decision
+        floats = admissibility(p, tol)
+        exact = admissibility(SimpleNamespace(**{k: Fraction(v) for k, v in p.as_dict().items()}),
+                              tol)
+        if any(t.on_boundary or any(t.face_degenerate.values()) for t in (floats, exact)):
+            return
+        # the O-H payoff, and its denominator alpha+beta, count where beta > eta
+        assert all(type(v) is Fraction for name, v in exact.quantities.items()
+                   if name != "eta-pay(O+H)" or exact.beta_above_eta)
+        floats, exact = decide(floats), decide(exact)
+        for face, table in floats.faces.items():
+            assert exact.faces[face].panel == table.panel, face
+            assert exact.decided[face] == floats.decided[face], face
+        assert exact.settled == floats.settled
+        assert exact.attracts == floats.attracts
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))

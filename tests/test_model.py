@@ -344,6 +344,12 @@ class TestFloatTable:
             got = getattr(floats, name)
             assert type(got) is bool and got == bool(getattr(columns, name)), name
         assert type(floats.branch) is int and floats.branch == int(columns.branch)
+        # the quantities the regime table reads, nan where a payoff is inf - inf
+        got = [floats.hp_share, *floats.quantities.values()]
+        want = [columns.hp_share, *columns.quantities.values()]
+        assert list(floats.quantities) == list(columns.quantities)
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(got, np.array(want, dtype=float), equal_nan=True)
         # the masks that no longer call np.maximum, against the form that does
         with np.errstate(all="ignore"):
             top = np.maximum(np.float64(p.beta), np.float64(p.gamma))
