@@ -55,6 +55,8 @@ socgame portrait --params "$a" --set alpha=4 --set beta=-2 --set gamma=2.0000000
 socgame sweep --params "$a" --sweep beta:-3:2:11 | cmp - "$g/sweep_A_beta.csv"
 socgame basins --params "$b" --samples 200 --seed 5 | cmp - "$g/basins_B.json"
 socgame basins --params "$b" --samples 1000 --seed 18 | cmp - "$g/basins_B_seed18.json"
+socgame basins --params "$b" --samples 1000 --seed 18 --max-time 3.3 \
+  | cmp - "$g/basins_B_max_time.json"
 socgame simulate --params "$a" --x0 0,0,0.26,0.74 --out "$out/s" | tail -n 1 | grep -qx P
 cmp "$out/s/trajectory.csv" "$g/simulate_A.csv"
 socgame simulate --params "$a" --x0 0,0,0.26,0.74 --max-time 2.005 --out "$out/m" >/dev/null

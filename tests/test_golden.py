@@ -71,6 +71,9 @@ CASES = {
                       0, None),
     # seed 18 has the longest batch tail of seeds 11-40: 204 iterations
     "basins_B_seed18.json": (SET_B, ["basins", "--samples", "1000", "--seed", "18"], 0, None),
+    # the short horizon ends 269 of the 1000 runs at max_time, outside every box
+    "basins_B_max_time.json": (SET_B, ["basins", "--samples", "1000", "--seed", "18",
+                                       "--max-time", "3.3"], 0, None),
     "portrait_A.svg": (SET_A, ["portrait"], 0, "portrait.svg"),
     "portrait_A_trajectories.csv": (SET_A, ["portrait"], 0, "portrait_trajectories.csv"),
 }
