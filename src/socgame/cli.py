@@ -98,6 +98,16 @@ class RunConfig(NamedTuple):
     max_time: float  # read by simulate and basins
 
 
+def _number(text: str, where: str, kind=float):
+    """``kind(text)``; a malformed value is an input error that names the
+    option (or file line) ``where`` and the value."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: not {what}: {text!r}") from None
+
+
 def _read_params_file(path: str) -> dict[str, float]:
     text = Path(path).read_text()
     out: dict[str, float] = {}
@@ -111,10 +121,7 @@ def _read_params_file(path: str) -> dict[str, float]:
         key = key.strip()
         if key in out:
             raise ValueError(f"{path}:{ln}: parameter {key!r} given twice")
-        try:
-            out[key] = float(val.strip())
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: not a number: {val.strip()!r}") from None
+        out[key] = _number(val.strip(), f"{path}:{ln}")
     return out
 
 
@@ -129,7 +136,7 @@ def _parse_set(sets: Sequence[str]) -> dict[str, float]:
             raise ValueError(f"--set: unknown parameter {key!r}")
         if key in out:
             raise ValueError(f"--set: parameter {key!r} given twice")
-        out[key] = float(val)
+        out[key] = _number(val, f"--set {key}")
     return out
 
 
@@ -137,7 +144,7 @@ def _parse_x0(text: str) -> SimplexState:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--x0 expects four comma-separated shares, got {text!r}")
-    return SimplexState(*(float(v) for v in parts))
+    return SimplexState(*(_number(v, "--x0") for v in parts))
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -147,10 +154,10 @@ def _parse_axis(text: str) -> SweepAxis:
     name, lo, hi, steps = parts
     if name not in PARAM_NAMES:
         raise ValueError(f"--sweep: unknown parameter {name!r}")
-    n = int(steps)
+    n = _number(steps, f"--sweep {name} STEPS", int)
     if n < 2:
         raise ValueError("--sweep: STEPS must be at least 2")
-    lo_v, hi_v = float(lo), float(hi)
+    lo_v, hi_v = _number(lo, f"--sweep {name} MIN"), _number(hi, f"--sweep {name} MAX")
     if not (math.isfinite(lo_v) and math.isfinite(hi_v) and math.isfinite(hi_v - lo_v)):
         raise ValueError(f"--sweep {name}: MIN and MAX must be finite, "
                          f"and so must MAX - MIN, got {text!r}")

@@ -17,13 +17,14 @@ only where each ended (``estimate_basins``): its state is one (4, m) numpy
 block with a column per running start, and every row keeps its own time,
 step size and step count and leaves the batch when it stops.  A row also
 stops, short of rest, once it lies in one of the caller's ratio boxes
-(``RatioBox``), regions proved to flow to one attractor.  The block takes
-whole steps only.  Everything else is ``_drive``'s, resumed from the row's
-own time, step size and step count with the same boxes: a row whose next
-step would pass max_time, and the batch's last _HANDOVER_ROWS rows.  Single
-runs stay on tuples of Python floats: a step of the block costs about as
-much in numpy dispatch as ten float steps, whatever its size, so the
-slowest rows' last hundred or so steps are not run as blocks of a handful.
+(``RatioBox``), regions proved to flow to one attractor.  The block
+shortens a step that would pass max_time to end on it, as ``_drive`` does,
+so a row reaches its horizon in the block.  Only the batch's last
+_HANDOVER_ROWS rows go on in ``_drive``, each resumed from its own time,
+step size and step count with the same boxes.  Single runs stay on tuples
+of Python floats: a step of the block costs about as much in numpy dispatch
+as ten float steps, whatever its size, so the slowest rows' last hundred or
+so steps are not run as blocks of a handful.
 Both loops use the same step and stop on the same tests in the same order,
 so a row that no box captures ends bit for bit where ``integrate`` from
 that start ends.
@@ -389,8 +390,9 @@ _HANDOVER_ROWS = 16
 
 
 # a stage that overflows gives inf or NaN, which _err_norm_rows turns into a
-# rejected step, as Python floats do silently in _drive
-@np.errstate(over="ignore", invalid="ignore")
+# rejected step, as Python floats do silently in _drive; a rejected row's
+# projection, which is discarded, may divide by zero
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate_rows(
     x0: np.ndarray, p: Params, max_time: float, boxes: Sequence[RatioBox] = (),
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -408,13 +410,13 @@ def _integrate_rows(
     its own t, h and step count.  Step-size factors come from Python's
     ``pow``, in one pass over the accepted rows (``_grow_rows``), because
     numpy's vectorised power can differ from it in the last bit.
-    Rows leave the block when they are certified, converge, reach max_time
-    or fail a step.  The block never shortens a step: a row whose next step
-    would pass max_time goes on in ``_drive`` from its own t, h and step
-    count, with the same boxes, as do the last _HANDOVER_ROWS rows (a batch
-    iteration has a fixed cost of about ten float steps, and the last rows
-    of a batch can run a hundred iterations more).  No samples are
-    recorded.
+    A step that would pass max_time is shortened to end on it and leaves h
+    alone, by ``_drive``'s rule.  Rows leave the block when they are
+    certified, converge, reach max_time or fail a step.  The last
+    _HANDOVER_ROWS rows go on in ``_drive`` from their own t, h and step
+    count, with the same boxes (a batch iteration has a fixed cost of about
+    ten float steps, and the last rows of a batch can run a hundred
+    iterations more).  No samples are recorded.
     """
 
     def f(y: tuple) -> tuple:
@@ -430,51 +432,37 @@ def _integrate_rows(
     t = np.zeros(len(rows))
     h = np.full(len(rows), _FIRST_STEP)
     n = np.zeros(len(rows), dtype=np.int64)
-    handover = []  # (rows, y, t, h, n) of rows that go on in _drive
-    failed = None  # the rows whose step failed in the previous iteration
+    failed = np.zeros(len(rows), dtype=bool)  # whose step failed last iteration
     while True:
         converged = np.abs(k1).max(axis=0) < _CONVERGED
         certified = _inside(y, bounds).any(axis=0)
-        stop = certified | converged | (t >= max_time)
-        if failed is not None:
-            stop |= failed
-        # a step shortened to land on max_time is left to _drive
-        late = ~stop & (max_time - t < h)
-        if stop.any() or late.any():
+        stop = failed | certified | converged | (t >= max_time)
+        if stop.any():
             # the first test that holds names the verdict: a failed step,
             # a box, convergence, else max_time
-            code = np.where(certified, 3, np.where(converged, 0, 1))
-            if failed is not None:
-                code[failed] = 2
+            code = np.where(failed, 2, np.where(certified, 3, np.where(converged, 0, 1)))
             done = rows[stop]
             final[done] = y[:, stop].T
             verdict[done] = code[stop]
             steps[done] = n[stop]
-            handover.append((rows[late], y[:, late], t[late], h[late], n[late]))
-            go = ~(stop | late)
+            go = ~stop
             rows, y, k1, t, h, n = rows[go], y[:, go], k1[:, go], t[go], h[go], n[go]
         if rows.size <= _HANDOVER_ROWS:
             break
-        (ynew,), err = _dp_step(f, (y,), h, (k1,), _err_norm_rows)
+        # a step that would pass max_time is shortened to end on it
+        h_try = np.minimum(max_time - t, h)
+        capped = h_try < h
+        (ynew,), err = _dp_step(f, (y,), h_try, (k1,), _err_norm_rows)
         ok = err <= 1.0
-        all_ok = ok.all()
-        # in most iterations every row moves on, and a slice indexes views
-        acc = slice(None) if all_ok else ok
-        n[acc] += 1
-        t[acc] += h[acc]
-        ya = _project_rows(ynew[:, acc])
-        y[:, acc] = ya
-        (k1[:, acc],) = f((ya,))
-        failed = None
-        if all_ok:
-            h = np.minimum(h * _grow_rows(err), _MAX_STEP)
-            continue
-        h[ok] = np.minimum(h[ok] * _grow_rows(err[ok]), _MAX_STEP)
+        n += ok
+        t = np.where(ok, np.where(capped, max_time, t + h_try), t)
+        y = np.where(ok, _project_rows(ynew), y)
+        (k1,) = f((y,))
+        grow = ok & ~capped
+        h[grow] = np.minimum(h[grow] * _grow_rows(err[grow]), _MAX_STEP)
         rej = ~ok
-        h[rej] = h[rej] * [_shrink(e) for e in err[rej].tolist()]
+        h[rej] = h_try[rej] * [_shrink(e) for e in err[rej].tolist()]
         failed = rej & (h < _MIN_STEP_FACTOR * np.maximum(1.0, np.abs(t)))
-    handover.append((rows, y, t, h, n))
-    rows, y, t, h, n = (np.concatenate(part, axis=-1) for part in zip(*handover))
     for row, yj, tj, hj, nj in zip(rows.tolist(), y.T.tolist(), t.tolist(), h.tolist(),
                                    n.tolist()):
         times, ys, _, why = _drive(p, tuple(yj), max_time, boxes=boxes, t=tj, h=hj, n=nj)

@@ -517,6 +517,16 @@ class TestPortrait:
                            "--set", "eta=3", "--out", str(tmp_path / "po3"))
         assert code == 2
 
+    def test_step_underflow_is_an_integration_failure(self, capsys, params_a, tmp_path):
+        # at this stiff point the first trajectory's step size underflows
+        # before its second sample time
+        out_dir = tmp_path / "po4"
+        code, out, err = run(capsys, "portrait", "--params", params_a,
+                             "--set", "alpha=1e13", "--out", str(out_dir))
+        assert (code, out) == (4, "")
+        assert err == "integration failure: step underflow after 1 of 241 requested times\n"
+        assert list(out_dir.glob("*")) == []
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -526,6 +536,19 @@ class TestUsage:
     def test_missing_params_flag(self, capsys):
         assert main(["check"]) == 1
         capsys.readouterr()
+
+    # a value that is no number is named with its option, as a params
+    # file's line is, and not in Python's words
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--set", "alpha=abc"], "--set alpha: not a number: 'abc'"),
+        (["simulate", "--x0", "0.25,x,0.25,0.25"], "--x0: not a number: 'x'"),
+        (["sweep", "--sweep", "beta:a:1:3"], "--sweep beta MIN: not a number: 'a'"),
+        (["sweep", "--sweep", "beta:0:b:3"], "--sweep beta MAX: not a number: 'b'"),
+        (["sweep", "--sweep", "beta:0:1:x"], "--sweep beta STEPS: not an integer: 'x'"),
+    ], ids=["set", "x0", "sweep-min", "sweep-max", "sweep-steps"])
+    def test_malformed_number_names_its_option(self, capsys, params_a, argv, message):
+        code, out, err = run(capsys, *argv, "--params", params_a)
+        assert (code, out, err) == (1, "", f"input error: {message}\n")
 
     # only a program run (argv None) raises the collector's threshold and
     # ends the process; a call with argv returns and leaves the collector alone

@@ -294,8 +294,8 @@ def batch_case(seed, branch, zeros):
     return p, x0
 
 
-# the short horizon ends most runs in max-time-reached, the batch's rows in
-# _drive after a last step shortened to land on max_time
+# the short horizon ends most runs in max-time-reached after a last step
+# shortened to land on max_time, which the batch takes in the block as well
 BATCH_CASES = dict(
     seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")),
     zeros=st.lists(st.sets(st.integers(0, 3), max_size=3), min_size=1, max_size=24),
@@ -305,6 +305,8 @@ BATCH_CASES = dict(
 # more rows than _HANDOVER_ROWS: with and without boxes, the batch steps
 # them all, then hands its last rows to _drive after some steps
 WIDE_CASE = dict(seed=0, branch="B-minus", zeros=[set()] * 48, max_time=1000.0)
+# as wide, at a horizon that most rows reach in the block
+SHORT_CASE = dict(WIDE_CASE, max_time=3.3)
 
 
 def batch_runs(x0, p, max_time, boxes=()):
@@ -321,6 +323,7 @@ class TestBatchedRuns:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(**BATCH_CASES)
     @example(**WIDE_CASE)
+    @example(**SHORT_CASE)
     def test_batch_equals_per_start(self, seed, branch, zeros, max_time):
         p, x0 = batch_case(seed, branch, zeros)
         runs = [integrate(SimplexState(*row), p, max_time) for row in x0.tolist()]
@@ -334,6 +337,7 @@ class TestBatchedRuns:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(**BATCH_CASES)
     @example(**WIDE_CASE)
+    @example(**SHORT_CASE)
     def test_batch_with_boxes_equals_per_start_until_certified(self, seed, branch, zeros,
                                                                max_time):
         # a certified row stops, inside a box, where the run to rest is after
@@ -367,6 +371,22 @@ class TestBatchedRuns:
         monkeypatch.setattr(dynamics, "_drive", spy)
         _integrate_rows(x0, p, WIDE_CASE["max_time"], boxes if with_boxes else ())
         assert 0 < len(resumed) <= dynamics._HANDOVER_ROWS and min(resumed) > 0
+
+    def test_rows_reach_max_time_in_the_block(self, monkeypatch):
+        # with no handover, no row goes on in _drive, also where most rows
+        # stop at max_time after a shortened step
+        p, x0 = batch_case(SHORT_CASE["seed"], SHORT_CASE["branch"], SHORT_CASE["zeros"])
+        resumed = []
+        drive = dynamics._drive
+
+        def spy(*args, **kwargs):
+            resumed.append(kwargs["t"])
+            return drive(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_drive", spy)
+        monkeypatch.setattr(dynamics, "_HANDOVER_ROWS", 0)
+        _integrate_rows(x0, p, SHORT_CASE["max_time"])
+        assert resumed == []
 
 
 def near(c):
