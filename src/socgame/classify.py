@@ -25,13 +25,12 @@ it:
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face that holds it.
 
-The sign tables leave interior states open.  One routine
-(``_interior_state``) finds both kinds, a face's and the whole simplex's:
-every strategy of the support earns one payoff and the shares sum to 1.
-There is a state only where the system is regular and every share is
-positive.  The stability type is read off the eigenvalues of the
+The sign tables leave a face's interior state open.  ``_interior_state``,
+which only ``face_states`` calls, finds it where the face's three strategies
+earn one payoff, the shares sum to 1, the system is regular and every share
+is positive.  Its stability type is read off the eigenvalues of the
 replicator flow's analytic Jacobian (``dynamics.replicator_jacobian``) in
-the chart of the face, or of the whole simplex, that holds the state.
+the face's chart.  ``classify_global`` finds no such state: it loads no numpy.
 
 The admissibility table alone decides degeneracy: only
 ``model.require_valid`` raises DegenerateParameterError, so every point
@@ -42,8 +41,6 @@ from __future__ import annotations
 
 import itertools
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .model import (
     DEFAULT_TOL,
@@ -88,8 +85,8 @@ def _stability(signs: Sequence[tuple[str, str]]) -> str:
 
 
 class StationaryState(NamedTuple):
-    label: str  # e.g. "O", "H+P", "O+H+P", "O+H+P+N"
-    kind: str  # "vertex" | "edge-interior" | "face-interior" | "full-interior"
+    label: str  # e.g. "O", "H+P", "O+H+P"
+    kind: str  # "vertex" | "edge-interior" | "face-interior"
     location: SimplexState
     support: tuple[str, ...]
     payoff: float  # common payoff of the supported strategies
@@ -219,27 +216,26 @@ class _Inventory:
 
 
 def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | None:
-    """Rest point with support ``active``, a face's three strategies or all
-    four: where they all earn one payoff and their shares sum to 1, by one
-    linear solve.  None where the system is singular or a share is not
-    positive, so the state does not lie inside its face or simplex.  The
-    eigen signs, "degenerate" within ``SIGN_TOL`` of 0, are read off the
-    Jacobian in the chart of ``active``, sorted by real part and labelled
-    ``face eig <k>`` or ``orthant eig <k>``."""
+    """Rest point inside the face of ``active``, its three strategies: where
+    they all earn one payoff and their shares sum to 1, by one linear solve.
+    None where the system is singular or a share is not positive, so the
+    state does not lie inside its face.  The eigen signs, "degenerate"
+    within ``SIGN_TOL`` of 0, are read off the Jacobian in the face's
+    chart, sorted by real part and labelled ``face eig <k>``."""
     # imported here, so that classify_global, which finds no interior state,
-    # does not load the integrators
+    # loads neither numpy nor the integrators
+    import numpy as np
+
     from .dynamics import replicator_jacobian
 
     A = payoff_matrix(p)
-    n = len(active)
     # the first active strategy's payoff equals each other's; shares sum to 1
-    m = np.ones((n, n))
+    m = np.ones((3, 3))
     m[:-1] = A[active[0], active] - A[np.ix_(active[1:], active)]
     try:
-        sol = np.linalg.solve(m, np.eye(n)[-1])
+        sol = np.linalg.solve(m, np.eye(3)[-1])
     except np.linalg.LinAlgError:
         return None
-    kind, name = ("full-interior", "orthant") if n == 4 else ("face-interior", "face")
     if any(v <= 0.0 for v in sol):
         return None
     xs = [0.0] * 4
@@ -247,10 +243,10 @@ def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | Non
         xs[k] = float(share)
     eigs = np.linalg.eigvals(replicator_jacobian(xs, p, active))
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    signs = tuple((f"{name} eig {i + 1}", _sign(float(ev.real), SIGN_TOL))
+    signs = tuple((f"face eig {i + 1}", _sign(float(ev.real), SIGN_TOL))
                   for i, ev in enumerate(eigs))
     support = tuple(STRATEGIES[i] for i in active)
-    return _state("+".join(support), kind, SimplexState(*xs), support,
+    return _state("+".join(support), "face-interior", SimplexState(*xs), support,
                   float(A[active[0]] @ np.array(xs)), signs)
 
 

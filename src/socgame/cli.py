@@ -29,10 +29,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only model is imported here, and it loads no numpy. Each handler imports
 # the rest of what it runs, so a command loads (and, without bytecode caches,
-# compiles) only that: check loads model alone, and no numpy; sweep adds
-# numpy, regimes and welfare; equilibria adds classify to those; simulate
-# and basins add dynamics and basins as well, and portrait dynamics and
-# portrait. json is loaded only by a command that writes JSON (_json).
+# compiles) only that: check loads model alone; equilibria adds classify,
+# regimes and welfare, still with no numpy; sweep adds numpy, regimes and
+# welfare; simulate and basins add numpy, dynamics and basins to equilibria's
+# modules, and portrait numpy, dynamics and portrait; _json alone loads json.
 from .model import (
     BRANCHES,
     DEFAULT_MAX_TIME,

@@ -6,7 +6,7 @@ which of the known planar phase portraits the face realises (portrait
 number ``pp`` and panel tag ``figure``) and which states attract within it.
 It reads the sign branch and the signs of the classifying quantities
 (``model._quantities``) that the admissibility table keeps, and like that
-table it holds on the floats of a ``Params`` and on numpy columns alike.
+table it holds on a ``Params``'s floats, loading no numpy, and on numpy columns.
 
 ``decide`` reads both tables into where each face is decided (no
 face-scoped quantity of ``model.FACE_SCOPE`` leaves it undecided), where
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (DEFAULT_TOL, FACES, STRATEGIES, Admissibility, Columns,
                     admissibility, face_holds)
 from .welfare import check_orderings, supported_payoffs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FaceTable(NamedTuple):
@@ -152,6 +153,8 @@ def classify_grid(c: Columns, tol: float = DEFAULT_TOL) -> GridRegimes:
     The welfare checks of ``welfare_report`` run at every point whose global
     set is decided; the first point that fails one raises its error.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         adm = admissibility(c, tol)
         d = decide(adm)

@@ -7,11 +7,12 @@ state N pays strictly less than any other attractor (whatever traps the
 population in N is never welfare-optimal), and when the uncivil/polite
 coexistence state attracts, its payoff lies strictly between the all-polite
 payoff epsilon and the all-uncivil payoff beta, above the fallback eta.
-Both are checked exactly, with no tolerance.  The admissibility table
-already decides each sign beyond tol: the gaps to eta are its quantities, and
-the coexistence payoff's distances to beta and epsilon carry the factors
-beta+delta and epsilon-gamma.  A margin here would be a second boundary,
-rounded differently, that rejects points ``validate`` accepts.
+Both are checked exactly, with no tolerance, on the floats of one point as
+on numpy columns; only a failure loads numpy, to find where it fails.  The
+admissibility table already decides each sign beyond tol: the gaps to eta are
+its quantities, and the coexistence payoff's distances to beta and epsilon
+carry the factors beta+delta and epsilon-gamma.  A margin here would be a
+second boundary, rounded differently, that rejects points ``validate`` accepts.
 
 The one comparison deliberately left open is all-offline O versus the
 coexistence state: their payoffs can fall either way depending on parameters,
@@ -23,8 +24,6 @@ from __future__ import annotations
 import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-import numpy as np
 
 from .model import DEFAULT_TOL, STRATEGIES, Params, payoff_vector
 
@@ -61,15 +60,19 @@ def supported_payoffs(location, support: Sequence[str], p) -> list:
 
 def _at(v, i: int) -> float:
     """Point ``i`` of a number or a column, for messages."""
+    import numpy as np
+
     return float(np.ravel(v)[i])
 
 
 def _unequal(label: str, attracts, vals: Sequence) -> tuple:
     """Stationarity: every supported strategy earns exactly the population
-    mean, so a spread beyond rounding marks a non-stationary input."""
-    scale = np.maximum(1.0, functools.reduce(np.maximum, [abs(v) for v in vals]))
-    spread = functools.reduce(np.maximum, vals) - functools.reduce(np.minimum, vals)
-    return (attracts & (spread > 1e-9 * scale), ValueError,
+    mean, so a spread beyond rounding marks a non-stationary input: |a-b| >
+    1e-9 * max(1, |a|, |b|) for its one or two payoffs, tested term by term."""
+    a, b = vals[0], vals[-1]
+    spread = abs(a - b)
+    return (attracts & (spread > 1e-9) & (spread > 1e-9 * abs(a)) & (spread > 1e-9 * abs(b)),
+            ValueError,
             lambda i: f"supported payoffs differ at {label}: {[_at(v, i) for v in vals]}; "
                       "not a stationary state")
 
@@ -79,8 +82,11 @@ def _raise_first(checks: Sequence[tuple]) -> None:
     the order one point is checked; raises the first failure at the first
     point that has one."""
     failed = functools.reduce(operator.or_, (mask for mask, _, _ in checks), False)
-    if np.any(failed):
-        i = int(np.flatnonzero(failed)[0])
+    if failed is False:  # one point, and it passed
+        return
+    import numpy as np
+
+    for i in np.flatnonzero(failed)[:1].tolist():  # the first point that fails
         for mask, error, message in checks:
             if np.ravel(mask)[i]:
                 raise error(message(i))
@@ -112,7 +118,7 @@ def check_orderings(attractors: dict[str, tuple], p) -> dict:
     if "H+P" in attractors:
         attracts, v = attractors["H+P"][0], pay["H+P"]
         checks.append((
-            attracts & np.logical_not((p.beta < v) & (v < p.epsilon)),
+            attracts & (((p.beta < v) & (v < p.epsilon)) ^ True),
             OrderingViolationError,
             lambda i: f"coexistence payoff {_at(v, i)} outside "
                       f"({_at(p.beta, i)}, {_at(p.epsilon, i)})"))

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the installed socgame console script on the canonical parameter sets
 # and compares its output with the goldens byte for byte, and its exit codes
-# with theirs, and fails if `socgame check` imports any numpy module.  The
-# tests call cli.main() in process; this checks the entry point a user runs,
-# which calls main() with no argv.
+# with theirs, and fails if `socgame check` or `socgame equilibria` imports
+# any numpy module.  The tests call cli.main() in process; this checks the
+# entry point a user runs, which calls main() with no argv.
 #
 #   pip install -e . && bash tests/console_script.sh
 set -euo pipefail
@@ -15,16 +15,19 @@ b=perfbench/params/set_b.params
 g=tests/golden
 
 socgame check --params "$a" | cmp - "$g/check_A.json"
-# check validates one point on floats: no numpy module may be imported, also
-# on set B, where the O-H edge state's payoff divides by alpha+beta = 0
-for params in "$a" "$b"; do
-  PYTHONPROFILEIMPORTTIME=1 socgame check --params "$params" 2> "$out/imports.txt" >/dev/null
-  grep -q 'socgame\.model$' "$out/imports.txt"
-  if grep -q numpy "$out/imports.txt"; then
-    echo "socgame check imported numpy on $params:" >&2
-    grep numpy "$out/imports.txt" >&2
-    exit 1
-  fi
+# check and equilibria read one point on floats: no numpy module may be
+# imported, also on set B, where the O-H edge state's payoff divides by
+# alpha+beta = 0
+for cmd in check equilibria; do
+  for params in "$a" "$b"; do
+    PYTHONPROFILEIMPORTTIME=1 socgame "$cmd" --params "$params" 2> "$out/imports.txt" >/dev/null
+    grep -q 'socgame\.model$' "$out/imports.txt"
+    if grep -q numpy "$out/imports.txt"; then
+      echo "socgame $cmd imported numpy on $params:" >&2
+      grep numpy "$out/imports.txt" >&2
+      exit 1
+    fi
+  done
 done
 # a program run ends its own process, except under a profiler or tracer,
 # which reports after main returns: cProfile must still print its table.

@@ -23,12 +23,14 @@ Nothing here is used by the package.  Tests check against it:
   (``dominance_oracle``, ``nondominance_oracle``, ``nash_oracle``), the
   closed forms of the H-P, O-P and O-H edge states' payoffs, and the closed
   form of the rest point inside the whole simplex (``full_interior_shares``);
+* ``full_interior_state``: that rest point by a linear solve, with the eigen
+  signs of the analytic Jacobian in the whole simplex's chart.  The package
+  builds no such state: no full-simplex rest point ever attracts;
 * ``uniform_ratio_box``: the widest ratio box of one width tau for every
   ratio, the box ``basins.ratio_box`` starts from and must contain.
 
-Two helpers read one part of what the package computes:
-``full_interior_state``, the rest point inside the whole simplex, and
-``face_regime``, one face's entry of the lax global report.
+One helper reads one part of what the package computes: ``face_regime``,
+one face's entry of the lax global report.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from scipy.integrate import solve_ivp
 
 from socgame import InvalidParameterError, Params, SimplexState, classify_global
 from socgame.basins import _certifies
-from socgame.classify import EdgeRegime, StationaryState, _interior_state
-from socgame.dynamics import RatioBox, replicator_field
-from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, require_valid
+from socgame.classify import SIGN_TOL, EdgeRegime, StationaryState, _stability
+from socgame.dynamics import RatioBox, replicator_field, replicator_jacobian
+from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, payoff_matrix, require_valid
 
 
 class ChartDomainError(ValueError):
@@ -310,18 +312,40 @@ def uniform_ratio_box(state, A) -> RatioBox | None:
 
 
 def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
-    """Stationary state interior to the whole simplex, if any: after
-    ``require_valid``, ``classify._interior_state`` over all four strategies.
+    """Stationary state interior to the whole simplex, if any, after
+    ``require_valid``: where all four strategies earn one payoff and the
+    shares sum to 1, by one linear solve; None where the system is singular
+    or a share is not positive.
 
     All four payoffs equal the fallback eta there.  It always carries a
     strictly positive eigenvalue (eta*w in the ratio chart w = x4/x1), so it
-    is never attractive.  The ``orthant eig`` labels name the same signs the
-    ratio chart gives: the two Jacobians differ by a change of coordinates
-    and a positive time scale, which keep every sign and the order by real
-    part.
+    is never attractive.  The eigen signs, "degenerate" within
+    ``classify.SIGN_TOL`` of 0, come from the analytic Jacobian in the chart
+    of the whole simplex, sorted by real part.  Their ``orthant eig`` labels
+    name the same signs the ratio chart gives: the two Jacobians differ by a
+    change of coordinates and a positive time scale, which keep every sign
+    and the order by real part.
     """
     require_valid(p, tol)
-    return _interior_state(p, (0, 1, 2, 3))
+    A = payoff_matrix(p)
+    # O's payoff equals each other strategy's; the shares sum to 1
+    m = np.ones((4, 4))
+    m[:-1] = A[0] - A[1:]
+    try:
+        x = np.linalg.solve(m, np.eye(4)[-1])
+    except np.linalg.LinAlgError:
+        return None
+    if min(x) <= 0.0:
+        return None
+    eigs = np.linalg.eigvals(replicator_jacobian(x, p))
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    signs = tuple((f"orthant eig {i + 1}",
+                   "degenerate" if abs(ev.real) <= SIGN_TOL else "+" if ev.real > 0.0 else "-")
+                  for i, ev in enumerate(eigs))
+    return StationaryState(
+        label="O+H+P+N", kind="full-interior", location=SimplexState(*map(float, x)),
+        support=STRATEGIES, payoff=float(A[0] @ x), eigen_signs=signs,
+        stability=_stability(signs))
 
 
 def face_regime(p: Params, face: str, tol: float = DEFAULT_TOL) -> EdgeRegime | None:

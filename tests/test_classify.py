@@ -231,8 +231,9 @@ class TestInteriorStateBoundary:
         # the admissibility table does: a face's interior state meets the
         # boundary where eta meets an edge state's payoff, a face-scoped
         # quantity that validate names, so face_states raises; the
-        # full-interior state reaches S_N at no table quantity. The solve
-        # itself never raises: no state, or one with positive shares
+        # full-interior state, which only the oracle builds, reaches S_N at
+        # no table quantity. The solve itself never raises: no state, or
+        # one with positive shares
         rng = np.random.default_rng(32)
         for i in range(200):
             q = eta_onto_zero(draw_params(rng, ("B-plus", "B-minus")[i % 2]), LAST_SHARE[where])
@@ -241,8 +242,11 @@ class TestInteriorStateBoundary:
                 break
         else:
             pytest.fail(f"no valid point puts the {where} interior state on its boundary")
-        active = (0, 1, 2, 3) if where == "full" else FACE_ACTIVE[where]
-        s = _interior_state(q, active)
+        if where == "full":
+            active, s = (0, 1, 2, 3), full_interior_state(q)
+        else:
+            active = FACE_ACTIVE[where]
+            s = _interior_state(q, active)
         assert s is None or all(s.location.as_tuple()[k] > 0.0 for k in active)
         quantities = validate(q).degenerate_quantities
         if where == "full":

@@ -684,15 +684,17 @@ class TestFreshProcess:
                        "error": "module 'socgame' has no attribute 'no_such_name'"}
 
     # each command loads the socgame submodules it runs, and no others;
-    # check, which validates one point on floats, loads no numpy
+    # check and equilibria, which read one point on floats, load no numpy
     @pytest.mark.parametrize("argv, loaded, numpy", [
         (["check"], ["socgame.cli", "socgame.model"], False),
+        (["equilibria"], ["socgame.classify", "socgame.cli", "socgame.model",
+                          "socgame.regimes", "socgame.welfare"], False),
         (["sweep", "--sweep", "beta:-3:2:11"],
          ["socgame.cli", "socgame.model", "socgame.regimes", "socgame.welfare"], True),
         (["basins", "--samples", "20", "--seed", "5"],
          ["socgame.basins", "socgame.classify", "socgame.cli", "socgame.dynamics",
           "socgame.model", "socgame.regimes", "socgame.welfare"], True),
-    ], ids=["check", "sweep", "basins"])
+    ], ids=["check", "equilibria", "sweep", "basins"])
     def test_command_loads_only_the_modules_it_runs(self, params_a, argv, loaded, numpy):
         out = fresh_python(f"""
             import contextlib, io, json, sys
@@ -704,6 +706,28 @@ class TestFreshProcess:
                 "numpy": any(m.split(".")[0] == "numpy" for m in sys.modules)}}))
             """)
         assert out == {"code": 0, "loaded": loaded, "numpy": numpy}
+
+    # equilibria loads no numpy at any point it reports on, degenerate or
+    # not: every equilibria golden, run in one process
+    def test_equilibria_loads_no_numpy_at_any_golden_point(self, tmp_path):
+        names = sorted(n for n in CASES if n.startswith("equilibria_"))
+        runs = []
+        for n in names:
+            (tmp_path / n).mkdir()
+            runs.append((["equilibria", "--params", _params_file(tmp_path / n, CASES[n][0])], n))
+        out = fresh_python(f"""
+            import contextlib, io, json, sys
+            from socgame.cli import main
+            got = {{}}
+            for argv, name in {runs!r}:
+                with contextlib.redirect_stdout(io.StringIO()) as text:
+                    code = main(argv)
+                got[name] = [code, text.getvalue()]
+            print(json.dumps({{"got": got, "numpy": sorted(
+                m for m in sys.modules if m.split(".")[0] == "numpy")}}))
+            """)
+        assert out == {"got": {n: [CASES[n][2], (GOLDEN_DIR / n).read_text()] for n in names},
+                       "numpy": []}
 
     # sweep writes CSV, so it never loads json; the script prints its JSON
     # by hand so as not to load it either

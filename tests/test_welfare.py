@@ -1,9 +1,16 @@
 """Payoff ranking of attractors and the proven welfare inequalities."""
 
+import functools
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SET_A, SET_B, draw_params
+from conftest import SET_A, SET_B, draw_params, numpy_columns
 from oracles import coexistence_payoff, face_regime
 from socgame import (
     OrderingViolationError,
@@ -13,6 +20,7 @@ from socgame import (
     welfare_report,
 )
 from socgame.model import Params
+from socgame.welfare import _unequal, check_orderings, supported_payoffs
 
 
 def attractors_of(p):
@@ -117,3 +125,93 @@ class TestCoexistenceSandwich:
             labels = {a.label for a in classify_global(p).global_attractors}
             hp_attracts = (face_regime(p, "S_N").figure == "2e") and (fig == "3e")
             assert ("H+P" in labels) == hp_attracts
+
+
+# payoffs at the edges of the float range, and anywhere
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0,
+                               1e308, -1e308, math.inf, -math.inf, math.nan])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True,
+                                          allow_subnormal=True))
+
+
+def _ulps(v: float, k: int) -> float:
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+# two payoffs a few ulps either side of a spread of 1e-9 * max(1, |a|)
+NEAR_PAIRS = st.tuples(FLOATS, st.sampled_from([1e-9, -1e-9]), st.integers(-3, 3)).map(
+    lambda t: [t[0], _ulps(t[0] + t[1] * max(1.0, abs(t[0])), t[2])])
+PAIRS = st.one_of(st.lists(FLOATS, min_size=2, max_size=2), NEAR_PAIRS)
+# rows of the one payoff of a vertex, or of the two of an edge state
+ROWS = st.one_of(*(st.lists(st.tuples(st.booleans(), vals), min_size=1, max_size=8)
+                   for vals in (st.lists(FLOATS, min_size=1, max_size=1), PAIRS)))
+
+
+def max_form_unequal(vals):
+    """Where the supported payoffs ``vals`` spread beyond 1e-9 times
+    max(1, |v|), written with numpy's maximum and minimum reduces."""
+    scale = np.maximum(1.0, functools.reduce(np.maximum, [abs(v) for v in vals]))
+    spread = functools.reduce(np.maximum, vals) - functools.reduce(np.minimum, vals)
+    return spread > 1e-9 * scale
+
+
+def ordering_outcome(payoffs: dict, q: Params, columns: bool):
+    """``check_orderings`` at one point, with every label attracting and the
+    given supported payoffs: the payoffs it returns, or the type and message
+    of what it raises.  With ``columns``, the same point as numpy scalars."""
+    if columns:
+        attractors = {k: (np.True_, [np.float64(v) for v in vals]) for k, vals in payoffs.items()}
+        q = numpy_columns(q)
+    else:
+        attractors = {k: (True, vals) for k, vals in payoffs.items()}
+    try:
+        return {k: float(v) for k, v in check_orderings(attractors, q).items()}
+    except ValueError as e:
+        return type(e), str(e)
+
+
+class TestPointAndColumns:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(rows=ROWS)
+    def test_unequal_is_the_max_form(self, rows):
+        # term by term on floats and on columns, as the max form on both
+        with np.errstate(all="ignore"):
+            for attracts, vals in rows:
+                got = _unequal("X", attracts, vals)[0]
+                assert type(got) is bool
+                assert got == bool(attracts and max_form_unequal(vals)), vals
+            mask = np.array([attracts for attracts, _ in rows])
+            column = [np.array(v) for v in zip(*(vals for _, vals in rows))]
+            assert np.array_equal(_unequal("X", mask, column)[0],
+                                  mask & max_form_unequal(column))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_point_and_one_row_columns_agree(self, seed, branch):
+        # check_orderings on a Params and on the same point as numpy
+        # scalars returns the same payoffs, and raises the same error
+        p = draw_params(np.random.default_rng(seed), branch)
+        pay = {a.label: supported_payoffs(a.location, a.support, p)
+               for a in attractors_of(p)}
+        got = ordering_outcome(pay, p, columns=False)
+        assert got == {k: vals[0] for k, vals in pay.items()}
+        assert ordering_outcome(pay, p, columns=True) == got
+
+        o = pay["O"][0]
+        w = 0.5 * (p.beta + p.epsilon)
+        unpaired = {k: vals for k, vals in pay.items() if k != "N"}
+        failures = [
+            ({**pay, "O": [o, o + 1.0]}, p, ValueError, "supported payoffs differ at O"),
+            (pay, replace(p, eta=o), OrderingViolationError,
+             "attractor O pays .* not strictly above isolation"),
+            ({**unpaired, "H+P": [w, w]}, replace(p, beta=w), OrderingViolationError,
+             "coexistence payoff .* outside"),
+            ({**unpaired, "H+P": [w, w]}, replace(p, beta=w - 1.0, epsilon=w + 1.0, eta=w),
+             OrderingViolationError, "coexistence payoff .* does not beat the fallback"),
+        ]
+        for payoffs, q, error, message in failures:
+            got = ordering_outcome(payoffs, q, columns=False)
+            assert got[0] is error and re.match(message, got[1]), got
+            assert ordering_outcome(payoffs, q, columns=True) == got
