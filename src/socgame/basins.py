@@ -14,7 +14,6 @@ fractions always account for every sample.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import NamedTuple, Sequence
@@ -180,14 +179,6 @@ def attractor_boxes(attractors: Sequence[StationaryState],
     return [(a, box) for a in attractors if (box := ratio_box(a, A)) is not None]
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_boxes(attractors: tuple[StationaryState, ...],
-                  p: Params) -> tuple[tuple[StationaryState, RatioBox], ...]:
-    """``attractor_boxes``, built once per distinct (attractors, p): a caller
-    of ``find_attractor`` labels many starts against one classification."""
-    return tuple(attractor_boxes(attractors, p))
-
-
 def label_runs(
     finals, boxed: Sequence[tuple[StationaryState, RatioBox]],
 ) -> list[StationaryState | None]:
@@ -215,13 +206,12 @@ def find_attractor(
     Returns the StationaryState ``label_runs`` names for the run's end, or
     None when the run is unresolved: it ended in no ratio box.  Pass
     ``attractors`` to reuse a classification across many starts; their
-    ratio boxes are then built once, not on every call.
+    ratio boxes (``attractor_boxes``) are built on every call.
     """
     if attractors is None:
         attractors = classify_global(p, tol).global_attractors
     traj = integrate(x0, p, max_time)
-    return label_runs([traj.final_state.as_tuple()],
-                      _cached_boxes(tuple(attractors), p))[0]
+    return label_runs([traj.final_state.as_tuple()], attractor_boxes(attractors, p))[0]
 
 
 def estimate_basins(

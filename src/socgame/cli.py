@@ -7,6 +7,12 @@ Exit codes: 0 success, 1 input error or output error (standard output
 closed or not writable, or a file under --out not writable), 2 inadmissible
 parameters (dominated strategy), 3 degenerate boundary, 4 integration
 failure.
+
+``_main`` builds the parameter point (params file, --set, the --tol check)
+and calls the command's handler with the parsed namespace and that point.
+Each handler reads and checks its own options from the namespace before it
+does any work, so a new option is one parser line and one read in its
+handler.
 """
 
 from __future__ import annotations
@@ -84,20 +90,6 @@ class SweepAxis(NamedTuple):
     steps: int
 
 
-class RunConfig(NamedTuple):
-    """Everything a subcommand needs, assembled from the command line."""
-
-    command: str
-    params: Params
-    tol: float
-    seed: int
-    out: Path | None
-    sweep_axes: tuple[SweepAxis, ...]
-    x0: SimplexState | None  # simulate only
-    samples: int | None  # basins only
-    max_time: float  # read by simulate and basins
-
-
 def _number(text: str, where: str, kind=float):
     """``kind(text)``; a malformed value is an input error that names the
     option (or file line) ``where`` and the value."""
@@ -164,6 +156,18 @@ def _parse_axis(text: str) -> SweepAxis:
     return SweepAxis(name=name, lo=lo_v, hi=hi_v, steps=n)
 
 
+def _parse_axes(texts: Sequence[str]) -> tuple[SweepAxis, ...]:
+    if len(texts) > 2:
+        raise ValueError("--sweep given more than twice; at most 2 axes")
+    axes = tuple(_parse_axis(s) for s in texts)
+    if len({a.name for a in axes}) < len(axes):
+        raise ValueError(f"--sweep axis {axes[0].name!r} given twice; "
+                         "the two axes must vary different parameters")
+    if (n := math.prod(a.steps for a in axes)) > MAX_ITEMS:
+        raise ValueError(f"--sweep grid has {n} points, more than {MAX_ITEMS}")
+    return axes
+
+
 def _write_out(out: Path, files: dict[str, str]) -> None:
     # the result is computed already: a failed write here is an output
     # error, not an input one
@@ -187,9 +191,8 @@ def _json(doc: dict) -> str:
 # subcommand handlers
 
 
-def cmd_check(rc: RunConfig) -> int:
-    p = rc.params
-    report = validate(p, rc.tol)
+def cmd_check(args: argparse.Namespace, p: Params) -> int:
+    report = validate(p, args.tol)
     doc: dict = {"params": p.as_dict(), "validation": report.as_dict()}
     code = 0
     if report.positivity_ok:
@@ -199,38 +202,39 @@ def cmd_check(rc: RunConfig) -> int:
     elif not (report.positivity_ok and report.nondominance_ok):
         code = 2
     else:
-        doc["nash"] = nash_vertices(p, rc.tol)
+        doc["nash"] = nash_vertices(p, args.tol)
     _emit(_json(doc))
     return code
 
 
-def cmd_equilibria(rc: RunConfig) -> int:
+def cmd_equilibria(args: argparse.Namespace, p: Params) -> int:
     from .classify import classify_global
 
-    p = rc.params
-    vrep = validate(p, rc.tol)
+    vrep = validate(p, args.tol)
     # a face-scoped boundary still gets the lax report, with those faces null
     if not vrep.admissible:
         _emit(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
         return 3 if vrep.degenerate_quantities else 2
-    report = classify_global(p, rc.tol, strict=False)
+    report = classify_global(p, args.tol, strict=False)
     text = _json(report.as_dict())
     _emit(text)
-    if rc.out is not None:
-        _write_out(rc.out, {"equilibria.json": text})
+    if args.out is not None:
+        _write_out(args.out, {"equilibria.json": text})
     return 3 if report.degenerate else 0
 
 
-def cmd_simulate(rc: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace, p: Params) -> int:
+    check_max_time(args.max_time)
+    x0 = _parse_x0(args.x0)
+
     from .basins import attractor_boxes, label_runs
     from .classify import classify_global
     from .dynamics import integrate
 
-    p = rc.params
-    report = classify_global(p, rc.tol)  # raises on inadmissible/degenerate input
-    traj = integrate(rc.x0, p, rc.max_time)
+    report = classify_global(p, args.tol)  # raises on inadmissible/degenerate input
+    traj = integrate(x0, p, args.max_time)
 
-    out_dir = rc.out if rc.out is not None else Path(".")
+    out_dir = args.out or Path(".")
     csv = io.StringIO()
     traj.write_csv(csv)
     _write_out(out_dir, {"trajectory.csv": csv.getvalue()})
@@ -244,20 +248,21 @@ def cmd_simulate(rc: RunConfig) -> int:
     return 4 if traj.verdict == "step-failure" else 0
 
 
-def cmd_sweep(rc: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace, p: Params) -> int:
+    axes = _parse_axes(args.sweep)
+
     import numpy as np
 
     from .regimes import classify_grid
 
-    axes = rc.sweep_axes
     grids = [np.linspace(a.lo, a.hi, a.steps) for a in axes]
     n = math.prod(a.steps for a in axes)
     # rows run over the grid like itertools.product
-    values = rc.params.as_dict()
+    values = p.as_dict()
     for a, mesh in zip(axes, np.meshgrid(*grids, indexing="ij")):
         values[a.name] = mesh.ravel()
     grid = classify_grid(Columns(**{k: np.broadcast_to(v, (n,)) for k, v in values.items()}),
-                         rc.tol)
+                         args.tol)
 
     fields = np.stack([grid.valid, grid.degenerate, grid.branch,
                        *(panel for _, panel in grid.figures), grid.n_attractors])
@@ -281,34 +286,38 @@ def cmd_sweep(rc: RunConfig) -> int:
                  for head, k in zip(itertools.product(*axis_text), which.tolist()))
     text = "\n".join(lines) + "\n"
     _emit(text)
-    if rc.out is not None:
-        _write_out(rc.out, {"sweep.csv": text})
+    if args.out is not None:
+        _write_out(args.out, {"sweep.csv": text})
     return 0
 
 
-def cmd_basins(rc: RunConfig) -> int:
+def cmd_basins(args: argparse.Namespace, p: Params) -> int:
+    if not 0 < args.samples <= MAX_ITEMS:
+        raise ValueError(f"--samples must be from 1 to {MAX_ITEMS}, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0 for basins, got {args.seed}")
+    check_max_time(args.max_time)
+
     from .basins import estimate_basins
 
-    report = estimate_basins(
-        rc.params, rc.samples, seed=rc.seed, tol=rc.tol, max_time=rc.max_time,
-    )
+    report = estimate_basins(p, args.samples, seed=args.seed, tol=args.tol,
+                             max_time=args.max_time)
     text = _json(report.as_dict())
     _emit(text)
-    if rc.out is not None:
+    if args.out is not None:
         rows = ["label,count,fraction,stderr"]
         for label, c in report.counts:
             rows.append(f"{label},{c},{decimal(report.fractions[label])},"
                         f"{decimal(report.stderr[label])}")
-        _write_out(rc.out, {"basins.json": text, "basins.csv": "\n".join(rows) + "\n"})
+        _write_out(args.out, {"basins.json": text, "basins.csv": "\n".join(rows) + "\n"})
     return 0
 
 
-def cmd_portrait(rc: RunConfig) -> int:
+def cmd_portrait(args: argparse.Namespace, p: Params) -> int:
     from .portrait import render_portrait
 
-    out_dir = rc.out if rc.out is not None else Path(".")
     try:
-        svg_path, csv_path = render_portrait(rc.params, out_dir, rc.tol)
+        svg_path, csv_path = render_portrait(p, args.out or Path("."), args.tol)
     except OSError as e:  # render_portrait reads nothing: its files failed
         raise OutputError(e) from None
     _emit(f"wrote {svg_path}\nwrote {csv_path}\n")
@@ -338,7 +347,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="strict-inequality tolerance")
     common.add_argument("--seed", type=int, default=42, help="RNG seed")
-    common.add_argument("--out", default=None, metavar="DIR", help="output directory")
+    common.add_argument("--out", type=Path, metavar="DIR", help="output directory")
     common.add_argument("--jobs", type=int, default=0,
                         help="accepted and ignored (basins integrates all samples "
                              "as one batch in this process)")
@@ -379,44 +388,6 @@ def _build_parser() -> _Parser:
     sub.add_parser("portrait", parents=[common],
                    help="planar-net SVG phase portrait of the boundary faces")
     return parser
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    mapping = _read_params_file(args.params)
-    mapping.update(_parse_set(args.set))
-    params = Params.from_mapping(mapping)
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
-
-    axes: tuple[SweepAxis, ...] = ()
-    if getattr(args, "sweep", None):
-        if len(args.sweep) > 2:
-            raise ValueError("--sweep given more than twice; at most 2 axes")
-        axes = tuple(_parse_axis(s) for s in args.sweep)
-        if len({a.name for a in axes}) < len(axes):
-            raise ValueError(f"--sweep axis {axes[0].name!r} given twice; "
-                             "the two axes must vary different parameters")
-        if (n := math.prod(a.steps for a in axes)) > MAX_ITEMS:
-            raise ValueError(f"--sweep grid has {n} points, more than {MAX_ITEMS}")
-    samples = getattr(args, "samples", None)
-    if samples is not None and not 0 < samples <= MAX_ITEMS:
-        raise ValueError(f"--samples must be from 1 to {MAX_ITEMS}, got {samples}")
-    if args.command == "basins" and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0 for basins, got {args.seed}")
-    max_time = getattr(args, "max_time", DEFAULT_MAX_TIME)
-    check_max_time(max_time)
-
-    return RunConfig(
-        command=args.command,
-        params=params,
-        tol=args.tol,
-        seed=args.seed,
-        out=Path(args.out) if args.out is not None else None,
-        sweep_axes=axes,
-        x0=_parse_x0(args.x0) if getattr(args, "x0", None) else None,
-        samples=samples,
-        max_time=max_time,
-    )
 
 
 # the youngest generation's collection threshold in a program run (the
@@ -478,8 +449,12 @@ def _main(argv: Sequence[str] | None) -> int:
     try:
         if sys.stdout is None:  # started with fd 1 closed
             raise OutputError("standard output is closed")
-        rc = _run_config(args)
-        return _HANDLERS[rc.command](rc)
+        mapping = _read_params_file(args.params)
+        mapping.update(_parse_set(args.set))
+        p = Params.from_mapping(mapping)
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+        return _HANDLERS[args.command](args, p)
     except DegenerateParameterError as e:
         print(f"degenerate parameters: {e}", file=sys.stderr)
         return 3

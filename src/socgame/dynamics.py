@@ -20,11 +20,11 @@ stops, short of rest, once it lies in one of the caller's ratio boxes
 (``RatioBox``), regions proved to flow to one attractor.  The block
 shortens a step that would pass max_time to end on it, as ``_drive`` does,
 so a row reaches its horizon in the block.  Only the batch's last
-_HANDOVER_ROWS rows go on in ``_drive``, each resumed from its own time,
-step size and step count with the same boxes.  Single runs stay on tuples
-of Python floats: a step of the block costs about as much in numpy dispatch
-as ten float steps, whatever its size, so the slowest rows' last hundred or
-so steps are not run as blocks of a handful.
+_HANDOVER_ROWS rows go on in ``_drive``, each resumed from its own time
+and step size with the same boxes.  Single runs stay on tuples of Python
+floats: a step of the block costs about as much in numpy dispatch as ten
+float steps, whatever its size, so the slowest rows' last hundred or so
+steps are not run as blocks of a handful.
 Both loops use the same step and stop on the same tests in the same order,
 so a row that no box captures ends bit for bit where ``integrate`` from
 that start ends.
@@ -249,7 +249,6 @@ def _drive(
     boxes: Sequence[RatioBox] = (),
     t: float = 0.0,
     h: float = _FIRST_STEP,
-    n: int = 0,
 ) -> tuple[list[float], list[tuple[float, ...]], float, str]:
     """The one integration loop of the replicator flow from the shares
     ``y0``; returns (times, states, velocity, verdict).
@@ -258,13 +257,15 @@ def _drive(
     accepted step, and stops once its state lies in one of ``boxes``
     ("certified", tested first, as ``box_index`` tests), once max|dy/dt|
     falls below _CONVERGED ("converged") or at ``max_time``
-    ("max-time-reached").  ``t``, ``h`` and ``n`` resume such a run at time
-    ``t`` with step size ``h`` after ``n`` accepted steps; ``_integrate_rows``
-    hands rows over so.  With ``times`` the run starts at t=0 and lands
-    exactly on each requested time, samples only there, and stops after the
-    last one; ``max_time`` is not used.  A step toward a sample time or
-    ``max_time`` is shortened to end on it.  Too small a step ends the run
-    with "step-failure", so fewer samples than ``times`` can come back.
+    ("max-time-reached").  ``t`` and ``h`` resume such a run at time ``t``
+    with step size ``h``; ``_integrate_rows`` hands rows over so.  With
+    ``times`` the run starts at t=0 and lands exactly on each requested
+    time, samples only there, and stops after the last one; ``max_time`` is
+    not used.  A requested time already reached (0, or a repeat of the time
+    just sampled) is sampled at once, with no step, so a repeated time gives
+    the same state twice.  A step toward a sample time or ``max_time`` is
+    shortened to end on it.  Too small a step ends the run with
+    "step-failure", so fewer samples than ``times`` can come back.
     ``velocity`` is max|dy/dt| at the last state.  Each accepted state is
     projected back onto the simplex (``_project_simplex``) before anything
     else sees it.
@@ -278,10 +279,6 @@ def _drive(
     y, k1 = y0, f(y0)
     out_t, out_y = ([t], [y]) if to_rest else ([], [])
     i = 0  # index of the next target
-    while not to_rest and i < len(targets) and targets[i] <= 0.0:
-        out_t.append(targets[i])
-        out_y.append(y)
-        i += 1
     while True:
         vel = max(abs(v) for v in k1)
         if to_rest:
@@ -291,14 +288,18 @@ def _drive(
                 return out_t, out_y, vel, "converged"
             if t >= max_time:
                 return out_t, out_y, vel, "max-time-reached"
-        elif i == len(targets):
-            return out_t, out_y, vel, "converged"
+        else:
+            while i < len(targets) and targets[i] <= t:  # reached: sample it
+                out_t.append(targets[i])
+                out_y.append(y)
+                i += 1
+            if i == len(targets):
+                return out_t, out_y, vel, "converged"
         target = targets[i]
         capped = target - t < h
         h_try = target - t if capped else h
         ynew, err = _dp_step(f, y, h_try, k1)
         if err <= 1.0:
-            n += 1
             t = target if capped else t + h_try
             y = _project_simplex(ynew)
             k1 = f(y)
@@ -307,9 +308,6 @@ def _drive(
                 out_y.append(y)
             elif t >= target - 1e-12:  # landed on a sample time
                 t = target
-                i += 1
-                out_t.append(t)
-                out_y.append(y)
             if not capped:
                 # a target-capped step says nothing about the controller's
                 # preferred size, so leave h alone in that case
@@ -413,10 +411,11 @@ def _integrate_rows(
     A step that would pass max_time is shortened to end on it and leaves h
     alone, by ``_drive``'s rule.  Rows leave the block when they are
     certified, converge, reach max_time or fail a step.  The last
-    _HANDOVER_ROWS rows go on in ``_drive`` from their own t, h and step
-    count, with the same boxes (a batch iteration has a fixed cost of about
-    ten float steps, and the last rows of a batch can run a hundred
-    iterations more).  No samples are recorded.
+    _HANDOVER_ROWS rows go on in ``_drive`` from their own t and h, with
+    the same boxes, and add the steps taken there to their counts (a batch
+    iteration has a fixed cost of about ten float steps, and the last rows
+    of a batch can run a hundred iterations more).  No samples are
+    recorded.
     """
 
     def f(y: tuple) -> tuple:
@@ -465,7 +464,7 @@ def _integrate_rows(
         failed = rej & (h < _MIN_STEP_FACTOR * np.maximum(1.0, np.abs(t)))
     for row, yj, tj, hj, nj in zip(rows.tolist(), y.T.tolist(), t.tolist(), h.tolist(),
                                    n.tolist()):
-        times, ys, _, why = _drive(p, tuple(yj), max_time, boxes=boxes, t=tj, h=hj, n=nj)
+        times, ys, _, why = _drive(p, tuple(yj), max_time, boxes=boxes, t=tj, h=hj)
         final[row] = ys[-1]
         verdict[row] = _VERDICTS.index(why)
         steps[row] = nj + len(times) - 1

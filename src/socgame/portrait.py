@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import classify_global, face_states
+from .classify import face_states
 from .dynamics import replicator_jacobian, states_at
 from .model import DEFAULT_TOL, FACE_ACTIVE, FACES, STRATEGIES, Params, SimplexState, decimal
 
@@ -120,14 +120,13 @@ def render_portrait(
 ) -> tuple[Path, Path]:
     """Write portrait.svg and portrait_trajectories.csv under ``out_dir``.
 
-    Raises before drawing anything if the parameters are inadmissible or
-    degenerate, like every other classifying entry point.
+    Raises before writing anything, and before creating ``out_dir``, if the
+    parameters are inadmissible or degenerate: ``face_states`` raises as
+    ``model.require_valid`` does.
     """
-    classify_global(p, tol)  # admissibility gate; raises on failure
+    all_states = {face: face_states(p, face, tol) for face in FACES}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    all_states = {face: face_states(p, face, tol) for face in FACES}
 
     trajectories: list[tuple[str, int, list[SimplexState]]] = []
     for face in FACES:

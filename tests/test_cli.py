@@ -292,6 +292,11 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--params", params_a,
                            "--x0", "-0.1,0.2,0.3,0.6", "--out", str(tmp_path / "s6"))
         assert code == 1
+        # an empty --x0 is read like any other, not taken for a missing one
+        code, out, err = run(capsys, "simulate", "--params", params_a,
+                             "--x0", "", "--out", str(tmp_path / "s6"))
+        assert (code, out) == (1, "")
+        assert err == "input error: --x0 expects four comma-separated shares, got ''\n"
         for max_time in ("nan", "inf", "0", "-1"):
             code, out, err = run(capsys, "simulate", "--params", params_a,
                                  "--x0", "0,0,0.26,0.74", f"--max-time={max_time}",
@@ -592,6 +597,30 @@ class TestUsage:
         error = OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(blocker / "out"))
         assert (got.out, got.err) == ("", f"output error: {error}\n")
 
+    # gamma is 1e-6 below epsilon = 2 on set A: beyond the default tol, so
+    # every command decides the point, but within --tol 1e-3, where each
+    # command that classifies one point finds it degenerate
+    @pytest.mark.parametrize("argv", [["check"], ["equilibria"],
+                                      ["simulate", "--x0", "0,0,0.26,0.74"],
+                                      ["basins", "--samples", "20"], ["portrait"]],
+                             ids=["check", "equilibria", "simulate", "basins", "portrait"])
+    def test_every_command_reads_tol(self, capsys, params_a, tmp_path, argv):
+        argv = argv + ["--params", params_a, "--set", "gamma=1.999999",
+                       "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert main(argv + ["--tol", "1e-3"]) == 3
+        capsys.readouterr()
+
+    def test_sweep_reads_tol(self, capsys, params_a):
+        # sweep reports a degenerate point as a row, and exits 0
+        argv = ["sweep", "--params", params_a, "--set", "gamma=1.999999",
+                "--sweep", "eta:0.3:0.6:4"]
+        for tol, flagged in (([], "0"), (["--tol", "1e-3"], "1")):
+            code, out, _ = run(capsys, *argv, *tol)
+            header, rows = sweep_rows(out)
+            assert code == 0 and len(rows) == 4
+            assert {r[header.index("degenerate")] for r in rows} == {flagged}
+
     @pytest.mark.parametrize("command", ["check", "equilibria", "simulate", "sweep", "basins",
                                          "portrait"])
     def test_closed_stdout_refused_before_any_work(self, capsys, monkeypatch, params_a,
@@ -813,7 +842,7 @@ class TestFreshProcess:
             import sys
             from socgame import cli
 
-            def fail(rc):
+            def fail(args, p):
                 raise RuntimeError("handler failed")
 
             cli._HANDLERS["check"] = fail

@@ -244,6 +244,10 @@ class TestConjugacy:
     def test_states_at_repeats_a_repeated_time(self):
         out = states_at(SimplexState(0.25, 0.25, 0.25, 0.25), SET_B, [0.0, 0.0, 1.5, 1.5])
         assert len(out) == 4 and out[0] == out[1]
+        # a time after 0 is sampled again with no step and no second
+        # projection, so its repeat is the same state bit for bit
+        first, again = states_at(SimplexState(0.1, 0.2, 0.3, 0.4), SET_B, [1.0, 1.0])
+        assert first.as_tuple() == again.as_tuple()
 
     def test_empty_times_give_no_states(self):
         assert states_at(SimplexState(0.25, 0.25, 0.25, 0.25), SET_A, []) == []
@@ -365,7 +369,7 @@ class TestBatchedRuns:
         drive = dynamics._drive
 
         def spy(*args, **kwargs):
-            resumed.append(kwargs["n"])
+            resumed.append(kwargs["t"])
             return drive(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_drive", spy)
