@@ -15,10 +15,10 @@ it:
   eta against the O-P, O-H and H-P payoffs the regime table reads;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
-* the regime table (``regimes.regime_table``) holds, for each face, the
-  closed-form sign conditions that name which of the known planar phase
-  portraits the face realises and which states attract within it, on the
-  floats of one point and on parameter columns alike.  One decision
+* the regime table (``regimes.PANELS``) lists, for each face, the sign
+  literals over the classifying quantities that name which known planar
+  phase portrait the face realises and which states attract within it,
+  on one point's floats and on columns alike.  One decision
   (``regimes.decide``) reads it: ``classify_global`` at one point, with the
   states from the inventory, and ``regimes.classify_grid`` over a whole
   sweep grid, so a sweep never loads this module;

@@ -346,11 +346,7 @@ def _build_parser() -> _Parser:
                         help="override one parameter (repeatable)")
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="strict-inequality tolerance")
-    common.add_argument("--seed", type=int, default=42, help="RNG seed")
     common.add_argument("--out", type=Path, metavar="DIR", help="output directory")
-    common.add_argument("--jobs", type=int, default=0,
-                        help="accepted and ignored (basins integrates all samples "
-                             "as one batch in this process)")
 
     parser = _Parser(prog="socgame",
                      description="Equilibria, regimes and basins of the four-strategy "
@@ -378,6 +374,7 @@ def _build_parser() -> _Parser:
                         help="Monte Carlo basin-of-attraction fractions")
     ba.add_argument("--samples", type=int, default=1000,
                     help=f"number of uniform starts, 1 to {MAX_ITEMS}")
+    ba.add_argument("--seed", type=int, default=42, help="RNG seed, 0 or more")
     ba.add_argument("--max-time", type=float, default=DEFAULT_MAX_TIME,
                     help="horizon of each sample's run; a sample that enters a "
                          "region proved to flow to one attractor (a ratio box) "

@@ -26,7 +26,7 @@ or band of them that holds on six floats and on parameter columns alike;
 floats of one point, and the regime table over a whole grid.  So checking
 one point loads no numpy: only ``payoff_matrix`` imports it, where it is
 called.  The four boundary faces are named here too (``FACES``), with the
-strategies each holds and the degenerate quantities scoped to it.
+strategies each holds, and the face-scoped quantities (``FACE_SCOPE``).
 
 The errors that the CLI maps to exit codes live here too, with the decimal
 formatter every writer shares, so that a command that never integrates
@@ -299,15 +299,8 @@ def face_holds(face: str, support: Sequence[str]) -> bool:
     return STRATEGIES[FACE_ABSENT[face]] not in support
 
 
-# each face-scoped degenerate quantity, with the boundary faces whose
-# regime it leaves undecided
-FACE_SCOPE = {
-    "beta": ("S_N",),
-    "beta-eta": ("S_O", "S_P"),
-    "eta-pay(O+P)": ("S_H",),
-    "eta-pay(O+H)": ("S_P",),
-    "eta-pay(H+P)": ("S_O",),
-}
+# the degenerate quantities that leave only some faces undecided, in validate's order
+FACE_SCOPE = ("beta", "beta-eta", "eta-pay(O+P)", "eta-pay(O+H)", "eta-pay(H+P)")
 
 
 class Admissibility(NamedTuple):
@@ -329,7 +322,7 @@ class Admissibility(NamedTuple):
     beta_above_eta: np.ndarray  # the all-uncivil payoff beats the fallback
     degenerate: dict[str, np.ndarray]  # classifying quantity within tol of zero
     face_degenerate: dict[str, np.ndarray]  # the same, for the FACE_SCOPE quantities
-    quantities: dict[str, np.ndarray]  # the quantities whose signs the regime table reads
+    quantities: dict[str, np.ndarray]  # the quantities the regime table's literals name
     hp_share: np.ndarray  # share of H at the H-P edge state
 
     @property
@@ -355,12 +348,6 @@ class Admissibility(NamedTuple):
         """Index into ``BRANCHES``: the two branches exclude each other."""
         return self.b_plus + 2 * self.b_minus
 
-    def undecided(self, face: str) -> np.ndarray:
-        """Some face-scoped quantity whose scope holds ``face`` is
-        degenerate (read where ``valid`` and not ``on_boundary``)."""
-        return functools.reduce(operator.or_, (on for name, on in self.face_degenerate.items()
-                                               if face in FACE_SCOPE[name]))
-
 
 # the global degenerate quantities, in the order validate reports them
 _GLOBAL = ("beta+delta", "epsilon-gamma", "beta*epsilon+gamma*delta", "alpha-eta",
@@ -374,9 +361,9 @@ def _quantities(c: Params | Columns) -> tuple[dict, np.ndarray]:
     boundary between regimes, where strict-inequality reasoning breaks
     down.  The last three ``_GLOBAL`` ones are the denominators of the
     edge-state payoffs that eta is compared with; a zero one gives an inf or
-    nan payoff, never near eta.  The ones the table keeps come last: on
-    columns the others, freed once the masks are built, then leave room
-    below them that the next arrays reuse."""
+    nan payoff, never near eta.  The ones the table keeps, bar beta+delta,
+    come last: on columns the others, freed once the masks are built, then
+    leave room below them that the next arrays reuse."""
     A = payoff_rows(c)
     bd, eg = c.beta + c.delta, c.epsilon - c.gamma
     return {
@@ -388,8 +375,8 @@ def _quantities(c: Params | Columns) -> tuple[dict, np.ndarray]:
         "epsilon-gamma+beta+delta": eg + bd,
         "alpha+epsilon": c.alpha + c.epsilon,
         "alpha+beta": c.alpha + c.beta,
-        "beta-eta": c.beta - c.eta,
         "gamma-eta": c.gamma - c.eta,
+        "beta-eta": c.beta - c.eta,
         "beta": c.beta,
         "eta-pay(H+P)": c.eta - (hp := _edge_state(A, 1, 2))[1],
         "eta-pay(O+P)": c.eta - _edge_state(A, 0, 2)[1],
@@ -448,8 +435,9 @@ def admissibility(c: Params | Columns, tol: float = DEFAULT_TOL) -> Admissibilit
         beta_above_eta=above,
         degenerate={name: near[name] for name in _GLOBAL},
         face_degenerate={name: near[name] for name in FACE_SCOPE},
-        quantities={name: q[name] for name in ("beta*epsilon+gamma*delta", "beta",
-                                               "eta-pay(O+P)", "eta-pay(O+H)", "eta-pay(H+P)")},
+        quantities={name: q[name] for name in (
+            "beta+delta", "beta", "beta-eta", "beta*epsilon+gamma*delta",
+            "eta-pay(O+P)", "eta-pay(O+H)", "eta-pay(H+P)")},
         hp_share=hp_share,
     )
 

@@ -1,20 +1,22 @@
-"""The regime table: each boundary face's phase-portrait panels, and the
-one decision read off it.
+"""The regime table: each boundary face's phase-portrait panels as data,
+and the one decision read off it.
 
-For each face the table holds the closed-form sign conditions that name
-which of the known planar phase portraits the face realises (portrait
-number ``pp`` and panel tag ``figure``) and which states attract within it.
-It reads the sign branch and the signs of the classifying quantities
-(``model._quantities``) that the admissibility table keeps, and like that
-table it holds on a ``Params``'s floats, loading no numpy, and on numpy columns.
+For each face ``PANELS`` lists, in the order a point tries them, the
+planar phase portraits it can realise: panel tag ``figure``, portrait
+number ``pp``, the states that attract within the face, and a conjunction
+of sign literals.  A literal ``(quantity, sign)`` holds where that kept
+classifying quantity (``Admissibility.quantities``) is ``> 0`` (sign +1)
+or ``< 0`` (sign -1), on a ``Params``'s floats (loading no numpy), on
+numpy columns and on ``Fraction`` fields alike.
 
 ``decide`` reads both tables into where each face is decided (no
-face-scoped quantity of ``model.FACE_SCOPE`` leaves it undecided), where
-all are, and where each candidate attracts from the full simplex: where it
-attracts within every face that holds it (``model.face_holds``).
-``classify.classify_global`` reads the decision at the floats of one point;
-``classify_grid`` reads it over a whole sweep grid at once and builds no
-state or report, so a sweep loads this module and not ``classify``.
+face-scoped quantity that the face's literals name, ``SCOPES``, is
+degenerate), where all are, and where each candidate attracts from the
+full simplex: where it attracts within every face that holds it
+(``model.face_holds``).  ``classify.classify_global`` reads the decision
+at the floats of one point; ``classify_grid`` reads it over a whole sweep
+grid at once and builds no state or report, so a sweep loads this module
+and not ``classify``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import (DEFAULT_TOL, FACES, STRATEGIES, Admissibility, Columns,
+from .model import (DEFAULT_TOL, FACE_SCOPE, FACES, STRATEGIES, Admissibility, Columns,
                     admissibility, face_holds)
 from .welfare import check_orderings, supported_payoffs
 
@@ -46,63 +48,73 @@ class FaceTable(NamedTuple):
                                 False)
 
 
-def _face(panels: list[tuple]) -> FaceTable:
-    """``panels`` lists (figure, pp, attractors, condition); a point takes
-    the first panel whose condition holds there, selected by arithmetic that
-    holds on a bool as on a mask."""
-    panel = -1
-    for k in reversed(range(len(panels))):
-        holds = panels[k][3]
-        panel = k * holds + panel * (holds ^ True)
-    return FaceTable(tuple(row[:3] for row in panels), panel)
+# where the table is read, beta+delta > 0 is branch B-plus and <= 0 B-minus
+_B_PLUS = ("beta+delta", 1)
+_H_WINS = ("beta-eta", 1)  # the all-uncivil payoff beats the fallback
+_COEX = ("eta-pay(H+P)", -1)  # the fallback below the H-P edge state's payoff
+
+# each face's panels: (figure, pp, attractors within the face, literals)
+PANELS = {
+    "S_N": (
+        ("2a", 7, ("O", "H", "P"), (_B_PLUS, ("beta", 1), ("beta*epsilon+gamma*delta", 1))),
+        ("2b", 35, ("O", "H", "P"), (_B_PLUS, ("beta", 1))),
+        ("2c", 9, ("O", "P"), (_B_PLUS, ("beta*epsilon+gamma*delta", 1))),
+        ("2d", 37, ("O", "P"), (_B_PLUS,)),
+        # B-minus: H-P coexistence attracts where the H/P payoff block's
+        # determinant, beta*epsilon+gamma*delta, is negative
+        ("2e", 11, ("O", "H+P"), (("beta*epsilon+gamma*delta", -1),)),
+        ("2f", 36, ("O",), ()),
+    ),
+    "S_O": (
+        ("3a", 7, ("H", "P", "N"), (_B_PLUS, _H_WINS, _COEX)),
+        ("3b", 35, ("H", "P", "N"), (_B_PLUS, _H_WINS)),
+        ("3c", 9, ("P", "N"), (_B_PLUS, _COEX)),
+        ("3d", 37, ("P", "N"), (_B_PLUS,)),
+        ("3e", 11, ("N", "H+P"), (_COEX,)),
+        ("3f", 36, ("N",), ()),
+    ),
+    "S_H": (
+        ("4a", 7, ("O", "P", "N"), (("eta-pay(O+P)", -1),)),
+        ("4b", 35, ("O", "P", "N"), ()),
+    ),
+    "S_P": (
+        ("5a", 7, ("O", "H", "N"), (_H_WINS, ("eta-pay(O+H)", -1))),
+        ("5b", 35, ("O", "H", "N"), (_H_WINS,)),
+        ("5c", 37, ("O", "N"), ()),
+    ),
+}
+
+# each literal and each leading run of a panel's literals, shortest first:
+# a read evaluates each once, a longer run as a shorter one & a literal
+_RUNS = sorted({run: 0 for rows in PANELS.values() for *_, lits in rows
+                for n in range(len(lits)) for run in ((lits[n],), lits[:n + 1])}, key=len)
+
+# each face-scoped quantity, with the faces whose literals name it
+SCOPES = {name: tuple(face for face, rows in PANELS.items()
+                      if name in {q for row in rows for q, _ in row[3]}) for name in FACE_SCOPE}
 
 
 def regime_table(adm: Admissibility) -> dict[str, FaceTable]:
-    """Each face's regime, in face order, read off ``adm``, the admissibility
-    table at the floats of a ``Params`` or over a ``Columns``.
+    """Each face's regime, in face order: ``PANELS`` read off ``adm``, the
+    admissibility table at the floats of a ``Params`` or over a ``Columns``.
 
     Read only where ``adm`` admits the point and finds no global degenerate
-    quantity: there one sign branch holds, so B-minus is where B-plus is
-    not, and every denominator is away from zero.  Callers that pass
-    columns silence numpy's warnings.
+    quantity.  A point takes a face's first panel whose literals all hold
+    there, selected by arithmetic that holds on a bool as on a mask.
+    Callers that pass columns silence numpy's warnings.
     """
-    b_plus = adm.b_plus
-    above = adm.beta_above_eta
-    q = adm.quantities
-    hp_det = q["beta*epsilon+gamma*delta"]  # det of the H/P payoff block
-    hp_pos = hp_det > 0.0
-    h_in_sn = b_plus & (q["beta"] > 0.0)
-    # the fallback eta below the H-P, O-P and O-H edge-state payoffs
-    coex_beats_fallback = q["eta-pay(H+P)"] < 0.0
-    return {
-        "S_N": _face([
-            ("2a", 7, ("O", "H", "P"), h_in_sn & hp_pos),
-            ("2b", 35, ("O", "H", "P"), h_in_sn),
-            ("2c", 9, ("O", "P"), b_plus & hp_pos),
-            ("2d", 37, ("O", "P"), b_plus),
-            # branch B-minus: coexistence on the H-P edge attracts when
-            # the H/P block determinant is negative
-            ("2e", 11, ("O", "H+P"), hp_det < 0.0),
-            ("2f", 36, ("O",), True),
-        ]),
-        "S_O": _face([
-            ("3a", 7, ("H", "P", "N"), b_plus & above & coex_beats_fallback),
-            ("3b", 35, ("H", "P", "N"), b_plus & above),
-            ("3c", 9, ("P", "N"), b_plus & coex_beats_fallback),
-            ("3d", 37, ("P", "N"), b_plus),
-            ("3e", 11, ("N", "H+P"), coex_beats_fallback),
-            ("3f", 36, ("N",), True),
-        ]),
-        "S_H": _face([
-            ("4a", 7, ("O", "P", "N"), q["eta-pay(O+P)"] < 0.0),
-            ("4b", 35, ("O", "P", "N"), True),
-        ]),
-        "S_P": _face([
-            ("5a", 7, ("O", "H", "N"), above & (q["eta-pay(O+H)"] < 0.0)),
-            ("5b", 35, ("O", "H", "N"), above),
-            ("5c", 37, ("O", "N"), True),
-        ]),
-    }
+    q, holds = adm.quantities, {(): True}
+    for run in _RUNS:
+        (name, sign), rest = run[-1], run[:-1]
+        holds[run] = (holds[rest] & holds[run[-1:]] if rest
+                      else q[name] > 0.0 if sign > 0 else q[name] < 0.0)
+    tables = {}
+    for face, rows in PANELS.items():
+        panel = -1
+        for k in reversed(range(len(rows))):
+            panel += (k - panel) * holds[rows[k][3]]
+        tables[face] = FaceTable(tuple(row[:3] for row in rows), panel)
+    return tables
 
 
 # the candidate global attractors in report order, vertices then the H-P
@@ -129,7 +141,9 @@ def decide(adm: Admissibility) -> Decision:
     """
     faces = regime_table(adm)
     classified = adm.valid & (adm.on_boundary ^ True)
-    decided = {face: classified & (adm.undecided(face) ^ True) for face in faces}
+    decided = {face: classified & (functools.reduce(operator.or_, (
+        adm.face_degenerate[q] for q, held in SCOPES.items() if face in held)) ^ True)
+        for face in faces}
     settled = functools.reduce(operator.and_, decided.values())
     attracts = {label: functools.reduce(operator.and_, (faces[f].attracts(label) for f in held),
                                         settled) for label, held in _CANDIDATES.items()}

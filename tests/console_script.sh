@@ -44,6 +44,9 @@ cmp "$out/d.json" "$g/check_A_dominated.json"
 code=0; socgame check --params "$a" --set gamma=2 > "$out/g.json" || code=$?
 test "$code" -eq 3
 cmp "$out/g.json" "$g/check_A_degenerate.json"
+# a usage error exits 1 through the program run too: only basins takes --seed
+code=0; socgame check --params "$a" --seed 1 >/dev/null 2>&1 || code=$?
+test "$code" -eq 1
 # beta = 0 leaves only the S_N face undecided, and is a degenerate boundary
 code=0; socgame check --params "$a" --set beta=0 >/dev/null || code=$?
 test "$code" -eq 3

@@ -31,6 +31,11 @@ Nothing here is used by the package.  Tests check against it:
 
 One helper reads one part of what the package computes: ``face_regime``,
 one face's entry of the lax global report.
+
+Two references state the regime table apart from its sign literals
+(``regimes.PANELS``), which the package derives both from: ``FACE_SCOPE``,
+the faces each face-scoped quantity leaves undecided, written by hand, and
+``mask_panels``, each face's panel chosen by one mask expression a panel.
 """
 
 from __future__ import annotations
@@ -352,3 +357,41 @@ def face_regime(p: Params, face: str, tol: float = DEFAULT_TOL) -> EdgeRegime | 
     """One face's regime: its entry of ``classify_global(p, tol,
     strict=False)``, None where the face is undecided."""
     return classify_global(p, tol, strict=False).edges[FACES.index(face)]
+
+
+# each face-scoped degenerate quantity, with the boundary faces whose regime
+# it leaves undecided
+FACE_SCOPE = {
+    "beta": ("S_N",),
+    "beta-eta": ("S_O", "S_P"),
+    "eta-pay(O+P)": ("S_H",),
+    "eta-pay(O+H)": ("S_P",),
+    "eta-pay(H+P)": ("S_O",),
+}
+
+
+def mask_panels(adm) -> dict[str, object]:
+    """Each face's panel index into ``regimes.PANELS[face]``, read off
+    ``adm``, the admissibility table (floats, columns or ``Fraction``
+    fields), by one mask expression per panel; -1 where none holds.  Read
+    only where ``adm`` admits the point and finds no global degenerate
+    quantity."""
+    b_plus, above, q = adm.b_plus, adm.beta_above_eta, adm.quantities
+    hp_det = q["beta*epsilon+gamma*delta"]  # det of the H/P payoff block
+    hp_pos = hp_det > 0.0
+    h_in_sn = b_plus & (q["beta"] > 0.0)
+    coex_beats_fallback = q["eta-pay(H+P)"] < 0.0
+    conditions = {
+        "S_N": (h_in_sn & hp_pos, h_in_sn, b_plus & hp_pos, b_plus, hp_det < 0.0, True),
+        "S_O": (b_plus & above & coex_beats_fallback, b_plus & above,
+                b_plus & coex_beats_fallback, b_plus, coex_beats_fallback, True),
+        "S_H": (q["eta-pay(O+P)"] < 0.0, True),
+        "S_P": (above & (q["eta-pay(O+H)"] < 0.0), above, True),
+    }
+    panels = {}
+    for face, holds in conditions.items():
+        panel = -1
+        for k in reversed(range(len(holds))):
+            panel = k * holds[k] + panel * (holds[k] ^ True)
+        panels[face] = panel
+    return panels

@@ -1,5 +1,6 @@
 """What the benchmark (perfbench/) needs from socgame.
 
+It runs the CLI with the argument lists ``perfbench/common.py`` builds.
 Its traced run patches ``basins.find_attractor``, ``portrait.states_at``
 and ``portrait.face_states`` by name, imports ``match_attractor``, passes
 ``jobs=`` to ``estimate_basins``, and reports a portrait incorrect unless
@@ -9,11 +10,29 @@ here, without running the benchmark.
 """
 
 import csv
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import SET_A, SET_B
 from socgame import basins, estimate_basins, portrait
+from socgame.cli import _build_parser
+
+COMMON = Path(__file__).resolve().parents[1] / "perfbench" / "common.py"
+
+
+def test_parser_accepts_the_benchmark_command_lines(monkeypatch, tmp_path):
+    # perfbench is no package: import common.py from its path, registered
+    # while it runs, as its dataclasses need
+    spec = importlib.util.spec_from_file_location("perfbench_common", COMMON)
+    common = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, common)
+    spec.loader.exec_module(common)
+    for argv in (common.basins_args(1), common.sweep_args(), common.portrait_args(tmp_path)):
+        args = _build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 @pytest.mark.parametrize("module, name", [(basins, "find_attractor"),

@@ -30,6 +30,7 @@ from conftest import (
     snapped_points,
 )
 from oracles import (
+    FACE_SCOPE,
     NonStationaryPointError,
     coexistence_payoff,
     coexistence_share,
@@ -37,6 +38,7 @@ from oracles import (
     fd_jacobian,
     full_interior_shares,
     full_interior_state,
+    mask_panels,
     numeric_jacobian,
     oh_payoff,
     op_payoff,
@@ -59,7 +61,6 @@ from socgame.model import (
     DEFAULT_TOL,
     FACE_ABSENT,
     FACE_ACTIVE,
-    FACE_SCOPE,
     FACES,
     PARAM_NAMES,
     STRATEGIES,
@@ -70,7 +71,7 @@ from socgame.model import (
     payoff_rows,
     require_valid,
 )
-from socgame.regimes import decide
+from socgame.regimes import PANELS, SCOPES, decide, regime_table
 
 FACE_STRATEGIES = {
     "S_N": {"O", "H", "P"},
@@ -750,6 +751,34 @@ class TestValidateAgreesWithClassify:
                     assert (type(err), str(err)) == (type(want), str(want)), call
                 else:
                     assert isinstance(want, ValidationReport), call
+
+
+class TestRegimeTableAsData:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_literals_pick_the_mask_expressions_panel(self, p, tol):
+        # where the table is read, each face's sign literals pick the panel
+        # its mask expressions picked, on floats, numpy columns and Fractions
+        exact = SimpleNamespace(**{k: Fraction(v) for k, v in p.as_dict().items()})
+        with np.errstate(all="ignore"):
+            for c in (p, numpy_columns(p), exact):
+                adm = admissibility(c, tol)
+                if not adm.valid or adm.on_boundary:
+                    continue
+                want = mask_panels(adm)
+                for face, table in regime_table(adm).items():
+                    assert table.panel == want[face], (face, type(c))
+
+    def test_scopes_derive_from_the_literals(self):
+        # each face-scoped quantity undecides the faces whose literals name
+        # it, in validate's order
+        assert list(SCOPES.items()) == list(FACE_SCOPE.items())
+
+    def test_kept_quantities_are_the_literals(self):
+        literals = [lit for rows in PANELS.values() for *_, lits in rows for lit in lits]
+        assert {sign for _, sign in literals} == {1, -1}
+        assert set(admissibility(SET_A).quantities) == {name for name, _ in literals}
+        assert len(admissibility(SET_A).quantities) == 7
 
 
 class TestOneDecision:

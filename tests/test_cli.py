@@ -438,8 +438,7 @@ class TestBasins:
     def test_report(self, capsys, params_b, tmp_path):
         out_dir = tmp_path / "ba"
         code, out, _ = run(capsys, "basins", "--params", params_b,
-                           "--samples", "120", "--seed", "3",
-                           "--jobs", "1", "--out", str(out_dir))
+                           "--samples", "120", "--seed", "3", "--out", str(out_dir))
         assert code == 0
         doc = json.loads(out)
         assert doc["sample_count"] == 120 and doc["seed"] == 3
@@ -451,13 +450,12 @@ class TestBasins:
         assert len(csv_rows) == 5
 
     def test_deterministic(self, capsys, params_b):
-        # jobs=2 / --jobs 2 is accepted and changes nothing
-        code1, out1, _ = run(capsys, "basins", "--params", params_b,
-                             "--samples", "60", "--seed", "5")
-        code2, out2, _ = run(capsys, "basins", "--params", params_b,
-                             "--samples", "60", "--seed", "5", "--jobs", "2")
+        # one seed gives one report, the library's
+        argv = ["basins", "--params", params_b, "--samples", "60", "--seed", "5"]
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
         in_process = estimate_basins(Params.from_mapping(_read_params_file(params_b)), 60,
-                                     seed=5, jobs=2).as_dict()
+                                     seed=5).as_dict()
         assert (code1, out1) == (code2, out2) == (0, _json(in_process))
 
     def test_overflowing_stages_stay_silent(self, capsys, params_a):
@@ -537,6 +535,23 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    # only basins draws at random, so only it takes --seed; no command takes
+    # --jobs, as basins integrates its samples as one batch in this process
+    @pytest.mark.parametrize("argv", [["check"], ["equilibria"], ["simulate", "--x0", "1,0,0,0"],
+                                      ["sweep", "--sweep", "beta:0:1:2"], ["portrait"],
+                                      ["basins", "--samples", "1"]],
+                             ids=["check", "equilibria", "simulate", "sweep", "portrait",
+                                  "basins"])
+    def test_seed_only_on_basins_and_no_jobs(self, capsys, params_a, tmp_path, argv):
+        argv = [*argv, "--params", params_a, "--out", str(tmp_path / "o")]
+        flags = [["--jobs", "2"]] + ([] if argv[0] == "basins" else [["--seed", "1"]])
+        for flag in flags:
+            code, out, err = run(capsys, *argv, *flag)
+            assert (code, out) == (1, ""), flag
+            assert err.splitlines()[-1] == (
+                f"socgame: error: unrecognized arguments: {' '.join(flag)}")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_params_flag(self, capsys):
         assert main(["check"]) == 1

@@ -67,8 +67,7 @@ CASES = {
     # step from t=1.7037 to t=2.0578)
     "simulate_A_max_time.csv": (SET_A, ["simulate", "--x0", "0,0,0.26,0.74",
                                         "--max-time", "2.005"], 0, "trajectory.csv"),
-    "basins_B.json": (SET_B, ["basins", "--samples", "200", "--seed", "5", "--jobs", "1"],
-                      0, None),
+    "basins_B.json": (SET_B, ["basins", "--samples", "200", "--seed", "5"], 0, None),
     # seed 18 has the longest batch tail of seeds 11-40: 204 iterations
     "basins_B_seed18.json": (SET_B, ["basins", "--samples", "1000", "--seed", "18"], 0, None),
     # the short horizon ends 269 of the 1000 runs at max_time, outside every box
