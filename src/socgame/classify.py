@@ -27,10 +27,10 @@ it:
 
 The sign tables leave a face's interior state open.  ``_interior_state``,
 which only ``face_states`` calls, finds it where the face's three strategies
-earn one payoff, the shares sum to 1, the system is regular and every share
-is positive.  Its stability type is read off the eigenvalues of the
-replicator flow's analytic Jacobian (``dynamics.replicator_jacobian``) in
-the face's chart.  ``classify_global`` finds no such state: it loads no numpy.
+earn one payoff, by Cramer's rule in exact ``Fraction`` arithmetic on the
+parameters' floats, and types it from the trace and determinant of the
+flow's linearisation on the face's tangent plane.  So no tolerance judges
+its signs, and nothing in this module loads numpy.
 
 The admissibility table alone decides degeneracy: only
 ``model.require_valid`` raises DegenerateParameterError, so every point
@@ -40,6 +40,7 @@ The admissibility table alone decides degeneracy: only
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -55,17 +56,12 @@ from .model import (
     _edge_state,
     admissibility,
     face_holds,
-    payoff_matrix,
     payoff_rows,
     require_valid,
     validate,
 )
 from .regimes import FaceTable, decide
 from .welfare import WelfareReport, welfare_report
-
-# interior-state eigenvalues closer to zero than this get the "degenerate" sign
-SIGN_TOL = 1e-7
-
 
 def _sign(v: float, tol: float) -> str:
     if abs(v) <= tol:
@@ -216,38 +212,38 @@ class _Inventory:
 
 
 def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | None:
-    """Rest point inside the face of ``active``, its three strategies: where
-    they all earn one payoff and their shares sum to 1, by one linear solve.
-    None where the system is singular or a share is not positive, so the
-    state does not lie inside its face.  The eigen signs, "degenerate"
-    within ``SIGN_TOL`` of 0, are read off the Jacobian in the face's
-    chart, sorted by real part and labelled ``face eig <k>``."""
-    # imported here, so that classify_global, which finds no interior state,
-    # loads neither numpy nor the integrators
-    import numpy as np
+    """Rest point inside the face of ``active``, its three strategies, in
+    exact arithmetic on the parameters' floats: by Cramer's rule, the cross
+    product of the payoff-gap rows of the first against the others, over
+    its sum.  None where that sum is 0 or a share is not positive.
 
-    from .dynamics import replicator_jacobian
-
-    A = payoff_matrix(p)
-    # the first active strategy's payoff equals each other's; shares sum to 1
-    m = np.ones((3, 3))
-    m[:-1] = A[active[0], active] - A[np.ix_(active[1:], active)]
-    try:
-        sol = np.linalg.solve(m, np.eye(3)[-1])
-    except np.linalg.LinAlgError:
+    There M_ij = x_i (A_ij - sum_k x_k A_kj) maps onto the face's tangent
+    plane, where its two eigenvalues sum to tr M and multiply to the sum of
+    its 2x2 principal minors (Hofbauer & Sigmund 1998, ch. 7).  So they
+    give the signs, in order of real part and labelled ``face eig <k>``:
+    "degenerate" only where exactly 0."""
+    A = [[Fraction(a) for a in row] for row in payoff_rows(p)]
+    r = [[A[active[0]][j] - A[i][j] for j in active] for i in active[1:]]
+    cross = [r[0][(k + 1) % 3] * r[1][(k + 2) % 3] - r[0][(k + 2) % 3] * r[1][(k + 1) % 3]
+             for k in range(3)]
+    total = sum(cross)
+    if total == 0:
         return None
-    if any(v <= 0.0 for v in sol):
+    x = [c / total for c in cross]
+    if min(x) <= 0:
         return None
+    col = [sum(x[k] * A[i][j] for k, i in enumerate(active)) for j in active]
+    m = [[x[a] * (A[i][j] - col[b]) for b, j in enumerate(active)] for a, i in enumerate(active)]
+    tr = m[0][0] + m[1][1] + m[2][2]
+    det = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
+    eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
+    signs = tuple((f"face eig {k + 1}", _sign(e, 0)) for k, e in enumerate(eigs))
     xs = [0.0] * 4
-    for k, share in zip(active, sol):
-        xs[k] = float(share)
-    eigs = np.linalg.eigvals(replicator_jacobian(xs, p, active))
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    signs = tuple((f"face eig {i + 1}", _sign(float(ev.real), SIGN_TOL))
-                  for i, ev in enumerate(eigs))
+    for i, share in zip(active, x):
+        xs[i] = float(share)
     support = tuple(STRATEGIES[i] for i in active)
     return _state("+".join(support), "face-interior", SimplexState(*xs), support,
-                  float(A[active[0]] @ np.array(xs)), signs)
+                  float(sum(A[active[0]][i] * share for i, share in zip(active, x))), signs)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
     """All stationary states on one boundary face: the inventory's vertex
     and edge-interior states restricted to the face (closed-form signs),
     then the face-interior state if there is one (``_interior_state``,
-    Jacobian signs).  Raises as ``require_valid`` does, and ValueError for
+    exact signs).  Raises as ``require_valid`` does, and ValueError for
     an unknown face.
     """
     require_valid(p, tol)

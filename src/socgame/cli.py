@@ -111,6 +111,8 @@ def _read_params_file(path: str) -> dict[str, float]:
             raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip()
+        if key not in PARAM_NAMES:
+            raise ValueError(f"{path}:{ln}: unknown parameter {key!r}")
         if key in out:
             raise ValueError(f"{path}:{ln}: parameter {key!r} given twice")
         out[key] = _number(val.strip(), f"{path}:{ln}")

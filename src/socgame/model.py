@@ -47,8 +47,7 @@ if TYPE_CHECKING:
 STRATEGIES = ("O", "H", "P", "N")
 
 # One tolerance governs every strict-inequality check on the parameters.  The
-# signs of numerically computed eigenvalues, at interior states, use
-# classify.SIGN_TOL instead.
+# eigen signs of face-interior states are exact and need none.
 DEFAULT_TOL = 1e-9
 
 # The horizon of a run to rest, unless the caller chooses another.

@@ -9,8 +9,9 @@ so per-face trajectories tell the whole boundary story.
 Stationary states are marked by stability: filled disc = attractive within
 the face, open disc = repulsive, half-filled = saddle.  Trajectory seeds are
 a small interior lattice per face plus short outsets along the unstable
-direction of each saddle whose unstable direction points into the face,
-which trace the separatrices that carve up the basins.
+direction of each face-interior saddle and each edge saddle stable along
+its edge.  An edge saddle unstable along its edge gets none, so on set A,
+whose edge saddles all are, no outset is drawn.
 """
 
 from __future__ import annotations

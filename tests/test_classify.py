@@ -40,6 +40,7 @@ from oracles import (
     full_interior_state,
     mask_panels,
     numeric_jacobian,
+    numpy_interior_state,
     oh_payoff,
     op_payoff,
     reduced_field,
@@ -549,6 +550,27 @@ class TestAnalyticJacobian:
             fd = fd_jacobian(reduced_field(p, active), [x[k] for k in active[:-1]])
             scale = max(1.0, float(np.abs(jac).max()))
             assert np.abs(jac - fd).max() <= 1e-6 * scale, (active, x)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_exact_interior_state_matches_numpy_reference(self, seed, branch):
+        # on every face: the same existence away from the face's edges, the
+        # same location and payoff, and the same signs away from a zero
+        # eigenvalue, against a float solve and numpy's eigenvalues
+        p = draw_params(np.random.default_rng(seed), branch)
+        for face in FACES:
+            active = FACE_ACTIVE[face]
+            exact, ref = _interior_state(p, active), numpy_interior_state(p, active)
+            if ref is None or exact is None:
+                for s in (ref, exact):
+                    assert s is None or min(s.location.as_tuple()[k] for k in active) <= 1e-6
+                continue
+            got = exact.location.as_tuple() + (exact.payoff,)
+            want = ref.location.as_tuple() + (ref.payoff,)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9, (face, p)
+            eigs = np.linalg.eigvals(replicator_jacobian(ref.location.as_tuple(), p, active))
+            if np.min(np.abs(eigs.real)) > 1e-6:
+                assert exact.eigen_signs == ref.eigen_signs, (face, p)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))

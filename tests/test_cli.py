@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BOX_ONLY_P, BOX_ONLY_X0
+from conftest import BOX_ONLY_P, BOX_ONLY_X0, SET_A, SET_B, SET_C
 from socgame import Params, estimate_basins
 from socgame.cli import _YOUNG_OBJECTS, _json, _read_params_file, main
 from socgame.dynamics import IntegrationError
@@ -161,6 +161,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--params", str(f))
         assert code == 1
         assert "missing parameters" in err
+
+    @pytest.mark.parametrize("line, key", [("=3", ""), ("Alpha=3", "Alpha")],
+                             ids=["empty", "unknown"])
+    def test_params_file_names_line_of_unknown_key(self, capsys, params_a, tmp_path, line, key):
+        f = tmp_path / "odd.params"
+        f.write_text(Path(params_a).read_text() + line + "\n")
+        code, out, err = run(capsys, "check", "--params", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"input error: {f}:8: unknown parameter {key!r}\n"
 
     def test_set_rejects_unknown_key(self, capsys, params_a):
         code, _, err = run(capsys, "check", "--params", params_a, "--set", "zeta=1")
@@ -772,6 +781,20 @@ class TestFreshProcess:
             """)
         assert out == {"got": {n: [CASES[n][2], (GOLDEN_DIR / n).read_text()] for n in names},
                        "numpy": []}
+
+    # a face's interior state is solved and typed exactly, on builtins
+    def test_face_states_loads_no_numpy_nor_dynamics(self):
+        points = [p.as_dict() for p in (SET_A, SET_B, SET_C)]
+        out = fresh_python(f"""
+            import json, sys
+            from socgame import Params, face_states
+            from socgame.model import FACES
+            found = sum(len(face_states(Params(**p), face)) for p in {points!r} for face in FACES)
+            print(json.dumps({{"found": found > 0, "loaded": sorted(
+                m for m in sys.modules
+                if m.split(".")[0] == "numpy" or m == "socgame.dynamics")}}))
+            """)
+        assert out == {"found": True, "loaded": []}
 
     # sweep writes CSV, so it never loads json; the script prints its JSON
     # by hand so as not to load it either

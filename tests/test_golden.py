@@ -10,7 +10,8 @@ count of every row of one basin batch (``_integrate_rows``).
 each face of sets A, B and C, floats ``repr``'d.  Re-record
 them (only on purpose, when an output format or the integrator is meant to
 change) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``, which prints for each
+golden whether its bytes changed or stayed the same.
 """
 
 import contextlib
@@ -160,6 +161,14 @@ def test_batch_rows_match_golden():
     assert _batch_rows() == (GOLDEN_DIR / "rows_B.json").read_bytes()
 
 
+def _record(name: str, got: bytes) -> None:
+    """Write one golden, and say whether its bytes changed."""
+    path = GOLDEN_DIR / name
+    changed = not path.exists() or path.read_bytes() != got
+    path.write_bytes(got)
+    print(f"{'changed' if changed else 'same   '} {name}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -169,11 +178,7 @@ if __name__ == "__main__":
             code, got = _run_case(name, Path(tmp))
         if code != CASES[name][2]:
             raise SystemExit(f"{name}: exit {code}, expected {CASES[name][2]}")
-        (GOLDEN_DIR / name).write_bytes(got)
-        print(f"recorded {name}")
-    (GOLDEN_DIR / "states_at_B.json").write_bytes(_integrator_samples())
-    print("recorded states_at_B.json")
-    (GOLDEN_DIR / "face_states.json").write_bytes(_face_states())
-    print("recorded face_states.json")
-    (GOLDEN_DIR / "rows_B.json").write_bytes(_batch_rows())
-    print("recorded rows_B.json")
+        _record(name, got)
+    _record("states_at_B.json", _integrator_samples())
+    _record("face_states.json", _face_states())
+    _record("rows_B.json", _batch_rows())
