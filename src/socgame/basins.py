@@ -4,12 +4,12 @@ Starts are drawn uniformly from the simplex (flat Dirichlet: four standard
 exponentials, normalized) and integrated together as one numpy batch in this
 process.  Each global attractor that admits one gets a ratio box
 (``ratio_box``), a region proved to flow to it; a sample stops as soon as it
-enters a box.  The other samples run to rest.  Every finished run, here or
-in ``find_attractor`` and the CLI's ``simulate``, is labelled by one rule
-(``label_runs``): by the box that holds its end state.  "Unresolved" means
-"ended in no ratio box".  Fractions come with binomial standard errors;
-unresolved runs are tallied separately rather than discarded, so the
-fractions always account for every sample.
+enters a box and is labelled by the box that stopped it; the others run to
+rest in no box.  A single run (``find_attractor``, the CLI's ``simulate``)
+is labelled by the box that holds its end state (``label_runs``), the same
+box.  "Unresolved" means "ended in no ratio box".  Fractions come with
+binomial standard errors; unresolved runs are tallied separately rather
+than discarded, so the fractions always account for every sample.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .classify import StationaryState, classify_global
-from .dynamics import RatioBox, _integrate_rows, box_index, integrate
+from .dynamics import RatioBox, _box_of, _integrate_rows, integrate
 from .model import (DEFAULT_MAX_TIME, DEFAULT_TOL, STRATEGIES, Params, SimplexState,
                     check_max_time, payoff_rows)
 
@@ -184,14 +184,13 @@ def label_runs(
 ) -> list[StationaryState | None]:
     """Name the global attractor each finished run reached, or None.
 
-    ``finals`` holds the runs' end states, shape (n, 4).  A run is labelled
-    by the attractor of the first of ``boxed`` (in ``attractor_boxes``
-    order) whose box holds its end state, since the box proves where the
-    flow goes from there.  A run that ended in no ratio box is unresolved
-    (None), whatever its verdict.
+    ``finals`` holds the runs' end states, four floats each.  A run is
+    labelled by the attractor of the first of ``boxed`` whose box holds its
+    end state (``_box_of``), which proves where the flow goes from there,
+    and is unresolved (None) in no box, whatever its verdict.
     """
-    owner = box_index(np.asarray(finals, dtype=float).T, [box for _, box in boxed])
-    return [boxed[i][0] if i >= 0 else None for i in owner.tolist()]
+    boxes = [box for _, box in boxed]
+    return [boxed[i][0] if (i := _box_of(y, boxes)) >= 0 else None for y in finals]
 
 
 def find_attractor(
@@ -225,24 +224,24 @@ def estimate_basins(
     """Estimate the attraction basin of each global attractor.
 
     All samples run in one batch.  A sample that enters the ratio box of an
-    attractor (``ratio_box``) stops there; every other sample runs to rest.
-    Each is labelled by ``label_runs``, as ``find_attractor`` labels a run
-    from the same start with the same ``max_time``; "unresolved" counts the
-    samples that ended in no ratio box.  Every global attractor is listed,
-    one without a box with count 0.  ``max_time`` must be positive and
-    finite (ValueError otherwise).  ``jobs`` is accepted and ignored: the
-    batch runs in this process.
+    attractor (``ratio_box``) stops there and is labelled by that box; every
+    other sample runs to rest in no box.  So each is labelled as
+    ``find_attractor`` labels a run from the same start with the same
+    ``max_time``; "unresolved" counts the samples that ended in no ratio
+    box.  Every global attractor is listed, one without a box with count 0.
+    ``max_time`` must be positive and finite (ValueError otherwise).
+    ``jobs`` is accepted and ignored: the batch runs in this process.
     """
     check_max_time(max_time)
     attractors = classify_global(p, tol).global_attractors
     boxed = attractor_boxes(attractors, p)
-    finals, _, _ = _integrate_rows(sample_simplex(n, seed), p, max_time,
-                                   [box for _, box in boxed])
+    *_, owner = _integrate_rows(sample_simplex(n, seed), p, max_time,
+                                [box for _, box in boxed])
 
-    counts = {a.label: 0 for a in attractors}
-    counts["unresolved"] = 0
-    for hit in label_runs(finals, boxed):
-        counts[hit.label if hit is not None else "unresolved"] += 1
+    counts = dict.fromkeys([a.label for a in attractors] + ["unresolved"], 0)
+    labels = [a.label for a, _ in boxed] + ["unresolved"]  # owner -1 reads the last
+    for i in owner.tolist():
+        counts[labels[i]] += 1
     return BasinReport(
         sample_count=n,
         seed=seed,

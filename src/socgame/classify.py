@@ -40,7 +40,6 @@ The admissibility table alone decides degeneracy: only
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -222,6 +221,8 @@ def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | Non
     its 2x2 principal minors (Hofbauer & Sigmund 1998, ch. 7).  So they
     give the signs, in order of real part and labelled ``face eig <k>``:
     "degenerate" only where exactly 0."""
+    from fractions import Fraction
+
     A = [[Fraction(a) for a in row] for row in payoff_rows(p)]
     r = [[A[active[0]][j] - A[i][j] for j in active] for i in active[1:]]
     cross = [r[0][(k + 1) % 3] * r[1][(k + 2) % 3] - r[0][(k + 2) % 3] * r[1][(k + 1) % 3]

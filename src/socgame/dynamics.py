@@ -5,8 +5,8 @@ The replicator flow on shares ``x`` is ``dx_i/dt = x_i (P_i - Pbar)``, with
 payoffs ``P = A x`` and mean ``Pbar = x . A x``.  Its Jacobian has the closed
 form ``J_ij = delta_ij (P_i - Pbar) + x_i (A_ij - P_j - (A^T x)_j)``
 (Hofbauer & Sigmund 1998, ch. 7); ``replicator_jacobian`` gives it in the
-chart of a face or of the whole simplex, where the stability of interior
-rest points and the portrait's saddle directions are read off.
+chart of a face or of the whole simplex.  The portrait reads its saddle
+directions off it, and the tests use it as an oracle.
 
 Integration runs through one of two loops, chosen by what the caller asks
 for.  ``_drive`` follows one path with its samples: it either runs to rest
@@ -255,7 +255,7 @@ def _drive(
 
     Without ``times`` the run goes to rest: it samples its start and every
     accepted step, and stops once its state lies in one of ``boxes``
-    ("certified", tested first, as ``box_index`` tests), once max|dy/dt|
+    ("certified", tested first, by ``_box_of``), once max|dy/dt|
     falls below _CONVERGED ("converged") or at ``max_time``
     ("max-time-reached").  ``t`` and ``h`` resume such a run at time ``t``
     with step size ``h``; ``_integrate_rows`` hands rows over so.  With
@@ -282,7 +282,7 @@ def _drive(
     while True:
         vel = max(abs(v) for v in k1)
         if to_rest:
-            if boxes and _in_a_box(y, boxes):
+            if boxes and _box_of(y, boxes) >= 0:
                 return out_t, out_y, vel, "certified"
             if vel < _CONVERGED:
                 return out_t, out_y, vel, "converged"
@@ -329,20 +329,6 @@ class RatioBox(NamedTuple):
     hi: tuple[float, float, float, float]
 
 
-def box_index(y: Sequence, boxes: Sequence[RatioBox]) -> np.ndarray:
-    """Index of the first of ``boxes`` that holds each row of ``y``, four
-    share columns (a tuple, or an array of shape (4, n)); -1 for a row in
-    none of them.
-
-    Every share must be finite and non-negative, or NaN (a row with a NaN
-    share is in no box), as every projected state is: a lower bound
-    ``lo[k] == 0`` then always holds."""
-    if not boxes:
-        return np.full(len(y[0]), -1)
-    inside = _inside(np.asarray(y, dtype=float), _stack_bounds(boxes))
-    return np.where(inside.any(axis=0), inside.argmax(axis=0), -1)
-
-
 def _stack_bounds(boxes: Sequence[RatioBox]) -> tuple:
     """``boxes`` stacked for ``_inside``: their refs (b,), their upper ratio
     bounds (b, 4, 1), and (box, k, bound) for each lower bound above 0.  The
@@ -368,14 +354,14 @@ def _inside(y: np.ndarray, bounds: tuple) -> np.ndarray:
     return inside
 
 
-def _in_a_box(y: tuple[float, ...], boxes: Sequence[RatioBox]) -> bool:
-    """Whether one of ``boxes`` holds the four floats ``y``, by the test of
-    ``box_index``."""
-    for ref, lo, hi in boxes:
+def _box_of(y: Sequence[float], boxes: Sequence[RatioBox]) -> int:
+    """Index of the first of ``boxes`` that holds ``y``, else -1, by the test
+    of ``_inside``; ``y`` is four finite non-negative or NaN shares."""
+    for i, (ref, lo, hi) in enumerate(boxes):
         xr = y[ref]
         if xr > 0.0 and all(lo[k] * xr <= y[k] <= hi[k] * xr for k in range(4) if k != ref):
-            return True
-    return False
+            return i
+    return -1
 
 
 _VERDICTS = ("converged", "max-time-reached", "step-failure", "certified")
@@ -393,29 +379,30 @@ _HANDOVER_ROWS = 16
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate_rows(
     x0: np.ndarray, p: Params, max_time: float, boxes: Sequence[RatioBox] = (),
-) -> tuple[np.ndarray, list[str], np.ndarray]:
+) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
     """``integrate`` from every row of ``x0`` (shape (n, 4)) at once, keeping
-    only the end: returns (final states (n, 4), verdicts, accepted steps).
+    only the end: returns (final states (n, 4), verdicts, accepted steps,
+    owners), a row's owner being the index of the box that stopped it, or -1.
 
     A row that lies in one of ``boxes``, at its start or after any accepted
-    step, stops there with the verdict "certified": the box proves where it
-    goes, and ``box_index`` of its final state names the box.  Every other
-    row takes exactly the steps ``_drive`` takes to rest from the same start
-    and ends with the same state and verdict, bit for bit: the state is one
-    (4, m) block over the running rows, handed to the step as ``(y,)``,
-    so every elementwise operation of the field, the stages and the
-    projection runs in the same order as on four floats, and each row keeps
-    its own t, h and step count.  Step-size factors come from Python's
-    ``pow``, in one pass over the accepted rows (``_grow_rows``), because
-    numpy's vectorised power can differ from it in the last bit.
-    A step that would pass max_time is shortened to end on it and leaves h
-    alone, by ``_drive``'s rule.  Rows leave the block when they are
-    certified, converge, reach max_time or fail a step.  The last
-    _HANDOVER_ROWS rows go on in ``_drive`` from their own t and h, with
-    the same boxes, and add the steps taken there to their counts (a batch
-    iteration has a fixed cost of about ten float steps, and the last rows
-    of a batch can run a hundred iterations more).  No samples are
-    recorded.
+    step, stops there with the verdict "certified" and the first such box
+    (``_box_of``) as owner: the box proves where it goes.  Every other row
+    ends in no box, since each stop tests the boxes first, and takes exactly
+    the steps ``_drive`` takes to rest from the same start and ends with the
+    same state and verdict, bit for bit: the state is one (4, m) block over
+    the running rows, handed to the step as ``(y,)``, so every elementwise
+    operation of the field, the stages and the projection runs in the same
+    order as on four floats, and each row keeps its own t, h and step count.
+    Step-size factors come from Python's ``pow``, in one pass over the
+    accepted rows (``_grow_rows``), because numpy's vectorised power can
+    differ from it in the last bit.  A step that would pass max_time is
+    shortened to end on it and leaves h alone, by ``_drive``'s rule.  Rows
+    leave the block when they are certified, converge, reach max_time or
+    fail a step.  The last _HANDOVER_ROWS rows go on in ``_drive`` from
+    their own t and h, with the same boxes, and add the steps taken there to
+    their counts (a batch iteration has a fixed cost of about ten float
+    steps, and the last rows of a batch can run a hundred iterations more).
+    No samples are recorded.
     """
 
     def f(y: tuple) -> tuple:
@@ -425,6 +412,7 @@ def _integrate_rows(
     final = np.array(x0, dtype=float)
     verdict = np.zeros(len(final), dtype=np.int8)  # index into _VERDICTS
     steps = np.zeros(len(final), dtype=np.int64)
+    owner = np.full(len(final), -1)
     rows = np.arange(len(final))  # the running rows, by position in x0
     y = final.T.copy()  # column j holds running row rows[j]
     (k1,) = f((y,))
@@ -434,7 +422,8 @@ def _integrate_rows(
     failed = np.zeros(len(rows), dtype=bool)  # whose step failed last iteration
     while True:
         converged = np.abs(k1).max(axis=0) < _CONVERGED
-        certified = _inside(y, bounds).any(axis=0)
+        inside = _inside(y, bounds)
+        certified = inside.any(axis=0)
         stop = failed | certified | converged | (t >= max_time)
         if stop.any():
             # the first test that holds names the verdict: a failed step,
@@ -444,6 +433,8 @@ def _integrate_rows(
             final[done] = y[:, stop].T
             verdict[done] = code[stop]
             steps[done] = n[stop]
+            if certified.any():  # argmax over zero boxes raises
+                owner[rows[certified]] = inside[:, certified].argmax(axis=0)
             go = ~stop
             rows, y, k1, t, h, n = rows[go], y[:, go], k1[:, go], t[go], h[go], n[go]
         if rows.size <= _HANDOVER_ROWS:
@@ -468,7 +459,8 @@ def _integrate_rows(
         final[row] = ys[-1]
         verdict[row] = _VERDICTS.index(why)
         steps[row] = nj + len(times) - 1
-    return final, [_VERDICTS[v] for v in verdict], steps
+        owner[row] = _box_of(ys[-1], boxes)
+    return final, [_VERDICTS[v] for v in verdict], steps, owner
 
 
 # ---------------------------------------------------------------------------

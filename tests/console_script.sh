@@ -2,8 +2,8 @@
 # Runs the installed socgame console script on the canonical parameter sets
 # and compares its output with the goldens byte for byte, and its exit codes
 # with theirs, and fails if `socgame check` or `socgame equilibria` imports
-# any numpy module.  The tests call cli.main() in process; this checks the
-# entry point a user runs, which calls main() with no argv.
+# any numpy module or `fractions`.  The tests call cli.main() in process;
+# this checks the entry point a user runs, which calls main() with no argv.
 #
 #   pip install -e . && bash tests/console_script.sh
 set -euo pipefail
@@ -17,16 +17,18 @@ g=tests/golden
 socgame check --params "$a" | cmp - "$g/check_A.json"
 # check and equilibria read one point on floats: no numpy module may be
 # imported, also on set B, where the O-H edge state's payoff divides by
-# alpha+beta = 0
+# alpha+beta = 0.  Nor fractions, which only the portrait's face states use
 for cmd in check equilibria; do
   for params in "$a" "$b"; do
     PYTHONPROFILEIMPORTTIME=1 socgame "$cmd" --params "$params" 2> "$out/imports.txt" >/dev/null
     grep -q 'socgame\.model$' "$out/imports.txt"
-    if grep -q numpy "$out/imports.txt"; then
-      echo "socgame $cmd imported numpy on $params:" >&2
-      grep numpy "$out/imports.txt" >&2
-      exit 1
-    fi
+    for mod in numpy fractions; do
+      if grep -q "$mod" "$out/imports.txt"; then
+        echo "socgame $cmd imported $mod on $params:" >&2
+        grep "$mod" "$out/imports.txt" >&2
+        exit 1
+      fi
+    done
   done
 done
 # a program run ends its own process, except under a profiler or tracer,

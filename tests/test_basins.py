@@ -25,6 +25,7 @@ from socgame import (
 )
 from socgame import basins
 from socgame.basins import _certifies, attractor_boxes, label_runs, ratio_box
+from socgame.dynamics import _integrate_rows
 from socgame.model import DEFAULT_MAX_TIME, STRATEGIES, payoff_rows
 
 
@@ -108,6 +109,21 @@ class TestEstimateBasins:
         # whether that run goes to rest or stops at a short max_time
         assert (dict(estimate_basins(p, 200, seed=seed, max_time=max_time).counts)
                 == per_start_tally(p, 200, seed, max_time))
+
+    @pytest.mark.parametrize("p", [SET_A, SET_B], ids=["A", "B"])
+    @pytest.mark.parametrize("seed", [1, 2, 6])
+    @pytest.mark.parametrize("max_time", [DEFAULT_MAX_TIME, 3.3], ids=["rest", "t3.3"])
+    def test_counts_equal_labels_of_batch_end_states(self, p, seed, max_time):
+        # a sample is counted by the box that stopped it, which is the box
+        # label_runs finds at its end state
+        attractors = classify_global(p).global_attractors
+        boxed = attractor_boxes(attractors, p)
+        finals, *_ = _integrate_rows(sample_simplex(300, seed), p, max_time,
+                                     [box for _, box in boxed])
+        tally = dict.fromkeys([a.label for a in attractors] + ["unresolved"], 0)
+        for hit in label_runs(finals.tolist(), boxed):
+            tally[hit.label if hit is not None else "unresolved"] += 1
+        assert dict(estimate_basins(p, 300, seed=seed, max_time=max_time).counts) == tally
 
     def test_short_horizon_leaves_fewer_unresolved(self):
         # a certified sample is labelled even where max_time stops its run

@@ -737,7 +737,8 @@ class TestFreshProcess:
                        "error": "module 'socgame' has no attribute 'no_such_name'"}
 
     # each command loads the socgame submodules it runs, and no others;
-    # check and equilibria, which read one point on floats, load no numpy
+    # check and equilibria, which read one point on floats, load no numpy.
+    # Only the portrait's face states use fractions, so none of these loads it
     @pytest.mark.parametrize("argv, loaded, numpy", [
         (["check"], ["socgame.cli", "socgame.model"], False),
         (["equilibria"], ["socgame.classify", "socgame.cli", "socgame.model",
@@ -756,9 +757,10 @@ class TestFreshProcess:
                 code = main({argv + ["--params", params_a]!r})
             print(json.dumps({{"code": code, "loaded": sorted(
                 m for m in sys.modules if m.startswith("socgame.")),
-                "numpy": any(m.split(".")[0] == "numpy" for m in sys.modules)}}))
+                "numpy": any(m.split(".")[0] == "numpy" for m in sys.modules),
+                "fractions": "fractions" in sys.modules}}))
             """)
-        assert out == {"code": 0, "loaded": loaded, "numpy": numpy}
+        assert out == {"code": 0, "loaded": loaded, "numpy": numpy, "fractions": False}
 
     # equilibria loads no numpy at any point it reports on, degenerate or
     # not: every equilibria golden, run in one process

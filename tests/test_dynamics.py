@@ -32,10 +32,11 @@ from socgame.basins import attractor_boxes
 from socgame.dynamics import (
     RatioBox,
     _grow,
+    _box_of,
     _grow_rows,
-    _in_a_box,
+    _inside,
     _integrate_rows,
-    box_index,
+    _stack_bounds,
     replicator_field,
 )
 
@@ -331,8 +332,9 @@ class TestBatchedRuns:
     def test_batch_equals_per_start(self, seed, branch, zeros, max_time):
         p, x0 = batch_case(seed, branch, zeros)
         runs = [integrate(SimplexState(*row), p, max_time) for row in x0.tolist()]
-        for finals, verdicts, steps in batch_runs(x0, p, max_time):
+        for finals, verdicts, steps, owners in batch_runs(x0, p, max_time):
             assert len(verdicts) == len(x0)
+            assert owners.tolist() == [-1] * len(x0)  # no box owns a row
             for tr, final, verdict, k in zip(runs, finals.tolist(), verdicts, steps.tolist()):
                 assert tuple(final) == tr.final_state.as_tuple()
                 assert verdict == tr.verdict
@@ -345,16 +347,18 @@ class TestBatchedRuns:
     def test_batch_with_boxes_equals_per_start_until_certified(self, seed, branch, zeros,
                                                                max_time):
         # a certified row stops, inside a box, where the run to rest is after
-        # as many steps; every other row ends where that run ends
+        # as many steps; every other row ends where that run ends, in no box.
+        # A row's owner is the first box that holds its final state
         p, x0 = batch_case(seed, branch, zeros)
         boxes = [box for _, box in attractor_boxes(classify_global(p).global_attractors, p)]
         runs = [integrate(SimplexState(*row), p, max_time) for row in x0.tolist()]
-        for finals, verdicts, steps in batch_runs(x0, p, max_time, boxes):
-            inside = box_index(finals.T, boxes).tolist()
+        for finals, verdicts, steps, owners in batch_runs(x0, p, max_time, boxes):
             for tr, final, verdict, k, i in zip(runs, finals.tolist(), verdicts,
-                                                steps.tolist(), inside):
+                                                steps.tolist(), owners.tolist()):
+                assert i == _box_of(final, boxes)
+                assert (i >= 0) == (verdict == "certified")
                 if verdict == "certified":
-                    assert i >= 0 and k <= len(tr.times) - 1
+                    assert k <= len(tr.times) - 1
                     assert tuple(final) == tr.states[k].as_tuple()
                 else:
                     assert tuple(final) == tr.final_state.as_tuple()
@@ -411,8 +415,8 @@ class TestStepFactors:
 
 
 def two_sided_box_index(y, boxes):
-    """``box_index`` with both bounds tested for every ratio, lower bounds
-    of 0 included."""
+    """Index of the first of ``boxes`` that holds each column of ``y``, or
+    -1, with both bounds tested for every ratio, lower bounds of 0 included."""
     found = np.full(len(y[0]), -1)
     for i, b in enumerate(boxes):
         xr = y[b.ref]
@@ -446,11 +450,13 @@ class TestBoxIndex:
     @given(boxes=st.lists(ratio_boxes(), max_size=4),
            rows=st.lists(st.tuples(SHARE, SHARE, SHARE, SHARE), min_size=1, max_size=30))
     def test_equals_two_sided_test_on_non_negative_shares(self, boxes, rows):
+        # the batch's stacked test, read as the first box that holds a column,
+        # and the float test of one state
         y = np.array(rows).T
-        assert box_index(y, boxes).tolist() == two_sided_box_index(y, boxes).tolist()
-        assert box_index(tuple(y), boxes).tolist() == two_sided_box_index(y, boxes).tolist()
-        assert ([_in_a_box(row, boxes) for row in rows]
-                == (two_sided_box_index(y, boxes) >= 0).tolist())
+        expected = two_sided_box_index(y, boxes).tolist()
+        inside = _inside(y, _stack_bounds(boxes))
+        assert [int(col.argmax()) if col.any() else -1 for col in inside.T] == expected
+        assert [_box_of(row, boxes) for row in rows] == expected
 
 
 class TestAttractorMatching:

@@ -135,8 +135,8 @@ def _batch_rows() -> bytes:
     """``_integrate_rows`` on set B, with its ratio boxes, every float
     ``repr``'d."""
     boxes = [box for _, box in attractor_boxes(classify_global(SET_B).global_attractors, SET_B)]
-    finals, verdicts, steps = _integrate_rows(sample_simplex(ROWS_COUNT, ROWS_SEED), SET_B,
-                                              DEFAULT_MAX_TIME, boxes)
+    finals, verdicts, steps, _ = _integrate_rows(sample_simplex(ROWS_COUNT, ROWS_SEED),
+                                                 SET_B, DEFAULT_MAX_TIME, boxes)
     doc = [{"final": [repr(v) for v in final], "verdict": verdict, "steps": k}
            for final, verdict, k in zip(finals.tolist(), verdicts, steps.tolist())]
     return (json.dumps({"seed": ROWS_SEED, "rows": doc}, indent=1) + "\n").encode()
