@@ -198,17 +198,13 @@ def find_attractor(
     p: Params,
     max_time: float = DEFAULT_MAX_TIME,
     tol: float = DEFAULT_TOL,
-    attractors: Sequence | None = None,
 ):
     """Integrate from ``x0`` and name the global attractor it reached.
 
     Returns the StationaryState ``label_runs`` names for the run's end, or
-    None when the run is unresolved: it ended in no ratio box.  Pass
-    ``attractors`` to reuse a classification across many starts; their
-    ratio boxes (``attractor_boxes``) are built on every call.
+    None when the run is unresolved: it ended in no ratio box.
     """
-    if attractors is None:
-        attractors = classify_global(p, tol).global_attractors
+    attractors = classify_global(p, tol).global_attractors
     traj = integrate(x0, p, max_time)
     return label_runs([traj.final_state.as_tuple()], attractor_boxes(attractors, p))[0]
 

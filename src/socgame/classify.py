@@ -33,8 +33,8 @@ flow's linearisation on the face's tangent plane.  So no tolerance judges
 its signs, and nothing in this module loads numpy.
 
 The admissibility table alone decides degeneracy: only
-``model.require_valid`` raises DegenerateParameterError, so every point
-``validate`` accepts has its faces, states and global set.
+``model.ValidationReport.require`` raises DegenerateParameterError, so
+every point ``validate`` accepts has its faces, states and global set.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .model import (
     FACE_ABSENT,
     FACE_ACTIVE,
     STRATEGIES,
-    DegenerateParameterError,
     Params,
     SimplexState,
     ValidationReport,
@@ -56,7 +55,6 @@ from .model import (
     admissibility,
     face_holds,
     payoff_rows,
-    require_valid,
     validate,
 )
 from .regimes import FaceTable, decide
@@ -163,7 +161,8 @@ class _Inventory:
     ``states`` maps label to state, vertices first, then edges in index
     order.  Each edge's end gaps are quantities of the admissibility table,
     or vanish only where it reports a degenerate or dominated point, so
-    past ``require_valid`` whether an edge carries a state is decided.
+    past ``ValidationReport.require`` whether an edge carries a state is
+    decided.
     """
 
     def __init__(self, p: Params, tol: float) -> None:
@@ -255,10 +254,10 @@ def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[Stationa
     """All stationary states on one boundary face: the inventory's vertex
     and edge-interior states restricted to the face (closed-form signs),
     then the face-interior state if there is one (``_interior_state``,
-    exact signs).  Raises as ``require_valid`` does, and ValueError for
-    an unknown face.
+    exact signs).  Raises as ``ValidationReport.require`` does, and
+    ValueError for an unknown face.
     """
-    require_valid(p, tol)
+    validate(p, tol).require()
     if face not in FACE_ACTIVE:
         raise ValueError(f"unknown face {face!r}")
     out = _Inventory(p, tol).face(face)
@@ -278,19 +277,15 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
     """Classify all four boundary faces and compose the global attractor set.
 
     A state attracts from the full simplex exactly when it attracts within
-    every boundary face containing it.  Raises as ``require_valid`` does.
-    With ``strict=False`` a degenerate point is reported instead: a global
-    degenerate quantity leaves every face None, a face-scoped one the faces
-    in its scope, the global set is left empty, and the report is flagged.
+    every boundary face containing it.  Raises as
+    ``ValidationReport.require`` does.  With ``strict=False`` a degenerate
+    point (exit code 3) is reported instead: a global degenerate quantity
+    leaves every face None, a face-scoped one the faces in its scope, the
+    global set is left empty, and the report is flagged.
     """
-    try:
-        validation = require_valid(p, tol)
-    except DegenerateParameterError:
-        # degeneracy outranks invalidity in require_valid, so a lax report
-        # flags a boundary point as degenerate instead of rejecting it
-        if strict:
-            raise
-        validation = validate(p, tol)
+    validation = validate(p, tol)
+    if strict or validation.code != 3:
+        validation.require()
     d = decide(admissibility(p, tol))
     inv = _Inventory(p, tol) if validation.admissible else None
     global_attractors = tuple(inv.states[label] for label, on in d.attracts.items() if on)

@@ -1,12 +1,15 @@
 """Command line front end.
 
 Subcommands: check, equilibria, simulate, sweep, basins, portrait.
-Parameters come from a flat key=value file (--params) with --set overrides;
-a key given twice in the file, or twice in --set, is an input error.
+Parameters come from a flat key=value file (--params) with --set overrides,
+each line and item read by ``_assign``; a key given twice in the file, or
+twice in --set, is an input error.  Every command but check takes --out.
 Exit codes: 0 success, 1 input error or output error (standard output
 closed or not writable, or a file under --out not writable), 2 inadmissible
 parameters (dominated strategy), 3 degenerate boundary, 4 integration
-failure.
+failure.  ``check`` and ``equilibria`` return the point's
+``model.ValidationReport.code``; the others raise its error, which ``_main``
+maps back to that code.
 
 ``_main`` builds the parameter point (params file, --set, the --tol check)
 and calls the command's handler with the parsed namespace and that point.
@@ -100,37 +103,28 @@ def _number(text: str, where: str, kind=float):
         raise ValueError(f"{where}: not {what}: {text!r}") from None
 
 
+def _assign(out: dict[str, float], text: str, where: str) -> None:
+    """Read one KEY=VALUE item, a ``--params`` line or a ``--set`` value,
+    into ``out``.  A malformed item is an input error that names ``where``
+    (the file line, or the option): no ``=``, an unknown key, a key already
+    in ``out``, or a value that is not a number."""
+    key, eq, val = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ValueError(f"{where}: expected KEY=VALUE, got {text!r}")
+    if key not in PARAM_NAMES:
+        raise ValueError(f"{where}: unknown parameter {key!r}")
+    if key in out:
+        raise ValueError(f"{where}: parameter {key!r} given twice")
+    out[key] = _number(val.strip(), f"{where} {key}")
+
+
 def _read_params_file(path: str) -> dict[str, float]:
-    text = Path(path).read_text()
     out: dict[str, float] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if key not in PARAM_NAMES:
-            raise ValueError(f"{path}:{ln}: unknown parameter {key!r}")
-        if key in out:
-            raise ValueError(f"{path}:{ln}: parameter {key!r} given twice")
-        out[key] = _number(val.strip(), f"{path}:{ln}")
-    return out
-
-
-def _parse_set(sets: Sequence[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in sets:
-        if "=" not in item:
-            raise ValueError(f"--set expects KEY=VAL, got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in PARAM_NAMES:
-            raise ValueError(f"--set: unknown parameter {key!r}")
-        if key in out:
-            raise ValueError(f"--set: parameter {key!r} given twice")
-        out[key] = _number(val, f"--set {key}")
+        if line and not line.startswith("#"):
+            _assign(out, line, f"{path}:{ln}")
     return out
 
 
@@ -196,33 +190,27 @@ def _json(doc: dict) -> str:
 def cmd_check(args: argparse.Namespace, p: Params) -> int:
     report = validate(p, args.tol)
     doc: dict = {"params": p.as_dict(), "validation": report.as_dict()}
-    code = 0
     if report.positivity_ok:
         doc["dominance"] = [list(pair) for pair in dominance_relations(p)]
-    if report.degenerate_quantities:
-        code = 3
-    elif not (report.positivity_ok and report.nondominance_ok):
-        code = 2
-    else:
+    if report.ok:
         doc["nash"] = nash_vertices(p, args.tol)
     _emit(_json(doc))
-    return code
+    return report.code
 
 
 def cmd_equilibria(args: argparse.Namespace, p: Params) -> int:
     from .classify import classify_global
 
-    vrep = validate(p, args.tol)
+    report = validate(p, args.tol)
     # a face-scoped boundary still gets the lax report, with those faces null
-    if not vrep.admissible:
-        _emit(_json({"params": p.as_dict(), "validation": vrep.as_dict()}))
-        return 3 if vrep.degenerate_quantities else 2
-    report = classify_global(p, args.tol, strict=False)
-    text = _json(report.as_dict())
+    if not report.admissible:
+        _emit(_json({"params": p.as_dict(), "validation": report.as_dict()}))
+        return report.code
+    text = _json(classify_global(p, args.tol, strict=False).as_dict())
     _emit(text)
     if args.out is not None:
         _write_out(args.out, {"equilibria.json": text})
-    return 3 if report.degenerate else 0
+    return report.code
 
 
 def cmd_simulate(args: argparse.Namespace, p: Params) -> int:
@@ -348,7 +336,9 @@ def _build_parser() -> _Parser:
                         help="override one parameter (repeatable)")
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="strict-inequality tolerance")
-    common.add_argument("--out", type=Path, metavar="DIR", help="output directory")
+    # every command but check writes its result under --out
+    writes = _Parser(add_help=False)
+    writes.add_argument("--out", type=Path, metavar="DIR", help="output directory")
 
     parser = _Parser(prog="socgame",
                      description="Equilibria, regimes and basins of the four-strategy "
@@ -357,22 +347,22 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("check", parents=[common],
                    help="validate parameters, list Nash vertices and dominance")
-    sub.add_parser("equilibria", parents=[common],
+    sub.add_parser("equilibria", parents=[common, writes],
                    help="classify all faces and the global attractor set")
 
-    sim = sub.add_parser("simulate", parents=[common],
+    sim = sub.add_parser("simulate", parents=[common, writes],
                          help="integrate one trajectory and name its attractor")
     sim.add_argument("--x0", required=True, metavar="X1,X2,X3,X4",
                      help="initial shares, comma separated")
     sim.add_argument("--max-time", type=float, default=DEFAULT_MAX_TIME)
 
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[common, writes],
                         help="classify over a 1D or 2D parameter grid")
     sw.add_argument("--sweep", action="append", required=True,
                     metavar="NAME:MIN:MAX:STEPS",
                     help=f"grid axis (max twice; at most {MAX_ITEMS} grid points)")
 
-    ba = sub.add_parser("basins", parents=[common],
+    ba = sub.add_parser("basins", parents=[common, writes],
                         help="Monte Carlo basin-of-attraction fractions")
     ba.add_argument("--samples", type=int, default=1000,
                     help=f"number of uniform starts, 1 to {MAX_ITEMS}")
@@ -384,7 +374,7 @@ def _build_parser() -> _Parser:
                          "stop it before it settles; \"unresolved\" means "
                          "\"ended in no ratio box\"")
 
-    sub.add_parser("portrait", parents=[common],
+    sub.add_parser("portrait", parents=[common, writes],
                    help="planar-net SVG phase portrait of the boundary faces")
     return parser
 
@@ -448,9 +438,10 @@ def _main(argv: Sequence[str] | None) -> int:
     try:
         if sys.stdout is None:  # started with fd 1 closed
             raise OutputError("standard output is closed")
-        mapping = _read_params_file(args.params)
-        mapping.update(_parse_set(args.set))
-        p = Params.from_mapping(mapping)
+        mapping, sets = _read_params_file(args.params), {}
+        for item in args.set:  # a --set key may override the file's
+            _assign(sets, item, "--set")
+        p = Params.from_mapping({**mapping, **sets})
         if not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
         return _HANDLERS[args.command](args, p)

@@ -30,7 +30,8 @@ strategies each holds, and the face-scoped quantities (``FACE_SCOPE``).
 
 The errors that the CLI maps to exit codes live here too, with the decimal
 formatter every writer shares, so that a command that never integrates
-need not load ``dynamics`` to catch or print them.
+need not load ``dynamics`` to catch or print them.  A point's exit code is
+chosen once, by ``ValidationReport.code``; ``require`` raises its error.
 """
 
 from __future__ import annotations
@@ -196,6 +197,24 @@ class ValidationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.admissible and not self.degenerate_quantities
+
+    @property
+    def code(self) -> int:
+        """The exit code the point earns: 3 on a degenerate boundary, which
+        outranks 2 for failed positivity or nondominance, else 0."""
+        if self.degenerate_quantities:
+            return 3
+        return 0 if self.positivity_ok and self.nondominance_ok else 2
+
+    def require(self) -> "ValidationReport":
+        """This report, if ``code`` is 0; else the error that ``code``
+        names: DegenerateParameterError (3) or InvalidParameterError (2)."""
+        if self.code == 3:
+            raise DegenerateParameterError(
+                "degenerate classifying quantities: " + ", ".join(self.degenerate_quantities))
+        if self.code == 2:
+            raise InvalidParameterError("; ".join(self.messages))
+        return self
 
     def as_dict(self) -> dict:
         return {
@@ -475,19 +494,6 @@ def validate(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
     )
 
 
-def require_valid(p: Params, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """validate() that raises instead of reporting.  Degeneracy outranks
-    nondominance so boundary points surface as such, not as failures."""
-    report = validate(p, tol)
-    if report.degenerate_quantities:
-        raise DegenerateParameterError(
-            "degenerate classifying quantities: " + ", ".join(report.degenerate_quantities)
-        )
-    if not (report.positivity_ok and report.nondominance_ok):
-        raise InvalidParameterError("; ".join(report.messages) or "invalid parameters")
-    return report
-
-
 def nash_vertices(p: Params, tol: float = DEFAULT_TOL) -> dict[str, bool]:
     """Which pure states are strict Nash equilibria, read off the
     admissibility table.
@@ -495,9 +501,10 @@ def nash_vertices(p: Params, tol: float = DEFAULT_TOL) -> dict[str, bool]:
     N always is (any deviation forfeits the fallback payoff).  O needs
     alpha > eta, H needs beta > eta, P needs epsilon > max(gamma, eta): at an
     admissible point O always is, and P is exactly on branch B-plus.  Raises
-    as ``require_valid`` does, which covers beta within ``tol`` of eta.
+    as ``ValidationReport.require`` does, which covers beta within ``tol``
+    of eta.
     """
-    require_valid(p, tol)
+    validate(p, tol).require()
     table = admissibility(p, tol)
     return {
         "O": not table.dominated["O", "N"],

@@ -123,7 +123,7 @@ def render_portrait(
 
     Raises before writing anything, and before creating ``out_dir``, if the
     parameters are inadmissible or degenerate: ``face_states`` raises as
-    ``model.require_valid`` does.
+    ``model.ValidationReport.require`` does.
     """
     all_states = {face: face_states(p, face, tol) for face in FACES}
     out_dir = Path(out_dir)

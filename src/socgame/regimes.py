@@ -84,11 +84,6 @@ PANELS = {
     ),
 }
 
-# each literal and each leading run of a panel's literals, shortest first:
-# a read evaluates each once, a longer run as a shorter one & a literal
-_RUNS = sorted({run: 0 for rows in PANELS.values() for *_, lits in rows
-                for n in range(len(lits)) for run in ((lits[n],), lits[:n + 1])}, key=len)
-
 # each face-scoped quantity, with the faces whose literals name it
 SCOPES = {name: tuple(face for face, rows in PANELS.items()
                       if name in {q for row in rows for q, _ in row[3]}) for name in FACE_SCOPE}
@@ -103,16 +98,13 @@ def regime_table(adm: Admissibility) -> dict[str, FaceTable]:
     there, selected by arithmetic that holds on a bool as on a mask.
     Callers that pass columns silence numpy's warnings.
     """
-    q, holds = adm.quantities, {(): True}
-    for run in _RUNS:
-        (name, sign), rest = run[-1], run[:-1]
-        holds[run] = (holds[rest] & holds[run[-1:]] if rest
-                      else q[name] > 0.0 if sign > 0 else q[name] < 0.0)
-    tables = {}
+    q, tables = adm.quantities, {}
     for face, rows in PANELS.items():
         panel = -1
         for k in reversed(range(len(rows))):
-            panel += (k - panel) * holds[rows[k][3]]
+            holds = functools.reduce(operator.and_, (
+                q[name] > 0.0 if sign > 0 else q[name] < 0.0 for name, sign in rows[k][3]), True)
+            panel += (k - panel) * holds
         tables[face] = FaceTable(tuple(row[:3] for row in rows), panel)
     return tables
 

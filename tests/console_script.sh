@@ -49,6 +49,10 @@ cmp "$out/g.json" "$g/check_A_degenerate.json"
 # a usage error exits 1 through the program run too: only basins takes --seed
 code=0; socgame check --params "$a" --seed 1 >/dev/null 2>&1 || code=$?
 test "$code" -eq 1
+# check writes no file, so it takes no --out, and creates no directory
+code=0; socgame check --params "$a" --out "$out/c" >/dev/null 2>&1 || code=$?
+test "$code" -eq 1
+test ! -e "$out/c"
 # beta = 0 leaves only the S_N face undecided, and is a degenerate boundary
 code=0; socgame check --params "$a" --set beta=0 >/dev/null || code=$?
 test "$code" -eq 3

@@ -53,7 +53,7 @@ from socgame import InvalidParameterError, Params, SimplexState, classify_global
 from socgame.basins import _certifies
 from socgame.classify import EdgeRegime, StationaryState, _stability
 from socgame.dynamics import RatioBox, replicator_field, replicator_jacobian
-from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, payoff_matrix, require_valid
+from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, payoff_matrix, validate
 
 
 # reference eigenvalues closer to zero than this get the "degenerate" sign
@@ -284,17 +284,17 @@ def nondominance_oracle(p: Params) -> tuple[bool, str | None]:
 
 
 def nash_oracle(p: Params, tol: float) -> dict[str, bool]:
-    """Strict Nash vertices, compared directly, where ``require_valid``
-    passes; it must refuse every point where a defining inequality is within
-    ``tol`` of equality."""
-    require_valid(p, tol)
+    """Strict Nash vertices, compared directly, where
+    ``ValidationReport.require`` passes; it must refuse every point where a
+    defining inequality is within ``tol`` of equality."""
+    validate(p, tol).require()
     for name, v in {
         "alpha-eta": p.alpha - p.eta,
         "beta-eta": p.beta - p.eta,
         "epsilon-gamma": p.epsilon - p.gamma,
         "epsilon-eta": p.epsilon - p.eta,
     }.items():
-        assert abs(v) > tol, f"require_valid passed the Nash boundary |{name}| <= {tol}"
+        assert abs(v) > tol, f"require passed the Nash boundary |{name}| <= {tol}"
     return {
         "O": p.alpha > p.eta,
         "H": p.beta > p.eta,
@@ -357,7 +357,8 @@ def numpy_interior_state(p: Params, active: Sequence[int]) -> StationaryState | 
 
 def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState | None:
     """Stationary state interior to the whole simplex, if any, after
-    ``require_valid``: ``numpy_interior_state`` on all four strategies.
+    ``ValidationReport.require``: ``numpy_interior_state`` on all four
+    strategies.
 
     All four payoffs equal the fallback eta there.  It always carries a
     strictly positive eigenvalue (eta*w in the ratio chart w = x4/x1), so it
@@ -366,7 +367,7 @@ def full_interior_state(p: Params, tol: float = DEFAULT_TOL) -> StationaryState 
     and a positive time scale, which keep every sign and the order by real
     part.
     """
-    require_valid(p, tol)
+    validate(p, tol).require()
     return numpy_interior_state(p, (0, 1, 2, 3))
 
 

@@ -142,7 +142,7 @@ def per_start_tally(p, n, seed, max_time=DEFAULT_MAX_TIME):
     tally = {a.label: 0 for a in attractors}
     tally["unresolved"] = 0
     for row in sample_simplex(n, seed).tolist():
-        hit = find_attractor(SimplexState(*row), p, max_time, attractors=attractors)
+        hit = find_attractor(SimplexState(*row), p, max_time)
         tally[hit.label if hit is not None else "unresolved"] += 1
     return tally
 
@@ -284,7 +284,7 @@ class TestRatioBoxes:
         runs = [integrate(x0, SET_B) for x0 in starts]
         expected = label_runs([r.final_state.as_tuple() for r in runs],
                               attractor_boxes(attractors, SET_B))
-        assert [find_attractor(x0, SET_B, attractors=attractors) for x0 in starts] == expected
+        assert [find_attractor(x0, SET_B) for x0 in starts] == expected
 
     def test_box_needs_the_support_ratio_to_rise_on_its_lower_face(self):
         # In this game the H-P rates ignore the O and N shares, so the lower

@@ -70,7 +70,6 @@ from socgame.model import (
     _edge_state,
     admissibility,
     payoff_rows,
-    require_valid,
 )
 from socgame.regimes import PANELS, SCOPES, decide, regime_table
 
@@ -749,7 +748,7 @@ class TestValidateAgreesWithClassify:
     def test_ok_iff_every_classifier_returns_off_a_boundary(self, seed, snap, k, sign, tol):
         # k tol off a boundary, validate(p).ok holds exactly where
         # classify_global and face_states on all four faces return; where
-        # it does not, each raises require_valid's own error
+        # it does not, each raises the error of ValidationReport.require
         rng = np.random.default_rng(seed)
         name, value = SNAPS[snap]
         for i in range(10):
@@ -760,7 +759,7 @@ class TestValidateAgreesWithClassify:
                 continue
             p = replace(base, **{name: moved})
             try:
-                want = require_valid(p, tol)
+                want = validate(p, tol).require()
             except (DegenerateParameterError, InvalidParameterError) as err:
                 want = err
             assert isinstance(want, ValidationReport) == validate(p, tol).ok

@@ -1,9 +1,11 @@
 """Command line interface, exercised in process through main(argv), and in
 new processes where what a process imports at start-up matters."""
 
+import contextlib
 import csv
 import errno
 import gc
+import io
 import json
 import os
 import subprocess
@@ -12,9 +14,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BOX_ONLY_P, BOX_ONLY_X0, SET_A, SET_B, SET_C
-from socgame import Params, estimate_basins
+from conftest import BOX_ONLY_P, BOX_ONLY_X0, SET_A, SET_B, SET_C, snapped_points
+from socgame import Params, estimate_basins, validate
 from socgame.cli import _YOUNG_OBJECTS, _json, _read_params_file, main
 from socgame.dynamics import IntegrationError
 from test_golden import CASES, GOLDEN_DIR, _params_file
@@ -43,6 +47,11 @@ def point_args(values):
     """``--set`` arguments for a point given as (alpha, ..., eta)."""
     names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
     return [arg for k, v in zip(names, values) for arg in ("--set", f"{k}={v!r}")]
+
+
+def out_args(command, directory):
+    """``--out directory`` for a command that writes files: all but check."""
+    return [] if command == "check" else ["--out", str(directory)]
 
 
 def run(capsys, *argv):
@@ -77,7 +86,7 @@ class TestCheck:
         # 0 < eta <= tol is one degenerate boundary for every command, and
         # sweep flags it; eta = 0 stays a positivity failure
         code, _, _ = run(capsys, command, "--params", params_a, "--set", "eta=1e-10",
-                         "--out", str(tmp_path / "out"))
+                         *out_args(command, tmp_path / "out"))
         assert code == 3
         assert not (tmp_path / "out").exists()
         code, out, _ = run(capsys, "check", "--params", params_a, "--set", "eta=0")
@@ -124,7 +133,7 @@ class TestCheck:
         # face-interior solve finds a share within tol of 0 there
         sets = point_args((4, -2, 2.000000003, 1, 1, 0.2))
         code, _, err = run(capsys, command, "--params", params_a, *sets,
-                           "--out", str(tmp_path / "out"))
+                           *out_args(command, tmp_path / "out"))
         assert (code, err) == (0, "")
 
     def test_zero_edge_state_denominator_is_not_a_boundary(self, capsys, params_b):
@@ -171,6 +180,19 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"input error: {f}:8: unknown parameter {key!r}\n"
 
+    # a params line and a --set item are read by one rule, each named
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_item_without_equals_sign_is_named(self, capsys, params_a, tmp_path, source):
+        if source == "file":
+            f = tmp_path / "noeq.params"
+            f.write_text(Path(params_a).read_text() + "  eta 0.4\n")
+            argv, where = ["--params", str(f)], f"{f}:8"
+        else:
+            argv, where = ["--params", params_a, "--set", "eta 0.4"], "--set"
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"input error: {where}: expected KEY=VALUE, got 'eta 0.4'\n"
+
     def test_set_rejects_unknown_key(self, capsys, params_a):
         code, _, err = run(capsys, "check", "--params", params_a, "--set", "zeta=1")
         assert code == 1
@@ -190,6 +212,20 @@ class TestCheck:
                              "--set", "eta=3", "--set", " eta=0.4")
         assert (code, out) == (1, "")
         assert err == "input error: --set: parameter 'eta' given twice\n"
+
+    # check and equilibria exit with the code of the point's validation
+    # report, the rule the other commands raise by; the point comes whole
+    # from --set, after an empty params file
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_check_and_equilibria_exit_with_the_report_code(self, p, tol):
+        argv = ["--params", os.devnull, *point_args(p.as_dict().values()), "--tol", repr(tol)]
+        want = validate(p, tol).code
+        for command in ("check", "equilibria"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main([command, *argv]) == want, command
+            assert err.getvalue() == "", command
 
 
 class TestEquilibria:
@@ -553,7 +589,7 @@ class TestUsage:
                              ids=["check", "equilibria", "simulate", "sweep", "portrait",
                                   "basins"])
     def test_seed_only_on_basins_and_no_jobs(self, capsys, params_a, tmp_path, argv):
-        argv = [*argv, "--params", params_a, "--out", str(tmp_path / "o")]
+        argv = [*argv, "--params", params_a, *out_args(argv[0], tmp_path / "o")]
         flags = [["--jobs", "2"]] + ([] if argv[0] == "basins" else [["--seed", "1"]])
         for flag in flags:
             code, out, err = run(capsys, *argv, *flag)
@@ -561,6 +597,14 @@ class TestUsage:
             assert err.splitlines()[-1] == (
                 f"socgame: error: unrecognized arguments: {' '.join(flag)}")
         assert not (tmp_path / "o").exists()
+
+    def test_check_takes_no_out(self, capsys, params_a, tmp_path):
+        # check writes no file, so --out there is a usage error, not ignored
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "check", "--params", params_a, "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"socgame: error: unrecognized arguments: --out {out_dir}"
+        assert not out_dir.exists()
 
     def test_missing_params_flag(self, capsys):
         assert main(["check"]) == 1
@@ -630,7 +674,7 @@ class TestUsage:
                              ids=["check", "equilibria", "simulate", "basins", "portrait"])
     def test_every_command_reads_tol(self, capsys, params_a, tmp_path, argv):
         argv = argv + ["--params", params_a, "--set", "gamma=1.999999",
-                       "--out", str(tmp_path / "out")]
+                       *out_args(argv[0], tmp_path / "out")]
         assert main(argv) == 0
         assert main(argv + ["--tol", "1e-3"]) == 3
         capsys.readouterr()
@@ -652,7 +696,7 @@ class TestUsage:
         extra = {"simulate": ["--x0", "0,0,0.26,0.74"], "sweep": ["--sweep", "beta:-3:2:11"]}
         monkeypatch.setattr(sys, "stdout", None)  # how Python starts with fd 1 closed
         out_dir = tmp_path / "out"
-        code = main([command, "--params", params_a, "--out", str(out_dir),
+        code = main([command, "--params", params_a, *out_args(command, out_dir),
                      *extra.get(command, [])])
         assert (code, capsys.readouterr().err) == (1, "output error: standard output is closed\n")
         assert not out_dir.exists()

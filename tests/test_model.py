@@ -40,7 +40,7 @@ from socgame import (
 )
 from socgame import model
 from socgame.dynamics import replicator_field
-from socgame.model import PARAM_NAMES, admissibility, decimal, require_valid
+from socgame.model import PARAM_NAMES, admissibility, decimal
 
 
 class TestSimplexState:
@@ -213,19 +213,45 @@ class TestValidate:
         assert "epsilon-eta" in validate(p).degenerate_quantities
         assert "epsilon-eta" not in validate(p, tol=1e-12).degenerate_quantities
 
-    def test_require_valid_degenerate_wins(self):
+    def test_require_degenerate_wins(self):
         # gamma = epsilon fails both nondominance and degeneracy checks;
         # the degenerate error is the one that must surface
+        v = validate(SET_D)
+        assert v.code == 3
         with pytest.raises(DegenerateParameterError):
-            require_valid(SET_D)
+            v.require()
 
-    def test_require_valid_inadmissible(self):
+    def test_require_inadmissible(self):
+        v = validate(Params(alpha=2, beta=1, gamma=1, delta=1, epsilon=2, eta=3.0))
+        assert v.code == 2
         with pytest.raises(InvalidParameterError):
-            require_valid(Params(alpha=2, beta=1, gamma=1, delta=1, epsilon=2, eta=3.0))
+            v.require()
 
-    def test_require_valid_passes_canonical(self):
+    def test_require_passes_canonical(self):
         for p in (SET_A, SET_B, SET_C):
-            require_valid(p)
+            v = validate(p)
+            assert v.code == 0
+            assert v.require() is v
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_require_raises_the_error_code_names(self, p, tol):
+        # degeneracy outranks invalidity; each error keeps its message
+        v = validate(p, tol)
+        valid = v.positivity_ok and v.nondominance_ok
+        assert v.code == (3 if v.degenerate_quantities else 0 if valid else 2)
+        assert (v.code == 0) == v.ok
+        try:
+            assert v.require() is v
+            raised = 0
+        except DegenerateParameterError as e:
+            assert str(e) == ("degenerate classifying quantities: "
+                              + ", ".join(v.degenerate_quantities))
+            raised = 3
+        except InvalidParameterError as e:
+            assert v.messages and str(e) == "; ".join(v.messages)
+            raised = 2
+        assert raised == v.code
 
     def test_random_draws_validate(self):
         rng = np.random.default_rng(8)
