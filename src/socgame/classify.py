@@ -9,7 +9,8 @@ it:
   whose payoff gap changes sign, once, with the eigen sign of every direction
   of the full simplex.  At a boundary rest point the eigenvalue toward an
   absent strategy W is W's payoff advantage there, and the one along an edge
-  is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g.  One formula
+  is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g, which has the
+  sign of ``g1 - g0``.  A sign is "degenerate" only at an exact 0.  One formula
   (``model._edge_state``) gives an edge state's share and payoff, to the
   inventory and to the table of classifying quantities, whose signs of
   eta against the O-P, O-H and H-P payoffs the regime table reads;
@@ -30,11 +31,12 @@ which only ``face_states`` calls, finds it where the face's three strategies
 earn one payoff, by Cramer's rule in exact ``Fraction`` arithmetic on the
 parameters' floats, and types it from the trace and determinant of the
 flow's linearisation on the face's tangent plane.  So no tolerance judges
-its signs, and nothing in this module loads numpy.
+any state's signs, and nothing in this module loads numpy.
 
 The admissibility table alone decides degeneracy: only
 ``model.ValidationReport.require`` raises DegenerateParameterError, so
 every point ``validate`` accepts has its faces, states and global set.
+Here ``tol`` reaches only that table and the welfare tie groups.
 """
 
 from __future__ import annotations
@@ -55,15 +57,17 @@ from .model import (
     admissibility,
     face_holds,
     payoff_rows,
+    payoff_vector,
     validate,
 )
 from .regimes import FaceTable, decide
 from .welfare import WelfareReport, welfare_report
 
-def _sign(v: float, tol: float) -> str:
-    if abs(v) <= tol:
+def _sign(v) -> str:
+    """An eigenvalue's sign: "degenerate" only where it is exactly 0."""
+    if v == 0:
         return "degenerate"
-    return "+" if v > 0.0 else "-"
+    return "+" if v > 0 else "-"
 
 
 def _stability(signs: Sequence[tuple[str, str]]) -> str:
@@ -151,12 +155,13 @@ def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ..
 # ---------------------------------------------------------------------------
 # the boundary inventory and its face restrictions
 
-_VERTICES = tuple(SimplexState(*(1.0 if i == v else 0.0 for i in range(4))) for v in range(4))
-
-
 class _Inventory:
     """Every vertex and edge-interior stationary state of the simplex, each
-    built once with the eigen signs of all three of its directions.
+    built once with the eigen signs of all three of its directions, by one
+    exact rule: toward an absent strategy W the eigenvalue is W's payoff
+    advantage at the point, and along an edge it is ``s(1-s)(g1-g0)`` with
+    ``s(1-s) > 0``, so it has the sign of ``g1 - g0``.  A sign is
+    "degenerate" only where its float is exactly 0; no tolerance judges it.
 
     ``states`` maps label to state, vertices first, then edges in index
     order.  Each edge's end gaps are quantities of the admissibility table,
@@ -165,35 +170,30 @@ class _Inventory:
     decided.
     """
 
-    def __init__(self, p: Params, tol: float) -> None:
+    def __init__(self, p: Params) -> None:
         A = payoff_rows(p)
         self.states: dict[str, StationaryState] = {}
-
-        for v, name in enumerate(STRATEGIES):
-            # toward W at pure state V: W's payoff advantage, A[W,V] - A[V,V]
-            signs = tuple((f"toward {STRATEGIES[w]}", _sign(A[w][v] - A[v][v], tol))
-                          for w in range(4) if w != v)
-            self.states[name] = _state(name, "vertex", _VERTICES[v], (name,), A[v][v], signs)
-
-        for a, b in itertools.combinations(range(4), 2):
-            # an interior root needs a strict sign change of the payoff gap
-            g0, g1 = _edge_gaps(A, a, b)
-            if g0 * g1 >= 0.0:
-                continue
-            s, pay = _edge_state(A, a, b)
-            signs = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}",
-                      _sign(s * (1.0 - s) * (g1 - g0), tol)),)
-            signs += tuple(
-                (f"toward {STRATEGIES[c]}",
-                 _sign(A[c][b] + s * (A[c][a] - A[c][b]) - pay, tol))
-                for c in range(4) if c != a and c != b
-            )
+        for rest in [(v,) for v in range(4)] + list(itertools.combinations(range(4), 2)):
             xs = [0.0] * 4
-            xs[a] = s
-            xs[b] = 1.0 - s
-            support = (STRATEGIES[a], STRATEGIES[b])
+            if len(rest) == 1:
+                xs[rest[0]] = 1.0
+                pay, signs = A[rest[0]][rest[0]], ()
+            else:
+                a, b = rest
+                # an interior root needs a strict sign change of the payoff gap
+                g0, g1 = _edge_gaps(A, a, b)
+                if g0 * g1 >= 0.0:
+                    continue
+                s, pay = _edge_state(A, a, b)
+                xs[a], xs[b] = s, 1.0 - s
+                signs = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}", _sign(g1 - g0)),)
+            payoffs = payoff_vector(xs, p)
+            signs += tuple((f"toward {STRATEGIES[w]}", _sign(payoffs[w] - pay))
+                           for w in range(4) if w not in rest)
+            support = tuple(STRATEGIES[i] for i in rest)
             self.states["+".join(support)] = _state(
-                "+".join(support), "edge-interior", SimplexState(*xs), support, pay, signs)
+                "+".join(support), "vertex" if len(rest) == 1 else "edge-interior",
+                SimplexState(*xs), support, pay, signs)
 
     def in_face(self, face: str, label: str) -> StationaryState:
         """One state as seen inside ``face``: the direction toward the
@@ -237,7 +237,7 @@ def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | Non
     tr = m[0][0] + m[1][1] + m[2][2]
     det = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
     eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
-    signs = tuple((f"face eig {k + 1}", _sign(e, 0)) for k, e in enumerate(eigs))
+    signs = tuple((f"face eig {k + 1}", _sign(e)) for k, e in enumerate(eigs))
     xs = [0.0] * 4
     for i, share in zip(active, x):
         xs[i] = float(share)
@@ -252,15 +252,15 @@ def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | Non
 
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
     """All stationary states on one boundary face: the inventory's vertex
-    and edge-interior states restricted to the face (closed-form signs),
-    then the face-interior state if there is one (``_interior_state``,
-    exact signs).  Raises as ``ValidationReport.require`` does, and
-    ValueError for an unknown face.
+    and edge-interior states restricted to the face, then the face-interior
+    state if there is one (``_interior_state``), each typed by exact signs.
+    ``tol`` reaches only ``validate``.  Raises as
+    ``ValidationReport.require`` does, and ValueError for an unknown face.
     """
     validate(p, tol).require()
     if face not in FACE_ACTIVE:
         raise ValueError(f"unknown face {face!r}")
-    out = _Inventory(p, tol).face(face)
+    out = _Inventory(p).face(face)
     interior = _interior_state(p, FACE_ACTIVE[face])
     if interior is not None:
         out.append(interior)
@@ -287,7 +287,7 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
     if strict or validation.code != 3:
         validation.require()
     d = decide(admissibility(p, tol))
-    inv = _Inventory(p, tol) if validation.admissible else None
+    inv = _Inventory(p) if validation.admissible else None
     global_attractors = tuple(inv.states[label] for label, on in d.attracts.items() if on)
 
     return RegimeReport(

@@ -39,6 +39,9 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 head -n "$(wc -l < "$g/check_A.json")" "$out/profile.txt" | cmp - "$g/check_A.json"
 grep -q 'ncalls  *tottime  *percall  *cumtime  *percall' "$out/profile.txt"
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
+# 1e-8 off beta*epsilon+gamma*delta = 0, H+P still attracts on S_N
+socgame equilibria --params "$b" --set beta=-20 --set gamma=19.99999999 \
+  | cmp - "$g/equilibria_near_coexistence.json"
 # the error exits too: each still writes its report, and keeps its code
 code=0; socgame check --params "$a" --set eta=3 > "$out/d.json" || code=$?
 test "$code" -eq 2

@@ -748,7 +748,9 @@ class TestValidateAgreesWithClassify:
     def test_ok_iff_every_classifier_returns_off_a_boundary(self, seed, snap, k, sign, tol):
         # k tol off a boundary, validate(p).ok holds exactly where
         # classify_global and face_states on all four faces return; where
-        # it does not, each raises the error of ValidationReport.require
+        # it does not, each raises the error of ValidationReport.require.
+        # Where it holds, each face's regime names as attractors exactly
+        # the face states typed attractive
         rng = np.random.default_rng(seed)
         name, value = SNAPS[snap]
         for i in range(10):
@@ -772,6 +774,11 @@ class TestValidateAgreesWithClassify:
                     assert (type(err), str(err)) == (type(want), str(want)), call
                 else:
                     assert isinstance(want, ValidationReport), call
+            if isinstance(want, ValidationReport):
+                for edge in classify_global(p, tol).edges:
+                    assert {s.label for s in edge.attractors} == {
+                        s.label for s in face_states(p, edge.edge, tol)
+                        if s.stability == "attractive"}, (edge.edge, p)
 
 
 class TestRegimeTableAsData:

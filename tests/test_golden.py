@@ -39,6 +39,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # valid, but beta = 0 leaves the S_N face undecided: validate names it, and
 # the lax report keeps the other three faces
 FACE_BOUNDARY = Params(2, 0, 1, 1, 2, 0.4)
+# set B with beta = -20, gamma = 19.99999999
+NEAR_COEXISTENCE = Params(2, -20, 19.99999999, 1, 1, 0.2)
 
 # name -> (params, extra argv, expected exit code, file written under --out
 # that is compared, or None to compare stdout)
@@ -51,6 +53,9 @@ CASES = {
     "equilibria_C.json": (SET_C, ["equilibria"], 0, None),
     "equilibria_D.json": (SET_D, ["equilibria"], 3, None),
     "equilibria_face_boundary.json": (FACE_BOUNDARY, ["equilibria"], 3, None),
+    # 1e-8 off beta*epsilon+gamma*delta = 0 the table accepts the point, and
+    # H+P, paying 2.6e-10, attracts on S_N: its toward-O sign is "-"
+    "equilibria_near_coexistence.json": (NEAR_COEXISTENCE, ["equilibria"], 0, None),
     "sweep_A_beta.csv": (SET_A, ["sweep", "--sweep", "beta:-3:2:11"], 0, None),
     "sweep_A_eta.csv": (SET_A, ["sweep", "--sweep", "eta:0.1:1.4:14"], 0, None),
     "sweep_A_alpha_eta.csv": (SET_A, ["sweep", "--sweep", "alpha:0.1:3:12",
