@@ -5,15 +5,13 @@ is decided by closed-form sign conditions on the boundary stationary states.
 They come from one inventory, and every boundary face sees a restriction of
 it:
 
-* the inventory builds each vertex, and each edge-interior state of an edge
-  whose payoff gap changes sign, once, with the eigen sign of every direction
-  of the full simplex.  At a boundary rest point the eigenvalue toward an
-  absent strategy W is W's payoff advantage there, and the one along an edge
-  is ``s(1-s)(g1-g0)`` for the edge's affine payoff gap g, which has the
-  sign of ``g1 - g0``.  A sign is "degenerate" only at an exact 0.  One formula
-  (``model._edge_state``) gives an edge state's share and payoff, to the
-  inventory and to the table of classifying quantities, whose signs of
-  eta against the O-P, O-H and H-P payoffs the regime table reads;
+* the inventory builds each boundary rest point once, one for each support
+  of one, two or three strategies that has one, with the eigen sign of
+  every direction of the full simplex, by one solve in exact integer
+  arithmetic (``_Inventory``).  One formula (``model._edge_state``) gives a
+  vertex or edge state's share and payoff, to the inventory and to the
+  table of classifying quantities, whose signs of eta against the O-P, O-H
+  and H-P payoffs the regime table reads;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
 * the regime table (``regimes.PANELS``) lists, for each face, the sign
@@ -26,22 +24,19 @@ it:
 * a state attracts from the full simplex exactly when it is attractive
   inside every boundary face that holds it.
 
-The sign tables leave a face's interior state open.  ``_interior_state``,
-which only ``face_states`` calls, finds it where the face's three strategies
-earn one payoff, by Cramer's rule in exact ``Fraction`` arithmetic on the
-parameters' floats, and types it from the trace and determinant of the
-flow's linearisation on the face's tangent plane.  So no tolerance judges
-any state's signs, and nothing in this module loads numpy.
+No tolerance judges any state's signs, and nothing in this module loads
+numpy or ``fractions``.
 
 The admissibility table alone decides degeneracy: only
 ``model.ValidationReport.require`` raises DegenerateParameterError, so
 every point ``validate`` accepts has its faces, states and global set.
-Here ``tol`` reaches only that table and the welfare tie groups.
+Here ``tol`` reaches only that table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -52,12 +47,10 @@ from .model import (
     Params,
     SimplexState,
     ValidationReport,
-    _edge_gaps,
     _edge_state,
     admissibility,
     face_holds,
     payoff_rows,
-    payoff_vector,
     validate,
 )
 from .regimes import FaceTable, decide
@@ -155,44 +148,81 @@ def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ..
 # ---------------------------------------------------------------------------
 # the boundary inventory and its face restrictions
 
-class _Inventory:
-    """Every vertex and edge-interior stationary state of the simplex, each
-    built once with the eigen signs of all three of its directions, by one
-    exact rule: toward an absent strategy W the eigenvalue is W's payoff
-    advantage at the point, and along an edge it is ``s(1-s)(g1-g0)`` with
-    ``s(1-s) > 0``, so it has the sign of ``g1 - g0``.  A sign is
-    "degenerate" only where its float is exactly 0; no tolerance judges it.
+def _det(m: list[list[int]]) -> int:
+    """Determinant by expansion along the first row; 1 for an empty matrix."""
+    return 1 if not m else sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+                               for j in range(len(m)))
 
-    ``states`` maps label to state, vertices first, then edges in index
-    order.  Each edge's end gaps are quantities of the admissibility table,
-    or vanish only where it reports a degenerate or dominated point, so
-    past ``ValidationReport.require`` whether an edge carries a state is
+
+class _Inventory:
+    """Every rest point of the simplex's boundary, one per support S of
+    one, two or three strategies that has one, each with the eigen sign of
+    every direction of the full simplex, solved exactly in Python ints.
+
+    ``payoff_rows`` times the common denominator of its floats is an
+    integer matrix B.  The shares on S are proportional to the signed
+    minors w of S's payoff-gap rows (B of S's first strategy minus B of
+    each other), so a state exists exactly where they share one strict
+    sign.  Toward an absent strategy W the eigenvalue is W's payoff
+    advantage, ``(Bw)_W - (Bw)_S``.  Inside S the flow's linearisation is
+    ``M_ab = w_a (B_ij total - col_j)``, for S's a-th strategy i and b-th
+    j, with ``total`` the sum of w and ``col`` its weighted columns of B: a
+    positive multiple of ``x_a (A_ij - sum_k x_k A_kj)``.  Its image lies in
+    the tangent space, so the sums of its k x k principal minors are the
+    elementary symmetric functions of its eigenvalues there (Hofbauer &
+    Sigmund 1998, ch. 7).  On an edge the trace is the one eigenvalue,
+    labelled ``along a-b``; on a face the trace and the sum of 2x2 minors
+    give the two signs in order of real part, labelled ``face eig <k>``.
+    A sign is "degenerate" only at an exact 0; no tolerance judges it.
+
+    Vertex and edge states take their location and payoff from
+    ``model._edge_state``, the formula the admissibility table shares; a
+    face interior's shares and payoff are the exact quotients, correctly
+    rounded.  ``states`` maps label to state, by support size, then in
+    index order.  Each edge's end gaps are quantities of the admissibility
+    table, or vanish only where it reports a degenerate or dominated point,
+    so past ``ValidationReport.require`` whether an edge carries a state is
     decided.
     """
 
     def __init__(self, p: Params) -> None:
         A = payoff_rows(p)
+        ratios = [[a.as_integer_ratio() for a in row] for row in A]
+        scale = math.lcm(*(d for row in ratios for _, d in row))
+        B = [[n * (scale // d) for n, d in row] for row in ratios]
         self.states: dict[str, StationaryState] = {}
-        for rest in [(v,) for v in range(4)] + list(itertools.combinations(range(4), 2)):
+        for rest in itertools.chain.from_iterable(
+                itertools.combinations(range(4), k) for k in (1, 2, 3)):
+            gaps = [[B[rest[0]][j] - B[i][j] for j in rest] for i in rest[1:]]
+            w = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in gaps]) for k in range(len(rest))]
+            if not (min(w) > 0 or max(w) < 0):
+                continue
+            w = [abs(v) for v in w]
+            total = sum(w)
+            pays = [sum(B[i][j] * wj for j, wj in zip(rest, w)) for i in range(4)]
+            col = [sum(wa * B[i][j] for wa, i in zip(w, rest)) for j in rest]
+            m = [[wa * (B[i][j] * total - c) for j, c in zip(rest, col)] for wa, i in zip(w, rest)]
+            tr, det = (sum(_det([[m[a][b] for b in c] for a in c])
+                           for c in itertools.combinations(range(len(rest)), n)) for n in (1, 2))
             xs = [0.0] * 4
             if len(rest) == 1:
-                xs[rest[0]] = 1.0
-                pay, signs = A[rest[0]][rest[0]], ()
-            else:
+                xs[rest[0]], pay, inside = 1.0, A[rest[0]][rest[0]], ()
+            elif len(rest) == 2:
                 a, b = rest
-                # an interior root needs a strict sign change of the payoff gap
-                g0, g1 = _edge_gaps(A, a, b)
-                if g0 * g1 >= 0.0:
-                    continue
                 s, pay = _edge_state(A, a, b)
                 xs[a], xs[b] = s, 1.0 - s
-                signs = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}", _sign(g1 - g0)),)
-            payoffs = payoff_vector(xs, p)
-            signs += tuple((f"toward {STRATEGIES[w]}", _sign(payoffs[w] - pay))
-                           for w in range(4) if w not in rest)
+                inside = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}", _sign(tr)),)
+            else:
+                for i, wi in zip(rest, w):
+                    xs[i] = wi / total
+                pay = pays[rest[0]] / (total * scale)
+                eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
+                inside = tuple((f"face eig {k + 1}", _sign(e)) for k, e in enumerate(eigs))
+            signs = inside + tuple((f"toward {STRATEGIES[v]}", _sign(pays[v] - pays[rest[0]]))
+                                   for v in range(4) if v not in rest)
             support = tuple(STRATEGIES[i] for i in rest)
             self.states["+".join(support)] = _state(
-                "+".join(support), "vertex" if len(rest) == 1 else "edge-interior",
+                "+".join(support), ("vertex", "edge-interior", "face-interior")[len(rest) - 1],
                 SimplexState(*xs), support, pay, signs)
 
     def in_face(self, face: str, label: str) -> StationaryState:
@@ -204,67 +234,26 @@ class _Inventory:
         return _state(s.label, s.kind, s.location, s.support, s.payoff, signs)
 
     def face(self, face: str) -> list[StationaryState]:
-        """Every vertex and edge-interior state on ``face``, seen inside it."""
+        """Every state on ``face``, seen inside it."""
         return [self.in_face(face, label) for label, s in self.states.items()
                 if face_holds(face, s.support)]
 
 
-def _interior_state(p: Params, active: tuple[int, ...]) -> StationaryState | None:
-    """Rest point inside the face of ``active``, its three strategies, in
-    exact arithmetic on the parameters' floats: by Cramer's rule, the cross
-    product of the payoff-gap rows of the first against the others, over
-    its sum.  None where that sum is 0 or a share is not positive.
-
-    There M_ij = x_i (A_ij - sum_k x_k A_kj) maps onto the face's tangent
-    plane, where its two eigenvalues sum to tr M and multiply to the sum of
-    its 2x2 principal minors (Hofbauer & Sigmund 1998, ch. 7).  So they
-    give the signs, in order of real part and labelled ``face eig <k>``:
-    "degenerate" only where exactly 0."""
-    from fractions import Fraction
-
-    A = [[Fraction(a) for a in row] for row in payoff_rows(p)]
-    r = [[A[active[0]][j] - A[i][j] for j in active] for i in active[1:]]
-    cross = [r[0][(k + 1) % 3] * r[1][(k + 2) % 3] - r[0][(k + 2) % 3] * r[1][(k + 1) % 3]
-             for k in range(3)]
-    total = sum(cross)
-    if total == 0:
-        return None
-    x = [c / total for c in cross]
-    if min(x) <= 0:
-        return None
-    col = [sum(x[k] * A[i][j] for k, i in enumerate(active)) for j in active]
-    m = [[x[a] * (A[i][j] - col[b]) for b, j in enumerate(active)] for a, i in enumerate(active)]
-    tr = m[0][0] + m[1][1] + m[2][2]
-    det = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
-    eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
-    signs = tuple((f"face eig {k + 1}", _sign(e)) for k, e in enumerate(eigs))
-    xs = [0.0] * 4
-    for i, share in zip(active, x):
-        xs[i] = float(share)
-    support = tuple(STRATEGIES[i] for i in active)
-    return _state("+".join(support), "face-interior", SimplexState(*xs), support,
-                  float(sum(A[active[0]][i] * share for i, share in zip(active, x))), signs)
-
-
 # ---------------------------------------------------------------------------
-# per-face view with interior state, used by the portrait
+# per-face view, used by the portrait
 
 
 def face_states(p: Params, face: str, tol: float = DEFAULT_TOL) -> list[StationaryState]:
-    """All stationary states on one boundary face: the inventory's vertex
-    and edge-interior states restricted to the face, then the face-interior
-    state if there is one (``_interior_state``), each typed by exact signs.
-    ``tol`` reaches only ``validate``.  Raises as
-    ``ValidationReport.require`` does, and ValueError for an unknown face.
+    """All stationary states on one boundary face, each typed by exact
+    signs: the inventory's vertex, edge-interior and face-interior states
+    on the face, seen inside it.  ``tol`` reaches only ``validate``.
+    Raises as ``ValidationReport.require`` does, and ValueError for an
+    unknown face.
     """
     validate(p, tol).require()
     if face not in FACE_ACTIVE:
         raise ValueError(f"unknown face {face!r}")
-    out = _Inventory(p).face(face)
-    interior = _interior_state(p, FACE_ACTIVE[face])
-    if interior is not None:
-        out.append(interior)
-    return out
+    return _Inventory(p).face(face)
 
 
 def _edge_regime(face: str, table: FaceTable, inv: _Inventory) -> EdgeRegime:
@@ -297,6 +286,6 @@ def classify_global(p: Params, tol: float = DEFAULT_TOL, strict: bool = True) ->
                     for face, table in d.faces.items()),
         global_attractors=global_attractors,
         global_case=validation.branch or "none",
-        welfare=welfare_report(global_attractors, p, tol) if d.settled else None,
+        welfare=welfare_report(global_attractors, p) if d.settled else None,
         degenerate=not d.settled,
     )

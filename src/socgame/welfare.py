@@ -22,10 +22,11 @@ so the pair is reported as incomparable instead of ordered by this module.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .model import DEFAULT_TOL, STRATEGIES, Params, payoff_vector
+from .model import STRATEGIES, Params, payoff_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .classify import StationaryState
@@ -130,22 +131,17 @@ def check_orderings(attractors: dict[str, tuple], p) -> dict:
     return pay
 
 
-def welfare_report(attractors: Sequence["StationaryState"], p: Params,
-                   tol: float = DEFAULT_TOL) -> WelfareReport:
+def welfare_report(attractors: Sequence["StationaryState"], p: Params) -> WelfareReport:
     """Rank the attractors by payoff and check the proven inequalities
-    (``check_orderings`` at one point)."""
+    (``check_orderings`` at one point).  A tie group holds exactly equal
+    payoffs, so the groups of ``p`` and ``c * p`` agree for every c > 0
+    that scales the payoffs exactly, such as a power of two."""
     pay = check_orderings(
         {a.label: (True, supported_payoffs(a.location, a.support, p)) for a in attractors}, p)
 
     ranked = sorted(pay.items(), key=lambda kv: (-kv[1], kv[0]))
-    groups: list[list[str]] = []
-    group_val: float | None = None
-    for label, v in ranked:
-        if group_val is not None and abs(v - group_val) <= tol:
-            groups[-1].append(label)
-        else:
-            groups.append([label])
-            group_val = v
+    groups = [tuple(label for label, _ in group)
+              for _, group in itertools.groupby(ranked, key=lambda kv: kv[1])]
 
     incomparable: tuple[tuple[str, str], ...] = ()
     if "O" in pay and "H+P" in pay:
@@ -153,7 +149,7 @@ def welfare_report(attractors: Sequence["StationaryState"], p: Params,
 
     return WelfareReport(
         payoffs=tuple(ranked),
-        ordering=tuple(tuple(g) for g in groups),
+        ordering=tuple(groups),
         trap_dominated=len(pay) >= 2,
         incomparable=incomparable,
     )

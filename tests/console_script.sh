@@ -2,8 +2,9 @@
 # Runs the installed socgame console script on the canonical parameter sets
 # and compares its output with the goldens byte for byte, and its exit codes
 # with theirs, and fails if `socgame check` or `socgame equilibria` imports
-# any numpy module or `fractions`.  The tests call cli.main() in process;
-# this checks the entry point a user runs, which calls main() with no argv.
+# any numpy module or `fractions`, or if `socgame portrait` imports
+# `fractions`.  The tests call cli.main() in process; this checks the entry
+# point a user runs, which calls main() with no argv.
 #
 #   pip install -e . && bash tests/console_script.sh
 set -euo pipefail
@@ -17,7 +18,7 @@ g=tests/golden
 socgame check --params "$a" | cmp - "$g/check_A.json"
 # check and equilibria read one point on floats: no numpy module may be
 # imported, also on set B, where the O-H edge state's payoff divides by
-# alpha+beta = 0.  Nor fractions, which only the portrait's face states use
+# alpha+beta = 0.  Nor fractions: every rest point is solved in ints
 for cmd in check equilibria; do
   for params in "$a" "$b"; do
     PYTHONPROFILEIMPORTTIME=1 socgame "$cmd" --params "$params" 2> "$out/imports.txt" >/dev/null
@@ -31,6 +32,14 @@ for cmd in check equilibria; do
     done
   done
 done
+# portrait types each face's rest points, in ints: it imports no fractions
+PYTHONPROFILEIMPORTTIME=1 socgame portrait --params "$a" --out "$out/f" 2> "$out/imports.txt" >/dev/null
+grep -q 'socgame\.classify$' "$out/imports.txt"
+if grep -q fractions "$out/imports.txt"; then
+  echo "socgame portrait imported fractions:" >&2
+  grep fractions "$out/imports.txt" >&2
+  exit 1
+fi
 # a program run ends its own process, except under a profiler or tracer,
 # which reports after main returns: cProfile must still print its table.
 # python -m finds the package on the import path, not the command on PATH

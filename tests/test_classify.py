@@ -56,7 +56,7 @@ from socgame import (
     validate,
 )
 from socgame.cli import main
-from socgame.classify import _interior_state
+from socgame.classify import _Inventory
 from socgame.dynamics import replicator_jacobian
 from socgame.model import (
     DEFAULT_TOL,
@@ -70,6 +70,7 @@ from socgame.model import (
     _edge_state,
     admissibility,
     payoff_rows,
+    payoff_vector,
 )
 from socgame.regimes import PANELS, SCOPES, decide, regime_table
 
@@ -100,6 +101,12 @@ def interior(p, where):
     if where == "full":
         return full_interior_state(p)
     return next((s for s in face_states(p, where) if s.kind == "face-interior"), None)
+
+
+def unvalidated_interior(p, face):
+    """The face-interior state of ``face`` from the inventory, which does
+    not validate ``p``; None if there is none."""
+    return next((s for s in _Inventory(p).face(face) if s.kind == "face-interior"), None)
 
 
 def sn_interior(p):
@@ -246,8 +253,7 @@ class TestInteriorStateBoundary:
         if where == "full":
             active, s = (0, 1, 2, 3), full_interior_state(q)
         else:
-            active = FACE_ACTIVE[where]
-            s = _interior_state(q, active)
+            active, s = FACE_ACTIVE[where], unvalidated_interior(q, where)
         assert s is None or all(s.location.as_tuple()[k] > 0.0 for k in active)
         quantities = validate(q).degenerate_quantities
         if where == "full":
@@ -559,7 +565,7 @@ class TestAnalyticJacobian:
         p = draw_params(np.random.default_rng(seed), branch)
         for face in FACES:
             active = FACE_ACTIVE[face]
-            exact, ref = _interior_state(p, active), numpy_interior_state(p, active)
+            exact, ref = unvalidated_interior(p, face), numpy_interior_state(p, active)
             if ref is None or exact is None:
                 for s in (ref, exact):
                     assert s is None or min(s.location.as_tuple()[k] for k in active) <= 1e-6
@@ -867,3 +873,59 @@ class TestOneDecision:
                        if STRATEGIES[FACE_ABSENT[face]] not in label.split("+")}
             assert (faces == avoided) == (label in [a.label for a in rep.global_attractors])
         assert {a.label for a in rep.global_attractors} <= set(within)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration checked with no reference solution
+
+
+def face_index_sums(p):
+    """On each face, the sum of (-1)^(number of "+" signs) over the face's
+    saturated states, those with no "+" toward sign.  Each toward sign is
+    first checked against the float payoff advantage at the state, wherever
+    that clears rounding, so "+" marks a strategy of the face that earns
+    more there."""
+    clear = 1e-9 * max(1.0, *(abs(v) for v in p.as_dict().values()))
+    sums = {}
+    for face in FACES:
+        saturated = []
+        for s in face_states(p, face):
+            pay = payoff_vector(s.location, p)
+            toward = {d[len("toward "):]: sign for d, sign in s.eigen_signs
+                      if d.startswith("toward ")}
+            for w, sign in toward.items():
+                adv = pay[STRATEGIES.index(w)] - s.payoff
+                if abs(adv) > clear:
+                    assert sign == ("+" if adv > 0 else "-"), (face, s.label, w)
+            if "+" not in toward.values():
+                saturated.append(s)
+        sums[face] = sum((-1) ** [sign for _, sign in s.eigen_signs].count("+")
+                         for s in saturated)
+    return sums
+
+
+class TestIndexTheorem:
+    # the indices of the saturated rest points of a face sum to +1 at a
+    # nondegenerate point (Shapley 1974; Hofbauer & Sigmund 1998, ch. 7)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_face_indices_sum_to_one_at_drawn_points(self, seed, branch):
+        p = draw_params(np.random.default_rng(seed), branch)
+        assert face_index_sums(p) == dict.fromkeys(FACES, 1)
+
+    # about one snapped point in twenty is ok, so this draws many
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(p=snapped_points())
+    def test_face_indices_sum_to_one_at_snapped_points(self, p):
+        if validate(p).ok:
+            assert face_index_sums(p) == dict.fromkeys(FACES, 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_nash_vertices_are_the_vertices_with_every_sign_negative(self, seed, branch):
+        # the admissibility table's strict Nash vertices are the vertices
+        # the inventory types attractive in every direction of the simplex
+        p = draw_params(np.random.default_rng(seed), branch)
+        states = _Inventory(p).states
+        assert nash_vertices(p) == {v: all(sign == "-" for _, sign in states[v].eigen_signs)
+                                    for v in STRATEGIES}

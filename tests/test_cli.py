@@ -782,7 +782,7 @@ class TestFreshProcess:
 
     # each command loads the socgame submodules it runs, and no others;
     # check and equilibria, which read one point on floats, load no numpy.
-    # Only the portrait's face states use fractions, so none of these loads it
+    # Every rest point is solved in ints, so no command loads fractions
     @pytest.mark.parametrize("argv, loaded, numpy", [
         (["check"], ["socgame.cli", "socgame.model"], False),
         (["equilibria"], ["socgame.classify", "socgame.cli", "socgame.model",
@@ -792,13 +792,21 @@ class TestFreshProcess:
         (["basins", "--samples", "20", "--seed", "5"],
          ["socgame.basins", "socgame.classify", "socgame.cli", "socgame.dynamics",
           "socgame.model", "socgame.regimes", "socgame.welfare"], True),
-    ], ids=["check", "equilibria", "sweep", "basins"])
-    def test_command_loads_only_the_modules_it_runs(self, params_a, argv, loaded, numpy):
+        (["portrait", "--out", "{out}"],
+         ["socgame.classify", "socgame.cli", "socgame.dynamics", "socgame.model",
+          "socgame.portrait", "socgame.regimes", "socgame.welfare"], True),
+        (["simulate", "--x0", "0,0,0.26,0.74", "--out", "{out}"],
+         ["socgame.basins", "socgame.classify", "socgame.cli", "socgame.dynamics",
+          "socgame.model", "socgame.regimes", "socgame.welfare"], True),
+    ], ids=["check", "equilibria", "sweep", "basins", "portrait", "simulate"])
+    def test_command_loads_only_the_modules_it_runs(self, params_a, tmp_path, argv, loaded,
+                                                     numpy):
+        argv = [a.format(out=tmp_path / "out") for a in argv] + ["--params", params_a]
         out = fresh_python(f"""
             import contextlib, io, json, sys
             from socgame.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main({argv + ["--params", params_a]!r})
+                code = main({argv!r})
             print(json.dumps({{"code": code, "loaded": sorted(
                 m for m in sys.modules if m.startswith("socgame.")),
                 "numpy": any(m.split(".")[0] == "numpy" for m in sys.modules),

@@ -72,6 +72,13 @@ class TestWelfareReport:
         assert rep.incomparable == (("O", "H+P"),)
         assert rep.trap_dominated is True
 
+    def test_ties_are_exact_whatever_the_payoff_unit(self):
+        # O pays alpha = 2 and P epsilon, 2**-30 above it: two groups, in
+        # the payoff unit of p and in one 2**10 times as large
+        p = replace(SET_A, epsilon=2 + 2**-30)
+        for q in (p, Params(**{k: 2**10 * v for k, v in p.as_dict().items()})):
+            assert welfare_report(attractors_of(q), q).ordering == (("P",), ("O",), ("H",), ("N",))
+
     def test_as_dict(self):
         d = welfare_report(attractors_of(SET_B), SET_B).as_dict()
         assert set(d) == {"payoffs", "ordering", "trap_dominated", "incomparable"}
