@@ -7,11 +7,12 @@ it:
 
 * the inventory builds each boundary rest point once, one for each support
   of one, two or three strategies that has one, with the eigen sign of
-  every direction of the full simplex, by one solve in exact integer
-  arithmetic (``_Inventory``).  One formula (``model._edge_state``) gives a
-  vertex or edge state's share and payoff, to the inventory and to the
-  table of classifying quantities, whose signs of eta against the O-P, O-H
-  and H-P payoffs the regime table reads;
+  every direction of the full simplex, by one solve in integer arithmetic
+  (``_Inventory``).  One formula (``model._edge_state``) gives a vertex or
+  edge state's share and payoff, to the inventory and to the table of
+  classifying quantities, whose signs of eta against the O-P, O-H and H-P
+  payoffs the regime table reads; the inventory's sign toward N at those
+  states is that same float, every other sign exact;
 * a face's view keeps the states whose support avoids the face's absent
   strategy and drops the direction toward that strategy;
 * the regime table (``regimes.PANELS``) lists, for each face, the sign
@@ -148,32 +149,30 @@ def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ..
 # ---------------------------------------------------------------------------
 # the boundary inventory and its face restrictions
 
-def _det(m: list[list[int]]) -> int:
-    """Determinant by expansion along the first row; 1 for an empty matrix."""
-    return 1 if not m else sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
-                               for j in range(len(m)))
-
-
 class _Inventory:
     """Every rest point of the simplex's boundary, one per support S of
     one, two or three strategies that has one, each with the eigen sign of
-    every direction of the full simplex, solved exactly in Python ints.
+    every direction of the full simplex, solved in Python ints.
 
     ``payoff_rows`` times the common denominator of its floats is an
     integer matrix B.  The shares on S are proportional to the signed
     minors w of S's payoff-gap rows (B of S's first strategy minus B of
     each other), so a state exists exactly where they share one strict
     sign.  Toward an absent strategy W the eigenvalue is W's payoff
-    advantage, ``(Bw)_W - (Bw)_S``.  Inside S the flow's linearisation is
-    ``M_ab = w_a (B_ij total - col_j)``, for S's a-th strategy i and b-th
-    j, with ``total`` the sum of w and ``col`` its weighted columns of B: a
-    positive multiple of ``x_a (A_ij - sum_k x_k A_kj)``.  Its image lies in
-    the tangent space, so the sums of its k x k principal minors are the
-    elementary symmetric functions of its eigenvalues there (Hofbauer &
-    Sigmund 1998, ch. 7).  On an edge the trace is the one eigenvalue,
-    labelled ``along a-b``; on a face the trace and the sum of 2x2 minors
-    give the two signs in order of real part, labelled ``face eig <k>``.
-    A sign is "degenerate" only at an exact 0; no tolerance judges it.
+    advantage, ``(Bw)_W - (Bw)_S``, exactly; toward N at a vertex or edge
+    state it is ``eta`` less the state's payoff float, which is the
+    table's own ``eta-pay`` quantity, so each face's attractors are its
+    states typed attractive.  Inside S the flow's linearisation is a
+    positive multiple of ``x_a (A_ij - sum_k x_k A_kj)``, for S's a-th
+    strategy i and b-th j.  On an edge a-b that is ``x_a x_b (g1 - g0)``,
+    with g the gap of a over b at b and at a, labelled ``along a-b``.  On a
+    face it is ``M_ab = w_a (B_ij total - col_j)``, with ``total`` the sum
+    of w and ``col`` its weighted columns of B; its image lies in the
+    tangent plane, so its trace and the sum of its 2x2 principal minors
+    are the sum and product of its two eigenvalues there (Hofbauer &
+    Sigmund 1998, ch. 7), which give their signs in order of real part,
+    labelled ``face eig <k>``.  A sign is "degenerate" only at an exact 0;
+    no tolerance judges it.
 
     Vertex and edge states take their location and payoff from
     ``model._edge_state``, the formula the admissibility table shares; a
@@ -193,17 +192,18 @@ class _Inventory:
         self.states: dict[str, StationaryState] = {}
         for rest in itertools.chain.from_iterable(
                 itertools.combinations(range(4), k) for k in (1, 2, 3)):
-            gaps = [[B[rest[0]][j] - B[i][j] for j in rest] for i in rest[1:]]
-            w = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in gaps]) for k in range(len(rest))]
+            r = [[B[rest[0]][j] - B[i][j] for j in rest] for i in rest[1:]]
+            if len(rest) == 1:
+                w = [1]
+            elif len(rest) == 2:
+                w = [r[0][1], -r[0][0]]
+            else:
+                w = [r[0][(k + 1) % 3] * r[1][(k + 2) % 3] - r[0][(k + 2) % 3] * r[1][(k + 1) % 3]
+                     for k in range(3)]
             if not (min(w) > 0 or max(w) < 0):
                 continue
             w = [abs(v) for v in w]
-            total = sum(w)
             pays = [sum(B[i][j] * wj for j, wj in zip(rest, w)) for i in range(4)]
-            col = [sum(wa * B[i][j] for wa, i in zip(w, rest)) for j in rest]
-            m = [[wa * (B[i][j] * total - c) for j, c in zip(rest, col)] for wa, i in zip(w, rest)]
-            tr, det = (sum(_det([[m[a][b] for b in c] for a in c])
-                           for c in itertools.combinations(range(len(rest)), n)) for n in (1, 2))
             xs = [0.0] * 4
             if len(rest) == 1:
                 xs[rest[0]], pay, inside = 1.0, A[rest[0]][rest[0]], ()
@@ -211,14 +211,24 @@ class _Inventory:
                 a, b = rest
                 s, pay = _edge_state(A, a, b)
                 xs[a], xs[b] = s, 1.0 - s
-                inside = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}", _sign(tr)),)
+                inside = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}", _sign(r[0][0] - r[0][1])),)
             else:
+                total = sum(w)
+                col = [sum(wa * B[i][j] for wa, i in zip(w, rest)) for j in rest]
+                m = [[wa * (B[i][j] * total - c) for j, c in zip(rest, col)]
+                     for wa, i in zip(w, rest)]
+                tr = m[0][0] + m[1][1] + m[2][2]
+                det = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
+                eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
+                inside = tuple((f"face eig {k + 1}", _sign(e)) for k, e in enumerate(eigs))
                 for i, wi in zip(rest, w):
                     xs[i] = wi / total
                 pay = pays[rest[0]] / (total * scale)
-                eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
-                inside = tuple((f"face eig {k + 1}", _sign(e)) for k, e in enumerate(eigs))
-            signs = inside + tuple((f"toward {STRATEGIES[v]}", _sign(pays[v] - pays[rest[0]]))
+            advantage = [q - pays[rest[0]] for q in pays]
+            if len(rest) < 3:
+                # the table's eta-pay quantity, whose float can round past tol
+                advantage[3] = p.eta - pay
+            signs = inside + tuple((f"toward {STRATEGIES[v]}", _sign(advantage[v]))
                                    for v in range(4) if v not in rest)
             support = tuple(STRATEGIES[i] for i in rest)
             self.states["+".join(support)] = _state(

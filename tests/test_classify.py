@@ -787,6 +787,80 @@ class TestValidateAgreesWithClassify:
                         if s.stability == "attractive"}, (edge.edge, p)
 
 
+def assert_inventory_reads_the_table(p, tol):
+    """At a point ``validate`` accepts, each decided face's attractors in
+    the regime table are the inventory's states typed attractive on it; no
+    state is typed degenerate; and each vertex and edge state's sign toward
+    N is that of eta against its own payoff, as its JSON shows both.  This
+    reads the table directly, so the welfare checks of ``classify_global``
+    do not stand in the way."""
+    d = decide(admissibility(p, tol))
+    inv = _Inventory(p)
+    for face, table in d.faces.items():
+        if d.decided[face]:
+            assert set(table.panels[table.panel][2]) == {
+                s.label for s in inv.face(face) if s.stability == "attractive"}, (face, p)
+    for s in inv.states.values():
+        assert s.stability != "degenerate", (s.label, p)
+        if len(s.support) < 3 and "N" not in s.support:
+            assert dict(s.eigen_signs)["toward N"] == ("+" if p.eta > s.payoff else "-"), (
+                s.label, p)
+
+
+class TestInventoryReadsTheTable:
+    # where rounding in the table's floats exceeds tol, the inventory's
+    # signs must still be the ones the table decides
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), snap=st.sampled_from(tuple(SNAPS)),
+           k=st.integers(1, 20), sign=st.sampled_from((-1, 1)),
+           exp=st.sampled_from((10, 20, 30)), tol=st.sampled_from((1e-9, 1e-3)))
+    def test_at_scaled_points_off_a_boundary(self, seed, snap, k, sign, exp, tol):
+        # a drawn point times 2**exp, which scales its payoffs exactly, then
+        # moved k tol off a boundary: tol is absolute, so the rounding of
+        # the table's quantities there can reach it
+        rng = np.random.default_rng(seed)
+        name, value = SNAPS[snap]
+        for i in range(10):
+            base = draw_params(rng, ("B-plus", "B-minus")[i % 2])
+            base = Params(**{n: v * 2.0**exp for n, v in base.as_dict().items()})
+            try:
+                p = replace(base, **{name: float(value(base)) + sign * k * tol})
+            except ZeroDivisionError:
+                continue
+            if validate(p, tol).ok:
+                assert_inventory_reads_the_table(p, tol)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 20), sign=st.sampled_from((-1, 1)))
+    def test_near_an_ill_conditioned_coexistence_payoff(self, seed, k, sign):
+        # both H-P gaps near 1e-7 and parameters near 20, so the float H-P
+        # payoff is off by about 1e-7, and eta k tol from it
+        rng = np.random.default_rng(seed)
+        for branch in (1, -1):  # B-plus, B-minus
+            delta, epsilon = rng.uniform(5, 30, 2)
+            beta = -delta + branch * rng.uniform(2e-8, 2e-7)
+            gamma = epsilon - branch * rng.uniform(2e-8, 2e-7)
+            p = Params(rng.uniform(5, 40), beta, gamma, delta, epsilon, 1.0)
+            p = replace(p, eta=coexistence_payoff(p) + sign * k * DEFAULT_TOL)
+            if validate(p).ok:
+                assert_inventory_reads_the_table(p, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("p", [
+        # O+P's advantage of H, epsilon-gamma over alpha+epsilon times
+        # alpha, is below the rounding of H's float payoff at O+P's float
+        # location, which read 0 there
+        Params(alpha=1352865.7130531971, beta=-2172582.7809235197, gamma=3115202.45413959,
+               delta=764619.587480682, epsilon=3115202.4541395884, eta=132842.38012060308),
+        # eta - pay(H+P) is 2e-9 on the table's floats, while the exact
+        # H-P payoff is above eta
+        Params(alpha=34.14486264929453, beta=-29.528172407583874, gamma=19.077845003222325,
+               delta=29.528172275123342, epsilon=19.077844954013408, eta=5.911902448297286),
+    ])
+    def test_where_the_float_payoffs_round_past_tol(self, p):
+        assert validate(p).ok
+        assert_inventory_reads_the_table(p, DEFAULT_TOL)
+
+
 class TestRegimeTableAsData:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(p=snapped_points(), tol=st.sampled_from((1e-9, 1e-3)))
