@@ -6,10 +6,10 @@ compete under replicator dynamics on the 3-simplex.  The package provides:
 * one admissibility table (positivity, the five weak-dominance relations,
   distance from every degenerate boundary), read by validation, Nash
   vertices and dominance relations,
-* the replicator flow and its Jacobian, with a simplex-preserving adaptive
-  integrator,
-* analytic classification of every boundary face's dynamic regime and of the
-  global attractor set,
+* the replicator flow, with a simplex-preserving adaptive integrator,
+* every boundary rest point with its exact linearisation, and analytic
+  classification of every boundary face's dynamic regime and of the global
+  attractor set,
 * welfare ranking of the attractors (isolation is always strictly worst),
 * Monte Carlo basin-of-attraction estimates,
 * a CLI (``socgame``) with JSON/CSV/SVG reporting.

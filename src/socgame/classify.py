@@ -7,8 +7,8 @@ it:
 
 * the inventory builds each boundary rest point once, one for each support
   of one, two or three strategies that has one, with the eigen sign of
-  every direction of the full simplex, by one solve in integer arithmetic
-  (``_Inventory``).  One formula (``model._edge_state``) gives a vertex or
+  every direction of the full simplex and each face's linearisation there,
+  by one solve in integer arithmetic (``_Inventory``).  One formula (``model._edge_state``) gives a vertex or
   edge state's share and payoff, to the inventory and to the table of
   classifying quantities, whose signs of eta against the O-P, O-H and H-P
   payoffs the regime table reads; the inventory's sign toward N at those
@@ -154,25 +154,23 @@ class _Inventory:
     one, two or three strategies that has one, each with the eigen sign of
     every direction of the full simplex, solved in Python ints.
 
-    ``payoff_rows`` times the common denominator of its floats is an
-    integer matrix B.  The shares on S are proportional to the signed
-    minors w of S's payoff-gap rows (B of S's first strategy minus B of
-    each other), so a state exists exactly where they share one strict
-    sign.  Toward an absent strategy W the eigenvalue is W's payoff
-    advantage, ``(Bw)_W - (Bw)_S``, exactly; toward N at a vertex or edge
-    state it is ``eta`` less the state's payoff float, which is the
-    table's own ``eta-pay`` quantity, so each face's attractors are its
-    states typed attractive.  Inside S the flow's linearisation is a
-    positive multiple of ``x_a (A_ij - sum_k x_k A_kj)``, for S's a-th
-    strategy i and b-th j.  On an edge a-b that is ``x_a x_b (g1 - g0)``,
-    with g the gap of a over b at b and at a, labelled ``along a-b``.  On a
-    face it is ``M_ab = w_a (B_ij total - col_j)``, with ``total`` the sum
-    of w and ``col`` its weighted columns of B; its image lies in the
-    tangent plane, so its trace and the sum of its 2x2 principal minors
-    are the sum and product of its two eigenvalues there (Hofbauer &
-    Sigmund 1998, ch. 7), which give their signs in order of real part,
-    labelled ``face eig <k>``.  A sign is "degenerate" only at an exact 0;
-    no tolerance judges it.
+    ``payoff_rows`` times the common denominator ``scale`` of its floats is
+    an integer matrix ``B``.  The shares on S are proportional to the
+    signed minors w of S's payoff-gap rows (B of S's first strategy minus B
+    of each other), so a state exists exactly where they share one strict
+    sign.  ``solves`` keeps each state's weights w and payoff advantages
+    ``(Bw)_k - (Bw)_S``, over all four strategies.  Toward an absent
+    strategy W the eigenvalue is W's advantage, exactly; toward N at a
+    vertex or edge state it is ``eta`` less the state's payoff float, which
+    is the table's own ``eta-pay`` quantity, so each face's attractors are
+    its states typed attractive.  Inside S, on an edge a-b the flow's
+    linearisation is ``x_a x_b (g1 - g0)``, with g the gap of a over b at b
+    and at a, labelled ``along a-b``.  On a face it is the matrix of
+    ``linearisation``, whose image lies in the tangent plane, so its trace
+    and the sum of its 2x2 principal minors are the sum and product of its
+    two eigenvalues there (Hofbauer & Sigmund 1998, ch. 7), which give
+    their signs in order of real part, labelled ``face eig <k>``.  A sign
+    is "degenerate" only at an exact 0; no tolerance judges it.
 
     Vertex and edge states take their location and payoff from
     ``model._edge_state``, the formula the admissibility table shares; a
@@ -187,8 +185,9 @@ class _Inventory:
     def __init__(self, p: Params) -> None:
         A = payoff_rows(p)
         ratios = [[a.as_integer_ratio() for a in row] for row in A]
-        scale = math.lcm(*(d for row in ratios for _, d in row))
-        B = [[n * (scale // d) for n, d in row] for row in ratios]
+        self.scale = math.lcm(*(d for row in ratios for _, d in row))
+        self.B = B = [[n * (self.scale // d) for n, d in row] for row in ratios]
+        self.solves: dict[str, tuple[list[int], list[int]]] = {}
         self.states: dict[str, StationaryState] = {}
         for rest in itertools.chain.from_iterable(
                 itertools.combinations(range(4), k) for k in (1, 2, 3)):
@@ -202,8 +201,14 @@ class _Inventory:
                      for k in range(3)]
             if not (min(w) > 0 or max(w) < 0):
                 continue
-            w = [abs(v) for v in w]
-            pays = [sum(B[i][j] * wj for j, wj in zip(rest, w)) for i in range(4)]
+            weights = [0] * 4
+            for i, wi in zip(rest, w):
+                weights[i] = abs(wi)
+            pays = [sum(b * wj for b, wj in zip(row, weights)) for row in B]
+            advantage = [q - pays[rest[0]] for q in pays]
+            support = tuple(STRATEGIES[i] for i in rest)
+            label = "+".join(support)
+            self.solves[label] = (weights, advantage)
             xs = [0.0] * 4
             if len(rest) == 1:
                 xs[rest[0]], pay, inside = 1.0, A[rest[0]][rest[0]], ()
@@ -213,27 +218,37 @@ class _Inventory:
                 xs[a], xs[b] = s, 1.0 - s
                 inside = ((f"along {STRATEGIES[a]}-{STRATEGIES[b]}", _sign(r[0][0] - r[0][1])),)
             else:
-                total = sum(w)
-                col = [sum(wa * B[i][j] for wa, i in zip(w, rest)) for j in rest]
-                m = [[wa * (B[i][j] * total - c) for j, c in zip(rest, col)]
-                     for wa, i in zip(w, rest)]
+                m = self.linearisation(label, rest)
                 tr = m[0][0] + m[1][1] + m[2][2]
                 det = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
                 eigs = (-1, 1) if det < 0 else (tr, tr) if det > 0 else sorted((tr, 0))
                 inside = tuple((f"face eig {k + 1}", _sign(e)) for k, e in enumerate(eigs))
-                for i, wi in zip(rest, w):
-                    xs[i] = wi / total
-                pay = pays[rest[0]] / (total * scale)
-            advantage = [q - pays[rest[0]] for q in pays]
-            if len(rest) < 3:
-                # the table's eta-pay quantity, whose float can round past tol
-                advantage[3] = p.eta - pay
-            signs = inside + tuple((f"toward {STRATEGIES[v]}", _sign(advantage[v]))
+                total = sum(weights)
+                xs = [wi / total for wi in weights]
+                pay = pays[rest[0]] / (total * self.scale)
+            # toward N at a vertex or edge state: the table's eta-pay
+            # quantity, whose float can round past tol
+            toward = advantage[:3] + [p.eta - pay] if len(rest) < 3 else advantage
+            signs = inside + tuple((f"toward {STRATEGIES[v]}", _sign(toward[v]))
                                    for v in range(4) if v not in rest)
-            support = tuple(STRATEGIES[i] for i in rest)
-            self.states["+".join(support)] = _state(
-                "+".join(support), ("vertex", "edge-interior", "face-interior")[len(rest) - 1],
+            self.states[label] = _state(
+                label, ("vertex", "edge-interior", "face-interior")[len(rest) - 1],
                 SimplexState(*xs), support, pay, signs)
+
+    def linearisation(self, label: str, active: Sequence[int]) -> list[list[int]]:
+        """The flow's linearisation at state ``label`` over the strategies
+        ``active`` of a face that holds it, in ints: ``M_ij = delta_ij total
+        adv_i + w_i (B_ij total - adv_j - col_j)``, with w and adv the
+        state's ``solves``, ``total`` the sum of w and ``col`` its weighted
+        columns of B.  Its chart ``M[a][b] - M[a][2]`` is the chart Jacobian
+        times ``scale * total**2``, and its columns sum to 0.  At an edge
+        state the advantage of the face's third strategy enters the
+        diagonal and, through the mean payoff, every support row."""
+        w, adv = self.solves[label]
+        total = sum(w)
+        col = [sum(wk * row[j] for wk, row in zip(w, self.B)) for j in active]
+        return [[(total * adv[i] if i == j else 0) + w[i] * (self.B[i][j] * total - adv[j] - c)
+                 for j, c in zip(active, col)] for i in active]
 
     def in_face(self, face: str, label: str) -> StationaryState:
         """One state as seen inside ``face``: the direction toward the

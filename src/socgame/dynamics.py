@@ -1,12 +1,9 @@
-"""Population dynamics: the replicator flow on the simplex, its Jacobian, and
-the loops that integrate it.
+"""Population dynamics: the replicator flow on the simplex and the loops
+that integrate it.
 
 The replicator flow on shares ``x`` is ``dx_i/dt = x_i (P_i - Pbar)``, with
-payoffs ``P = A x`` and mean ``Pbar = x . A x``.  Its Jacobian has the closed
-form ``J_ij = delta_ij (P_i - Pbar) + x_i (A_ij - P_j - (A^T x)_j)``
-(Hofbauer & Sigmund 1998, ch. 7); ``replicator_jacobian`` gives it in the
-chart of a face or of the whole simplex.  The portrait reads its saddle
-directions off it, and the tests use it as an oracle.
+payoffs ``P = A x`` and mean ``Pbar = x . A x``.  Its linearisation at a
+boundary rest point is ``classify._Inventory``'s, in ints.
 
 Integration runs through one of two loops, chosen by what the caller asks
 for.  ``_drive`` follows one path with its samples: it either runs to rest
@@ -56,7 +53,7 @@ import numpy as np
 # IntegrationError lives in model, beside the other exit-code errors, so
 # that the CLI catches it without loading this module; it is re-exported here
 from .model import (DEFAULT_MAX_TIME, IntegrationError, Params, SimplexState, check_max_time,
-                    decimal, payoff_matrix)
+                    decimal)
 
 _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
 
@@ -114,24 +111,6 @@ def replicator_field(x: tuple[float, ...], p: Params) -> tuple[float, float, flo
     pn = p.eta
     avg = x1 * po + x2 * ph + x3 * pp + x4 * pn
     return (x1 * (po - avg), x2 * (ph - avg), x3 * (pp - avg), x4 * (pn - avg))
-
-
-def replicator_jacobian(x: Sequence[float], p: Params,
-                        active: Sequence[int] = (0, 1, 2, 3)) -> np.ndarray:
-    """Jacobian of ``replicator_field`` at ``x`` in the chart of ``active``.
-
-    The chart's coordinates are the shares of ``active[:-1]``; the last
-    active share is 1 minus their sum and every other share stays 0, so
-    ``active`` names a face (three strategies) or the whole simplex (four).
-    With J the full 4x4 Jacobian, J_ij = delta_ij (P_i - Pbar) + x_i (A_ij -
-    P_j - (A^T x)_j), the chart's is J[a, b] - J[a, last].
-    """
-    A = payoff_matrix(p)
-    x = np.asarray(x, dtype=float)
-    pi = A @ x
-    jac = np.diag(pi - x @ pi) + x[:, None] * (A - pi - A.T @ x)
-    coords, last = list(active[:-1]), active[-1]
-    return jac[np.ix_(coords, coords)] - jac[coords, last][:, None]
 
 
 # ---------------------------------------------------------------------------

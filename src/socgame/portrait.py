@@ -10,7 +10,8 @@ Stationary states are marked by stability: filled disc = attractive within
 the face, open disc = repulsive, half-filled = saddle.  Trajectory seeds are
 a small interior lattice per face plus short outsets along the unstable
 direction of each face-interior saddle and each edge saddle stable along
-its edge.  An edge saddle unstable along its edge gets none, so on set A,
+its edge, the eigenvector of the inventory's exact linearisation in closed
+form.  An edge saddle unstable along its edge gets none, so on set A,
 whose edge saddles all are, no outset is drawn.
 """
 
@@ -19,10 +20,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import numpy as np
-
-from .classify import face_states
-from .dynamics import replicator_jacobian, states_at
+from .classify import _Inventory, face_states
+from .dynamics import states_at
 from .model import DEFAULT_TOL, FACE_ACTIVE, FACES, STRATEGIES, Params, SimplexState, decimal
 
 _H = math.sqrt(3.0) / 2.0
@@ -37,7 +36,7 @@ _CORNERS: dict[str, dict[str, tuple[float, float]]] = {
 
 _LATTICE_M = 6  # interior lattice density: shares (i,j,k)/m, i+j+k=m, all >= 1
 _OUTSET = 5e-3  # nudge along a saddle's unstable eigendirection
-_TIMES = tuple(np.linspace(0.0, 60.0, 241).tolist())
+_TIMES = tuple(k / 4 for k in range(241))  # 0 to 60 in steps of 0.25
 
 
 def _face_xy(face: str, state: SimplexState) -> tuple[float, float]:
@@ -68,34 +67,40 @@ def _saddle_outsets(p: Params, face: str, states) -> list[SimplexState]:
 
     An edge saddle that is unstable along its edge is skipped: its unstable
     manifold is the edge itself, and its separatrix is the stable manifold,
-    which forward runs cannot trace.
+    which forward runs cannot trace.  The direction is the eigenvector of
+    ``(tr + sqrt(tr**2 - 4 det)) / 2`` in the face chart of the inventory's
+    linearisation, from the row of the chart less it with larger entries,
+    taken in floats only after its ints are divided by the largest.  A det
+    that is not negative (the float toward N typed the saddle) seeds none.
     """
     active = FACE_ACTIVE[face]
+    inv = None
     out: list[SimplexState] = []
     for s in states:
         if s.stability != "saddle" or s.kind == "vertex":
             continue
         if any(d.startswith("along ") and sign == "+" for d, sign in s.eigen_signs):
             continue
+        inv = inv or _Inventory(p)
+        m = inv.linearisation(s.label, active)
+        (a, b), (c, d) = [[m[i][j] - m[i][2] for j in (0, 1)] for i in (0, 1)]
+        det = a * d - b * c
+        if det >= 0:
+            continue
+        k = max(abs(a), abs(b), abs(c), abs(d))
+        lam = ((a + d) / k + math.sqrt(((a + d) ** 2 - 4 * det) / k ** 2)) / 2.0
+        a, b, c, d = a / k, b / k, c / k, d / k
+        v = max((b, lam - a), (lam - d, c), key=lambda v: math.hypot(*v))
+        norm = math.hypot(*v)
         xs = s.location.as_tuple()
-        u = (xs[active[0]], xs[active[1]])
-        vals, vecs = np.linalg.eig(replicator_jacobian(xs, p, active))
-        for idx in np.argsort(-vals.real):
-            if vals[idx].real <= 0.0:
-                break
-            v = vecs[:, idx].real
-            norm = float(np.hypot(v[0], v[1]))
-            if norm == 0.0:
+        for sgn in (1.0, -1.0):
+            cand = [0.0] * 4
+            cand[active[0]] = xs[active[0]] + sgn * _OUTSET * (v[0] / norm)
+            cand[active[1]] = xs[active[1]] + sgn * _OUTSET * (v[1] / norm)
+            cand[active[2]] = 1.0 - cand[active[0]] - cand[active[1]]
+            if min(cand[i] for i in active) <= 0.0:
                 continue
-            v = v / norm
-            for sgn in (1.0, -1.0):
-                cand = [0.0] * 4
-                cand[active[0]] = u[0] + sgn * _OUTSET * float(v[0])
-                cand[active[1]] = u[1] + sgn * _OUTSET * float(v[1])
-                cand[active[2]] = 1.0 - cand[active[0]] - cand[active[1]]
-                if min(cand[i] for i in active) <= 0.0:
-                    continue
-                out.append(SimplexState(*cand))
+            out.append(SimplexState(*cand))
     return out
 
 

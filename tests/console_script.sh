@@ -88,4 +88,11 @@ cmp "$out/m/trajectory.csv" "$g/simulate_A_max_time.csv"
 socgame portrait --params "$a" --out "$out/p"
 cmp "$out/p/portrait.svg" "$g/portrait_A.svg"
 cmp "$out/p/portrait_trajectories.csv" "$g/portrait_A_trajectories.csv"
+# set A seeds no outsets; set B's saddles inside S_N and S_O seed 2 each, so
+# its faces draw 12, 12, 10 and 10 runs: 40 lattice runs and 4 outsets
+socgame portrait --params "$b" --out "$out/b" >/dev/null
+runs=$(awk -F, 'NR > 1 && !seen[$1 FS $2]++ {n[$1]++}
+                END {print n["S_N"], n["S_O"], n["S_H"], n["S_P"]}' \
+           "$out/b/portrait_trajectories.csv")
+test "$runs" = "12 12 10 10"
 echo "console script matches the goldens"

@@ -2,9 +2,11 @@
 
 Nothing here is used by the package.  Tests check against it:
 
-* ``fd_jacobian``: a central-difference Jacobian of any field, and
-  ``reduced_field``, the replicator flow in the chart of a face or of the
-  whole simplex, for the analytic ``replicator_jacobian`` and eigen signs;
+* ``replicator_jacobian``: the flow's Jacobian in closed form, in numpy
+  floats, in the chart of a face or of the whole simplex, the reference for
+  the inventory's exact linearisation; ``fd_jacobian``, a central-difference
+  Jacobian of any field, and ``reduced_field``, the replicator flow in such
+  a chart, check it and the eigen signs;
 * the Lotka-Volterra chart: on x1 > 0 the coordinates
   ``(y, z, w) = (x2, x3, x4) / x1`` turn the replicator flow into a
   polynomial system (up to a time change that keeps orbits and rest
@@ -52,7 +54,7 @@ from scipy.integrate import solve_ivp
 from socgame import InvalidParameterError, Params, SimplexState, classify_global
 from socgame.basins import _certifies
 from socgame.classify import EdgeRegime, StationaryState, _stability
-from socgame.dynamics import RatioBox, replicator_field, replicator_jacobian
+from socgame.dynamics import RatioBox, replicator_field
 from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, payoff_matrix, validate
 
 
@@ -162,6 +164,26 @@ def fd_jacobian(f: Callable[[tuple[float, ...]], Sequence[float]],
         for i in range(n):
             jac[i, j] = (fp[i] - fm[i]) / (2.0 * h)
     return jac
+
+
+def replicator_jacobian(x: Sequence[float], p: Params,
+                        active: Sequence[int] = (0, 1, 2, 3)) -> np.ndarray:
+    """Jacobian of ``replicator_field`` at ``x`` in the chart of ``active``.
+
+    The chart's coordinates are the shares of ``active[:-1]``; the last
+    active share is 1 minus their sum and every other share stays 0, so
+    ``active`` names a face (three strategies) or the whole simplex (four).
+    With J the full 4x4 Jacobian, J_ij = delta_ij (P_i - Pbar) + x_i (A_ij -
+    P_j - (A^T x)_j) (Hofbauer & Sigmund 1998, ch. 7), the chart's is
+    J[a, b] - J[a, last].  The reference for the package's exact
+    linearisation (``classify._Inventory.linearisation``).
+    """
+    A = payoff_matrix(p)
+    x = np.asarray(x, dtype=float)
+    pi = A @ x
+    jac = np.diag(pi - x @ pi) + x[:, None] * (A - pi - A.T @ x)
+    coords, last = list(active[:-1]), active[-1]
+    return jac[np.ix_(coords, coords)] - jac[coords, last][:, None]
 
 
 def reduced_field(p: Params, active: Sequence[int]):

@@ -44,6 +44,7 @@ from oracles import (
     oh_payoff,
     op_payoff,
     reduced_field,
+    replicator_jacobian,
     to_lv,
 )
 from socgame import (
@@ -57,7 +58,6 @@ from socgame import (
 )
 from socgame.cli import main
 from socgame.classify import _Inventory
-from socgame.dynamics import replicator_jacobian
 from socgame.model import (
     DEFAULT_TOL,
     FACE_ABSENT,
