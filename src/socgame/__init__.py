@@ -6,11 +6,12 @@ compete under replicator dynamics on the 3-simplex.  The package provides:
 * one admissibility table (positivity, the five weak-dominance relations,
   distance from every degenerate boundary), read by validation, Nash
   vertices and dominance relations,
-* the replicator flow, with a simplex-preserving adaptive integrator,
+* the replicator flow, which reads the payoff law (``payoff_vector``), with
+  a simplex-preserving adaptive integrator,
 * every boundary rest point with its exact linearisation, and analytic
   classification of every boundary face's dynamic regime and of the global
   attractor set,
-* welfare ranking of the attractors (isolation is always strictly worst),
+* welfare ranking by each attractor's own payoff (isolation is strictly worst),
 * Monte Carlo basin-of-attraction estimates,
 * a CLI (``socgame``) with JSON/CSV/SVG reporting.
 
@@ -30,8 +31,7 @@ _SUBMODULES = {
     "dynamics": ("Trajectory", "integrate", "match_attractor", "states_at"),
     "model": ("DEFAULT_TOL", "STRATEGIES", "DegenerateParameterError", "IntegrationError",
               "InvalidParameterError", "Params", "SimplexState", "ValidationReport",
-              "dominance_relations", "nash_vertices", "payoff_matrix", "payoff_vector",
-              "validate"),
+              "dominance_relations", "nash_vertices", "payoff_vector", "validate"),
     "welfare": ("OrderingViolationError", "WelfareReport", "welfare_report"),
 }
 _HOME = {name: module for module, names in _SUBMODULES.items() for name in names}

@@ -174,9 +174,19 @@ def _certifies(A: list[list], ref: int, support: list[int], lo: list, hi: list) 
 
 def attractor_boxes(attractors: Sequence[StationaryState],
                     p: Params) -> list[tuple[StationaryState, RatioBox]]:
-    """Each of ``attractors`` that admits a ratio box, paired with its box."""
+    """Each of ``attractors`` that admits a ratio box, paired with its box,
+    each in-support bound one ulp inward: a bound times x_R rounds by at most
+    half an ulp, so ``_box_of`` then admits only shares in the certified box
+    exactly.  A bound off the support, a power of two, scales exactly."""
     A = payoff_rows(p)
-    return [(a, box) for a in attractors if (box := ratio_box(a, A)) is not None]
+    return [(a, _inward(box)) for a in attractors if (box := ratio_box(a, A)) is not None]
+
+
+def _inward(box: RatioBox) -> RatioBox:
+    inner = [k != box.ref and box.lo[k] > 0.0 for k in range(4)]  # in-support bounds
+    return box._replace(
+        lo=tuple(math.nextafter(v, math.inf) if m else v for v, m in zip(box.lo, inner)),
+        hi=tuple(math.nextafter(v, 0.0) if m else v for v, m in zip(box.hi, inner)))
 
 
 def label_runs(

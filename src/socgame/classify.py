@@ -138,14 +138,6 @@ class RegimeReport(NamedTuple):
         }
 
 
-def _state(label: str, kind: str, location: SimplexState, support: tuple[str, ...],
-           payoff: float, signs: tuple[tuple[str, str], ...]) -> StationaryState:
-    return StationaryState(
-        label=label, kind=kind, location=location, support=support,
-        payoff=payoff, eigen_signs=signs, stability=_stability(signs),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the boundary inventory and its face restrictions
 
@@ -231,9 +223,9 @@ class _Inventory:
             toward = advantage[:3] + [p.eta - pay] if len(rest) < 3 else advantage
             signs = inside + tuple((f"toward {STRATEGIES[v]}", _sign(toward[v]))
                                    for v in range(4) if v not in rest)
-            self.states[label] = _state(
+            self.states[label] = StationaryState(
                 label, ("vertex", "edge-interior", "face-interior")[len(rest) - 1],
-                SimplexState(*xs), support, pay, signs)
+                SimplexState(*xs), support, pay, signs, _stability(signs))
 
     def linearisation(self, label: str, active: Sequence[int]) -> list[list[int]]:
         """The flow's linearisation at state ``label`` over the strategies
@@ -256,7 +248,7 @@ class _Inventory:
         s = self.states[label]
         away = f"toward {STRATEGIES[FACE_ABSENT[face]]}"
         signs = tuple(d for d in s.eigen_signs if d[0] != away)
-        return _state(s.label, s.kind, s.location, s.support, s.payoff, signs)
+        return s._replace(eigen_signs=signs, stability=_stability(signs))
 
     def face(self, face: str) -> list[StationaryState]:
         """Every state on ``face``, seen inside it."""

@@ -2,8 +2,9 @@
 that integrate it.
 
 The replicator flow on shares ``x`` is ``dx_i/dt = x_i (P_i - Pbar)``, with
-payoffs ``P = A x`` and mean ``Pbar = x . A x``.  Its linearisation at a
-boundary rest point is ``classify._Inventory``'s, in ints.
+payoffs ``P = A x`` from ``model.payoff_vector`` and mean ``Pbar = x . P``.
+Its linearisation at a boundary rest point is ``classify._Inventory``'s, in
+ints.
 
 Integration runs through one of two loops, chosen by what the caller asks
 for.  ``_drive`` follows one path with its samples: it either runs to rest
@@ -53,7 +54,7 @@ import numpy as np
 # IntegrationError lives in model, beside the other exit-code errors, so
 # that the CLI catches it without loading this module; it is re-exported here
 from .model import (DEFAULT_MAX_TIME, IntegrationError, Params, SimplexState, check_max_time,
-                    decimal)
+                    decimal, payoff_vector)
 
 _RHS = Callable[[tuple[float, ...]], tuple[float, ...]]
 
@@ -102,13 +103,10 @@ class Trajectory(NamedTuple):
 
 def replicator_field(x: tuple[float, ...], p: Params) -> tuple[float, float, float, float]:
     """Time derivative of the shares ``x``: growth proportional to payoff
-    advantage over the population mean.  No simplex checks, so the stage
-    states of a step may stray slightly off it."""
+    advantage (``payoff_vector``) over the population mean.  No simplex
+    checks, so the stage states of a step may stray slightly off it."""
     x1, x2, x3, x4 = x
-    po = p.alpha * x1
-    ph = p.beta * x2 + p.gamma * x3
-    pp = -p.delta * x2 + p.epsilon * x3
-    pn = p.eta
+    po, ph, pp, pn = payoff_vector(x, p)
     avg = x1 * po + x2 * ph + x3 * pp + x4 * pn
     return (x1 * (po - avg), x2 * (ph - avg), x3 * (pp - avg), x4 * (pn - avg))
 

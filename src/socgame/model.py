@@ -24,9 +24,10 @@ conditions once, in the admissibility table (``admissibility``), as a sign
 or band of them that holds on six floats and on parameter columns alike;
 ``validate``, ``dominance_relations`` and ``nash_vertices`` read it on the
 floats of one point, and the regime table over a whole grid.  So checking
-one point loads no numpy: only ``payoff_matrix`` imports it, where it is
-called.  The four boundary faces are named here too (``FACES``), with the
-strategies each holds, and the face-scoped quantities (``FACE_SCOPE``).
+one point loads no numpy: only type hints name it.  The payoff law is stated
+here alone, as A (``payoff_rows``) and as ``A x`` (``payoff_vector``).  The
+four boundary faces are named here too (``FACES``), with the strategies each
+holds, and the face-scoped quantities (``FACE_SCOPE``).
 
 The errors that the CLI maps to exit codes live here too, with the decimal
 formatter every writer shares, so that a command that never integrates
@@ -228,8 +229,9 @@ class ValidationReport(NamedTuple):
 
 
 def payoff_rows(p: Params | "Columns") -> list[list]:
-    """Rows of the payoff matrix (see ``payoff_matrix``) as lists, whose
-    entries are columns when ``p`` is a ``Columns``; int zeros keep exact
+    """Rows of the payoff matrix A, ordered O, H, P, N: ``A[i][j]`` pays i
+    against j, N earns ``eta`` against everyone and nobody earns from meeting
+    N.  Entries are columns when ``p`` is a ``Columns``; int zeros keep exact
     ``Fraction`` fields exact."""
     return [
         [p.alpha, 0, 0, 0],
@@ -263,22 +265,10 @@ def _edge_state(A: list[list], a: int, b: int) -> tuple:
             _quotient(A[a][a] * A[b][b] - A[a][b] * A[b][a], g1 - g0))
 
 
-def payoff_matrix(p: Params) -> np.ndarray:
-    """4x4 payoff matrix A with rows/columns ordered O, H, P, N.
-
-    ``A[i, j]`` is the payoff of strategy i against strategy j; the payoff
-    vector at state x is ``A @ x``.  N earns the fallback ``eta`` against
-    everyone; nobody earns anything from meeting N.
-    """
-    import numpy as np
-
-    return np.array(payoff_rows(p))
-
-
 def payoff_vector(state: SimplexState | Sequence, p: Params | "Columns") -> tuple:
     """Per-strategy expected payoffs (P_O, P_H, P_P, P_N) at ``state``, a
-    ``SimplexState`` or four shares (numbers, or columns over points with
-    ``p`` a ``Columns``)."""
+    ``SimplexState`` or four shares: numbers, or columns over the runs of a
+    batch or, with ``p`` a ``Columns``, over its points."""
     x1, x2, x3, _ = state
     return (
         p.alpha * x1,

@@ -1,7 +1,9 @@
 """Welfare comparison of the attracting states.
 
 Every attractor pays its supported strategies one common value, so attractors
-are ranked by that single number.  Two facts hold for every admissible
+are ranked by that single number, the state's own ``payoff``.  The payoffs
+recomputed at its location are the cross-check: they must agree, as at a rest
+point, and obey the proven inequalities.  Two facts hold for every admissible
 parameter point and are enforced here rather than assumed: the isolation
 state N pays strictly less than any other attractor (whatever traps the
 population in N is never welfare-optimal), and when the uncivil/polite
@@ -132,12 +134,13 @@ def check_orderings(attractors: dict[str, tuple], p) -> dict:
 
 
 def welfare_report(attractors: Sequence["StationaryState"], p: Params) -> WelfareReport:
-    """Rank the attractors by payoff and check the proven inequalities
-    (``check_orderings`` at one point).  A tie group holds exactly equal
-    payoffs, so the groups of ``p`` and ``c * p`` agree for every c > 0
-    that scales the payoffs exactly, such as a power of two."""
-    pay = check_orderings(
+    """Rank the attractors by each state's payoff, once the payoffs at their
+    locations pass ``check_orderings`` at one point.  A tie group holds
+    exactly equal payoffs, so the groups of ``p`` and ``c * p`` agree for
+    every c > 0 that scales the payoffs exactly, such as a power of two."""
+    check_orderings(
         {a.label: (True, supported_payoffs(a.location, a.support, p)) for a in attractors}, p)
+    pay = {a.label: a.payoff for a in attractors}
 
     ranked = sorted(pay.items(), key=lambda kv: (-kv[1], kv[0]))
     groups = [tuple(label for label, _ in group)

@@ -48,6 +48,13 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 head -n "$(wc -l < "$g/check_A.json")" "$out/profile.txt" | cmp - "$g/check_A.json"
 grep -q 'ncalls  *tottime  *percall  *cumtime  *percall' "$out/profile.txt"
 socgame equilibria --params "$a" | cmp - "$g/equilibria_A.json"
+# the welfare report gives each global attractor its state's own payoff
+socgame equilibria --params "$b" | python -c '
+import json, sys
+g = json.load(sys.stdin)["global"]
+pay = g["welfare"]["payoffs"]
+assert g["attractors"] and all(a["payoff"] == pay[a["label"]] for a in g["attractors"]), g
+'
 # 1e-8 off beta*epsilon+gamma*delta = 0, H+P still attracts on S_N
 socgame equilibria --params "$b" --set beta=-20 --set gamma=19.99999999 \
   | cmp - "$g/equilibria_near_coexistence.json"

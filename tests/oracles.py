@@ -2,6 +2,8 @@
 
 Nothing here is used by the package.  Tests check against it:
 
+* ``payoff_matrix``: the payoff matrix A as a numpy array, for the
+  oracles' matrix algebra;
 * ``replicator_jacobian``: the flow's Jacobian in closed form, in numpy
   floats, in the chart of a face or of the whole simplex, the reference for
   the inventory's exact linearisation; ``fd_jacobian``, a central-difference
@@ -55,11 +57,21 @@ from socgame import InvalidParameterError, Params, SimplexState, classify_global
 from socgame.basins import _certifies
 from socgame.classify import EdgeRegime, StationaryState, _stability
 from socgame.dynamics import RatioBox, replicator_field
-from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, payoff_matrix, validate
+from socgame.model import DEFAULT_TOL, FACES, STRATEGIES, payoff_rows, validate
 
 
 # reference eigenvalues closer to zero than this get the "degenerate" sign
 SIGN_TOL = 1e-7
+
+
+def payoff_matrix(p: Params) -> np.ndarray:
+    """4x4 payoff matrix A with rows/columns ordered O, H, P, N.
+
+    ``A[i, j]`` is the payoff of strategy i against strategy j; the payoff
+    vector at state x is ``A @ x``.  N earns the fallback ``eta`` against
+    everyone; nobody earns anything from meeting N.
+    """
+    return np.array(payoff_rows(p))
 
 
 class ChartDomainError(ValueError):

@@ -2,7 +2,9 @@
 certify a sample's attractor."""
 
 import itertools
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from socgame import (
 )
 from socgame import basins
 from socgame.basins import _certifies, attractor_boxes, label_runs, ratio_box
-from socgame.dynamics import _integrate_rows
+from socgame.dynamics import _box_of, _integrate_rows
 from socgame.model import DEFAULT_MAX_TIME, STRATEGIES, payoff_rows
 
 
@@ -258,6 +260,38 @@ class TestRatioBoxes:
         A = payoff_rows(p)
         for a in attractors:
             assert ratio_box(a, A) is not None, (p, a.label)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus", None)))
+    def test_box_of_admits_only_shares_in_the_certified_box(self, seed, branch):
+        # probes a few ulps either side of each in-support bound times x_R:
+        # wherever the box a run is tested against admits one, the certified
+        # box holds it exactly.  Branch None is set B, whose H+P has a box.
+        rng = np.random.default_rng(seed)
+        p = SET_B if branch is None else draw_params(rng, branch)
+        A = payoff_rows(p)
+        admitted = 0
+        for a, moved in attractor_boxes(classify_global(p).global_attractors, p):
+            box = ratio_box(a, A)
+            for k in range(4):
+                if k == box.ref or box.lo[k] == 0.0:
+                    continue
+                for bound, xr in itertools.product((box.lo[k], box.hi[k]),
+                                                   rng.uniform(0.01, 1.0, 50).tolist()):
+                    y = [0.0] * 4
+                    y[box.ref], y[k] = xr, bound * xr
+                    for nudge in range(-3, 4):
+                        probe = list(y)
+                        for _ in range(abs(nudge)):
+                            probe[k] = math.nextafter(probe[k], math.copysign(math.inf, nudge))
+                        if _box_of(probe, [moved]) < 0:
+                            continue
+                        admitted += 1
+                        r = Fraction(xr)
+                        assert all(Fraction(box.lo[j]) * r <= Fraction(probe[j])
+                                   <= Fraction(box.hi[j]) * r
+                                   for j in range(4) if j != box.ref), (p, a.label, probe)
+        assert branch is not None or admitted > 0
 
     def test_attractor_without_a_box_collects_no_runs(self, monkeypatch):
         # with the H+P box withheld, runs that settle on the H-P edge end in

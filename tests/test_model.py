@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (SET_A, SET_B, SET_C, SET_D, draw_params, draw_simplex, numpy_columns,
                       snapped_points)
-from oracles import dominance_oracle, nash_oracle, nondominance_oracle
+from oracles import dominance_oracle, nash_oracle, nondominance_oracle, payoff_matrix
 from socgame import (
     BasinReport,
     DegenerateParameterError,
@@ -34,7 +34,6 @@ from socgame import (
     face_states,
     integrate,
     nash_vertices,
-    payoff_matrix,
     payoff_vector,
     validate,
 )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SET_A, SET_B, draw_params, numpy_columns
 from oracles import coexistence_payoff, face_regime
+from test_golden import CASES
 from socgame import (
     OrderingViolationError,
     SimplexState,
@@ -104,6 +105,25 @@ class TestWelfareReport:
             floor = rep.payoffs[-1][1]
             assert all(v > floor for lbl, v in rep.payoffs[:-1])
             assert rep.trap_dominated is True
+
+
+def assert_one_payoff_per_attractor(p):
+    # the welfare report gives each global attractor its own state's payoff
+    report = classify_global(p)
+    pay = dict(report.welfare.payoffs)
+    assert {a.label: a.payoff for a in report.global_attractors} == pay, (p, pay)
+
+
+class TestOnePayoffPerAttractor:
+    @pytest.mark.parametrize("name", [name for name, (_, argv, code, _) in CASES.items()
+                                      if argv == ["equilibria"] and code == 0])
+    def test_at_the_equilibria_golden_points(self, name):
+        assert_one_payoff_per_attractor(CASES[name][0])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(("B-plus", "B-minus")))
+    def test_at_drawn_points(self, seed, branch):
+        assert_one_payoff_per_attractor(draw_params(np.random.default_rng(seed), branch))
 
 
 class TestCoexistenceSandwich:
